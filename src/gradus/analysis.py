@@ -9,6 +9,7 @@ for the difficulty model.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -67,7 +68,11 @@ def skyline(score: Score) -> list[SkylineNote]:
     score with no pitched notes at all has no melody to extract and is
     rejected.
     """
-    segs = timeline(score)
+    return _skyline_of(timeline(score))
+
+
+def _skyline_of(segs: Sequence[TimelineSegment]) -> list[SkylineNote]:
+    """:func:`skyline` of an already computed timeline."""
     if not any(seg.pitches for seg in segs):
         raise AnalysisError("score has no pitched notes, skyline is undefined")
     out: list[SkylineNote] = []
@@ -97,10 +102,16 @@ def skyline_score(score: Score) -> Score:
     because the downstream token models treat repeats and ties alike).
     """
     notes = skyline(score)
+    ends = [note.end for note in notes]
     measures: list[Measure] = []
     for src in score.measures:
         events: list[NoteEvent] = []
-        for note in notes:
+        # the notes tile the piece in order: start at the first one ending
+        # after the measure starts, stop at the first one starting after it
+        for i in range(bisect_right(ends, src.start), len(notes)):
+            note = notes[i]
+            if note.onset >= src.end:
+                break
             lo = max(note.onset, src.start)
             hi = min(note.end, src.end)
             if lo >= hi:
@@ -151,8 +162,13 @@ def pitch_class_profile(score: Score) -> np.ndarray:
     length; a pitch class sounding in two octaves at once still counts
     once per octave-distinct pitch.  Rest time contributes nothing.
     """
+    return _profile_of(timeline(score))
+
+
+def _profile_of(segs: Sequence[TimelineSegment]) -> np.ndarray:
+    """:func:`pitch_class_profile` of an already computed timeline."""
     weights = [Fraction(0)] * 12
-    for seg in timeline(score):
+    for seg in segs:
         length = seg.end - seg.start
         for pitch in seg.pitches:
             weights[pitch.pitch_class] += length

@@ -565,7 +565,11 @@ def _pick(logits: np.ndarray, temperature: float, top_k: Optional[int],
     cdf = np.cumsum(p, axis=-1)
     cdf[:, -1] = 1.0    # guard against rounding in the last bin
     u = rng.random((z.shape[0], 1))
-    return (u > cdf).sum(axis=-1).astype(np.int64)
+    picks = (u > cdf).sum(axis=-1)
+    # a draw above a rounded-down cdf lands on the forced last bin, which
+    # may have zero probability: take the last bin that can be drawn
+    last = p.shape[-1] - 1 - (p[:, ::-1] > 0).argmax(axis=-1)
+    return np.minimum(picks, last).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from __future__ import annotations
 import io
 import xml.etree.ElementTree as ET
 import zipfile
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import lcm
@@ -717,6 +718,15 @@ def timeline(score: Score) -> list[TimelineSegment]:
 
     Each segment lists the distinct pitches sounding throughout it, sorted
     by midi number.  Returns an empty list for an empty score.
+
+    The segments come from one boundary sweep: every merged interval is
+    filed under the cut where it starts and the cut where it stops, and a
+    walk over the sorted cuts keeps the set of active intervals, so the
+    cost is O(n log n) in the number of intervals rather than one test per
+    interval and segment.  An interval ending past ``total_duration`` stays
+    active to the last cut.  When two active intervals share a midi number
+    but differ in spelling, the segment keeps the one that comes first in
+    :func:`merged_sounding_intervals` order.
     """
     if not score.measures:
         return []
@@ -727,13 +737,33 @@ def timeline(score: Score) -> list[TimelineSegment]:
         bounds.add(start)
         bounds.add(min(end, total))
     cuts = sorted(bounds)
+    position = {cut: i for i, cut in enumerate(cuts)}
+    n_segments = len(cuts) - 1
+    starting: list[list[int]] = [[] for _ in range(n_segments)]
+    stopping: list[list[int]] = [[] for _ in range(n_segments)]
+    for index, (start, end, _) in enumerate(intervals):
+        first = position[start]
+        # the first segment that does not end by ``end``; ``end`` is a cut
+        # unless it lies past ``total``
+        stop = position[end] if end in position else bisect_right(cuts, end) - 1
+        if first < stop:
+            starting[first].append(index)
+            if stop < n_segments:
+                stopping[stop].append(index)
+    # midi number -> indices of its active intervals, ascending: intervals
+    # are sorted by start, so each newly started one has the largest index
+    active: dict[int, list[int]] = {}
     segments = []
-    for a, b in zip(cuts, cuts[1:]):
-        active: dict[int, Pitch] = {}
-        for start, end, pitch in intervals:
-            if start <= a and end >= b and pitch.midi_number not in active:
-                active[pitch.midi_number] = pitch
+    for i in range(n_segments):
+        for index in stopping[i]:
+            midi = intervals[index][2].midi_number
+            held = active[midi]
+            held.remove(index)
+            if not held:
+                del active[midi]
+        for index in starting[i]:
+            active.setdefault(intervals[index][2].midi_number, []).append(index)
         segments.append(TimelineSegment(
-            start=a, end=b,
-            pitches=tuple(active[m] for m in sorted(active))))
+            start=cuts[i], end=cuts[i + 1],
+            pitches=tuple(intervals[active[m][0]][2] for m in sorted(active))))
     return segments

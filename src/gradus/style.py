@@ -16,8 +16,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .analysis import pitch_class_profile, skyline
-from .score import Score, timeline
+from .analysis import SkylineNote, _profile_of, _skyline_of
+from .score import Score, TimelineSegment, timeline
 
 __all__ = [
     "StyleError",
@@ -73,9 +73,11 @@ def baseline_embed(score: Score) -> np.ndarray:
     octave, transposing a piece by whole octaves leaves the vector
     unchanged.
     """
-    profile = pitch_class_profile(score)
-    bigrams = _bigram_block(score)
-    stats = _stat_block(score)
+    segs = timeline(score)
+    profile = _profile_of(segs)
+    line = _skyline_of(segs)
+    bigrams = _bigram_block(line)
+    stats = _stat_block(score, segs, line, profile)
     blocks = []
     for block in (profile, bigrams, stats):
         norm = np.linalg.norm(block)
@@ -87,10 +89,10 @@ def baseline_embed(score: Score) -> np.ndarray:
     return v / norm
 
 
-def _bigram_block(score: Score) -> np.ndarray:
+def _bigram_block(line: Sequence[SkylineNote]) -> np.ndarray:
     """Hashed counts of (pitch-class interval, duration ratio sign) bigrams."""
     counts = np.zeros(_BIGRAM_BINS, dtype=np.float64)
-    notes = [n for n in skyline(score) if n.pitch is not None]
+    notes = [n for n in line if n.pitch is not None]
     for a, b in zip(notes, notes[1:]):
         interval = (b.pitch.midi_number - a.pitch.midi_number) % 12
         if b.duration > a.duration:
@@ -104,16 +106,15 @@ def _bigram_block(score: Score) -> np.ndarray:
     return counts
 
 
-def _stat_block(score: Score) -> np.ndarray:
+def _stat_block(score: Score, segs: Sequence[TimelineSegment],
+                line: Sequence[SkylineNote], profile: np.ndarray) -> np.ndarray:
     """Octave-invariant rhythm and texture statistics."""
-    segs = timeline(score)
     total = float(score.total_duration)
-    durations = [float(n.duration) for n in skyline(score) if n.pitch is not None]
+    durations = [float(n.duration) for n in line if n.pitch is not None]
     sizes = [len(seg.pitches) for seg in segs]
     sounding = sum(float(seg.end - seg.start) for seg in segs if seg.pitches)
     onsets = sorted({float(ev.onset) for ev in score.notes()})
     iois = np.diff(onsets) if len(onsets) >= 2 else np.array([0.0])
-    profile = pitch_class_profile(score)
     nz = profile[profile > 0]
     entropy = float(-(nz * np.log(nz)).sum())
     stats = np.array([

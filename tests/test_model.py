@@ -8,6 +8,7 @@ from gradus.model import (
     LMError,
     ModelConfig,
     TinyLM,
+    _pick,
     load_checkpoint,
     rope_rotate,
     sample,
@@ -370,6 +371,35 @@ class TestSampling:
         with pytest.raises(LMError):
             sample(model, prefix=[1], n_sequences=1, max_new_tokens=3,
                    end_id=2, top_k=0)
+
+    def test_pick_never_draws_a_zero_probability_bin(self):
+        class AlmostOne:
+            def random(self, shape):
+                return np.full(shape, np.nextafter(1.0, 0.0))
+
+        # top-3 keeps bins 0..2, whose probabilities sum to just below 1
+        # in float64, so ``u`` falls past every kept bin of the cdf
+        logits = np.array([[0.2, 0.5, 0.0, -5.0, -6.0]])
+        kept = np.exp(logits[0, :3] - 0.5)
+        assert np.cumsum(kept / kept.sum())[-1] < np.nextafter(1.0, 0.0)
+        pick = _pick(logits, temperature=1.0, top_k=3, rng=AlmostOne())
+        assert pick.tolist() == [2]
+
+    def test_pick_unchanged_when_cdf_reaches_one(self):
+        logits = np.random.default_rng(5).normal(size=(64, 17))
+        draws = np.random.default_rng(6).random((64, 1))
+
+        class Fixed:
+            def random(self, shape):
+                return draws
+
+        z = logits / 0.8
+        p = np.exp(z - z.max(axis=-1, keepdims=True))
+        cdf = np.cumsum(p / p.sum(axis=-1, keepdims=True), axis=-1)
+        cdf[:, -1] = 1.0
+        want = (draws > cdf).sum(axis=-1)
+        got = _pick(logits, temperature=0.8, top_k=None, rng=Fixed())
+        assert got.tolist() == want.tolist()
 
 
 class TestCheckpoint:

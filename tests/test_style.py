@@ -7,7 +7,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from gradus.score import Measure, NoteEvent, Pitch, Score
+from gradus import analysis, style
+from gradus.analysis import feature_vector, pitch_class_profile
+from gradus.score import Measure, NoteEvent, Pitch, Score, timeline
 from gradus.style import (
     EMBEDDING_DIM,
     StyleError,
@@ -121,6 +123,23 @@ class TestBaselineEmbed:
         from gradus.analysis import AnalysisError
         with pytest.raises((StyleError, AnalysisError)):
             baseline_embed(Score(measures=()))
+
+
+@pytest.mark.parametrize("fn", [baseline_embed, feature_vector, pitch_class_profile],
+                         ids=lambda fn: fn.__name__)
+def test_one_timeline_per_score(monkeypatch, small_corpus, fn):
+    calls = []
+
+    def counted(score):
+        calls.append(score)
+        return timeline(score)
+
+    monkeypatch.setattr(analysis, "timeline", counted)
+    monkeypatch.setattr(style, "timeline", counted)
+    for score in small_corpus[:4]:
+        calls.clear()
+        fn(score)
+        assert calls == [score]
 
 
 class TestPersistence:
