@@ -101,7 +101,11 @@ def skyline_score(score: Score) -> Score:
     notatable pieces (repeating the pitch; tie flags are not synthesized
     because the downstream token models treat repeats and ties alike).
     """
-    notes = skyline(score)
+    return _skyline_score_of(score, skyline(score))
+
+
+def _skyline_score_of(score: Score, notes: Sequence[SkylineNote]) -> Score:
+    """:func:`skyline_score` from the already computed ``skyline(score)``."""
     ends = [note.end for note in notes]
     measures: list[Measure] = []
     for src in score.measures:

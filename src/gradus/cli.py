@@ -209,7 +209,7 @@ def _cmd_skyline(args) -> int:
     rows = []
     for name, score in _load_corpus(corpus):
         line = analysis.skyline(score)
-        sky = analysis.skyline_score(score)
+        sky = analysis._skyline_score_of(score, line)
         rows.append({
             "piece": name,
             "notes": [[str(n.onset), str(n.duration),
@@ -274,19 +274,24 @@ def _cmd_fit_gnb(args) -> int:
     rng = np.random.default_rng(args.seed)
     order = rng.permutation(len(names))
     n_holdout = max(2, int(round(args.holdout_fraction * len(names))))
+    uncalibrated = ""           # why the temperature stays at 1, if it does
     if len(names) - n_holdout < 2 * len(set(y.tolist())):
-        n_holdout = 0           # corpus too small to spare a holdout
+        n_holdout = 0
+        uncalibrated = "corpus too small for a holdout"
     holdout = order[:n_holdout]
     trainrows = order[n_holdout:] if n_holdout else order
     try:
         fitted = gnb.fit(x[trainrows], y[trainrows])
     except gnb.ModelError:
-        # the split starved some level; calibrate on nothing instead
         n_holdout = 0
         trainrows = order
         fitted = gnb.fit(x, y)
-    if n_holdout and len(set(y[holdout].tolist()) - set(y[trainrows].tolist())) == 0:
-        fitted = gnb.fit_temperature(fitted, x[holdout], y[holdout])
+        uncalibrated = "split starved a level"
+    if n_holdout:
+        if set(y[holdout].tolist()) - set(y[trainrows].tolist()):
+            uncalibrated = "holdout has levels absent from training"
+        else:
+            fitted = gnb.fit_temperature(fitted, x[holdout], y[holdout])
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     gnb.save_model(fitted, str(out_dir / "model.json"))
@@ -297,7 +302,10 @@ def _cmd_fit_gnb(args) -> int:
                     {"features": args.features, "labels": args.labels,
                      "holdout_fraction": args.holdout_fraction,
                      "out_dir": str(out_dir)}, inputs, args.seed)
-    print(f"fitted on {len(trainrows)} pieces, temperature {fitted.temperature:.3f}")
+    msg = f"fitted on {len(trainrows)} pieces, temperature {fitted.temperature:.3f}"
+    if uncalibrated:
+        msg += f" (not calibrated: {uncalibrated})"
+    print(msg)
     return 0
 
 

@@ -47,7 +47,6 @@ class ModelConfig:
     d_ff: int = 256
     max_len: int = 8192
     rope_base: float = 10000.0
-    dropout: float = 0.0
     harmony_token_id: int = -1   # -1 disables harmony injection
 
     def __post_init__(self) -> None:
@@ -57,8 +56,6 @@ class ModelConfig:
             raise LMError("d_model must be divisible by n_heads")
         if (self.d_model // self.n_heads) % 2 != 0:
             raise LMError("head dimension must be even for rotary pairs")
-        if not 0 <= self.dropout < 1:
-            raise LMError("dropout must lie in [0, 1)")
 
 
 _LN_EPS = 1e-5
@@ -114,7 +111,8 @@ def _layernorm_bwd(dy: np.ndarray, cache) -> tuple[np.ndarray, np.ndarray, np.nd
 
 
 def _gelu_fwd(x: np.ndarray):
-    u = _GELU_C * (x + _GELU_A * x ** 3)
+    # x * x * x, not x ** 3: np.power is some fifty times slower here
+    u = _GELU_C * (x + _GELU_A * (x * x * x))
     t = np.tanh(u)
     return 0.5 * x * (1.0 + t), (x, t)
 
@@ -188,7 +186,7 @@ class TinyLM:
         return x
 
     def _forward(self, ids: np.ndarray, harmony: Optional[np.ndarray],
-                 caches: Optional[list], drop_rng: Optional[np.random.Generator] = None):
+                 caches: Optional[list]):
         cfg = self.config
         p = self.params
         b, t = ids.shape
@@ -217,33 +215,19 @@ class TinyLM:
             probs = _softmax_last(scores)
             ctx = probs @ vh
             merged = ctx.transpose(0, 2, 1, 3).reshape(b, t, cfg.d_model)
-            proj = merged @ p[f"l{i}.wo"]
-            dm1 = self._dropout_mask(proj.shape, drop_rng)
-            if dm1 is not None:
-                proj = proj * dm1
-            x = x + proj
+            x = x + merged @ p[f"l{i}.wo"]
             a2, ln2c = _layernorm_fwd(x, p[f"l{i}.ln2_g"], p[f"l{i}.ln2_b"])
             h1 = a2 @ p[f"l{i}.w1"] + p[f"l{i}.b1"]
             h2, geluc = _gelu_fwd(h1)
-            mlp = h2 @ p[f"l{i}.w2"] + p[f"l{i}.b2"]
-            dm2 = self._dropout_mask(mlp.shape, drop_rng)
-            if dm2 is not None:
-                mlp = mlp * dm2
-            x = x + mlp
+            x = x + (h2 @ p[f"l{i}.w2"] + p[f"l{i}.b2"])
             if caches is not None:
                 caches.append(("layer", i, a, ln1c, qr, kr, vh, probs, merged,
-                               a2, ln2c, geluc, h2, dm1, dm2))
+                               a2, ln2c, geluc, h2))
         xf, lnfc = _layernorm_fwd(x, p["lnf_g"], p["lnf_b"])
         logits = xf @ p["head"]
         if caches is not None:
             caches.append(("final", xf, lnfc))
         return logits, caches
-
-    def _dropout_mask(self, shape, drop_rng) -> Optional[np.ndarray]:
-        if self.config.dropout <= 0 or drop_rng is None:
-            return None
-        keep = 1.0 - self.config.dropout
-        return (drop_rng.random(shape) < keep) / keep
 
     # -- loss and gradients ------------------------------------------------
 
@@ -254,14 +238,11 @@ class TinyLM:
         return value
 
     def loss_and_grads(self, ids: np.ndarray, mask: np.ndarray,
-                       harmony: Optional[np.ndarray] = None,
-                       drop_rng: Optional[np.random.Generator] = None,
-                       ) -> tuple[float, dict[str, np.ndarray]]:
-        return self._loss_impl(ids, mask, harmony, want_grads=True, drop_rng=drop_rng)
+                       harmony: Optional[np.ndarray] = None) -> tuple[float, dict[str, np.ndarray]]:
+        return self._loss_impl(ids, mask, harmony, want_grads=True)
 
     def _loss_impl(self, ids: np.ndarray, mask: np.ndarray,
-                   harmony: Optional[np.ndarray], want_grads: bool,
-                   drop_rng: Optional[np.random.Generator] = None):
+                   harmony: Optional[np.ndarray], want_grads: bool):
         ids = np.atleast_2d(np.asarray(ids, dtype=np.int64))
         mask = np.atleast_2d(np.asarray(mask))
         if mask.shape != ids.shape:
@@ -277,7 +258,7 @@ class TinyLM:
             raise LMError("mask leaves nothing to score")
 
         caches: Optional[list] = [] if want_grads else None
-        logits, caches = self._forward(inputs, harmony, caches, drop_rng=drop_rng)
+        logits, caches = self._forward(inputs, harmony, caches)
 
         rows = logits[scored]                       # (n, vocab)
         mx = rows.max(axis=1, keepdims=True)
@@ -316,13 +297,12 @@ class TinyLM:
 
         for _ in range(cfg.n_layers):
             (tag, i, a, ln1c, qr, kr, vh, probs, merged,
-             a2, ln2c, geluc, h2, dm1, dm2) = caches.pop()
+             a2, ln2c, geluc, h2) = caches.pop()
             assert tag == "layer"
             # mlp half
-            dmlp = dx if dm2 is None else dx * dm2
-            grads[f"l{i}.b2"] += dmlp.sum(axis=(0, 1))
-            grads[f"l{i}.w2"] += h2.reshape(-1, cfg.d_ff).T @ dmlp.reshape(-1, cfg.d_model)
-            dh2 = dmlp @ p[f"l{i}.w2"].T
+            grads[f"l{i}.b2"] += dx.sum(axis=(0, 1))
+            grads[f"l{i}.w2"] += h2.reshape(-1, cfg.d_ff).T @ dx.reshape(-1, cfg.d_model)
+            dh2 = dx @ p[f"l{i}.w2"].T
             dh1 = _gelu_bwd(dh2, geluc)
             grads[f"l{i}.b1"] += dh1.sum(axis=(0, 1))
             grads[f"l{i}.w1"] += a2.reshape(-1, cfg.d_model).T @ dh1.reshape(-1, cfg.d_ff)
@@ -332,9 +312,8 @@ class TinyLM:
             grads[f"l{i}.ln2_b"] += db
             dx = dx + dx2
             # attention half
-            dproj = dx if dm1 is None else dx * dm1
-            grads[f"l{i}.wo"] += merged.reshape(-1, cfg.d_model).T @ dproj.reshape(-1, cfg.d_model)
-            dmerged = dproj @ p[f"l{i}.wo"].T
+            grads[f"l{i}.wo"] += merged.reshape(-1, cfg.d_model).T @ dx.reshape(-1, cfg.d_model)
+            dmerged = dx @ p[f"l{i}.wo"].T
             dctx = dmerged.reshape(b, t, h, hd).transpose(0, 2, 1, 3)
             dprobs = dctx @ vh.swapaxes(-1, -2)
             dvh = probs.swapaxes(-1, -2) @ dctx
@@ -370,17 +349,33 @@ class TinyLM:
 
     # -- incremental forward for sampling ----------------------------------
 
-    def start_cache(self, batch: int) -> dict:
-        return {"n": 0, "batch": batch,
-                "k": [None] * self.config.n_layers,
-                "v": [None] * self.config.n_layers}
+    def start_cache(self, batch: int, capacity: Optional[int] = None) -> dict:
+        """An empty KV cache for ``batch`` rows of up to ``capacity`` tokens.
+
+        The keys and values are preallocated once, as one
+        (batch, heads, capacity, head_dim) array each per layer, and
+        :meth:`extend` fills them in place.  ``capacity`` defaults to
+        ``config.max_len``.
+        """
+        cfg = self.config
+        capacity = cfg.max_len if capacity is None else capacity
+        if not 1 <= capacity <= cfg.max_len:
+            raise LMError(f"cache capacity {capacity} outside 1..{cfg.max_len}")
+        shape = (batch, cfg.n_heads, capacity, cfg.d_model // cfg.n_heads)
+        return {"n": 0, "batch": batch, "capacity": capacity,
+                "k": [np.empty(shape) for _ in range(cfg.n_layers)],
+                "v": [np.empty(shape) for _ in range(cfg.n_layers)]}
 
     def extend(self, cache: dict, ids: np.ndarray,
                harmony: Optional[np.ndarray] = None) -> np.ndarray:
-        """Run new tokens through the model, appending to the KV cache.
+        """Run new tokens through the model, writing them into the KV cache.
 
         ``ids`` has shape (B, S) where S may be 1 for a decode step or the
-        whole prefix.  Returns logits for the new positions only.
+        whole prefix.  The new keys and values are written in place into
+        the cache that :meth:`start_cache` preallocated, and attention runs
+        over the filled part; nothing is reallocated.  Going past the
+        cache's capacity raises :class:`LMError`.  Returns logits for the
+        new positions only.
         """
         cfg = self.config
         p = self.params
@@ -388,11 +383,12 @@ class TinyLM:
         if b != cache["batch"]:
             raise LMError("cache batch size mismatch")
         start = cache["n"]
-        if start + s > cfg.max_len:
-            raise LMError(f"sequence length {start + s} exceeds max_len {cfg.max_len}")
+        end = start + s
+        if end > cache["capacity"]:
+            raise LMError(f"sequence length {end} exceeds cache capacity {cache['capacity']}")
         h = cfg.n_heads
         hd = cfg.d_model // h
-        pos = np.arange(start, start + s)
+        pos = np.arange(start, end)
         x = self._embed(ids, harmony)
         for i in range(cfg.n_layers):
             a, _ = _layernorm_fwd(x, p[f"l{i}.ln1_g"], p[f"l{i}.ln1_b"])
@@ -401,14 +397,13 @@ class TinyLM:
             v = (a @ p[f"l{i}.wv"]).reshape(b, s, h, hd).transpose(0, 2, 1, 3)
             qr = rope_rotate(q, pos, cfg.rope_base)
             kr = rope_rotate(k, pos, cfg.rope_base)
-            kfull = kr if cache["k"][i] is None else np.concatenate([cache["k"][i], kr], axis=2)
-            vfull = v if cache["v"][i] is None else np.concatenate([cache["v"][i], v], axis=2)
-            cache["k"][i] = kfull
-            cache["v"][i] = vfull
+            cache["k"][i][:, :, start:end] = kr
+            cache["v"][i][:, :, start:end] = v
+            kfull = cache["k"][i][:, :, :end]
+            vfull = cache["v"][i][:, :, :end]
             scores = qr @ kfull.swapaxes(-1, -2) / np.sqrt(hd)
             if s > 1:
-                total = kfull.shape[2]
-                neg = np.triu(np.full((s, total), -np.inf), k=1 + start)
+                neg = np.triu(np.full((s, end), -np.inf), k=1 + start)
                 scores = scores + neg
             probs = _softmax_last(scores)
             ctx = (probs @ vfull).transpose(0, 2, 1, 3).reshape(b, s, cfg.d_model)
@@ -417,7 +412,7 @@ class TinyLM:
             h1 = a2 @ p[f"l{i}.w1"] + p[f"l{i}.b1"]
             h2, _ = _gelu_fwd(h1)
             x = x + h2 @ p[f"l{i}.w2"] + p[f"l{i}.b2"]
-        cache["n"] = start + s
+        cache["n"] = end
         xf, _ = _layernorm_fwd(x, p["lnf_g"], p["lnf_b"])
         return xf @ p["head"]
 
@@ -482,7 +477,6 @@ def train(model: TinyLM, batches: Sequence[tuple[np.ndarray, np.ndarray, Optiona
         raise LMError("steps must be positive")
     opt = AdamW(model.params, lr=lr, weight_decay=weight_decay)
     rng = np.random.default_rng(seed)
-    drop_rng = np.random.default_rng(rng.integers(2 ** 63)) if model.config.dropout > 0 else None
     order: list[int] = []
     history: list[tuple[int, float]] = []
     loss = float("nan")
@@ -490,7 +484,7 @@ def train(model: TinyLM, batches: Sequence[tuple[np.ndarray, np.ndarray, Optiona
         if not order:
             order = rng.permutation(len(batches)).tolist()
         ids, mask, harmony = batches[order.pop()]
-        loss, grads = model.loss_and_grads(ids, mask, harmony, drop_rng=drop_rng)
+        loss, grads = model.loss_and_grads(ids, mask, harmony)
         opt.update(model.params, grads)
         if step % log_every == 0 or step == steps:
             history.append((step, loss))
@@ -518,9 +512,12 @@ def sample(model: TinyLM, prefix: Sequence[int], n_sequences: int,
     logits are divided by the temperature, optionally truncated to the top
     k entries, and sampled.  Generation stops per sequence at ``end_id``
     (which is not included in the output) or after ``max_new_tokens``.
+    The cache is preallocated once for the prefix plus ``max_new_tokens``.
     """
     if n_sequences < 1:
         raise LMError("n_sequences must be positive")
+    if max_new_tokens < 0:
+        raise LMError("max_new_tokens must be nonnegative")
     if temperature < 0:
         raise LMError("temperature must be nonnegative")
     if top_k is not None and top_k < 1:
@@ -530,27 +527,28 @@ def sample(model: TinyLM, prefix: Sequence[int], n_sequences: int,
         raise LMError("prefix must be a nonempty id sequence")
     b = n_sequences
     rng = np.random.default_rng(seed)
-    cache = model.start_cache(b)
+    # capped at max_len: a call that needs more fails in extend once the cache is full
+    cache = model.start_cache(b, capacity=min(prefix_arr.size + max_new_tokens,
+                                              model.config.max_len))
     tiled = np.tile(prefix_arr, (b, 1))
     hmat = None
     if harmony is not None:
         hmat = np.tile(np.asarray(harmony, dtype=np.float64).reshape(1, 12), (b, 1))
     logits = model.extend(cache, tiled, hmat)[:, -1, :]
-    out: list[list[int]] = [[] for _ in range(b)]
+    # every row still running has drawn one token per step, so row r's
+    # output is tokens[r, :lengths[r]]; rows keep drawing after they stop
+    tokens = np.empty((b, max_new_tokens), dtype=np.int64)
+    lengths = np.zeros(b, dtype=np.int64)
     done = np.zeros(b, dtype=bool)
-    for _ in range(max_new_tokens):
-        next_ids = _pick(logits, temperature, top_k, rng)
-        for r in range(b):
-            if done[r]:
-                continue
-            if int(next_ids[r]) == end_id:
-                done[r] = True
-            else:
-                out[r].append(int(next_ids[r]))
-        if done.all():
+    for step in range(max_new_tokens):
+        tokens[:, step] = _pick(logits, temperature, top_k, rng)
+        done |= tokens[:, step] == end_id
+        lengths += ~done
+        if done.all() or step + 1 == max_new_tokens:
             break
-        logits = model.extend(cache, next_ids[:, None], None)[:, -1, :]
-    return SampleResult(sequences=out, stopped_on_end=done.tolist())
+        logits = model.extend(cache, tokens[:, step:step + 1], None)[:, -1, :]
+    return SampleResult(sequences=[row[:n].tolist() for row, n in zip(tokens, lengths)],
+                        stopped_on_end=done.tolist())
 
 
 def _pick(logits: np.ndarray, temperature: float, top_k: Optional[int],
@@ -609,6 +607,9 @@ def load_checkpoint(path: str) -> tuple[TinyLM, int, Optional[AdamW]]:
         meta = json.loads(bytes(data["meta"]).decode())
         if meta.get("format") != _CHECKPOINT_FORMAT:
             raise LMError(f"unrecognized checkpoint format in {path}")
+        # checkpoints written before dropout was removed carry "dropout": 0.0
+        if meta["config"].pop("dropout", 0.0) != 0.0:
+            raise LMError(f"checkpoint {path} was trained with dropout, which is no longer supported")
         config = ModelConfig(**meta["config"])
         params = {name[2:]: data[name] for name in data.files if name.startswith("p/")}
         model = TinyLM(config=config, params=params)

@@ -206,6 +206,54 @@ class TestModelCommands:
             assert abs(np.linalg.norm(v) - 1.0) < 1e-9
 
 
+class TestFitGnbReport:
+    """fit-gnb names the reason whenever it leaves the temperature uncalibrated."""
+
+    SEED = 5
+
+    def fit(self, tmp_path, capsys, levels):
+        x = np.random.default_rng(1).normal(size=(len(levels), 12))
+        with open(tmp_path / "feat.jsonl", "w", encoding="utf-8") as fh:
+            for k, row in enumerate(x):
+                fh.write(json.dumps({"piece": f"p{k}", "features": row.tolist()}) + "\n")
+        with open(tmp_path / "labels.jsonl", "w", encoding="utf-8") as fh:
+            for k, level in enumerate(levels):
+                fh.write(json.dumps({"piece": f"p{k}", "level": level}) + "\n")
+        capsys.readouterr()
+        run("fit-gnb", "--features", str(tmp_path / "feat.jsonl"),
+            "--labels", str(tmp_path / "labels.jsonl"),
+            "--out-dir", str(tmp_path / "gnb"), "--seed", str(self.SEED))
+        return capsys.readouterr().out.strip()
+
+    def levels_with_twos_at(self, positions, n=12):
+        # the default holdout fraction holds out the first 3 rows of this order
+        order = np.random.default_rng(self.SEED).permutation(n)
+        levels = [1] * n
+        for k in positions:
+            levels[int(order[k])] = 2
+        return levels
+
+    def test_calibrated_without_note(self, tmp_path, capsys):
+        out = self.fit(tmp_path, capsys, [1, 2] * 6)
+        assert out.startswith("fitted on 9 pieces, temperature ")
+        assert "not calibrated" not in out
+
+    def test_corpus_too_small(self, tmp_path, capsys):
+        out = self.fit(tmp_path, capsys, [1, 1, 1, 2, 2])
+        assert out == ("fitted on 5 pieces, temperature 1.000 "
+                       "(not calibrated: corpus too small for a holdout)")
+
+    def test_split_starved_a_level(self, tmp_path, capsys):
+        out = self.fit(tmp_path, capsys, self.levels_with_twos_at([0, 5]))
+        assert out == ("fitted on 12 pieces, temperature 1.000 "
+                       "(not calibrated: split starved a level)")
+
+    def test_holdout_levels_absent_from_training(self, tmp_path, capsys):
+        out = self.fit(tmp_path, capsys, self.levels_with_twos_at([0, 1]))
+        assert out == ("fitted on 9 pieces, temperature 1.000 "
+                       "(not calibrated: holdout has levels absent from training)")
+
+
 class TestMiningCommands:
     def test_mine_both_strategies(self, ws, synthetic_variations, tmp_path):
         outs = {}

@@ -1,0 +1,202 @@
+"""The preallocated KV cache and the array decode loop against the
+concatenating cache and the per-row loop they replaced."""
+
+import numpy as np
+import pytest
+
+from gradus.model import (
+    _GELU_A,
+    _GELU_C,
+    LMError,
+    ModelConfig,
+    SampleResult,
+    TinyLM,
+    _gelu_fwd,
+    _layernorm_fwd,
+    _pick,
+    _softmax_last,
+    rope_rotate,
+    sample,
+)
+
+CFG = ModelConfig(vocab_size=17, d_model=8, n_heads=2, n_layers=2,
+                  d_ff=16, max_len=64, harmony_token_id=4)
+PREFIX = [1, 4, 5]      # holds the harmony token, so harmony reaches the logits
+
+
+def reference_extend(model, cache, ids, harmony=None):
+    """Grow the cache by concatenation on every call."""
+    cfg = model.config
+    p = model.params
+    b, s = ids.shape
+    start = cache["n"]
+    if start + s > cfg.max_len:
+        raise LMError("past max_len")
+    h = cfg.n_heads
+    hd = cfg.d_model // h
+    pos = np.arange(start, start + s)
+    x = model._embed(ids, harmony)
+    for i in range(cfg.n_layers):
+        a, _ = _layernorm_fwd(x, p[f"l{i}.ln1_g"], p[f"l{i}.ln1_b"])
+        q = (a @ p[f"l{i}.wq"]).reshape(b, s, h, hd).transpose(0, 2, 1, 3)
+        k = (a @ p[f"l{i}.wk"]).reshape(b, s, h, hd).transpose(0, 2, 1, 3)
+        v = (a @ p[f"l{i}.wv"]).reshape(b, s, h, hd).transpose(0, 2, 1, 3)
+        qr = rope_rotate(q, pos, cfg.rope_base)
+        kr = rope_rotate(k, pos, cfg.rope_base)
+        kfull = kr if cache["k"][i] is None else np.concatenate([cache["k"][i], kr], axis=2)
+        vfull = v if cache["v"][i] is None else np.concatenate([cache["v"][i], v], axis=2)
+        cache["k"][i] = kfull
+        cache["v"][i] = vfull
+        scores = qr @ kfull.swapaxes(-1, -2) / np.sqrt(hd)
+        if s > 1:
+            total = kfull.shape[2]
+            scores = scores + np.triu(np.full((s, total), -np.inf), k=1 + start)
+        probs = _softmax_last(scores)
+        ctx = (probs @ vfull).transpose(0, 2, 1, 3).reshape(b, s, cfg.d_model)
+        x = x + ctx @ p[f"l{i}.wo"]
+        a2, _ = _layernorm_fwd(x, p[f"l{i}.ln2_g"], p[f"l{i}.ln2_b"])
+        h1 = a2 @ p[f"l{i}.w1"] + p[f"l{i}.b1"]
+        h2, _ = _gelu_fwd(h1)
+        x = x + h2 @ p[f"l{i}.w2"] + p[f"l{i}.b2"]
+    cache["n"] = start + s
+    xf, _ = _layernorm_fwd(x, p["lnf_g"], p["lnf_b"])
+    return xf @ p["head"]
+
+
+def reference_sample(model, prefix, n_sequences, max_new_tokens, end_id,
+                     temperature=1.0, top_k=None, seed=42, harmony=None):
+    """Append each row's draw to a Python list, one row at a time."""
+    b = n_sequences
+    rng = np.random.default_rng(seed)
+    cache = {"n": 0, "k": [None] * model.config.n_layers,
+             "v": [None] * model.config.n_layers}
+    tiled = np.tile(np.asarray(prefix, dtype=np.int64), (b, 1))
+    hmat = None
+    if harmony is not None:
+        hmat = np.tile(np.asarray(harmony, dtype=np.float64).reshape(1, 12), (b, 1))
+    logits = reference_extend(model, cache, tiled, hmat)[:, -1, :]
+    out = [[] for _ in range(b)]
+    done = np.zeros(b, dtype=bool)
+    for _ in range(max_new_tokens):
+        next_ids = _pick(logits, temperature, top_k, rng)
+        for r in range(b):
+            if done[r]:
+                continue
+            if int(next_ids[r]) == end_id:
+                done[r] = True
+            else:
+                out[r].append(int(next_ids[r]))
+        if done.all():
+            break
+        logits = reference_extend(model, cache, next_ids[:, None])[:, -1, :]
+    return SampleResult(sequences=out, stopped_on_end=done.tolist())
+
+
+@pytest.fixture(scope="module")
+def model():
+    return TinyLM.create(CFG, seed=31)
+
+
+def harmony_of(with_harmony):
+    return np.random.default_rng(3).uniform(size=12) if with_harmony else None
+
+
+@pytest.mark.parametrize("with_harmony", [False, True], ids=["plain", "harmony"])
+@pytest.mark.parametrize("batch", [1, 6])
+@pytest.mark.parametrize("top_k", [None, 3])
+@pytest.mark.parametrize("temperature", [0.0, 1.2])
+def test_sample_matches_reference(model, temperature, top_k, batch, with_harmony):
+    kwargs = dict(n_sequences=batch, max_new_tokens=20, temperature=temperature,
+                  top_k=top_k, seed=9, harmony=harmony_of(with_harmony))
+    # end_id -1 never matches, so every row runs the full length
+    full = reference_sample(model, PREFIX, end_id=-1, **kwargs)
+    got = sample(model, PREFIX, end_id=-1, **kwargs)
+    assert got == full
+    # stopping does not change the draws, so row 0's fifth token stops it early
+    end_id = full.sequences[0][4]
+    want = reference_sample(model, PREFIX, end_id=end_id, **kwargs)
+    got = sample(model, PREFIX, end_id=end_id, **kwargs)
+    assert got == want
+    assert want.stopped_on_end[0] and len(want.sequences[0]) <= 4
+
+
+def test_some_rows_stop_early_and_others_run_out(model):
+    kwargs = dict(n_sequences=8, max_new_tokens=16, temperature=1.2, seed=4,
+                  harmony=harmony_of(True))
+    full = reference_sample(model, PREFIX, end_id=-1, **kwargs)
+    # a token drawn by some rows but not all
+    counts = {}
+    for seq in full.sequences:
+        for tok in set(seq):
+            counts[tok] = counts.get(tok, 0) + 1
+    end_id = min(tok for tok, n in counts.items() if 0 < n < len(full.sequences))
+    want = reference_sample(model, PREFIX, end_id=end_id, **kwargs)
+    got = sample(model, PREFIX, end_id=end_id, **kwargs)
+    assert got == want
+    assert any(want.stopped_on_end) and not all(want.stopped_on_end)
+    assert all(end_id not in seq for seq in got.sequences)
+
+
+def test_extend_logits_match_reference(model):
+    rng = np.random.default_rng(5)
+    ids = rng.integers(1, 17, size=(3, 14)).astype(np.int64)
+    hmat = rng.uniform(size=(3, 12))
+    ref_cache = {"n": 0, "k": [None] * CFG.n_layers, "v": [None] * CFG.n_layers}
+    cache = model.start_cache(3, capacity=14)
+    np.testing.assert_array_equal(model.extend(cache, ids[:, :6], hmat),
+                                  reference_extend(model, ref_cache, ids[:, :6], hmat))
+    for t in range(6, 14):
+        np.testing.assert_array_equal(model.extend(cache, ids[:, t:t + 1]),
+                                      reference_extend(model, ref_cache, ids[:, t:t + 1]))
+
+
+def test_cache_arrays_never_reallocated(model):
+    seen = []
+    extend = model.extend
+
+    def spy(cache, ids, harmony=None):
+        out = extend(cache, ids, harmony)
+        seen.append((cache["n"], list(cache["k"]), list(cache["v"])))
+        return out
+
+    model.extend = spy
+    try:
+        sample(model, PREFIX, n_sequences=4, max_new_tokens=12, end_id=-1,
+               temperature=1.0, seed=2)
+    finally:
+        del model.extend
+    assert [n for n, _, _ in seen] == list(range(len(PREFIX), len(PREFIX) + 12))
+    _, k0, v0 = seen[0]
+    assert k0[0].shape == (4, CFG.n_heads, len(PREFIX) + 12, CFG.d_model // CFG.n_heads)
+    for _, k, v in seen:
+        assert all(a is b for a, b in zip(k + v, k0 + v0))
+
+
+def test_past_capacity_rejected(model):
+    cache = model.start_cache(2, capacity=5)
+    model.extend(cache, np.ones((2, 4), dtype=np.int64))
+    model.extend(cache, np.ones((2, 1), dtype=np.int64))
+    with pytest.raises(LMError):
+        model.extend(cache, np.ones((2, 1), dtype=np.int64))
+    with pytest.raises(LMError):
+        model.extend(model.start_cache(2, capacity=5), np.ones((2, 6), dtype=np.int64))
+
+
+def test_capacity_defaults_to_max_len_and_is_bounded(model):
+    assert model.start_cache(1)["k"][0].shape[2] == CFG.max_len
+    for bad in (0, CFG.max_len + 1):
+        with pytest.raises(LMError):
+            model.start_cache(1, capacity=bad)
+
+
+def test_gelu_matches_power_form():
+    x = np.concatenate([np.linspace(-8.0, 8.0, 4001),
+                        np.random.default_rng(7).normal(scale=3.0, size=(6, 50, 16)).ravel()])
+    t_want = np.tanh(_GELU_C * (x + _GELU_A * x ** 3))
+    want = 0.5 * x * (1.0 + t_want)
+    got, (_, t) = _gelu_fwd(x)
+    np.testing.assert_allclose(t, t_want, rtol=1e-14, atol=0)
+    # where tanh is close to -1, the sum 1 + tanh keeps only a few bits, and
+    # one rounding step of tanh moves the output by |x| * eps / 4 however
+    # the cube is formed; allow that on top of the relative bound
+    assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want) + np.abs(x) * np.finfo(float).eps)

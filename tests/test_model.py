@@ -1,5 +1,7 @@
 """Transformer forward/backward, cache, training and sampling tests."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -434,3 +436,26 @@ class TestCheckpoint:
         for k in opt.m:
             np.testing.assert_array_equal(restored.m[k], opt.m[k])
             np.testing.assert_array_equal(restored.v[k], opt.v[k])
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.1])
+    def test_legacy_dropout_key(self, tmp_path, dropout):
+        # checkpoints saved while the config had a dropout field carry it
+        model = TinyLM.create(TINY, seed=29)
+        path = tmp_path / "ck.npz"
+        save_checkpoint(str(path), model, step=3)
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files}
+        meta = json.loads(bytes(arrays.pop("meta")).decode())
+        meta["config"]["dropout"] = dropout
+        legacy = tmp_path / "legacy.npz"
+        np.savez(legacy, meta=np.frombuffer(json.dumps(meta, sort_keys=True).encode(),
+                                            dtype=np.uint8), **arrays)
+        if dropout:
+            with pytest.raises(LMError):
+                load_checkpoint(str(legacy))
+            return
+        loaded, step, _ = load_checkpoint(str(legacy))
+        assert step == 3
+        assert loaded.config == model.config
+        for k, v in model.params.items():
+            np.testing.assert_array_equal(loaded.params[k], v)

@@ -9,7 +9,8 @@ import pytest
 
 from gradus import analysis, style
 from gradus.analysis import feature_vector, pitch_class_profile
-from gradus.score import Measure, NoteEvent, Pitch, Score, timeline
+from gradus.cli import main
+from gradus.score import Measure, NoteEvent, Pitch, Score, timeline, write_musicxml
 from gradus.style import (
     EMBEDDING_DIM,
     StyleError,
@@ -140,6 +141,23 @@ def test_one_timeline_per_score(monkeypatch, small_corpus, fn):
         calls.clear()
         fn(score)
         assert calls == [score]
+
+
+def test_one_timeline_per_score_in_skyline_stage(monkeypatch, small_corpus, tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for k, score in enumerate(small_corpus[:4]):
+        write_musicxml(score, str(corpus / f"p{k}.musicxml"))
+    calls = []
+
+    def counted(score):
+        calls.append(score)
+        return timeline(score)
+
+    monkeypatch.setattr(analysis, "timeline", counted)
+    assert main(["skyline", "--corpus", str(corpus), "--out", str(tmp_path / "sky.jsonl")]) == 0
+    assert len(calls) == 4
+    assert len({id(score) for score in calls}) == 4
 
 
 class TestPersistence:
