@@ -6,8 +6,13 @@ corpora here are a few thousand tokens, and an explicit implementation
 keeps every numeric property (causality, gradient exactness, rotary
 shift invariance) directly testable without a framework in between.
 
-Training minimizes masked next-token cross entropy: positions whose mask
-is 1 are conditioning and contribute nothing to loss or gradients.
+One layer stack (``TinyLM._forward``) serves training, full-sequence
+logits, and the KV-cached prefill and decode steps of sampling.
+
+Training minimizes masked next-token cross entropy, the same
+:func:`gradus.seqbuild.masked_cross_entropy` that scores sequences
+elsewhere: positions whose mask is 1 are conditioning and contribute
+nothing to loss or gradients.
 """
 
 from __future__ import annotations
@@ -18,6 +23,8 @@ from dataclasses import dataclass, asdict, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+
+from .seqbuild import masked_cross_entropy
 
 __all__ = [
     "LMError",
@@ -170,7 +177,7 @@ class TinyLM:
 
     def logits(self, ids: np.ndarray, harmony: Optional[np.ndarray] = None) -> np.ndarray:
         """All-position logits, shape (B, T, vocab)."""
-        out, _ = self._forward(np.atleast_2d(ids), harmony, caches=None)
+        out, _ = self._forward(np.atleast_2d(ids), harmony)
         return out
 
     def _embed(self, ids: np.ndarray, harmony: Optional[np.ndarray]) -> np.ndarray:
@@ -186,43 +193,58 @@ class TinyLM:
         return x
 
     def _forward(self, ids: np.ndarray, harmony: Optional[np.ndarray],
-                 caches: Optional[list]):
+                 caches: Optional[list] = None, kv: Optional[dict] = None):
+        """The layer stack of training, prefill and decode alike.
+
+        ``caches`` (a list) collects what :meth:`_backward` needs.  With a
+        :meth:`start_cache` dict as ``kv``, positions start at ``kv["n"]``
+        and attention runs over the cache, which the new keys fill in place.
+        """
         cfg = self.config
         p = self.params
-        b, t = ids.shape
-        if t > cfg.max_len:
-            raise LMError(f"sequence length {t} exceeds max_len {cfg.max_len}")
-        if ids.min() < 0 or ids.max() >= cfg.vocab_size:
-            raise LMError("token id out of range")
+        b, s = ids.shape
+        start = 0 if kv is None else kv["n"]
+        end = start + s
+        if end > cfg.max_len:
+            raise LMError(f"sequence length {end} exceeds max_len {cfg.max_len}")
+        if s == 0 or ids.dtype.kind not in "iu" or ids.min() < 0 or ids.max() >= cfg.vocab_size:
+            raise LMError("token ids must be a nonempty integer array within the vocabulary")
         h = cfg.n_heads
         hd = cfg.d_model // h
-        pos = np.arange(t)
-        neg = np.triu(np.full((t, t), -np.inf), k=1)   # strictly-future positions
+        pos = np.arange(start, end)
+        # strictly-future positions; a single new token has none
+        neg = np.triu(np.full((s, end), -np.inf), k=1 + start) if s > 1 else None
         x = self._embed(ids, harmony)
         if caches is not None:
             caches.append(("embed", ids, harmony))
         for i in range(cfg.n_layers):
             a, ln1c = _layernorm_fwd(x, p[f"l{i}.ln1_g"], p[f"l{i}.ln1_b"])
-            q = a @ p[f"l{i}.wq"]
-            k = a @ p[f"l{i}.wk"]
-            v = a @ p[f"l{i}.wv"]
-            qh = q.reshape(b, t, h, hd).transpose(0, 2, 1, 3)
-            kh = k.reshape(b, t, h, hd).transpose(0, 2, 1, 3)
-            vh = v.reshape(b, t, h, hd).transpose(0, 2, 1, 3)
+            qh = (a @ p[f"l{i}.wq"]).reshape(b, s, h, hd).transpose(0, 2, 1, 3)
+            kh = (a @ p[f"l{i}.wk"]).reshape(b, s, h, hd).transpose(0, 2, 1, 3)
+            vh = (a @ p[f"l{i}.wv"]).reshape(b, s, h, hd).transpose(0, 2, 1, 3)
             qr = rope_rotate(qh, pos, cfg.rope_base)
             kr = rope_rotate(kh, pos, cfg.rope_base)
-            scores = qr @ kr.swapaxes(-1, -2) / np.sqrt(hd) + neg
+            if kv is None:
+                keys, values = kr, vh
+            else:
+                kv["k"][i][:, :, start:end] = kr
+                kv["v"][i][:, :, start:end] = vh
+                keys, values = kv["k"][i][:, :, :end], kv["v"][i][:, :, :end]
+            scores = qr @ keys.swapaxes(-1, -2) / np.sqrt(hd)
+            if neg is not None:
+                scores = scores + neg
             probs = _softmax_last(scores)
-            ctx = probs @ vh
-            merged = ctx.transpose(0, 2, 1, 3).reshape(b, t, cfg.d_model)
+            merged = (probs @ values).transpose(0, 2, 1, 3).reshape(b, s, cfg.d_model)
             x = x + merged @ p[f"l{i}.wo"]
             a2, ln2c = _layernorm_fwd(x, p[f"l{i}.ln2_g"], p[f"l{i}.ln2_b"])
             h1 = a2 @ p[f"l{i}.w1"] + p[f"l{i}.b1"]
             h2, geluc = _gelu_fwd(h1)
-            x = x + (h2 @ p[f"l{i}.w2"] + p[f"l{i}.b2"])
+            x = x + h2 @ p[f"l{i}.w2"] + p[f"l{i}.b2"]
             if caches is not None:
                 caches.append(("layer", i, a, ln1c, qr, kr, vh, probs, merged,
                                a2, ln2c, geluc, h2))
+        if kv is not None:
+            kv["n"] = end
         xf, lnfc = _layernorm_fwd(x, p["lnf_g"], p["lnf_b"])
         logits = xf @ p["head"]
         if caches is not None:
@@ -259,20 +281,14 @@ class TinyLM:
 
         caches: Optional[list] = [] if want_grads else None
         logits, caches = self._forward(inputs, harmony, caches)
-
-        rows = logits[scored]                       # (n, vocab)
-        mx = rows.max(axis=1, keepdims=True)
-        shifted = rows - mx
-        lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True)) + mx
-        picked = rows[np.arange(n_scored), targets[scored]]
-        loss = float(np.mean(lse.ravel() - picked))
+        loss = masked_cross_entropy(logits, targets, tmask)
         if not np.isfinite(loss):
             raise LMError("loss is not finite")
         if not want_grads:
             return loss, None
 
         dlogits = np.zeros_like(logits)
-        soft = np.exp(shifted - (lse - mx))
+        soft = _softmax_last(logits[scored])
         soft[np.arange(n_scored), targets[scored]] -= 1.0
         dlogits[scored] = soft / n_scored
         grads = self._backward(dlogits, caches)
@@ -371,50 +387,22 @@ class TinyLM:
         """Run new tokens through the model, writing them into the KV cache.
 
         ``ids`` has shape (B, S) where S may be 1 for a decode step or the
-        whole prefix.  The new keys and values are written in place into
-        the cache that :meth:`start_cache` preallocated, and attention runs
-        over the filled part; nothing is reallocated.  Going past the
-        cache's capacity raises :class:`LMError`.  Returns logits for the
-        new positions only.
+        whole prefix.  The same layer stack as :meth:`logits` runs, with
+        positions continuing from ``cache["n"]``: the new keys and values
+        are written in place into the cache that :meth:`start_cache`
+        preallocated, and attention runs over the filled part; nothing is
+        reallocated.  A wrong shape, a token id outside the vocabulary or
+        going past the cache's capacity raises :class:`LMError` before the
+        cache is touched.  Returns logits for the new positions only.
         """
-        cfg = self.config
-        p = self.params
-        b, s = ids.shape
-        if b != cache["batch"]:
-            raise LMError("cache batch size mismatch")
-        start = cache["n"]
-        end = start + s
+        ids = np.asarray(ids)
+        if ids.ndim != 2 or ids.shape[0] != cache["batch"]:
+            raise LMError(f"ids must have shape ({cache['batch']}, S), got {ids.shape}")
+        end = cache["n"] + ids.shape[1]
         if end > cache["capacity"]:
             raise LMError(f"sequence length {end} exceeds cache capacity {cache['capacity']}")
-        h = cfg.n_heads
-        hd = cfg.d_model // h
-        pos = np.arange(start, end)
-        x = self._embed(ids, harmony)
-        for i in range(cfg.n_layers):
-            a, _ = _layernorm_fwd(x, p[f"l{i}.ln1_g"], p[f"l{i}.ln1_b"])
-            q = (a @ p[f"l{i}.wq"]).reshape(b, s, h, hd).transpose(0, 2, 1, 3)
-            k = (a @ p[f"l{i}.wk"]).reshape(b, s, h, hd).transpose(0, 2, 1, 3)
-            v = (a @ p[f"l{i}.wv"]).reshape(b, s, h, hd).transpose(0, 2, 1, 3)
-            qr = rope_rotate(q, pos, cfg.rope_base)
-            kr = rope_rotate(k, pos, cfg.rope_base)
-            cache["k"][i][:, :, start:end] = kr
-            cache["v"][i][:, :, start:end] = v
-            kfull = cache["k"][i][:, :, :end]
-            vfull = cache["v"][i][:, :, :end]
-            scores = qr @ kfull.swapaxes(-1, -2) / np.sqrt(hd)
-            if s > 1:
-                neg = np.triu(np.full((s, end), -np.inf), k=1 + start)
-                scores = scores + neg
-            probs = _softmax_last(scores)
-            ctx = (probs @ vfull).transpose(0, 2, 1, 3).reshape(b, s, cfg.d_model)
-            x = x + ctx @ p[f"l{i}.wo"]
-            a2, _ = _layernorm_fwd(x, p[f"l{i}.ln2_g"], p[f"l{i}.ln2_b"])
-            h1 = a2 @ p[f"l{i}.w1"] + p[f"l{i}.b1"]
-            h2, _ = _gelu_fwd(h1)
-            x = x + h2 @ p[f"l{i}.w2"] + p[f"l{i}.b2"]
-        cache["n"] = end
-        xf, _ = _layernorm_fwd(x, p["lnf_g"], p["lnf_b"])
-        return xf @ p["head"]
+        logits, _ = self._forward(ids, harmony, kv=cache)
+        return logits
 
 
 # ---------------------------------------------------------------------------

@@ -310,7 +310,8 @@ def parse_musicxml(document: bytes | str) -> Score:
     Preserves pitch spelling, rational durations, voices, staves, ties and
     chord grouping.  Within each voice, gaps left by ``<forward>`` or
     ``<backup>`` are filled with hidden rests so that every voice is
-    contiguous inside each measure it appears in.
+    contiguous inside each measure it appears in.  Malformed input raises
+    a :class:`ScoreError` subclass.
     """
     if isinstance(document, str):
         document = document.encode("utf-8")
@@ -340,108 +341,114 @@ def parse_musicxml(document: bytes | str) -> Score:
     cursor = Fraction(0)
 
     for m_index, m_elem in enumerate(part.findall("measure")):
-        m_time: Optional[tuple[int, int]] = None
-        m_key: Optional[int] = None
-        m_clefs: list[Optional[str]] = [None, None]
-        raw: list[NoteEvent] = []
-        pos = 0                 # divisions from measure start
-        maxpos = 0
-        last_onset = 0          # onset of the most recent non-chord note
+        try:
+            m_time: Optional[tuple[int, int]] = None
+            m_key: Optional[int] = None
+            m_clefs: list[Optional[str]] = [None, None]
+            raw: list[NoteEvent] = []
+            pos = 0                 # divisions from measure start
+            maxpos = 0
+            last_onset = 0          # onset of the most recent non-chord note
 
-        for elem in m_elem:
-            if elem.tag == "attributes":
-                div_el = elem.find("divisions")
-                if div_el is not None and div_el.text:
-                    divisions = int(div_el.text)
-                staves_el = elem.find("staves")
-                if staves_el is not None and staves_el.text:
-                    declared_staves = max(declared_staves, int(staves_el.text))
-                fifths = elem.find("key/fifths")
-                if fifths is not None and fifths.text:
-                    m_key = int(fifths.text)
-                beats = elem.find("time/beats")
-                beat_type = elem.find("time/beat-type")
-                if beats is not None and beat_type is not None:
-                    m_time = (int(beats.text), int(beat_type.text))
-                    time_sig = m_time
-                for clef in elem.findall("clef"):
-                    number = int(clef.get("number", "1"))
-                    sign = _first_text(clef, ("sign",)) or "G"
-                    line = _first_text(clef, ("line",)) or ""
-                    if 1 <= number <= 2:
-                        m_clefs[number - 1] = f"{sign}{line}"
-                    declared_staves = max(declared_staves, number)
-            elif elem.tag == "backup":
-                pos -= _required_duration(elem, m_index)
-                if pos < 0:
-                    raise MusicXmlParseError(
-                        f"measure {m_index + 1}: backup before measure start")
-            elif elem.tag == "forward":
-                pos += _required_duration(elem, m_index)
-                maxpos = max(maxpos, pos)
-            elif elem.tag == "note":
-                is_grace = elem.find("grace") is not None
-                is_chord = elem.find("chord") is not None
-                is_rest = elem.find("rest") is not None
-                voice = int(_first_text(elem, ("voice",)) or 1)
-                staff = int(_first_text(elem, ("staff",)) or 1)
-                declared_staves = max(declared_staves, staff)
-                if staff > 2:
-                    # keep parsing; validate_two_staff reports the violation
-                    staff = 2
-                hidden = elem.get("print-object") == "no"
-                ties = {t.get("type") for t in elem.findall("tie")}
-
-                pitch = None
-                if not is_rest:
-                    p_el = elem.find("pitch")
-                    if p_el is None:
+            for elem in m_elem:
+                if elem.tag == "attributes":
+                    div_el = elem.find("divisions")
+                    if div_el is not None and div_el.text:
+                        divisions = int(div_el.text)
+                    staves_el = elem.find("staves")
+                    if staves_el is not None and staves_el.text:
+                        declared_staves = max(declared_staves, int(staves_el.text))
+                    fifths = elem.find("key/fifths")
+                    if fifths is not None and fifths.text:
+                        m_key = int(fifths.text)
+                    beats = elem.find("time/beats")
+                    beat_type = elem.find("time/beat-type")
+                    if beats is not None and beat_type is not None:
+                        m_time = (int(beats.text), int(beat_type.text))
+                        time_sig = m_time
+                    for clef in elem.findall("clef"):
+                        number = int(clef.get("number", "1"))
+                        sign = _first_text(clef, ("sign",)) or "G"
+                        line = _first_text(clef, ("line",)) or ""
+                        if 1 <= number <= 2:
+                            m_clefs[number - 1] = f"{sign}{line}"
+                        declared_staves = max(declared_staves, number)
+                elif elem.tag == "backup":
+                    pos -= _required_duration(elem, m_index)
+                    if pos < 0:
                         raise MusicXmlParseError(
-                            f"measure {m_index + 1}: note with neither pitch nor rest")
-                    step = _first_text(p_el, ("step",)) or "C"
-                    alter = int(float(_first_text(p_el, ("alter",)) or 0))
-                    octave = int(_first_text(p_el, ("octave",)) or 4)
-                    pitch = Pitch.from_parts(step, alter, octave)
-
-                if is_grace:
-                    type_text = _first_text(elem, ("type",)) or "eighth"
-                    dur_q = DURATION_TYPES.get(type_text, Fraction(1, 2))
-                    raw.append(NoteEvent(
-                        onset=cursor + _q(pos, divisions, m_index),
-                        duration=dur_q, pitch=pitch, voice=voice, staff=staff,
-                        grace=True, hidden=hidden))
-                    continue
-
-                dur_divs = _required_duration(elem, m_index)
-                if divisions is None:
-                    raise MusicXmlParseError(
-                        f"measure {m_index + 1}: missing divisions attribute")
-                onset_divs = last_onset if is_chord else pos
-                raw.append(NoteEvent(
-                    onset=cursor + _q(onset_divs, divisions, m_index),
-                    duration=_q(dur_divs, divisions, m_index),
-                    pitch=pitch, voice=voice, staff=staff,
-                    tie_start="start" in ties, tie_stop="stop" in ties,
-                    chord=is_chord, hidden=hidden))
-                if not is_chord:
-                    last_onset = pos
-                    pos += dur_divs
+                            f"measure {m_index + 1}: backup before measure start")
+                elif elem.tag == "forward":
+                    pos += _required_duration(elem, m_index)
                     maxpos = max(maxpos, pos)
-            # directions, barlines, harmony, prints, sounds: no timing content
+                elif elem.tag == "note":
+                    is_grace = elem.find("grace") is not None
+                    is_chord = elem.find("chord") is not None
+                    is_rest = elem.find("rest") is not None
+                    voice = int(_first_text(elem, ("voice",)) or 1)
+                    staff = int(_first_text(elem, ("staff",)) or 1)
+                    declared_staves = max(declared_staves, staff)
+                    if staff > 2:
+                        # keep parsing; validate_two_staff reports the violation
+                        staff = 2
+                    hidden = elem.get("print-object") == "no"
+                    ties = {t.get("type") for t in elem.findall("tie")}
 
-        if maxpos > 0:
-            m_duration = _q(maxpos, divisions, m_index)
-        elif time_sig is not None:
-            m_duration = Fraction(time_sig[0] * 4, time_sig[1])
-        else:
-            m_duration = Fraction(4)
+                    pitch = None
+                    if not is_rest:
+                        p_el = elem.find("pitch")
+                        if p_el is None:
+                            raise MusicXmlParseError(
+                                f"measure {m_index + 1}: note with neither pitch nor rest")
+                        step = _first_text(p_el, ("step",)) or "C"
+                        alter = int(float(_first_text(p_el, ("alter",)) or 0))
+                        octave = int(_first_text(p_el, ("octave",)) or 4)
+                        pitch = Pitch.from_parts(step, alter, octave)
 
-        events = _fill_voice_gaps(raw, cursor, cursor + m_duration, m_index)
-        measures.append(Measure(
-            index=m_index, start=cursor, duration=m_duration,
-            events=tuple(events), time_sig=m_time, key_fifths=m_key,
-            clefs=(m_clefs[0], m_clefs[1])))
-        cursor += m_duration
+                    if is_grace:
+                        type_text = _first_text(elem, ("type",)) or "eighth"
+                        dur_q = DURATION_TYPES.get(type_text, Fraction(1, 2))
+                        raw.append(NoteEvent(
+                            onset=cursor + _q(pos, divisions, m_index),
+                            duration=dur_q, pitch=pitch, voice=voice, staff=staff,
+                            grace=True, hidden=hidden))
+                        continue
+
+                    dur_divs = _required_duration(elem, m_index)
+                    if divisions is None:
+                        raise MusicXmlParseError(
+                            f"measure {m_index + 1}: missing divisions attribute")
+                    onset_divs = last_onset if is_chord else pos
+                    raw.append(NoteEvent(
+                        onset=cursor + _q(onset_divs, divisions, m_index),
+                        duration=_q(dur_divs, divisions, m_index),
+                        pitch=pitch, voice=voice, staff=staff,
+                        tie_start="start" in ties, tie_stop="stop" in ties,
+                        chord=is_chord, hidden=hidden))
+                    if not is_chord:
+                        last_onset = pos
+                        pos += dur_divs
+                        maxpos = max(maxpos, pos)
+                # directions, barlines, harmony, prints, sounds: no timing content
+
+            if maxpos > 0:
+                m_duration = _q(maxpos, divisions, m_index)
+            elif time_sig is not None:
+                m_duration = Fraction(time_sig[0] * 4, time_sig[1])
+            else:
+                m_duration = Fraction(4)
+
+            events = _fill_voice_gaps(raw, cursor, cursor + m_duration, m_index)
+            measures.append(Measure(
+                index=m_index, start=cursor, duration=m_duration,
+                events=tuple(events), time_sig=m_time, key_fifths=m_key,
+                clefs=(m_clefs[0], m_clefs[1])))
+            cursor += m_duration
+        except (ValueError, TypeError, KeyError, ZeroDivisionError) as exc:
+            # int() of bad text, a missing <beats>, divisions 0, an unknown
+            # step, or a pitch or duration that Pitch/NoteEvent reject
+            raise MusicXmlParseError(f"measure {m_index + 1}: malformed value "
+                                     f"({type(exc).__name__}: {exc})") from exc
 
     observed = max((ev.staff for m in measures for ev in m.events), default=1)
     return Score(

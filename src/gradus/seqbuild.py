@@ -204,21 +204,24 @@ def masked_cross_entropy(logits: np.ndarray, targets: np.ndarray,
                          mask: np.ndarray) -> float:
     """Mean negative log likelihood over positions with mask 0.
 
-    Only unmasked positions are ever read from ``targets``, so altering a
-    masked target cannot change the result even at the last bit.
+    ``logits`` has shape (..., V), and ``targets`` and ``mask`` its leading
+    shape: (T,) for one sequence, (B, T) for a batch.  This is the loss the
+    token model trains on.  Only unmasked positions are ever read from
+    ``targets``, so altering a masked target cannot change the result even
+    at the last bit.
     """
     z = np.asarray(logits, dtype=np.float64)
     t = np.asarray(targets)
     m = np.asarray(mask)
-    if z.ndim != 2 or t.shape != (z.shape[0],) or m.shape != t.shape:
-        raise SequenceError("logits (T, V), targets (T,) and mask (T,) must align")
-    scored = np.nonzero(m == 0)[0]
-    if scored.size == 0:
+    if z.ndim < 2 or t.shape != z.shape[:-1] or m.shape != t.shape:
+        raise SequenceError("logits (..., V), targets (...) and mask (...) must align")
+    scored = np.nonzero(m == 0)
+    if scored[0].size == 0:
         raise SequenceError("mask leaves no position to score")
     rows = z[scored]
-    picked = rows[np.arange(scored.size), t[scored]]
-    shifted = rows - rows.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1)) + rows.max(axis=1)
+    mx = rows.max(axis=1)
+    picked = rows[np.arange(rows.shape[0]), t[scored]]
+    log_z = np.log(np.exp(rows - mx[:, None]).sum(axis=1)) + mx
     return float(np.mean(log_z - picked))
 
 

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradus.model import (
     AdamW,
@@ -17,6 +19,7 @@ from gradus.model import (
     save_checkpoint,
     train,
 )
+from gradus.seqbuild import masked_cross_entropy
 
 TINY = ModelConfig(vocab_size=17, d_model=8, n_heads=2, n_layers=1,
                    d_ff=16, max_len=64, harmony_token_id=4)
@@ -193,6 +196,18 @@ class TestGradients:
         for name in ga:
             assert np.array_equal(ga[name], gb[name]), name
 
+    def test_loss_is_the_seqbuild_cross_entropy(self):
+        model = TinyLM.create(TINY, seed=7)
+        rng = np.random.default_rng(8)
+        ids, mask, harmony = make_batch(rng, model, batch=3, n=10)
+        for row, length in ((1, 7), (2, 5)):      # right padding, never scored
+            ids[row, length:] = 0
+            mask[row, length:] = 1
+        want = masked_cross_entropy(model.logits(ids[:, :-1], harmony),
+                                    ids[:, 1:], mask[:, 1:])
+        assert model.loss(ids, mask, harmony) == want
+        assert model.loss_and_grads(ids, mask, harmony)[0] == want
+
     def test_single_token_sequence_rejected(self):
         model = TinyLM.create(TINY, seed=7)
         with pytest.raises(LMError):
@@ -237,6 +252,44 @@ class TestKVCache:
         model.extend(cache, np.ones((1, TINY.max_len), dtype=np.int64))
         with pytest.raises(LMError):
             model.extend(cache, np.ones((1, 1), dtype=np.int64))
+
+    @pytest.mark.parametrize("bad", [np.array([[-3, 2]]), np.array([[2, 17]]), np.array([2]),
+                                     np.zeros((1, 0), dtype=np.int64), np.array([[2.0, 3.0]])],
+                             ids=["negative", "past-vocab", "one-dimensional", "empty", "float"])
+    def test_bad_ids_rejected_before_cache_write(self, bad):
+        model = TinyLM.create(TINY, seed=13)
+        rng = np.random.default_rng(14)
+        ids = rng.integers(1, 17, size=(1, 6)).astype(np.int64)
+        cache = model.start_cache(batch=1)
+        model.extend(cache, ids[:, :3])
+        with pytest.raises(LMError):
+            model.extend(cache, bad)
+        assert cache["n"] == 3
+        np.testing.assert_allclose(model.extend(cache, ids[:, 3:]),
+                                   model.logits(ids)[:, 3:], atol=1e-10)
+
+    def test_sample_rejects_negative_prefix_id(self):
+        model = TinyLM.create(TINY, seed=15)
+        with pytest.raises(LMError):
+            sample(model, [-3, 2], n_sequences=2, max_new_tokens=4, end_id=0)
+
+    @settings(max_examples=20, deadline=None)
+    @given(batch=st.integers(1, 3), length=st.integers(2, 12),
+           with_harmony=st.booleans(), data=st.data())
+    def test_prefill_and_steps_match_logits(self, batch, length, with_harmony, data):
+        split = data.draw(st.integers(1, length), label="split")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+        cfg = ModelConfig(vocab_size=17, d_model=8, n_heads=2, n_layers=2,
+                          d_ff=16, max_len=16, harmony_token_id=4)
+        model = TinyLM.create(cfg, seed=16)
+        ids, _, harmony = make_batch(rng, model, batch=batch, n=length,
+                                     with_harmony=with_harmony)
+        full = model.logits(ids, harmony)
+        cache = model.start_cache(batch, capacity=length)
+        parts = [model.extend(cache, ids[:, :split], harmony)]
+        parts += [model.extend(cache, ids[:, t:t + 1], harmony) for t in range(split, length)]
+        assert cache["n"] == length
+        np.testing.assert_allclose(np.concatenate(parts, axis=1), full, atol=1e-10)
 
 
 class TestAdamW:

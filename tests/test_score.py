@@ -272,6 +272,21 @@ class TestParsing:
         with pytest.raises(MusicXmlParseError):
             parse_musicxml(doc)
 
+    @pytest.mark.parametrize("doc", [
+        MINIMAL.format(divisions="four", body=_note("C", 4, 4)),
+        MINIMAL.format(divisions=4, body=_note("C", 4, 4, voice="one")),
+        MINIMAL.format(divisions=4, body=_note("C", 4, 4)).replace(
+            "<beats>4</beats>", "<beats/>"),
+        MINIMAL.format(divisions=0, body=_note("C", 4, 4)),
+        MINIMAL.format(divisions=4, body=_note("H", 4, 4)),
+        MINIMAL.format(divisions=4, body=_note("C", 40, 4)),
+        MINIMAL.format(divisions=4, body=_note("C", 4, 0)),
+    ], ids=["divisions-text", "voice-text", "empty-beats", "divisions-zero",
+            "step-H", "octave-40", "duration-zero"])
+    def test_malformed_values_raise_parse_error(self, doc):
+        with pytest.raises(MusicXmlParseError, match="measure 1"):
+            parse_musicxml(doc)
+
 
 class TestMxlContainer:
     def test_reads_compressed_archive(self, tmp_path, reference_piece):

@@ -228,6 +228,33 @@ class TestMaskedLoss:
                                  np.zeros(3, dtype=np.int64),
                                  np.ones(3, dtype=np.int8))
 
+    def test_batched_logits_match_flattened(self):
+        rng = np.random.default_rng(2)
+        B, T, V = 3, 6, 11
+        logits = rng.normal(size=(B, T, V))
+        targets = rng.integers(0, V, size=(B, T))
+        mask = np.zeros((B, T), dtype=np.int8)
+        mask[:, :2] = 1
+        mask[2, 4:] = 1                        # a padded row
+        flat = masked_cross_entropy(logits.reshape(-1, V), targets.ravel(), mask.ravel())
+        assert masked_cross_entropy(logits, targets, mask) == flat
+        want = np.mean([np.log(np.exp(logits[b, t]).sum()) - logits[b, t, targets[b, t]]
+                        for b in range(B) for t in range(T) if mask[b, t] == 0])
+        assert flat == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("shapes", [
+        ((5,), (5,), (5,)),
+        ((2, 4, 5), (2, 3), (2, 3)),
+        ((2, 4, 5), (8,), (8,)),
+        ((2, 4, 5), (2, 4), (2, 3)),
+        ((4, 5), (4,), (2, 2)),
+    ])
+    def test_misaligned_shapes_rejected(self, shapes):
+        z, t, m = shapes
+        with pytest.raises(SequenceError):
+            masked_cross_entropy(np.zeros(z), np.zeros(t, dtype=np.int64),
+                                 np.zeros(m, dtype=np.int8))
+
 
 class TestCollate:
     def test_padding_and_masking(self, vocab, streams):
