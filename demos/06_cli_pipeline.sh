@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # The whole pipeline through the CLI, from nothing to the outcome table.
-# Runs in a scratch directory; every stage writes a manifest next to its
-# artifacts so a run can be reproduced from the directory alone.
+# Runs in a scratch directory; every stage writes a manifest derived from
+# its parsed arguments next to its artifacts (DIR/manifest.json for an
+# output directory, F.manifest.json beside an output file F), so a run can
+# be reproduced from the directory alone.
 set -euo pipefail
 
 WS="$(mktemp -d)"

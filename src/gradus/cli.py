@@ -1,10 +1,11 @@
 """Command-line pipeline driver.
 
 Every subcommand reads artifacts produced by earlier stages and writes
-its own under a target directory together with a ``manifest.json`` naming
-the command, its normalized arguments, the seed and SHA-256 digests of
-all inputs.  Manifests carry no timestamps, so identical runs produce
-byte-identical artifacts.
+its own together with a manifest derived from its parsed arguments: the
+command, every option, the seed and SHA-256 digests of all inputs.  An
+output directory gets ``manifest.json``; an output file ``F`` gets
+``F.manifest.json``.  Manifests carry no timestamps, so identical runs
+produce byte-identical artifacts.
 
 Failures print a single JSON line to stderr and exit nonzero.
 """
@@ -12,6 +13,7 @@ Failures print a single JSON line to stderr and exit nonzero.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -57,17 +59,26 @@ def _input_digests(paths: Sequence[Path]) -> dict[str, str]:
     return out
 
 
-def _write_manifest(out_dir: Path, command: str, args: dict,
-                    inputs: Sequence[Path], seed: Optional[int]) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
+# keys argparse sets for dispatch, plus the seed, which the manifest keeps top-level
+_PARSER_KEYS = ("func", "command", "lmx_command", "seed")
+
+
+def _write_manifest(out: Path, args: argparse.Namespace, inputs: Sequence[Path]) -> None:
+    """Record the parsed arguments that produced ``out``.
+
+    A directory gets ``DIR/manifest.json``; a file ``F`` gets
+    ``F.manifest.json`` beside it, so stages sharing a directory keep
+    one manifest each.
+    """
     manifest = {
-        "command": command,
-        "args": {k: args[k] for k in sorted(args)},
-        "seed": seed,
+        "command": " ".join(filter(None, (args.command, getattr(args, "lmx_command", None)))),
+        "args": {k: v for k, v in vars(args).items() if k not in _PARSER_KEYS},
+        "seed": getattr(args, "seed", None),
         "inputs": _input_digests(inputs),
         "version": __version__,
     }
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
+    path = out / "manifest.json" if out.is_dir() else out.with_name(out.name + ".manifest.json")
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
@@ -82,12 +93,12 @@ def _corpus_paths(corpus: Path) -> list[Path]:
     return paths
 
 
+def _read_piece(path: Path | str) -> tuple[str, Score]:
+    return Path(path).stem, validate_two_staff(read_musicxml(str(path)))
+
+
 def _load_corpus(corpus: Path) -> list[tuple[str, Score]]:
-    out = []
-    for path in _corpus_paths(corpus):
-        score = validate_two_staff(read_musicxml(str(path)))
-        out.append((path.stem, score))
-    return out
+    return [_read_piece(path) for path in _corpus_paths(corpus)]
 
 
 def _read_jsonl(path: Path) -> list[dict]:
@@ -119,26 +130,10 @@ def _pmap(fn, items: Sequence, jobs: int) -> list:
         return list(pool.map(fn, items))
 
 
-# ---------------------------------------------------------------------------
-# Per-piece workers (module level so they pickle for --jobs)
-
-def _encode_one(path_str: str) -> dict:
-    path = Path(path_str)
-    score = validate_two_staff(read_musicxml(path_str))
-    return {"piece": path.stem, "tokens": lmx.encode(score)}
-
-
-def _features_one(path_str: str) -> dict:
-    path = Path(path_str)
-    score = validate_two_staff(read_musicxml(path_str))
-    return {"piece": path.stem,
-            "features": [float(v) for v in analysis.feature_vector(score)]}
-
-
-def _embed_one(path_str: str) -> tuple[str, list[float]]:
-    path = Path(path_str)
-    score = validate_two_staff(read_musicxml(path_str))
-    return path.stem, [float(v) for v in style.baseline_embed(score)]
+def _per_piece(fn, path: Path) -> tuple[str, object]:
+    """``(stem, fn(score))`` for one file; module level so it pickles for --jobs."""
+    name, score = _read_piece(path)
+    return name, fn(score)
 
 
 # ---------------------------------------------------------------------------
@@ -148,19 +143,16 @@ def _cmd_gen_fixtures(args) -> int:
     scores = fixtures.generate_corpus(args.pieces, seed=args.seed)
     out_dir = Path(args.out)
     fixtures.write_corpus(str(out_dir), scores)
-    _write_manifest(out_dir, "gen-fixtures",
-                    {"pieces": args.pieces, "out": str(out_dir)}, [], args.seed)
+    _write_manifest(out_dir, args, [])
     print(f"wrote {len(scores)} pieces to {out_dir}")
     return 0
 
 
 def _cmd_parse(args) -> int:
     rows = []
-    for name in args.files:
-        score = read_musicxml(name)
-        score = validate_two_staff(score)
+    for name, score in map(_read_piece, args.files):
         rows.append({
-            "piece": Path(name).stem,
+            "piece": name,
             "measures": len(score.measures),
             "notes": sum(1 for _ in score.notes(include_grace=True)),
             "duration_quarters": str(score.total_duration),
@@ -177,15 +169,13 @@ def _cmd_parse(args) -> int:
 
 def _cmd_lmx_encode(args) -> int:
     corpus = Path(args.corpus)
-    paths = _corpus_paths(corpus)
-    rows = _pmap(_encode_one, [str(p) for p in paths], args.jobs)
+    pieces = _pmap(functools.partial(_per_piece, lmx.encode), _corpus_paths(corpus), args.jobs)
+    rows = [{"piece": name, "tokens": tokens} for name, tokens in pieces]
     out_dir = Path(args.out_dir)
     _write_jsonl(out_dir / "tokens.jsonl", rows)
     vocab = lmx.Vocabulary.from_corpus([r["tokens"] for r in rows])
     vocab.save(str(out_dir / "vocab.txt"))
-    _write_manifest(out_dir, "lmx encode",
-                    {"corpus": str(corpus), "out_dir": str(out_dir), "jobs": args.jobs},
-                    [corpus], None)
+    _write_manifest(out_dir, args, [corpus])
     print(f"encoded {len(rows)} pieces; vocabulary size {len(vocab)}")
     return 0
 
@@ -197,9 +187,7 @@ def _cmd_lmx_decode(args) -> int:
     for row in rows:
         score = lmx.decode(row["tokens"])
         write_musicxml(score, str(out_dir / f"{row['piece']}.musicxml"))
-    _write_manifest(out_dir, "lmx decode",
-                    {"tokens": args.tokens, "out_dir": str(out_dir)},
-                    [Path(args.tokens)], None)
+    _write_manifest(out_dir, args, [Path(args.tokens)])
     print(f"decoded {len(rows)} pieces to {out_dir}")
     return 0
 
@@ -219,8 +207,7 @@ def _cmd_skyline(args) -> int:
         })
     out = Path(args.out)
     _write_jsonl(out, rows)
-    _write_manifest(out.parent, "skyline",
-                    {"corpus": str(corpus), "out": str(out)}, [corpus], None)
+    _write_manifest(out, args, [corpus])
     print(f"skylines for {len(rows)} pieces -> {out}")
     return 0
 
@@ -238,22 +225,19 @@ def _cmd_profile(args) -> int:
         rows.append(row)
     out = Path(args.out)
     _write_jsonl(out, rows)
-    _write_manifest(out.parent, "profile",
-                    {"corpus": str(corpus), "out": str(out),
-                     "noise_scale": args.noise_scale}, [corpus], args.seed)
+    _write_manifest(out, args, [corpus])
     print(f"profiles for {len(rows)} pieces -> {out}")
     return 0
 
 
 def _cmd_features(args) -> int:
     corpus = Path(args.corpus)
-    paths = _corpus_paths(corpus)
-    rows = _pmap(_features_one, [str(p) for p in paths], args.jobs)
+    pieces = _pmap(functools.partial(_per_piece, analysis.feature_vector),
+                   _corpus_paths(corpus), args.jobs)
+    rows = [{"piece": name, "features": [float(v) for v in vec]} for name, vec in pieces]
     out = Path(args.out)
     _write_jsonl(out, rows)
-    _write_manifest(out.parent, "features",
-                    {"corpus": str(corpus), "out": str(out), "jobs": args.jobs},
-                    [corpus], None)
+    _write_manifest(out, args, [corpus])
     print(f"features for {len(rows)} pieces -> {out}")
     return 0
 
@@ -298,10 +282,7 @@ def _cmd_fit_gnb(args) -> int:
     _write_jsonl(out_dir / "labels.jsonl",
                  [{"piece": n, "level": int(v)} for n, v in zip(names, y)])
     inputs = [Path(args.features)] + ([Path(args.labels)] if args.labels else [])
-    _write_manifest(out_dir, "fit-gnb",
-                    {"features": args.features, "labels": args.labels,
-                     "holdout_fraction": args.holdout_fraction,
-                     "out_dir": str(out_dir)}, inputs, args.seed)
+    _write_manifest(out_dir, args, inputs)
     msg = f"fitted on {len(trainrows)} pieces, temperature {fitted.temperature:.3f}"
     if uncalibrated:
         msg += f" (not calibrated: {uncalibrated})"
@@ -322,25 +303,19 @@ def _cmd_classify(args) -> int:
                          "posterior": [float(v) for v in post]})
     out = Path(args.out)
     _write_jsonl(out, out_rows)
-    _write_manifest(out.parent, "classify",
-                    {"model": args.model, "features": args.features,
-                     "out": str(out)},
-                    [Path(args.model), Path(args.features)], None)
+    _write_manifest(out, args, [Path(args.model), Path(args.features)])
     print(f"classified {len(out_rows)} pieces -> {out}")
     return 0
 
 
 def _cmd_embed(args) -> int:
     corpus = Path(args.corpus)
-    paths = _corpus_paths(corpus)
-    pairs = _pmap(_embed_one, [str(p) for p in paths], args.jobs)
-    embeddings = {name: np.array(vec) for name, vec in pairs}
+    embeddings = dict(_pmap(functools.partial(_per_piece, style.baseline_embed),
+                            _corpus_paths(corpus), args.jobs))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     style.save_embeddings(str(out), embeddings)
-    _write_manifest(out.parent, "embed",
-                    {"corpus": str(corpus), "out": str(out), "jobs": args.jobs},
-                    [corpus], None)
+    _write_manifest(out, args, [corpus])
     print(f"embedded {len(embeddings)} pieces -> {out}")
     return 0
 
@@ -367,12 +342,8 @@ def _cmd_mine_pairs(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     mining.save_pairs(str(out_dir / "pairs.jsonl"), pairs)
     mining.save_report(str(out_dir / "report.json"), rep)
-    _write_manifest(out_dir, "mine-pairs",
-                    {"variations": args.variations, "posteriors": args.posteriors,
-                     "embeddings": args.embeddings, "strategy": args.strategy,
-                     "min_gap": args.min_gap, "out_dir": str(out_dir)},
-                    [Path(args.variations), Path(args.posteriors),
-                     Path(args.embeddings)], None)
+    _write_manifest(out_dir, args, [Path(args.variations), Path(args.posteriors),
+                                    Path(args.embeddings)])
     print(f"{args.strategy} gap>={args.min_gap}: {rep.counts['raw']} raw -> "
           f"{len(pairs)} kept")
     return 0
@@ -411,9 +382,7 @@ def _cmd_build_seqs(args) -> int:
              lengths=np.array([len(s) for s in samples], dtype=np.int64),
              pieces=np.frombuffer(json.dumps([s.piece for s in samples]).encode(),
                                   dtype=np.uint8))
-    _write_manifest(out.parent, "build-seqs",
-                    {"mode": args.mode, "vocab": args.vocab, "out": str(out),
-                     "max_len": args.max_len}, inputs + [Path(args.vocab)], None)
+    _write_manifest(out, args, inputs + [Path(args.vocab)])
     msg = f"built {len(samples)} {args.mode} sequences -> {out}"
     if skipped:
         msg += f" ({len(skipped)} pairs skipped)"
@@ -449,13 +418,7 @@ def _cmd_train(args) -> int:
         for step, loss in log_rows:
             fh.write(f"{step},{loss:.6f}\n")
     model.save_checkpoint(str(out_dir / "checkpoint.npz"), lm, step=result.steps)
-    _write_manifest(out_dir, "train",
-                    {"seqs": args.seqs, "vocab": args.vocab, "steps": args.steps,
-                     "lr": args.lr, "batch_size": args.batch_size,
-                     "d_model": args.d_model, "n_layers": args.n_layers,
-                     "n_heads": args.n_heads, "d_ff": args.d_ff,
-                     "out_dir": str(out_dir)},
-                    [Path(args.seqs), Path(args.vocab)], args.seed)
+    _write_manifest(out_dir, args, [Path(args.seqs), Path(args.vocab)])
     print(f"trained {result.steps} steps, final loss {result.final_loss:.4f}")
     return 0
 
@@ -499,14 +462,8 @@ def _cmd_sample(args) -> int:
                 n_valid += 1
                 write_musicxml(decoded.score, str(scores_dir / f"{var_id}.musicxml"))
     _write_jsonl(out_dir / "variations.jsonl", rows)
-    _write_manifest(out_dir, "sample",
-                    {"checkpoint": args.checkpoint, "vocab": args.vocab,
-                     "skylines": args.skylines, "profiles": args.profiles,
-                     "n": args.n, "max_new": args.max_new,
-                     "temperature": args.temperature, "top_k": args.top_k,
-                     "out_dir": str(out_dir)},
-                    [Path(args.checkpoint), Path(args.vocab),
-                     Path(args.skylines), Path(args.profiles)], args.seed)
+    _write_manifest(out_dir, args, [Path(args.checkpoint), Path(args.vocab),
+                                    Path(args.skylines), Path(args.profiles)])
     print(f"sampled {len(rows)} variations ({n_valid} valid) -> {out_dir}")
     return 0
 
@@ -558,9 +515,7 @@ def _cmd_evaluate(args) -> int:
         Path(args.original_embeddings), Path(args.variation_embeddings)]
     if args.corpus:
         inputs.append(Path(args.corpus))
-    _write_manifest(out_dir, "evaluate",
-                    {"runs": list(args.runs), "group_by": args.group_by,
-                     "out_dir": str(out_dir)}, inputs, None)
+    _write_manifest(out_dir, args, inputs)
     print(f"{len(records)} records, {len(rows)} report rows -> {out_dir}")
     return 0
 

@@ -292,15 +292,20 @@ def save_model(model: GaussianNB, path: str) -> None:
 
 
 def load_model(path: str) -> GaussianNB:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format") != "gnb-v1":
-        raise ModelError(f"unrecognized model format in {path}")
-    log_prior = np.array([-np.inf if v is None else float(v)
-                          for v in payload["log_prior"]])
-    return GaussianNB(
-        log_prior=log_prior,
-        mean=np.asarray(payload["mean"], dtype=np.float64),
-        var=np.asarray(payload["var"], dtype=np.float64),
-        temperature=float(payload["temperature"]),
-    )
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        if payload.get("format") != "gnb-v1":
+            raise ModelError(f"unrecognized model format in {path}")
+        log_prior = np.array([-np.inf if v is None else float(v)
+                              for v in payload["log_prior"]])
+        return GaussianNB(
+            log_prior=log_prior,
+            mean=np.asarray(payload["mean"], dtype=np.float64),
+            var=np.asarray(payload["var"], dtype=np.float64),
+            temperature=float(payload["temperature"]),
+        )
+    except KeyError as exc:
+        raise ModelError(f"{path}: missing field {exc}") from exc
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise ModelError(f"{path}: bad model: {exc}") from exc

@@ -17,7 +17,7 @@ cursor, exactly like MusicXML's own duration accounting.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -92,8 +92,10 @@ def encode(score: Score) -> list[str]:
     """Linearize a score into tokens.
 
     Raises :class:`EncodeError` if any duration is not notatable as a
-    single (possibly dotted, possibly tuplet) value, since the decoder
-    could then not reconstruct the timing.
+    single (possibly dotted, possibly tuplet) value, or if the events of
+    a (staff, voice) lane do not follow each other from the measure start
+    without gap or overlap (as when a voice crosses staves), since the
+    decoder could then not reconstruct the timing.
     """
     tokens: list[str] = []
     for measure in score.measures:
@@ -130,7 +132,13 @@ def _encode_lane(evs: Sequence[NoteEvent], measure: Measure) -> list[str]:
     graces: dict[Fraction, list[NoteEvent]] = {}
     for ev in evs:
         (graces if ev.grace else groups).setdefault(ev.onset, []).append(ev)
+    cursor = measure.start   # where the decoder will place the next event
     for onset in sorted(set(groups) | set(graces)):
+        if onset != cursor:
+            raise EncodeError(
+                f"measure {measure.index + 1}: staff {evs[0].staff} voice {evs[0].voice} "
+                f"has an event at {onset - measure.start} quarters but its previous "
+                f"events end at {cursor - measure.start}")
         for g in graces.get(onset, []):
             tokens.append("grace")
             tokens.append(g.pitch.name if g.pitch else "rest")
@@ -142,6 +150,8 @@ def _encode_lane(evs: Sequence[NoteEvent], measure: Measure) -> list[str]:
             raise EncodeError(
                 f"measure {measure.index + 1}: simultaneous non-chord events "
                 f"in staff {evs[0].staff} voice {evs[0].voice}")
+        if roots:
+            cursor += roots[0].duration
         for i, ev in enumerate(roots + members):
             if i > 0:
                 tokens.append("chord")
@@ -174,12 +184,13 @@ class _Lane:
     """Write cursor for one (staff, voice) within the open measure."""
     staff: int
     voice: int
-    cursor: Fraction  # quarters from measure start
+    cursor: Fraction  # onset of the lane's next event, in quarters from the score start
     events: list[NoteEvent] = field(default_factory=list)
 
 
 @dataclass
 class _MeasureDraft:
+    start: Fraction
     key_fifths: Optional[int] = None
     time_sig: Optional[tuple[int, int]] = None
     clefs: list[Optional[str]] = field(default_factory=lambda: [None, None])
@@ -252,7 +263,7 @@ def _decode_measure(tokens: Sequence[str], i: int, index: int, start: Fraction,
                     ) -> tuple[Measure, Optional[tuple[int, int]], int]:
     assert tokens[i] == "measure"
     i += 1
-    draft = _MeasureDraft()
+    draft = _MeasureDraft(start)
     lane = _lane_for(draft, 1, _DEFAULT_VOICE[1])
     notes_seen = False
     n = len(tokens)
@@ -314,19 +325,19 @@ def _decode_measure(tokens: Sequence[str], i: int, index: int, start: Fraction,
         time_sig = draft.time_sig
     filled_lanes = [l for l in draft.lanes.values() if l.events]
     if filled_lanes:
-        duration = max(l.cursor for l in filled_lanes)
+        duration = max(l.cursor for l in filled_lanes) - start
     elif time_sig is not None:
         duration = Fraction(time_sig[0] * 4, time_sig[1])
     else:
         duration = Fraction(4)
+    end = start + duration
     events: list[NoteEvent] = []
-    for l in sorted(draft.lanes, key=lambda k: k):
-        lane_obj = draft.lanes[l]
-        evs = lane_obj.events
-        events.extend(_offset_events(evs, start))
-        if lane_obj.events and lane_obj.cursor < duration:
+    for key in sorted(draft.lanes):
+        lane_obj = draft.lanes[key]
+        events.extend(lane_obj.events)
+        if lane_obj.events and lane_obj.cursor < end:
             events.append(NoteEvent(
-                onset=start + lane_obj.cursor, duration=duration - lane_obj.cursor,
+                onset=lane_obj.cursor, duration=end - lane_obj.cursor,
                 pitch=None, voice=lane_obj.voice, staff=lane_obj.staff, hidden=True))
     events.sort(key=lambda ev: (ev.onset, ev.staff, ev.voice, not ev.grace, ev.chord))
     measure = Measure(
@@ -336,15 +347,10 @@ def _decode_measure(tokens: Sequence[str], i: int, index: int, start: Fraction,
     return measure, time_sig, i
 
 
-def _offset_events(evs: list[NoteEvent], start: Fraction) -> list[NoteEvent]:
-    # lane events carry measure-relative onsets until the measure is closed
-    return [replace(ev, onset=start + ev.onset) for ev in evs]
-
-
 def _lane_for(draft: _MeasureDraft, staff: int, voice: int) -> _Lane:
     key = (staff, voice)
     if key not in draft.lanes:
-        draft.lanes[key] = _Lane(staff=staff, voice=voice, cursor=Fraction(0))
+        draft.lanes[key] = _Lane(staff=staff, voice=voice, cursor=draft.start)
     return draft.lanes[key]
 
 

@@ -204,9 +204,6 @@ def load_pairs(path: str) -> list[Pair]:
                 continue
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MiningError(f"{path}:{line_no}: bad JSON: {exc}") from exc
-            try:
                 out.append(Pair(
                     piece=rec["piece"], hard=rec["hard"], easy=rec["easy"],
                     hard_level=int(rec["hard_level"]),
@@ -214,6 +211,8 @@ def load_pairs(path: str) -> list[Pair]:
                     gap=int(rec["gap"]), sim=float(rec["sim"])))
             except KeyError as exc:
                 raise MiningError(f"{path}:{line_no}: missing field {exc}") from exc
+            except (ValueError, TypeError) as exc:
+                raise MiningError(f"{path}:{line_no}: bad record: {exc}") from exc
     return out
 
 
@@ -231,13 +230,18 @@ def save_report(path: str, report: MiningReport) -> None:
 
 
 def load_report(path: str) -> MiningReport:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    md = payload.get("mean_distance")
-    return MiningReport(
-        strategy=payload["strategy"], min_gap=int(payload["min_gap"]),
-        counts=dict(payload["counts"]),
-        mean_distance=float("nan") if md is None else float(md),
-        mean_distance_by_gap={int(g): float(d)
-                              for g, d in payload["mean_distance_by_gap"].items()},
-    )
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        md = payload.get("mean_distance")
+        return MiningReport(
+            strategy=payload["strategy"], min_gap=int(payload["min_gap"]),
+            counts=dict(payload["counts"]),
+            mean_distance=float("nan") if md is None else float(md),
+            mean_distance_by_gap={int(g): float(d)
+                                  for g, d in payload["mean_distance_by_gap"].items()},
+        )
+    except KeyError as exc:
+        raise MiningError(f"{path}: missing field {exc}") from exc
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise MiningError(f"{path}: bad report: {exc}") from exc

@@ -159,12 +159,12 @@ def load_embeddings(path: str) -> dict[str, np.ndarray]:
                 continue
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise StyleError(f"{path}:{line_no}: bad JSON: {exc}") from exc
-            key = rec.get("id")
-            v = np.asarray(rec.get("v", []), dtype=np.float64)
-            if key is None or v.ndim != 1 or v.shape[0] == 0:
-                raise StyleError(f"{path}:{line_no}: record needs 'id' and nonempty 'v'")
+                key = rec.get("id")
+                v = np.asarray(rec.get("v", []), dtype=np.float64)
+            except (ValueError, TypeError, AttributeError) as exc:
+                raise StyleError(f"{path}:{line_no}: bad record: {exc}") from exc
+            if not isinstance(key, str) or v.ndim != 1 or v.shape[0] == 0:
+                raise StyleError(f"{path}:{line_no}: record needs a string 'id' and nonempty 'v'")
             if rec.get("dim") != v.shape[0]:
                 raise StyleError(f"{path}:{line_no}: dim {rec.get('dim')} does not "
                                  f"match vector length {v.shape[0]}")

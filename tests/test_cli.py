@@ -357,6 +357,53 @@ class TestTrainSample:
                 assert (out / "scores" / f"{row['var']}.musicxml").exists()
 
 
+class TestManifests:
+    def test_derived_from_parsed_arguments(self, ws, trained):
+        enc = json.loads((ws / "enc" / "manifest.json").read_text())
+        assert enc["command"] == "lmx encode"
+        assert enc["args"] == {"corpus": str(ws / "corpus"), "out_dir": str(ws / "enc"),
+                               "jobs": 1}
+        assert enc["seed"] is None
+        ck = json.loads((trained / "ck" / "manifest.json").read_text())
+        assert ck["seed"] == 1 and "seed" not in ck["args"]
+        assert ck["args"]["context"] == 4096
+
+    def test_file_outputs_sharing_a_directory_keep_one_manifest_each(self, ws, tmp_path):
+        run("skyline", "--corpus", str(ws / "corpus"), "--out", str(tmp_path / "sky.jsonl"))
+        run("profile", "--corpus", str(ws / "corpus"), "--out", str(tmp_path / "prof.jsonl"),
+            "--seed", "3")
+        sky = json.loads((tmp_path / "sky.jsonl.manifest.json").read_text())
+        prof = json.loads((tmp_path / "prof.jsonl.manifest.json").read_text())
+        assert sky["command"] == "skyline" and sky["args"]["out"] == str(tmp_path / "sky.jsonl")
+        assert prof["command"] == "profile" and prof["seed"] == 3
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_runs_differing_in_one_option_differ(self, ws, trained, tmp_path):
+        def manifest_after(path, *argv):
+            run(*argv)
+            return json.loads(path.read_text())
+
+        seqs = ("build-seqs", "--mode", "conditioned", "--vocab", str(ws / "enc" / "vocab.txt"),
+                "--tokens", str(ws / "sky.jsonl"), "--profiles", str(ws / "prof.jsonl"),
+                "--out", str(tmp_path / "seqs.npz"))
+        where = tmp_path / "seqs.npz.manifest.json"
+        plain = manifest_after(where, *seqs)
+        flagged = manifest_after(where, *seqs, "--no-level-tokens")
+        assert plain != flagged
+        assert (plain["args"]["no_level_tokens"], flagged["args"]["no_level_tokens"]) == \
+            (False, True)
+
+        train = ("train", "--seqs", str(trained / "cond.npz"),
+                 "--vocab", str(ws / "enc" / "vocab.txt"), "--out-dir", str(tmp_path / "ck"),
+                 "--steps", "1", "--d-model", "16", "--n-layers", "1", "--n-heads", "2",
+                 "--d-ff", "32")
+        where = tmp_path / "ck" / "manifest.json"
+        short = manifest_after(where, *train, "--context", "600")
+        long = manifest_after(where, *train, "--context", "700")
+        assert short != long
+        assert (short["args"]["context"], long["args"]["context"]) == (600, 700)
+
+
 class TestEvaluate:
     def test_end_to_end_report(self, ws, synthetic_variations, tmp_path):
         runs = []

@@ -1,5 +1,6 @@
 """Difficulty classifier tests against an arbitrary-precision oracle."""
 
+import json
 import math
 
 import mpmath
@@ -318,3 +319,24 @@ class TestPersistence:
         path.write_text('{"format": "something-else"}')
         with pytest.raises(ModelError):
             load_model(str(path))
+
+
+MALFORMED_MODELS = {   # name -> model file text made from a good model's payload
+    "list": lambda p: "[1]",
+    "no log_prior": lambda p: json.dumps({k: v for k, v in p.items() if k != "log_prior"}),
+    "scalar log_prior": lambda p: json.dumps({**p, "log_prior": 3}),
+    "text mean": lambda p: json.dumps({**p, "mean": [["x"] * 12] * 9}),
+    "text temperature": lambda p: json.dumps({**p, "temperature": "hot"}),
+    "truncated": lambda p: json.dumps(p)[:40],
+}
+
+
+@pytest.mark.parametrize("malform", MALFORMED_MODELS.values(), ids=MALFORMED_MODELS.keys())
+def test_malformed_model_raises_model_error(tmp_path, malform):
+    rng = np.random.default_rng(19)
+    X, y = make_training_set(rng, levels=(1, 4, 7))
+    path = tmp_path / "model.json"
+    save_model(fit(X, y), str(path))
+    path.write_text(malform(json.loads(path.read_text())))
+    with pytest.raises(ModelError, match=r"model\.json"):
+        load_model(str(path))

@@ -15,7 +15,7 @@ from gradus.lmx import (
     decode_recoverable,
     encode,
 )
-from gradus.score import Measure, NoteEvent, Pitch, Score, serialize_musicxml
+from gradus.score import Measure, NoteEvent, Pitch, Score, parse_musicxml, serialize_musicxml
 
 
 class TestEncode:
@@ -63,6 +63,29 @@ class TestEncode:
         m = Measure(index=0, start=Fraction(0), duration=Fraction(5, 2),
                     events=(ev,), time_sig=(4, 4))
         with pytest.raises(EncodeError):
+            encode(Score(measures=(m,), n_staves=2))
+
+    def test_voice_crossing_staves_rejected(self):
+        # voice 1 plays C5 (staff 1), C3 (staff 2), E5 (staff 1): the
+        # staff-1 lane has a gap at beat 2 that the token stream cannot say
+        def ev(onset, duration, name, voice, staff):
+            return NoteEvent(onset=Fraction(onset), duration=Fraction(duration),
+                             pitch=Pitch.from_name(name), voice=voice, staff=staff)
+
+        m = Measure(index=0, start=Fraction(0), duration=Fraction(4),
+                    events=(ev(0, 1, "C5", 1, 1), ev(0, 4, "C2", 2, 2),
+                            ev(1, 1, "C3", 1, 2), ev(2, 2, "E5", 1, 1)),
+                    time_sig=(4, 4), key_fifths=0, clefs=("G2", "F4"))
+        score = parse_musicxml(serialize_musicxml(Score(measures=(m,), n_staves=2)))
+        with pytest.raises(EncodeError, match="measure 1: staff 1 voice 1"):
+            encode(score)
+
+    def test_lane_entering_late_rejected(self):
+        ev = NoteEvent(onset=Fraction(5), duration=Fraction(1),
+                       pitch=Pitch.from_name("C4"), voice=1, staff=1)
+        m = Measure(index=1, start=Fraction(4), duration=Fraction(4),
+                    events=(ev,), time_sig=(4, 4))
+        with pytest.raises(EncodeError, match="measure 2: staff 1 voice 1"):
             encode(Score(measures=(m,), n_staves=2))
 
 

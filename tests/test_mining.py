@@ -1,6 +1,7 @@
 """Pair mining tests, including an exhaustive enumeration oracle."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -243,6 +244,56 @@ class TestPersistence:
         rpath = tmp_path / "empty.json"
         save_report(str(rpath), report)
         assert math.isnan(load_report(str(rpath)).mean_distance)
+
+
+GOOD_PAIR = {"piece": "p", "hard": "p.v001", "easy": "p.v000", "hard_level": 5,
+             "easy_level": 2, "gap": 3, "sim": 0.5}
+GOOD_REPORT = {"strategy": "random", "min_gap": 1, "counts": {"raw": 0},
+               "mean_distance": None, "mean_distance_by_gap": {}}
+
+
+def without(record, key):
+    return {k: v for k, v in record.items() if k != key}
+
+
+MALFORMED_PAIR_LINES = {
+    "list": "[1, 2]",
+    "string": '"x"',
+    "null sim": json.dumps({**GOOD_PAIR, "sim": None}),
+    "text level": json.dumps({**GOOD_PAIR, "hard_level": "x"}),
+    "no gap": json.dumps(without(GOOD_PAIR, "gap")),
+    "truncated": "{",
+}
+MALFORMED_REPORTS = {
+    "list": "[1]",
+    "no min_gap": json.dumps(without(GOOD_REPORT, "min_gap")),
+    "text min_gap": json.dumps({**GOOD_REPORT, "min_gap": "x"}),
+    "scalar counts": json.dumps({**GOOD_REPORT, "counts": 3}),
+    "list by_gap": json.dumps({**GOOD_REPORT, "mean_distance_by_gap": []}),
+    "truncated": "{",
+}
+
+
+@pytest.mark.parametrize("line", MALFORMED_PAIR_LINES.values(), ids=MALFORMED_PAIR_LINES.keys())
+def test_malformed_pair_line_raises_mining_error(tmp_path, line):
+    path = tmp_path / "pairs.jsonl"
+    path.write_text(json.dumps(GOOD_PAIR) + "\n" + line + "\n")
+    with pytest.raises(MiningError, match=r"pairs\.jsonl:2:"):
+        load_pairs(str(path))
+
+
+@pytest.mark.parametrize("text", MALFORMED_REPORTS.values(), ids=MALFORMED_REPORTS.keys())
+def test_malformed_report_raises_mining_error(tmp_path, text):
+    path = tmp_path / "report.json"
+    path.write_text(text)
+    with pytest.raises(MiningError, match=r"report\.json"):
+        load_report(str(path))
+
+
+def test_good_report_record_loads(tmp_path):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(GOOD_REPORT))
+    assert load_report(str(path)).counts == {"raw": 0}
 
 
 class TestVariationValidation:

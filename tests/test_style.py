@@ -182,3 +182,17 @@ class TestPersistence:
         path.write_text('{"id": "x", "dim": 3, "v": [1.0, 0.0]}\n')
         with pytest.raises(StyleError):
             load_embeddings(str(path))
+
+    @pytest.mark.parametrize("line", [
+        '[1, 2]',
+        '"x"',
+        '{"id": "x", "dim": 2, "v": "zz"}',
+        '{"id": "x", "dim": 2, "v": {"a": 1}}',
+        '{"id": ["x"], "dim": 2, "v": [1.0, 0.0]}',
+        '{"id": "x", "dim": 2',
+    ])
+    def test_malformed_line_names_path_and_line(self, tmp_path, line):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"id": "ok", "dim": 2, "v": [1.0, 0.0]}\n' + line + "\n")
+        with pytest.raises(StyleError, match=r"bad\.jsonl:2:"):
+            load_embeddings(str(path))
