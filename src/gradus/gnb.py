@@ -297,14 +297,21 @@ def load_model(path: str) -> GaussianNB:
             payload = json.load(fh)
         if payload.get("format") != "gnb-v1":
             raise ModelError(f"unrecognized model format in {path}")
+        # null marks a class absent from training: its log prior is -inf
         log_prior = np.array([-np.inf if v is None else float(v)
                               for v in payload["log_prior"]])
-        return GaussianNB(
+        model = GaussianNB(
             log_prior=log_prior,
             mean=np.asarray(payload["mean"], dtype=np.float64),
             var=np.asarray(payload["var"], dtype=np.float64),
             temperature=float(payload["temperature"]),
         )
+        present = [v is not None for v in payload["log_prior"]]
+        for name, values in (("log_prior", log_prior[present]), ("mean", model.mean),
+                             ("var", model.var)):
+            if not np.isfinite(values).all():
+                raise ModelError(f"{path}: {name} holds a non-finite number")
+        return model
     except KeyError as exc:
         raise ModelError(f"{path}: missing field {exc}") from exc
     except (ValueError, TypeError, AttributeError) as exc:

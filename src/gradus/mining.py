@@ -12,6 +12,7 @@ random strategy's pairs.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -213,6 +214,8 @@ def load_pairs(path: str) -> list[Pair]:
                 raise MiningError(f"{path}:{line_no}: missing field {exc}") from exc
             except (ValueError, TypeError) as exc:
                 raise MiningError(f"{path}:{line_no}: bad record: {exc}") from exc
+            if not math.isfinite(out[-1].sim):
+                raise MiningError(f"{path}:{line_no}: sim {out[-1].sim} is not finite")
     return out
 
 

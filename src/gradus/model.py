@@ -7,7 +7,10 @@ keeps every numeric property (causality, gradient exactness, rotary
 shift invariance) directly testable without a framework in between.
 
 One layer stack (``TinyLM._forward``) serves training, full-sequence
-logits, and the KV-cached prefill and decode steps of sampling.
+logits, and the KV-cached prefill and decode steps of sampling.  Its
+causal attention runs one block of query rows at a time (:func:`_attend`),
+so scores never take more than a fixed budget per block, whatever the
+sequence length.
 
 Training minimizes masked next-token cross entropy, the same
 :func:`gradus.seqbuild.masked_cross_entropy` that scores sequences
@@ -24,7 +27,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .seqbuild import masked_cross_entropy
+from .seqbuild import cross_entropy_terms
 
 __all__ = [
     "LMError",
@@ -136,6 +139,80 @@ def _softmax_last(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+# float64 score elements per query block: 8 MiB of scores
+_ATTN_BLOCK_ELEMS = 2 ** 20
+
+
+def _query_blocks(b: int, h: int, start: int, s: int) -> list[tuple[int, int]]:
+    """Row ranges ``[lo, hi)`` that split ``s`` queries into attention blocks.
+
+    A block holds as many rows as keep its (b, h, rows, start + s) scores
+    within ``_ATTN_BLOCK_ELEMS``, and at least one row.
+    """
+    rows = max(1, _ATTN_BLOCK_ELEMS // (b * h * (start + s)))
+    return [(lo, min(lo + rows, s)) for lo in range(0, s, rows)]
+
+
+def _attend(qr: np.ndarray, keys: np.ndarray, values: np.ndarray, start: int,
+            probs: Optional[list] = None) -> np.ndarray:
+    """Causal attention of queries at positions ``start..`` one block at a time.
+
+    ``qr`` is (b, h, s, hd); ``keys`` and ``values`` hold positions
+    ``0..start+s``.  Block rows ``[lo, hi)`` score only keys
+    ``[:start+hi]``, so no future key is ever scored, and every row gets
+    the exact max-subtracted softmax.  Returns the (b, h, s, hd) context;
+    a ``probs`` list collects each block's probabilities for
+    :func:`_attend_bwd`.
+    """
+    b, h, s, hd = qr.shape
+    blocks = _query_blocks(b, h, start, s)
+    # one block returns its result as is: the dense operations, no copy
+    single = len(blocks) == 1
+    # future keys of a block are its last columns: mask that square
+    width = blocks[0][1]
+    future = np.triu(np.full((width, width), -np.inf), k=1) if width > 1 else None
+    if not single:
+        ctx = np.empty_like(qr)
+    for lo, hi in blocks:
+        end = start + hi
+        scores = qr[:, :, lo:hi] @ keys[:, :, :end].swapaxes(-1, -2) / np.sqrt(hd)
+        if hi - lo > 1:
+            scores[..., start + lo:] += future[:hi - lo, :hi - lo]
+        p = _softmax_last(scores)
+        if probs is not None:
+            probs.append(p)
+        out = p @ values[:, :, :end]
+        if single:
+            return out
+        ctx[:, :, lo:hi] = out
+    return ctx
+
+
+def _attend_bwd(dctx: np.ndarray, qr: np.ndarray, kr: np.ndarray, vh: np.ndarray,
+                probs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gradients of :func:`_attend` at ``start=0`` w.r.t. queries, keys and
+    values, over the same blocks and from their kept probabilities."""
+    b, h, t, hd = qr.shape
+    blocks = _query_blocks(b, h, 0, t)
+    single = len(blocks) == 1
+    if not single:
+        dqr, dkr, dvh = np.empty_like(qr), np.zeros_like(kr), np.zeros_like(vh)
+    for (lo, hi), p in zip(blocks, probs):
+        d = dctx[:, :, lo:hi]
+        dprobs = d @ vh[:, :, :hi].swapaxes(-1, -2)
+        dv = p.swapaxes(-1, -2) @ d
+        dscores = (dprobs - (dprobs * p).sum(axis=-1, keepdims=True)) * p
+        dscores = dscores / np.sqrt(hd)
+        dq = dscores @ kr[:, :, :hi]
+        dk = dscores.swapaxes(-1, -2) @ qr[:, :, lo:hi]
+        if single:
+            return dq, dk, dv
+        dqr[:, :, lo:hi] = dq
+        dkr[:, :, :hi] += dk
+        dvh[:, :, :hi] += dv
+    return dqr, dkr, dvh
+
+
 @dataclass
 class TinyLM:
     """Model parameters plus the forward/backward machinery."""
@@ -212,8 +289,6 @@ class TinyLM:
         h = cfg.n_heads
         hd = cfg.d_model // h
         pos = np.arange(start, end)
-        # strictly-future positions; a single new token has none
-        neg = np.triu(np.full((s, end), -np.inf), k=1 + start) if s > 1 else None
         x = self._embed(ids, harmony)
         if caches is not None:
             caches.append(("embed", ids, harmony))
@@ -230,11 +305,9 @@ class TinyLM:
                 kv["k"][i][:, :, start:end] = kr
                 kv["v"][i][:, :, start:end] = vh
                 keys, values = kv["k"][i][:, :, :end], kv["v"][i][:, :, :end]
-            scores = qr @ keys.swapaxes(-1, -2) / np.sqrt(hd)
-            if neg is not None:
-                scores = scores + neg
-            probs = _softmax_last(scores)
-            merged = (probs @ values).transpose(0, 2, 1, 3).reshape(b, s, cfg.d_model)
+            probs = None if caches is None else []
+            ctx = _attend(qr, keys, values, start, probs)
+            merged = ctx.transpose(0, 2, 1, 3).reshape(b, s, cfg.d_model)
             x = x + merged @ p[f"l{i}.wo"]
             a2, ln2c = _layernorm_fwd(x, p[f"l{i}.ln2_g"], p[f"l{i}.ln2_b"])
             h1 = a2 @ p[f"l{i}.w1"] + p[f"l{i}.b1"]
@@ -274,21 +347,20 @@ class TinyLM:
         inputs = ids[:, :-1]
         targets = ids[:, 1:]
         tmask = mask[:, 1:]
-        scored = np.nonzero(tmask == 0)
-        n_scored = scored[0].size
-        if n_scored == 0:
+        if not (tmask == 0).any():
             raise LMError("mask leaves nothing to score")
 
         caches: Optional[list] = [] if want_grads else None
         logits, caches = self._forward(inputs, harmony, caches)
-        loss = masked_cross_entropy(logits, targets, tmask)
+        loss, scored, e, sums = cross_entropy_terms(logits, targets, tmask)
         if not np.isfinite(loss):
             raise LMError("loss is not finite")
         if not want_grads:
             return loss, None
 
+        n_scored = scored[0].size
         dlogits = np.zeros_like(logits)
-        soft = _softmax_last(logits[scored])
+        soft = e / sums[:, None]
         soft[np.arange(n_scored), targets[scored]] -= 1.0
         dlogits[scored] = soft / n_scored
         grads = self._backward(dlogits, caches)
@@ -331,12 +403,7 @@ class TinyLM:
             grads[f"l{i}.wo"] += merged.reshape(-1, cfg.d_model).T @ dx.reshape(-1, cfg.d_model)
             dmerged = dx @ p[f"l{i}.wo"].T
             dctx = dmerged.reshape(b, t, h, hd).transpose(0, 2, 1, 3)
-            dprobs = dctx @ vh.swapaxes(-1, -2)
-            dvh = probs.swapaxes(-1, -2) @ dctx
-            dscores = (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True)) * probs
-            dscores = dscores / np.sqrt(hd)
-            dqr = dscores @ kr
-            dkr = dscores.swapaxes(-1, -2) @ qr
+            dqr, dkr, dvh = _attend_bwd(dctx, qr, kr, vh, probs)
             dqh = rope_rotate(dqr, pos, cfg.rope_base, inverse=True)
             dkh = rope_rotate(dkr, pos, cfg.rope_base, inverse=True)
             dq = dqh.transpose(0, 2, 1, 3).reshape(b, t, cfg.d_model)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import io
 import xml.etree.ElementTree as ET
 import zipfile
+import zlib
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -283,6 +284,10 @@ def read_musicxml(path: str) -> Score:
     return parse_musicxml(data)
 
 
+# the largest member of an .mxl container that is ever decompressed
+MXL_MAX_MEMBER_BYTES = 64 * 2 ** 20
+
+
 def _unzip_mxl(data: bytes) -> bytes:
     try:
         zf = zipfile.ZipFile(io.BytesIO(data))
@@ -291,7 +296,10 @@ def _unzip_mxl(data: bytes) -> bytes:
     with zf:
         root_name = None
         if "META-INF/container.xml" in zf.namelist():
-            container = ET.fromstring(zf.read("META-INF/container.xml"))
+            try:
+                container = ET.fromstring(_read_member(zf, "META-INF/container.xml"))
+            except ET.ParseError as exc:
+                raise MusicXmlParseError(f"mxl container.xml syntax error: {exc}") from exc
             rootfile = container.find("rootfiles/rootfile")
             if rootfile is not None:
                 root_name = rootfile.get("full-path")
@@ -301,7 +309,27 @@ def _unzip_mxl(data: bytes) -> bytes:
             if not candidates:
                 raise MusicXmlParseError("mxl container holds no MusicXML document")
             root_name = candidates[0]
-        return zf.read(root_name)
+        return _read_member(zf, root_name)
+
+
+def _read_member(zf: zipfile.ZipFile, name: str) -> bytes:
+    """One member, refused above ``MXL_MAX_MEMBER_BYTES`` whatever its header says."""
+    try:
+        info = zf.getinfo(name)
+    except KeyError as exc:
+        raise MusicXmlParseError(f"mxl container has no member {name!r}") from exc
+    if info.file_size > MXL_MAX_MEMBER_BYTES:
+        raise MusicXmlParseError(f"mxl member {name!r} is {info.file_size} bytes, "
+                                 f"over the {MXL_MAX_MEMBER_BYTES}-byte cap")
+    try:
+        with zf.open(info) as fh:
+            data = fh.read(MXL_MAX_MEMBER_BYTES + 1)
+    except (zipfile.BadZipFile, zlib.error, NotImplementedError, EOFError) as exc:
+        raise MusicXmlParseError(f"mxl member {name!r} is unreadable: {exc}") from exc
+    if len(data) > MXL_MAX_MEMBER_BYTES:
+        raise MusicXmlParseError(f"mxl member {name!r} holds more than "
+                                 f"{MXL_MAX_MEMBER_BYTES} bytes")
+    return data
 
 
 def parse_musicxml(document: bytes | str) -> Score:

@@ -31,6 +31,7 @@ __all__ = [
     "adaptation_sample",
     "adaptation_samples",
     "masked_cross_entropy",
+    "cross_entropy_terms",
     "collate",
 ]
 
@@ -210,6 +211,17 @@ def masked_cross_entropy(logits: np.ndarray, targets: np.ndarray,
     ``targets``, so altering a masked target cannot change the result even
     at the last bit.
     """
+    return cross_entropy_terms(logits, targets, mask)[0]
+
+
+def cross_entropy_terms(logits: np.ndarray, targets: np.ndarray, mask: np.ndarray,
+                        ) -> tuple[float, tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
+    """:func:`masked_cross_entropy` with the terms its gradient reuses.
+
+    Returns ``(loss, scored, e, sums)``: the loss, the ``np.nonzero`` index
+    of the scored positions, ``exp(rows - max)`` of their logit rows, and
+    the row sums of ``e``, so ``e / sums[:, None]`` is their softmax.
+    """
     z = np.asarray(logits, dtype=np.float64)
     t = np.asarray(targets)
     m = np.asarray(mask)
@@ -221,8 +233,10 @@ def masked_cross_entropy(logits: np.ndarray, targets: np.ndarray,
     rows = z[scored]
     mx = rows.max(axis=1)
     picked = rows[np.arange(rows.shape[0]), t[scored]]
-    log_z = np.log(np.exp(rows - mx[:, None]).sum(axis=1)) + mx
-    return float(np.mean(log_z - picked))
+    e = np.exp(rows - mx[:, None])
+    sums = e.sum(axis=1)
+    log_z = np.log(sums) + mx
+    return float(np.mean(log_z - picked)), scored, e, sums
 
 
 def collate(samples: Sequence[Sample], vocab: Vocabulary,

@@ -165,6 +165,8 @@ def load_embeddings(path: str) -> dict[str, np.ndarray]:
                 raise StyleError(f"{path}:{line_no}: bad record: {exc}") from exc
             if not isinstance(key, str) or v.ndim != 1 or v.shape[0] == 0:
                 raise StyleError(f"{path}:{line_no}: record needs a string 'id' and nonempty 'v'")
+            if not np.isfinite(v).all():
+                raise StyleError(f"{path}:{line_no}: 'v' of {key!r} holds a non-finite number")
             if rec.get("dim") != v.shape[0]:
                 raise StyleError(f"{path}:{line_no}: dim {rec.get('dim')} does not "
                                  f"match vector length {v.shape[0]}")

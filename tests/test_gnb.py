@@ -340,3 +340,39 @@ def test_malformed_model_raises_model_error(tmp_path, malform):
     path.write_text(malform(json.loads(path.read_text())))
     with pytest.raises(ModelError, match=r"model\.json"):
         load_model(str(path))
+
+
+def _with_entry(field, value):
+    """A malform that puts ``value`` in the first entry of ``field`` of a class
+    present in training (level 1 is class 0)."""
+    def malform(p):
+        data = json.loads(json.dumps(p))
+        if field == "log_prior":
+            data[field][0] = value
+        else:
+            data[field][0][3] = value
+        return json.dumps(data)
+    return malform
+
+
+NON_FINITE_MODELS = {
+    "nan mean": _with_entry("mean", float("nan")),
+    "inf mean": _with_entry("mean", float("inf")),
+    "nan var": _with_entry("var", float("nan")),
+    "inf var": _with_entry("var", float("inf")),
+    "nan log_prior": _with_entry("log_prior", float("nan")),
+    "minus-inf log_prior": _with_entry("log_prior", float("-inf")),
+}
+
+
+@pytest.mark.parametrize("malform", NON_FINITE_MODELS.values(), ids=NON_FINITE_MODELS.keys())
+def test_non_finite_model_raises_model_error(tmp_path, malform):
+    rng = np.random.default_rng(19)
+    X, y = make_training_set(rng, levels=(1, 4, 7))
+    path = tmp_path / "model.json"
+    save_model(fit(X, y), str(path))
+    payload = json.loads(path.read_text())
+    assert payload["log_prior"][0] is not None and payload["log_prior"][1] is None
+    path.write_text(malform(payload))
+    with pytest.raises(ModelError, match=r"model\.json: .* non-finite"):
+        load_model(str(path))

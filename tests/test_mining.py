@@ -282,6 +282,15 @@ def test_malformed_pair_line_raises_mining_error(tmp_path, line):
         load_pairs(str(path))
 
 
+@pytest.mark.parametrize("sim", [float("nan"), float("inf"), float("-inf")],
+                         ids=["nan", "inf", "minus-inf"])
+def test_non_finite_sim_raises_mining_error(tmp_path, sim):
+    path = tmp_path / "pairs.jsonl"
+    path.write_text(json.dumps(GOOD_PAIR) + "\n" + json.dumps({**GOOD_PAIR, "sim": sim}) + "\n")
+    with pytest.raises(MiningError, match=r"pairs\.jsonl:2: sim .* not finite"):
+        load_pairs(str(path))
+
+
 @pytest.mark.parametrize("text", MALFORMED_REPORTS.values(), ids=MALFORMED_REPORTS.keys())
 def test_malformed_report_raises_mining_error(tmp_path, text):
     path = tmp_path / "report.json"

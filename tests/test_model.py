@@ -13,6 +13,7 @@ from gradus.model import (
     ModelConfig,
     TinyLM,
     _pick,
+    _softmax_last,
     load_checkpoint,
     rope_rotate,
     sample,
@@ -207,6 +208,27 @@ class TestGradients:
                                     ids[:, 1:], mask[:, 1:])
         assert model.loss(ids, mask, harmony) == want
         assert model.loss_and_grads(ids, mask, harmony)[0] == want
+
+    def test_loss_head_gradient_is_the_softmax_of_the_scored_rows(self):
+        # the head's gradient reuses the loss's exponentials; it must equal,
+        # bit for bit, a separate softmax of the gathered scored rows
+        model = TinyLM.create(TINY, seed=8)
+        rng = np.random.default_rng(9)
+        ids, mask, harmony = make_batch(rng, model, batch=3, n=10)
+        mask[1, 6:] = 1
+        targets = ids[:, 1:]
+        logits, caches = model._forward(ids[:, :-1], harmony, [])
+        scored = np.nonzero(mask[:, 1:] == 0)
+        n_scored = scored[0].size
+        soft = _softmax_last(logits[scored])
+        soft[np.arange(n_scored), targets[scored]] -= 1.0
+        dlogits = np.zeros_like(logits)
+        dlogits[scored] = soft / n_scored
+        want = model._backward(dlogits, caches)
+        loss, grads = model.loss_and_grads(ids, mask, harmony)
+        assert loss == masked_cross_entropy(logits, targets, mask[:, 1:])
+        for name in want:
+            assert np.array_equal(grads[name], want[name]), name
 
     def test_single_token_sequence_rejected(self):
         model = TinyLM.create(TINY, seed=7)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import semantic_signature
+from gradus import score as score_module
 from gradus.score import (
     Measure,
     MusicXmlParseError,
@@ -306,6 +307,47 @@ class TestMxlContainer:
         with zipfile.ZipFile(mxl, "w") as zf:
             zf.writestr("readme.txt", "nothing here")
         with pytest.raises(MusicXmlParseError):
+            read_musicxml(str(mxl))
+
+    def test_member_over_the_cap_rejected(self, tmp_path, reference_piece, monkeypatch):
+        inner = serialize_musicxml(reference_piece)
+        mxl = tmp_path / "piece.mxl"
+        with zipfile.ZipFile(mxl, "w", zipfile.ZIP_DEFLATED) as zf:
+            zf.writestr("score.xml", inner)
+        assert semantic_signature(read_musicxml(str(mxl))) == semantic_signature(reference_piece)
+        monkeypatch.setattr(score_module, "MXL_MAX_MEMBER_BYTES", len(inner) - 1)
+        with pytest.raises(MusicXmlParseError, match="cap"):
+            read_musicxml(str(mxl))
+
+    @pytest.mark.parametrize("method", [zipfile.ZIP_STORED, zipfile.ZIP_DEFLATED],
+                             ids=["stored", "deflated"])
+    def test_header_understating_the_size_rejected(self, tmp_path, monkeypatch, method):
+        # a member of 64 KiB whose headers both claim 100 bytes, read under
+        # a 1000-byte cap: the claim passes the check, the content must not
+        body = b"<score-partwise>" + b" " * 65536 + b"</score-partwise>"
+        path = tmp_path / "liar.mxl"
+        with zipfile.ZipFile(path, "w", method) as zf:
+            zf.writestr("score.xml", body)
+        blob = bytearray(path.read_bytes())
+        local = blob.index(b"PK\x03\x04")
+        central = blob.index(b"PK\x01\x02")
+        blob[local + 22:local + 26] = (100).to_bytes(4, "little")
+        blob[central + 24:central + 28] = (100).to_bytes(4, "little")
+        path.write_bytes(bytes(blob))
+        with zipfile.ZipFile(path) as zf:
+            assert zf.getinfo("score.xml").file_size == 100
+        monkeypatch.setattr(score_module, "MXL_MAX_MEMBER_BYTES", 1000)
+        with pytest.raises(MusicXmlParseError, match="score.xml"):
+            read_musicxml(str(path))
+
+    def test_missing_root_member_rejected(self, tmp_path):
+        mxl = tmp_path / "dangling.mxl"
+        with zipfile.ZipFile(mxl, "w") as zf:
+            zf.writestr("META-INF/container.xml",
+                        '<container><rootfiles>'
+                        '<rootfile full-path="gone.xml"/>'
+                        '</rootfiles></container>')
+        with pytest.raises(MusicXmlParseError, match="gone.xml"):
             read_musicxml(str(mxl))
 
 

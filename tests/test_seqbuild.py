@@ -16,6 +16,7 @@ from gradus.seqbuild import (
     adaptation_samples,
     collate,
     conditioned_sample,
+    cross_entropy_terms,
     masked_cross_entropy,
     prefix_mask,
 )
@@ -241,6 +242,20 @@ class TestMaskedLoss:
         want = np.mean([np.log(np.exp(logits[b, t]).sum()) - logits[b, t, targets[b, t]]
                         for b in range(B) for t in range(T) if mask[b, t] == 0])
         assert flat == pytest.approx(want, rel=1e-12)
+
+    def test_terms_hold_the_scored_rows_softmax(self):
+        rng = np.random.default_rng(3)
+        B, T, V = 2, 5, 9
+        logits = rng.normal(size=(B, T, V)) * 30.0
+        targets = rng.integers(0, V, size=(B, T))
+        mask = np.zeros((B, T), dtype=np.int8)
+        mask[0, :3] = 1
+        loss, scored, e, sums = cross_entropy_terms(logits, targets, mask)
+        assert loss == masked_cross_entropy(logits, targets, mask)
+        assert [a.tolist() for a in scored] == [a.tolist() for a in np.nonzero(mask == 0)]
+        rows = logits[scored]
+        np.testing.assert_array_equal(e, np.exp(rows - rows.max(axis=1, keepdims=True)))
+        np.testing.assert_array_equal(sums, e.sum(axis=1))
 
     @pytest.mark.parametrize("shapes", [
         ((5,), (5,), (5,)),

@@ -196,3 +196,13 @@ class TestPersistence:
         path.write_text('{"id": "ok", "dim": 2, "v": [1.0, 0.0]}\n' + line + "\n")
         with pytest.raises(StyleError, match=r"bad\.jsonl:2:"):
             load_embeddings(str(path))
+
+    @pytest.mark.parametrize("v", ["[1.0, null]", "[NaN, 0.0]", "[Infinity, 0.0]",
+                                   "[1.0, -Infinity]"],
+                             ids=["null", "nan", "inf", "minus-inf"])
+    def test_rejects_non_finite_entries(self, tmp_path, v):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"id": "ok", "dim": 2, "v": [1.0, 0.0]}\n'
+                        '{"id": "x", "dim": 2, "v": ' + v + '}\n')
+        with pytest.raises(StyleError, match=r"bad\.jsonl:2: .*non-finite"):
+            load_embeddings(str(path))
