@@ -166,13 +166,10 @@ def _attend(qr: np.ndarray, keys: np.ndarray, values: np.ndarray, start: int,
     """
     b, h, s, hd = qr.shape
     blocks = _query_blocks(b, h, start, s)
-    # one block returns its result as is: the dense operations, no copy
-    single = len(blocks) == 1
     # future keys of a block are its last columns: mask that square
     width = blocks[0][1]
     future = np.triu(np.full((width, width), -np.inf), k=1) if width > 1 else None
-    if not single:
-        ctx = np.empty_like(qr)
+    ctx = np.empty_like(qr)
     for lo, hi in blocks:
         end = start + hi
         scores = qr[:, :, lo:hi] @ keys[:, :, :end].swapaxes(-1, -2) / np.sqrt(hd)
@@ -181,35 +178,27 @@ def _attend(qr: np.ndarray, keys: np.ndarray, values: np.ndarray, start: int,
         p = _softmax_last(scores)
         if probs is not None:
             probs.append(p)
-        out = p @ values[:, :, :end]
-        if single:
-            return out
-        ctx[:, :, lo:hi] = out
+        ctx[:, :, lo:hi] = p @ values[:, :, :end]
     return ctx
 
 
 def _attend_bwd(dctx: np.ndarray, qr: np.ndarray, kr: np.ndarray, vh: np.ndarray,
                 probs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of :func:`_attend` at ``start=0`` w.r.t. queries, keys and
-    values, over the same blocks and from their kept probabilities."""
-    b, h, t, hd = qr.shape
-    blocks = _query_blocks(b, h, 0, t)
-    single = len(blocks) == 1
-    if not single:
-        dqr, dkr, dvh = np.empty_like(qr), np.zeros_like(kr), np.zeros_like(vh)
-    for (lo, hi), p in zip(blocks, probs):
+    values, from its kept probabilities: a (b, h, rows, hi) block holds
+    query rows ``[hi - rows, hi)``."""
+    hd = qr.shape[-1]
+    dqr, dkr, dvh = np.empty_like(qr), np.zeros_like(kr), np.zeros_like(vh)
+    for p in probs:
+        hi = p.shape[-1]
+        lo = hi - p.shape[-2]
         d = dctx[:, :, lo:hi]
         dprobs = d @ vh[:, :, :hi].swapaxes(-1, -2)
-        dv = p.swapaxes(-1, -2) @ d
         dscores = (dprobs - (dprobs * p).sum(axis=-1, keepdims=True)) * p
         dscores = dscores / np.sqrt(hd)
-        dq = dscores @ kr[:, :, :hi]
-        dk = dscores.swapaxes(-1, -2) @ qr[:, :, lo:hi]
-        if single:
-            return dq, dk, dv
-        dqr[:, :, lo:hi] = dq
-        dkr[:, :, :hi] += dk
-        dvh[:, :, :hi] += dv
+        dqr[:, :, lo:hi] = dscores @ kr[:, :, :hi]
+        dkr[:, :, :hi] += dscores.swapaxes(-1, -2) @ qr[:, :, lo:hi]
+        dvh[:, :, :hi] += p.swapaxes(-1, -2) @ d
     return dqr, dkr, dvh
 
 

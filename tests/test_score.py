@@ -323,7 +323,8 @@ class TestMxlContainer:
                              ids=["stored", "deflated"])
     def test_header_understating_the_size_rejected(self, tmp_path, monkeypatch, method):
         # a member of 64 KiB whose headers both claim 100 bytes, read under
-        # a 1000-byte cap: the claim passes the check, the content must not
+        # a 1000-byte cap: the claim passes the check, the content must not;
+        # zipfile stops at the claimed 100 bytes and their CRC then fails
         body = b"<score-partwise>" + b" " * 65536 + b"</score-partwise>"
         path = tmp_path / "liar.mxl"
         with zipfile.ZipFile(path, "w", method) as zf:
