@@ -34,10 +34,8 @@ cfg = ModelConfig(vocab_size=len(vocab.tokens), d_model=48, n_heads=4,
 model = TinyLM.create(cfg, seed=0)
 print(f"\nmodel: {sum(p.size for p in model.params.values())} parameters")
 
-result = train(model, [(ids, mask, harmony)], steps=250, lr=3e-3, seed=0)
-first, last = result.history[0], result.history[-1]
-print(f"loss {first[1]:.3f} at step {first[0]} -> "
-      f"{last[1]:.3f} at step {last[0]}")
+losses = train(model, [(ids, mask, harmony)], steps=250, lr=3e-3, seed=0)
+print(f"loss {losses[0]:.3f} at step 1 -> {losses[-1]:.3f} at step {len(losses)}")
 
 prefix = [vocab.id("[BOS]"), vocab.id("[HARM]")]
 out = sample(model, prefix, n_sequences=4, max_new_tokens=200,

@@ -24,7 +24,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import __version__, analysis, fixtures, gnb, lmx, mining, model, report, seqbuild, style
+from . import (__version__, analysis, fixtures, gnb, interchange, lmx, mining, model, report,
+               seqbuild, style)
 from .score import Score, parse_musicxml, read_musicxml, validate_two_staff, write_musicxml
 
 __all__ = ["main"]
@@ -78,9 +79,7 @@ def _write_manifest(out: Path, args: argparse.Namespace, inputs: Sequence[Path])
         "version": __version__,
     }
     path = out / "manifest.json" if out.is_dir() else out.with_name(out.name + ".manifest.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    interchange.write_json(path, manifest)
 
 
 def _corpus_paths(corpus: Path) -> list[Path]:
@@ -101,25 +100,20 @@ def _load_corpus(corpus: Path) -> list[tuple[str, Score]]:
     return [_read_piece(path) for path in _corpus_paths(corpus)]
 
 
-def _read_jsonl(path: Path) -> list[dict]:
+def _read_jsonl(path: str, *fields: str) -> list[dict]:
+    """The rows of a JSONL file, each holding every one of ``fields``."""
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rows.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise CliError(f"{path}:{line_no}: bad JSON: {exc}") from exc
+    for where, row in interchange.read_jsonl(path, CliError):
+        for name in fields:
+            if name not in row:
+                raise CliError(f"{where}: missing field {name!r}")
+        rows.append(row)
     return rows
 
 
 def _write_jsonl(path: Path, rows: Sequence[dict]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row) + "\n")
+    interchange.write_jsonl(path, rows)
 
 
 def _pmap(fn, items: Sequence, jobs: int) -> list:
@@ -159,11 +153,10 @@ def _cmd_parse(args) -> int:
             "title": score.title,
             "genre": score.genre,
         })
-    text = "\n".join(json.dumps(r) for r in rows) + "\n"
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        interchange.write_jsonl(args.out, rows)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write("".join(json.dumps(r) + "\n" for r in rows))
     return 0
 
 
@@ -181,7 +174,7 @@ def _cmd_lmx_encode(args) -> int:
 
 
 def _cmd_lmx_decode(args) -> int:
-    rows = _read_jsonl(Path(args.tokens))
+    rows = _read_jsonl(args.tokens, "piece", "tokens")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for row in rows:
@@ -243,11 +236,11 @@ def _cmd_features(args) -> int:
 
 
 def _cmd_fit_gnb(args) -> int:
-    rows = _read_jsonl(Path(args.features))
+    rows = _read_jsonl(args.features, "piece", "features")
     names = [r["piece"] for r in rows]
     x = np.array([r["features"] for r in rows], dtype=np.float64)
     if args.labels:
-        label_rows = _read_jsonl(Path(args.labels))
+        label_rows = _read_jsonl(args.labels, "piece", "level")
         by_piece = {r["piece"]: int(r["level"]) for r in label_rows}
         missing = [n for n in names if n not in by_piece]
         if missing:
@@ -291,7 +284,7 @@ def _cmd_fit_gnb(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    rows = _read_jsonl(Path(args.features))
+    rows = _read_jsonl(args.features, "piece", "features")
     fitted = gnb.load_model(args.model)
     x = np.array([r["features"] for r in rows], dtype=np.float64)
     posterior = fitted.posterior(x)
@@ -321,8 +314,9 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_mine_pairs(args) -> int:
-    variations = _read_jsonl(Path(args.variations))
-    posteriors = {r["piece"]: r for r in _read_jsonl(Path(args.posteriors))}
+    variations = _read_jsonl(args.variations, "piece", "var")
+    posteriors = {r["piece"]: r for r in _read_jsonl(args.posteriors,
+                                                     "piece", "level", "confidence")}
     embeddings = style.load_embeddings(args.embeddings)
     pool = []
     for row in variations:
@@ -354,8 +348,8 @@ def _cmd_build_seqs(args) -> int:
     samples: list[seqbuild.Sample] = []
     skipped: list[str] = []
     if args.mode == "conditioned":
-        tokens_rows = _read_jsonl(Path(args.tokens))
-        profiles = {r["piece"]: r for r in _read_jsonl(Path(args.profiles))}
+        tokens_rows = _read_jsonl(args.tokens, "piece", "tokens")
+        profiles = {r["piece"]: r for r in _read_jsonl(args.profiles, "piece", "profile")}
         inputs = [Path(args.tokens), Path(args.profiles)]
         for row in tokens_rows:
             prof = profiles.get(row["piece"])
@@ -367,7 +361,7 @@ def _cmd_build_seqs(args) -> int:
                 max_len=args.max_len))
     else:
         pairs = mining.load_pairs(args.pairs)
-        variations = _read_jsonl(Path(args.variations))
+        variations = _read_jsonl(args.variations, "var", "tokens")
         tokens_by_id = {r["var"]: r["tokens"] for r in variations}
         inputs = [Path(args.pairs), Path(args.variations)]
         samples, skipped = seqbuild.adaptation_samples(
@@ -410,24 +404,22 @@ def _cmd_train(args) -> int:
         batches.append((ids[lo:hi, :width], mask[lo:hi, :width], harmony[lo:hi]))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    log_rows: list[tuple[int, float]] = []
-    result = model.train(lm, batches, steps=args.steps, lr=args.lr, seed=args.seed,
-                         on_step=lambda step, loss: log_rows.append((step, loss)))
+    losses = model.train(lm, batches, steps=args.steps, lr=args.lr, seed=args.seed)
     with open(out_dir / "train_log.csv", "w", encoding="utf-8") as fh:
         fh.write("step,loss\n")
-        for step, loss in log_rows:
+        for step, loss in enumerate(losses, start=1):
             fh.write(f"{step},{loss:.6f}\n")
-    model.save_checkpoint(str(out_dir / "checkpoint.npz"), lm, step=result.steps)
+    model.save_checkpoint(str(out_dir / "checkpoint.npz"), lm, step=len(losses))
     _write_manifest(out_dir, args, [Path(args.seqs), Path(args.vocab)])
-    print(f"trained {result.steps} steps, final loss {result.final_loss:.4f}")
+    print(f"trained {len(losses)} steps, final loss {losses[-1]:.4f}")
     return 0
 
 
 def _cmd_sample(args) -> int:
     vocab = lmx.Vocabulary.load(args.vocab)
     lm, _, _ = model.load_checkpoint(args.checkpoint)
-    skyline_rows = _read_jsonl(Path(args.skylines))
-    profiles = {r["piece"]: r for r in _read_jsonl(Path(args.profiles))}
+    skyline_rows = _read_jsonl(args.skylines, "piece")
+    profiles = {r["piece"]: r for r in _read_jsonl(args.profiles, "piece", "profile")}
     out_dir = Path(args.out_dir)
     scores_dir = out_dir / "scores"
     scores_dir.mkdir(parents=True, exist_ok=True)
@@ -469,8 +461,8 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    orig_post = {r["piece"]: r for r in _read_jsonl(Path(args.original_posteriors))}
-    var_post = {r["piece"]: r for r in _read_jsonl(Path(args.variation_posteriors))}
+    orig_post = {r["piece"]: r for r in _read_jsonl(args.original_posteriors, "piece", "level")}
+    var_post = {r["piece"]: r for r in _read_jsonl(args.variation_posteriors, "piece", "level")}
     orig_emb = style.load_embeddings(args.original_embeddings)
     var_emb = style.load_embeddings(args.variation_embeddings)
     genres: dict[str, str] = {}

@@ -9,11 +9,12 @@ fraction of the least certain predictions before any downstream use.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+
+from . import interchange
 
 __all__ = [
     "ModelError",
@@ -96,10 +97,6 @@ class GaussianNB:
         """Most probable level per row (ties go to the lower level)."""
         joint = self.log_joint(features)
         return np.asarray(LEVELS)[np.argmax(joint, axis=1)]
-
-    def confidence(self, features: np.ndarray) -> np.ndarray:
-        """Probability of the predicted level."""
-        return self.posterior(features).max(axis=1)
 
 
 def fit(features: np.ndarray, levels: Sequence[int],
@@ -278,23 +275,19 @@ def quantile_levels(proxy: Sequence[float]) -> np.ndarray:
 # Persistence
 
 def save_model(model: GaussianNB, path: str) -> None:
-    payload = {
+    interchange.write_json(path, {
         "format": "gnb-v1",
         "levels": list(LEVELS),
         "log_prior": [None if np.isneginf(v) else float(v) for v in model.log_prior],
         "mean": model.mean.tolist(),
         "var": model.var.tolist(),
         "temperature": model.temperature,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def load_model(path: str) -> GaussianNB:
+    payload = interchange.read_json(path, ModelError)
     try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
         if payload.get("format") != "gnb-v1":
             raise ModelError(f"unrecognized model format in {path}")
         # null marks a class absent from training: its log prior is -inf
@@ -314,5 +307,5 @@ def load_model(path: str) -> GaussianNB:
         return model
     except KeyError as exc:
         raise ModelError(f"{path}: missing field {exc}") from exc
-    except (ValueError, TypeError, AttributeError) as exc:
+    except (ValueError, TypeError) as exc:
         raise ModelError(f"{path}: bad model: {exc}") from exc

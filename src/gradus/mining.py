@@ -11,13 +11,13 @@ random strategy's pairs.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
+from . import interchange
 from .gnb import confidence_filter
 from .style import cosine_similarity
 
@@ -188,54 +188,40 @@ def _mean_distance(pairs: Sequence[Pair]) -> float:
 def save_pairs(path: str, pairs: Sequence[Pair]) -> None:
     """One JSON object per line, sorted by (piece, hard, easy)."""
     ordered = sorted(pairs, key=lambda p: (p.piece, p.hard, p.easy))
-    with open(path, "w", encoding="utf-8") as fh:
-        for p in ordered:
-            fh.write(json.dumps({
-                "piece": p.piece, "hard": p.hard, "easy": p.easy,
-                "hard_level": p.hard_level, "easy_level": p.easy_level,
-                "gap": p.gap, "sim": p.sim}) + "\n")
+    interchange.write_jsonl(path, map(asdict, ordered))
 
 
 def load_pairs(path: str) -> list[Pair]:
     out: list[Pair] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                out.append(Pair(
-                    piece=rec["piece"], hard=rec["hard"], easy=rec["easy"],
-                    hard_level=int(rec["hard_level"]),
-                    easy_level=int(rec["easy_level"]),
-                    gap=int(rec["gap"]), sim=float(rec["sim"])))
-            except KeyError as exc:
-                raise MiningError(f"{path}:{line_no}: missing field {exc}") from exc
-            except (ValueError, TypeError) as exc:
-                raise MiningError(f"{path}:{line_no}: bad record: {exc}") from exc
-            if not math.isfinite(out[-1].sim):
-                raise MiningError(f"{path}:{line_no}: sim {out[-1].sim} is not finite")
+    for where, rec in interchange.read_jsonl(path, MiningError):
+        try:
+            pair = Pair(piece=rec["piece"], hard=rec["hard"], easy=rec["easy"],
+                        hard_level=int(rec["hard_level"]),
+                        easy_level=int(rec["easy_level"]),
+                        gap=int(rec["gap"]), sim=float(rec["sim"]))
+        except KeyError as exc:
+            raise MiningError(f"{where}: missing field {exc}") from exc
+        except (ValueError, TypeError) as exc:
+            raise MiningError(f"{where}: bad record: {exc}") from exc
+        if not math.isfinite(pair.sim):
+            raise MiningError(f"{where}: sim {pair.sim} is not finite")
+        out.append(pair)
     return out
 
 
 def save_report(path: str, report: MiningReport) -> None:
-    payload = {
+    interchange.write_json(path, {
         "strategy": report.strategy,
         "min_gap": report.min_gap,
         "counts": report.counts,
         "mean_distance": None if np.isnan(report.mean_distance) else report.mean_distance,
         "mean_distance_by_gap": {str(g): d for g, d in report.mean_distance_by_gap.items()},
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def load_report(path: str) -> MiningReport:
+    payload = interchange.read_json(path, MiningError)
     try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
         md = payload.get("mean_distance")
         return MiningReport(
             strategy=payload["strategy"], min_gap=int(payload["min_gap"]),

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, asdict, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, asdict
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -36,7 +36,6 @@ __all__ = [
     "rope_rotate",
     "AdamW",
     "train",
-    "TrainResult",
     "SampleResult",
     "sample",
     "save_checkpoint",
@@ -499,42 +498,29 @@ class AdamW:
 # ---------------------------------------------------------------------------
 # Training loop
 
-@dataclass
-class TrainResult:
-    steps: int
-    final_loss: float
-    history: list[tuple[int, float]] = field(default_factory=list)
-
-
 def train(model: TinyLM, batches: Sequence[tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]],
-          steps: int, lr: float = 6e-4, weight_decay: float = 0.01,
-          seed: int = 42, log_every: int = 10,
-          on_step: Optional[Callable[[int, float], None]] = None) -> TrainResult:
+          steps: int, lr: float = 6e-4, seed: int = 42) -> list[float]:
     """Cycle through ``(ids, mask, harmony)`` batches for a fixed step count.
 
     Batches are visited in a seeded random order, reshuffled each epoch.
-    Loss history holds every ``log_every``-th step plus the last.
+    Returns the loss of every step, in order.
     """
     if not batches:
         raise LMError("no batches to train on")
     if steps < 1:
         raise LMError("steps must be positive")
-    opt = AdamW(model.params, lr=lr, weight_decay=weight_decay)
+    opt = AdamW(model.params, lr=lr)
     rng = np.random.default_rng(seed)
     order: list[int] = []
-    history: list[tuple[int, float]] = []
-    loss = float("nan")
-    for step in range(1, steps + 1):
+    losses: list[float] = []
+    for _ in range(steps):
         if not order:
             order = rng.permutation(len(batches)).tolist()
         ids, mask, harmony = batches[order.pop()]
         loss, grads = model.loss_and_grads(ids, mask, harmony)
         opt.update(model.params, grads)
-        if step % log_every == 0 or step == steps:
-            history.append((step, loss))
-        if on_step is not None:
-            on_step(step, loss)
-    return TrainResult(steps=steps, final_loss=loss, history=history)
+        losses.append(loss)
+    return losses
 
 
 # ---------------------------------------------------------------------------

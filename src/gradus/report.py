@@ -9,11 +9,12 @@ optionally genre or original level), rendered as CSV or Markdown.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, asdict
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
+
+from . import interchange
 
 __all__ = [
     "ReportError",
@@ -162,21 +163,17 @@ def render_report(rows: Sequence[ReportRow], format: str = "csv") -> str:
 # Interchange format
 
 def save_records(path: str, records: Iterable[OutcomeRecord]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(asdict(rec), sort_keys=True) + "\n")
+    interchange.write_jsonl(path, (dict(sorted(asdict(rec).items())) for rec in records))
 
 
 def load_records(path: str) -> list[OutcomeRecord]:
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                out.append(OutcomeRecord(**rec))
-            except (json.JSONDecodeError, TypeError) as exc:
-                raise ReportError(f"{path}:{line_no}: bad record: {exc}") from exc
+    for where, rec in interchange.read_jsonl(path, ReportError):
+        try:
+            record = OutcomeRecord(**rec)
+        except (TypeError, ReportError) as exc:
+            raise ReportError(f"{where}: bad record: {exc}") from exc
+        if type(record.distance) not in (int, float) or not np.isfinite(record.distance):
+            raise ReportError(f"{where}: distance {record.distance!r} is not a finite number")
+        out.append(record)
     return out

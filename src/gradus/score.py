@@ -17,7 +17,7 @@ import xml.etree.ElementTree as ET
 import zipfile
 import zlib
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Iterator, Optional, Sequence
@@ -250,7 +250,6 @@ class Score:
     genre: Optional[str] = None
     source_id: Optional[str] = None
     n_staves: int = 2
-    validated: bool = False
 
     def events(self) -> Iterator[NoteEvent]:
         for m in self.measures:
@@ -559,7 +558,7 @@ def _sort_events(events: list[NoteEvent]) -> list[NoteEvent]:
 # Validation
 
 def validate_two_staff(score: Score) -> Score:
-    """Accept exactly the corpus shape: one part, two staves, nonempty."""
+    """Accept exactly the corpus shape (one part, two staves, nonempty); return ``score``."""
     if not score.measures:
         raise ValidationError("degenerate score: no measures")
     if score.n_staves != 2:
@@ -568,7 +567,7 @@ def validate_two_staff(score: Score) -> Score:
     staves = {ev.staff for ev in score.events()}
     if not staves <= {1, 2}:
         raise ValidationError(f"events on unsupported staves {sorted(staves)}")
-    return replace(score, validated=True)
+    return score
 
 
 # ---------------------------------------------------------------------------

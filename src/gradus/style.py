@@ -10,12 +10,12 @@ through the same JSONL interchange format.
 
 from __future__ import annotations
 
-import json
 import zlib
 from typing import Optional, Sequence
 
 import numpy as np
 
+from . import interchange
 from .analysis import SkylineNote, _profile_of, _skyline_of
 from .score import Score, TimelineSegment, timeline
 
@@ -142,39 +142,32 @@ def save_embeddings(path: str, embeddings: dict[str, np.ndarray]) -> None:
     dims = {v.shape for v in embeddings.values()}
     if len(dims) > 1:
         raise StyleError(f"inconsistent embedding shapes: {sorted(dims)}")
-    with open(path, "w", encoding="utf-8") as fh:
-        for key in embeddings:
-            v = np.asarray(embeddings[key], dtype=np.float64).ravel()
-            fh.write(json.dumps({"id": key, "dim": int(v.shape[0]),
-                                 "v": [float(x) for x in v]}) + "\n")
+    vectors = {key: np.asarray(v, dtype=np.float64).ravel() for key, v in embeddings.items()}
+    interchange.write_jsonl(path, ({"id": key, "dim": v.size, "v": v.tolist()}
+                                   for key, v in vectors.items()))
 
 
 def load_embeddings(path: str) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
     dim: Optional[int] = None
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                key = rec.get("id")
-                v = np.asarray(rec.get("v", []), dtype=np.float64)
-            except (ValueError, TypeError, AttributeError) as exc:
-                raise StyleError(f"{path}:{line_no}: bad record: {exc}") from exc
-            if not isinstance(key, str) or v.ndim != 1 or v.shape[0] == 0:
-                raise StyleError(f"{path}:{line_no}: record needs a string 'id' and nonempty 'v'")
-            if not np.isfinite(v).all():
-                raise StyleError(f"{path}:{line_no}: 'v' of {key!r} holds a non-finite number")
-            if rec.get("dim") != v.shape[0]:
-                raise StyleError(f"{path}:{line_no}: dim {rec.get('dim')} does not "
-                                 f"match vector length {v.shape[0]}")
-            if dim is None:
-                dim = v.shape[0]
-            elif v.shape[0] != dim:
-                raise StyleError(f"{path}:{line_no}: mixed dimensions {dim} and {v.shape[0]}")
-            if key in out:
-                raise StyleError(f"{path}:{line_no}: duplicate id {key!r}")
-            out[key] = v
+    for where, rec in interchange.read_jsonl(path, StyleError):
+        key = rec.get("id")
+        try:
+            v = np.asarray(rec.get("v", []), dtype=np.float64)
+        except (ValueError, TypeError) as exc:
+            raise StyleError(f"{where}: bad record: {exc}") from exc
+        if not isinstance(key, str) or v.ndim != 1 or v.shape[0] == 0:
+            raise StyleError(f"{where}: record needs a string 'id' and nonempty 'v'")
+        if not np.isfinite(v).all():
+            raise StyleError(f"{where}: 'v' of {key!r} holds a non-finite number")
+        if rec.get("dim") != v.shape[0]:
+            raise StyleError(f"{where}: dim {rec.get('dim')} does not "
+                             f"match vector length {v.shape[0]}")
+        if dim is None:
+            dim = v.shape[0]
+        elif v.shape[0] != dim:
+            raise StyleError(f"{where}: mixed dimensions {dim} and {v.shape[0]}")
+        if key in out:
+            raise StyleError(f"{where}: duplicate id {key!r}")
+        out[key] = v
     return out

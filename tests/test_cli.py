@@ -453,3 +453,58 @@ class TestErrorContract:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+
+# stage -> (argv run inside the ws fixture, the file whose last row loses a
+# field and is passed as BAD, that field)
+LOCATED_ROW_ERRORS = {
+    "fit-gnb": (("fit-gnb", "--features", "BAD", "--out-dir", "OUT"),
+                "feat.jsonl", "features"),
+    "classify": (("classify", "--model", "gnb/model.json", "--features", "BAD",
+                  "--out", "OUT"), "feat.jsonl", "features"),
+    "mine-pairs": (("mine-pairs", "--variations", "vars/variations.jsonl",
+                    "--posteriors", "BAD", "--embeddings", "vars/varemb.jsonl",
+                    "--out-dir", "OUT"), "vars/varpost.jsonl", "confidence"),
+    "build-seqs conditioned": (("build-seqs", "--mode", "conditioned", "--vocab",
+                                "enc/vocab.txt", "--tokens", "sky.jsonl", "--profiles", "BAD",
+                                "--out", "OUT"), "prof.jsonl", "profile"),
+    "build-seqs adaptation": (("build-seqs", "--mode", "adaptation", "--vocab",
+                               "enc/vocab.txt", "--pairs", "EMPTY", "--variations", "BAD",
+                               "--out", "OUT"), "vars/variations.jsonl", "tokens"),
+    "sample": (("sample", "--checkpoint", "CK", "--vocab", "enc/vocab.txt",
+                "--skylines", "sky.jsonl", "--profiles", "BAD", "--out-dir", "OUT"),
+               "prof.jsonl", "profile"),
+    "evaluate": (("evaluate", "--runs", "OUT", "--original-posteriors", "post.jsonl",
+                  "--variation-posteriors", "BAD", "--original-embeddings", "emb.jsonl",
+                  "--variation-embeddings", "emb.jsonl", "--out-dir", "OUT"),
+                 "post.jsonl", "level"),
+    "lmx decode": (("lmx", "decode", "--tokens", "BAD", "--out-dir", "OUT"),
+                   "enc/tokens.jsonl", "tokens"),
+}
+
+
+@pytest.mark.parametrize("case", LOCATED_ROW_ERRORS.values(), ids=LOCATED_ROW_ERRORS.keys())
+def test_row_missing_a_field_is_a_located_cli_error(ws, synthetic_variations, trained,
+                                                    tmp_path, monkeypatch, capsys, case):
+    argv, source, field = case
+    rows = read_jsonl(ws / source)
+    del rows[-1][field]
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    (tmp_path / "empty.jsonl").write_text("")
+    names = {"BAD": bad, "EMPTY": tmp_path / "empty.jsonl", "OUT": tmp_path / "out",
+             "CK": trained / "ck" / "checkpoint.npz"}
+    monkeypatch.chdir(ws)
+    assert main([str(names.get(a, a)) for a in argv]) == 1
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "CliError"
+    assert payload["message"] == f"{bad}:{len(rows)}: missing field {field!r}"
+
+
+def test_row_that_is_not_an_object_is_a_cli_error(ws, tmp_path, capsys):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text((ws / "feat.jsonl").read_text() + "[1, 2]\n")
+    assert main(["fit-gnb", "--features", str(bad), "--out-dir", str(tmp_path / "out")]) == 1
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "CliError"
+    assert payload["message"].startswith(f"{bad}:7: ")

@@ -40,8 +40,7 @@ class TestGenerateCorpus:
 
     def test_all_two_staff_valid(self, small_corpus):
         for score in small_corpus:
-            validated = validate_two_staff(score)
-            assert validated.validated
+            assert validate_two_staff(score) is score
 
 
 class TestGeneratedContent:

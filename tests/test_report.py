@@ -189,3 +189,14 @@ class TestPersistence:
             '"genre": "etude", "strategy": "random", "gap": 1}\n')
         with pytest.raises(ReportError):
             load_records(str(path))
+
+    @pytest.mark.parametrize("distance", ["NaN", "Infinity", "-Infinity", '"0.5"', "null"])
+    def test_non_finite_or_non_numeric_distance_rejected(self, tmp_path, distance):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(
+            '{"piece": "p", "variation": "v", "original_level": 5, '
+            '"predicted_level": 3, "outcome": "easier", "distance": 0.1}\n'
+            '{"piece": "p", "variation": "w", "original_level": 5, '
+            '"predicted_level": 3, "outcome": "easier", "distance": ' + distance + '}\n')
+        with pytest.raises(ReportError, match=r"bad\.jsonl:2: distance .* not a finite number"):
+            load_records(str(path))

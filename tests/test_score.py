@@ -354,8 +354,7 @@ class TestMxlContainer:
 
 class TestValidation:
     def test_two_staff_accepted(self, reference_piece):
-        validated = validate_two_staff(reference_piece)
-        assert validated.validated
+        assert validate_two_staff(reference_piece) is reference_piece
 
     def test_single_staff_rejected(self):
         doc = """<score-partwise><part-list/><part id="P1">
