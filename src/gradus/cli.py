@@ -16,6 +16,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -100,13 +101,41 @@ def _load_corpus(corpus: Path) -> list[tuple[str, Score]]:
     return [_read_piece(path) for path in _corpus_paths(corpus)]
 
 
+def _finite_numbers(value) -> bool:
+    try:
+        return isinstance(value, list) and all(
+            type(v) in (int, float) and math.isfinite(v) for v in value)
+    except OverflowError:   # an integer too large for a float
+        return False
+
+
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+# the fields of a row whose type is checked wherever a row holds them
+_FIELD_TYPES = {
+    "features": ("a list of finite numbers", _finite_numbers),
+    "profile": ("a list of finite numbers", _finite_numbers),
+    "perturbed": ("a list of finite numbers", _finite_numbers),
+    "tokens": ("a list of strings", _strings),
+}
+
+
 def _read_jsonl(path: str, *fields: str) -> list[dict]:
-    """The rows of a JSONL file, each holding every one of ``fields``."""
+    """The rows of a JSONL file, each holding every one of ``fields``.
+
+    A field named in ``_FIELD_TYPES`` must also hold its type, whether or
+    not the caller asked for it.
+    """
     rows = []
     for where, row in interchange.read_jsonl(path, CliError):
         for name in fields:
             if name not in row:
                 raise CliError(f"{where}: missing field {name!r}")
+        for name, (kind, holds) in _FIELD_TYPES.items():
+            if name in row and not holds(row[name]):
+                raise CliError(f"{where}: field {name!r} must be {kind}")
         rows.append(row)
     return rows
 
@@ -483,6 +512,10 @@ def _cmd_evaluate(args) -> int:
                 raise CliError(f"no original posterior for {pair.piece}")
             if pair.easy not in var_post:
                 raise CliError(f"no variation posterior for {pair.easy}")
+            if pair.piece not in orig_emb:
+                raise CliError(f"no original embedding for {pair.piece}")
+            if pair.easy not in var_emb:
+                raise CliError(f"no variation embedding for {pair.easy}")
             original_level = int(orig_post[pair.piece]["level"])
             predicted_level = int(var_post[pair.easy]["level"])
             distance = style.style_distance(orig_emb[pair.piece], var_emb[pair.easy])

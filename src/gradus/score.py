@@ -84,6 +84,25 @@ TUPLET_RATIOS: tuple[tuple[int, int], ...] = ((3, 2), (5, 4))
 _DOT_FACTORS = (Fraction(1), Fraction(3, 2), Fraction(7, 4))
 
 
+def _notated_readings() -> dict[Fraction, tuple[str, int, Optional[tuple[int, int]]]]:
+    """Every notatable duration and its reading.
+
+    Filled in search order (plain before tuplet, fewer dots first, longer
+    types first); the first reading of a duration wins.
+    """
+    table: dict[Fraction, tuple[str, int, Optional[tuple[int, int]]]] = {}
+    for ratio in ((1, 1),) + TUPLET_RATIOS:
+        actual, normal = ratio
+        for dots, factor in enumerate(_DOT_FACTORS):
+            for name, length in DURATION_TYPES.items():
+                table.setdefault(length * factor * normal / actual,
+                                 (name, dots, None if ratio == (1, 1) else ratio))
+    return table
+
+
+_NOTATED = _notated_readings()
+
+
 def type_for_duration(quarters: Fraction) -> Optional[tuple[str, int, Optional[tuple[int, int]]]]:
     """Decompose a rational duration into ``(type, dots, tuplet)``.
 
@@ -91,18 +110,7 @@ def type_for_duration(quarters: Fraction) -> Optional[tuple[str, int, Optional[t
     value (plain, dotted once or twice, optionally under a supported tuplet
     ratio).  Plain values are preferred over tuplet readings.
     """
-    if quarters <= 0:
-        return None
-    for ratio in ((1, 1),) + TUPLET_RATIOS:
-        actual, normal = ratio
-        notated = quarters * actual / normal
-        for dots, factor in enumerate(_DOT_FACTORS):
-            base = notated / factor
-            for name, length in DURATION_TYPES.items():
-                if base == length:
-                    tuplet = None if ratio == (1, 1) else ratio
-                    return name, dots, tuplet
-    return None
+    return _NOTATED.get(quarters)
 
 
 def duration_for_type(name: str, dots: int = 0, tuplet: Optional[tuple[int, int]] = None) -> Fraction:
@@ -336,6 +344,10 @@ def parse_musicxml(document: bytes | str) -> Score:
     ``<backup>`` are filled with hidden rests so that every voice is
     contiguous inside each measure it appears in.  Malformed input raises
     a :class:`ScoreError` subclass.
+
+    Positions inside a measure are counted in integer ticks; a
+    :class:`~fractions.Fraction` is built only for the onset and the
+    duration of each event.
     """
     if isinstance(document, str):
         document = document.encode("utf-8")
@@ -363,19 +375,78 @@ def parse_musicxml(document: bytes | str) -> Score:
     time_sig: Optional[tuple[int, int]] = None
     measures: list[Measure] = []
     cursor = Fraction(0)
+    # equal values share one object: Pitch and Fraction are immutable
+    pitches: dict[tuple[Optional[str], ...], Pitch] = {}
+    lengths: dict[tuple[int, int], Fraction] = {}   # quarters from 0
 
     for m_index, m_elem in enumerate(part.findall("measure")):
         try:
             m_time: Optional[tuple[int, int]] = None
             m_key: Optional[int] = None
             m_clefs: list[Optional[str]] = [None, None]
-            raw: list[NoteEvent] = []
+            # (onset, length, divisions, event): onset and length in the
+            # divisions current at the note, length 0 for grace notes
+            raw: list[tuple[int, int, int, NoteEvent]] = []
+            onsets: dict[tuple[int, int], Fraction] = {}   # quarters from cursor
             pos = 0                 # divisions from measure start
             maxpos = 0
             last_onset = 0          # onset of the most recent non-chord note
 
             for elem in m_elem:
-                if elem.tag == "attributes":
+                tag = elem.tag
+                if tag == "note":
+                    # the first child of each tag, as find() would return it
+                    children = {child.tag: child for child in reversed(elem)}
+                    is_grace = "grace" in children
+                    is_chord = "chord" in children
+                    voice = int(_text(children.get("voice")) or 1)
+                    staff = int(_text(children.get("staff")) or 1)
+                    declared_staves = max(declared_staves, staff)
+                    if staff > 2:
+                        # keep parsing; validate_two_staff reports the violation
+                        staff = 2
+                    hidden = elem.get("print-object") == "no"
+                    ties = {t.get("type") for t in elem.findall("tie")}
+
+                    pitch = None
+                    if "rest" not in children:
+                        p_el = children.get("pitch")
+                        if p_el is None:
+                            raise MusicXmlParseError(
+                                f"measure {m_index + 1}: note with neither pitch nor rest")
+                        spelling = (p_el.findtext("step"), p_el.findtext("alter"),
+                                    p_el.findtext("octave"))
+                        pitch = pitches.get(spelling)
+                        if pitch is None:
+                            step, alter, octave = (t.strip() if t else None for t in spelling)
+                            pitch = pitches[spelling] = Pitch.from_parts(
+                                step or "C", int(float(alter or 0)), int(octave or 4))
+
+                    if is_grace:
+                        type_text = _text(children.get("type")) or "eighth"
+                        raw.append((pos, 0, divisions, NoteEvent(
+                            onset=_shared_q(onsets, pos, divisions, m_index, cursor),
+                            duration=DURATION_TYPES.get(type_text, Fraction(1, 2)),
+                            pitch=pitch, voice=voice, staff=staff,
+                            grace=True, hidden=hidden)))
+                        continue
+
+                    dur_divs = _required_duration(children.get("duration"), tag, m_index)
+                    if divisions is None:
+                        raise MusicXmlParseError(
+                            f"measure {m_index + 1}: missing divisions attribute")
+                    onset_divs = last_onset if is_chord else pos
+                    raw.append((onset_divs, dur_divs, divisions, NoteEvent(
+                        onset=_shared_q(onsets, onset_divs, divisions, m_index, cursor),
+                        duration=_shared_q(lengths, dur_divs, divisions, m_index),
+                        pitch=pitch, voice=voice, staff=staff,
+                        tie_start="start" in ties, tie_stop="stop" in ties,
+                        chord=is_chord, hidden=hidden)))
+                    if not is_chord:
+                        last_onset = pos
+                        pos += dur_divs
+                        maxpos = max(maxpos, pos)
+                elif tag == "attributes":
                     div_el = elem.find("divisions")
                     if div_el is not None and div_el.text:
                         divisions = int(div_el.text)
@@ -397,62 +468,14 @@ def parse_musicxml(document: bytes | str) -> Score:
                         if 1 <= number <= 2:
                             m_clefs[number - 1] = f"{sign}{line}"
                         declared_staves = max(declared_staves, number)
-                elif elem.tag == "backup":
-                    pos -= _required_duration(elem, m_index)
+                elif tag == "backup":
+                    pos -= _required_duration(elem.find("duration"), tag, m_index)
                     if pos < 0:
                         raise MusicXmlParseError(
                             f"measure {m_index + 1}: backup before measure start")
-                elif elem.tag == "forward":
-                    pos += _required_duration(elem, m_index)
+                elif tag == "forward":
+                    pos += _required_duration(elem.find("duration"), tag, m_index)
                     maxpos = max(maxpos, pos)
-                elif elem.tag == "note":
-                    is_grace = elem.find("grace") is not None
-                    is_chord = elem.find("chord") is not None
-                    is_rest = elem.find("rest") is not None
-                    voice = int(_first_text(elem, ("voice",)) or 1)
-                    staff = int(_first_text(elem, ("staff",)) or 1)
-                    declared_staves = max(declared_staves, staff)
-                    if staff > 2:
-                        # keep parsing; validate_two_staff reports the violation
-                        staff = 2
-                    hidden = elem.get("print-object") == "no"
-                    ties = {t.get("type") for t in elem.findall("tie")}
-
-                    pitch = None
-                    if not is_rest:
-                        p_el = elem.find("pitch")
-                        if p_el is None:
-                            raise MusicXmlParseError(
-                                f"measure {m_index + 1}: note with neither pitch nor rest")
-                        step = _first_text(p_el, ("step",)) or "C"
-                        alter = int(float(_first_text(p_el, ("alter",)) or 0))
-                        octave = int(_first_text(p_el, ("octave",)) or 4)
-                        pitch = Pitch.from_parts(step, alter, octave)
-
-                    if is_grace:
-                        type_text = _first_text(elem, ("type",)) or "eighth"
-                        dur_q = DURATION_TYPES.get(type_text, Fraction(1, 2))
-                        raw.append(NoteEvent(
-                            onset=cursor + _q(pos, divisions, m_index),
-                            duration=dur_q, pitch=pitch, voice=voice, staff=staff,
-                            grace=True, hidden=hidden))
-                        continue
-
-                    dur_divs = _required_duration(elem, m_index)
-                    if divisions is None:
-                        raise MusicXmlParseError(
-                            f"measure {m_index + 1}: missing divisions attribute")
-                    onset_divs = last_onset if is_chord else pos
-                    raw.append(NoteEvent(
-                        onset=cursor + _q(onset_divs, divisions, m_index),
-                        duration=_q(dur_divs, divisions, m_index),
-                        pitch=pitch, voice=voice, staff=staff,
-                        tie_start="start" in ties, tie_stop="stop" in ties,
-                        chord=is_chord, hidden=hidden))
-                    if not is_chord:
-                        last_onset = pos
-                        pos += dur_divs
-                        maxpos = max(maxpos, pos)
                 # directions, barlines, harmony, prints, sounds: no timing content
 
             if maxpos > 0:
@@ -462,7 +485,7 @@ def parse_musicxml(document: bytes | str) -> Score:
             else:
                 m_duration = Fraction(4)
 
-            events = _fill_voice_gaps(raw, cursor, cursor + m_duration, m_index)
+            events = _fill_voice_gaps(raw, cursor, m_duration, m_index)
             measures.append(Measure(
                 index=m_index, start=cursor, duration=m_duration,
                 events=tuple(events), time_sig=m_time, key_fifths=m_key,
@@ -480,27 +503,48 @@ def parse_musicxml(document: bytes | str) -> Score:
         n_staves=max(declared_staves, observed))
 
 
-def _q(divs: int, divisions: Optional[int], m_index: int) -> Fraction:
+def _q(divs: int, divisions: Optional[int], m_index: int,
+       start: Fraction = Fraction(0)) -> Fraction:
+    """``start + divs / divisions`` quarters, built as one Fraction."""
     if divisions is None:
         raise MusicXmlParseError(f"measure {m_index + 1}: missing divisions attribute")
-    return Fraction(divs, divisions)
+    return Fraction(start.numerator * divisions + divs * start.denominator,
+                    start.denominator * divisions)
 
 
-def _required_duration(elem: ET.Element, m_index: int) -> int:
-    text = _first_text(elem, ("duration",))
+def _shared_q(shared: dict[tuple[int, int], Fraction], divs: int,
+              divisions: Optional[int], m_index: int,
+              start: Fraction = Fraction(0)) -> Fraction:
+    """:func:`_q`, built once per ``(divs, divisions)`` in ``shared``.
+
+    ``shared`` must hold values for this ``start`` only.
+    """
+    value = shared.get((divs, divisions))
+    if value is None:
+        value = shared[divs, divisions] = _q(divs, divisions, m_index, start)
+    return value
+
+
+def _required_duration(duration: Optional[ET.Element], tag: str, m_index: int) -> int:
+    text = _text(duration)
     if text is None:
-        raise MusicXmlParseError(f"measure {m_index + 1}: <{elem.tag}> without duration")
+        raise MusicXmlParseError(f"measure {m_index + 1}: <{tag}> without duration")
     value = int(float(text))
     if value < 0:
         raise MusicXmlParseError(f"measure {m_index + 1}: negative duration")
     return value
 
 
+def _text(elem: Optional[ET.Element]) -> Optional[str]:
+    """Stripped text of ``elem``; None when it is missing or has no text."""
+    return elem.text.strip() if elem is not None and elem.text else None
+
+
 def _first_text(elem: ET.Element, paths: Sequence[str]) -> Optional[str]:
     for path in paths:
-        found = elem.find(path)
-        if found is not None and found.text:
-            return found.text.strip()
+        text = _text(elem.find(path))
+        if text is not None:
+            return text
     return None
 
 
@@ -511,47 +555,58 @@ def _misc_field(root: ET.Element, name: str) -> Optional[str]:
     return None
 
 
-def _fill_voice_gaps(raw: list[NoteEvent], start: Fraction, end: Fraction,
-                     m_index: int) -> list[NoteEvent]:
+def _fill_voice_gaps(raw: list[tuple[int, int, int, NoteEvent]], start: Fraction,
+                     duration: Fraction, m_index: int) -> list[NoteEvent]:
     """Insert hidden rests so each voice is contiguous from measure start to end.
 
     Also rejects overlapping events within a voice (chord members excepted).
     Events are returned in a stable order: by onset, then staff, voice, with
     grace notes ahead of their principal and chord members after their root.
+    All positions are compared as integer ticks of ``1/unit`` quarter from
+    the measure start, where ``unit`` is a multiple of every divisions value
+    the measure used and of the denominator of its duration.
     """
-    by_voice: dict[int, list[NoteEvent]] = {}
-    for ev in raw:
+    unit = lcm(duration.denominator, *{divisions for _, _, divisions, _ in raw})
+    end = duration.numerator * (unit // duration.denominator)
+    timed: list[tuple[int, int, NoteEvent]] = []
+    by_voice: dict[int, list[tuple[int, int, NoteEvent]]] = {}
+    for divs, length, divisions, ev in raw:
+        scale = unit // divisions
+        item = (divs * scale, length * scale, ev)
+        timed.append(item)
         if not ev.grace:
-            by_voice.setdefault(ev.voice, []).append(ev)
-    filled = list(raw)
-    for voice, evs in by_voice.items():
-        groups: dict[Fraction, list[NoteEvent]] = {}
-        for ev in evs:
-            groups.setdefault(ev.onset, []).append(ev)
-        cur = start
-        staff_hint = evs[0].staff
+            by_voice.setdefault(ev.voice, []).append(item)
+    for voice, items in by_voice.items():
+        groups: dict[int, list[tuple[int, int, NoteEvent]]] = {}
+        for item in items:
+            groups.setdefault(item[0], []).append(item)
+        cur = 0
+        staff_hint = items[0][2].staff
         for onset in sorted(groups):
             group = groups[onset]
             if onset < cur:
                 raise MusicXmlParseError(
                     f"measure {m_index + 1}: overlapping events in voice {voice}")
             if onset > cur:
-                filled.append(NoteEvent(onset=cur, duration=onset - cur, pitch=None,
-                                        voice=voice, staff=group[0].staff, hidden=True))
-            root = next((e for e in group if not e.chord), group[0])
-            cur = onset + root.duration
-            staff_hint = group[-1].staff
+                timed.append((cur, onset - cur, _hidden_rest(
+                    start, cur, onset - cur, unit, voice, group[0][2].staff, m_index)))
+            root = next((item for item in group if not item[2].chord), group[0])
+            cur = onset + root[1]
+            staff_hint = group[-1][2].staff
         if cur < end:
-            filled.append(NoteEvent(onset=cur, duration=end - cur, pitch=None,
-                                    voice=voice, staff=staff_hint, hidden=True))
-    return _sort_events(filled)
-
-
-def _sort_events(events: list[NoteEvent]) -> list[NoteEvent]:
-    decorated = [(ev.onset, ev.staff, ev.voice, not ev.grace, ev.chord, i, ev)
-                 for i, ev in enumerate(events)]
-    decorated.sort(key=lambda t: t[:6])
+            timed.append((cur, end - cur, _hidden_rest(
+                start, cur, end - cur, unit, voice, staff_hint, m_index)))
+    decorated = [(tick, ev.staff, ev.voice, not ev.grace, ev.chord, i, ev)
+                 for i, (tick, _, ev) in enumerate(timed)]
+    # the index is unique, so the events themselves are never compared
+    decorated.sort()
     return [t[-1] for t in decorated]
+
+
+def _hidden_rest(start: Fraction, tick: int, length: int, unit: int, voice: int,
+                 staff: int, m_index: int) -> NoteEvent:
+    return NoteEvent(onset=_q(tick, unit, m_index, start), duration=Fraction(length, unit),
+                     pitch=None, voice=voice, staff=staff, hidden=True)
 
 
 # ---------------------------------------------------------------------------
@@ -574,61 +629,77 @@ def validate_two_staff(score: Score) -> Score:
 # Serialization
 
 def serialize_musicxml(score: Score) -> bytes:
-    """Write partwise MusicXML (UTF-8) that re-parses to an equivalent score."""
-    root = ET.Element("score-partwise", version="4.0")
+    """Write partwise MusicXML (UTF-8) that re-parses to an equivalent score.
+
+    The text is written directly in one fixed layout: the XML declaration,
+    then one element per line indented by two spaces a level, ``<tag />``
+    for an element without content, and ``&``, ``<`` and ``>`` escaped in
+    text.  These are the bytes ElementTree writes for the same tree after
+    ``ET.indent``.
+    """
+    out = ["<?xml version='1.0' encoding='UTF-8'?>", '<score-partwise version="4.0">']
     if score.title:
-        ET.SubElement(root, "movement-title").text = score.title
+        out.append(f"  <movement-title>{_escape(score.title)}</movement-title>")
     misc_pairs = [(n, v) for n, v in (("genre", score.genre), ("source", score.source_id)) if v]
     if misc_pairs:
-        ident = ET.SubElement(root, "identification")
-        misc = ET.SubElement(ident, "miscellaneous")
+        out += ("  <identification>", "    <miscellaneous>")
         for name, value in misc_pairs:
-            f = ET.SubElement(misc, "miscellaneous-field", name=name)
-            f.text = value
-    part_list = ET.SubElement(root, "part-list")
-    sp = ET.SubElement(part_list, "score-part", id="P1")
-    ET.SubElement(sp, "part-name").text = "Piano"
-    part = ET.SubElement(root, "part", id="P1")
-
-    prev_divisions = None
-    for measure in score.measures:
-        m_el = ET.SubElement(part, "measure", number=str(measure.index + 1))
-        divisions = _measure_divisions(measure)
-        attrs_needed = (divisions != prev_divisions or measure.key_fifths is not None
-                        or measure.time_sig is not None or any(measure.clefs)
-                        or measure.index == 0)
-        if attrs_needed:
-            attrs = ET.SubElement(m_el, "attributes")
-            if divisions != prev_divisions:
-                ET.SubElement(attrs, "divisions").text = str(divisions)
-                prev_divisions = divisions
-            if measure.key_fifths is not None:
-                key = ET.SubElement(attrs, "key")
-                ET.SubElement(key, "fifths").text = str(measure.key_fifths)
-            if measure.time_sig is not None:
-                time = ET.SubElement(attrs, "time")
-                ET.SubElement(time, "beats").text = str(measure.time_sig[0])
-                ET.SubElement(time, "beat-type").text = str(measure.time_sig[1])
-            if measure.index == 0:
-                ET.SubElement(attrs, "staves").text = str(score.n_staves)
-            for staff_no, clef in enumerate(measure.clefs, start=1):
-                if clef:
-                    c = ET.SubElement(attrs, "clef", number=str(staff_no))
-                    ET.SubElement(c, "sign").text = clef[:1]
-                    if clef[1:]:
-                        ET.SubElement(c, "line").text = clef[1:]
-        _write_measure_events(m_el, measure, divisions)
-
-    buf = io.BytesIO()
-    ET.indent(root)
-    tree = ET.ElementTree(root)
-    tree.write(buf, encoding="UTF-8", xml_declaration=True)
-    return buf.getvalue()
+            out.append(f'      <miscellaneous-field name="{name}">{_escape(value)}'
+                       "</miscellaneous-field>")
+        out += ("    </miscellaneous>", "  </identification>")
+    out += ("  <part-list>", '    <score-part id="P1">', "      <part-name>Piano</part-name>",
+            "    </score-part>", "  </part-list>")
+    if not score.measures:
+        out.append('  <part id="P1" />')
+    else:
+        out.append('  <part id="P1">')
+        prev_divisions = None
+        for measure in score.measures:
+            divisions = _measure_divisions(measure)
+            attrs_needed = (divisions != prev_divisions or measure.key_fifths is not None
+                            or measure.time_sig is not None or any(measure.clefs)
+                            or measure.index == 0)
+            if not attrs_needed and not measure.events:
+                out.append(f'    <measure number="{measure.index + 1}" />')
+                continue
+            out.append(f'    <measure number="{measure.index + 1}">')
+            if attrs_needed:
+                out.append("      <attributes>")
+                if divisions != prev_divisions:
+                    out.append(f"        <divisions>{divisions}</divisions>")
+                    prev_divisions = divisions
+                if measure.key_fifths is not None:
+                    out.append(f"        <key>\n          <fifths>{measure.key_fifths}</fifths>"
+                               "\n        </key>")
+                if measure.time_sig is not None:
+                    beats, beat_type = measure.time_sig
+                    out.append(f"        <time>\n          <beats>{beats}</beats>\n"
+                               f"          <beat-type>{beat_type}</beat-type>\n        </time>")
+                if measure.index == 0:
+                    out.append(f"        <staves>{score.n_staves}</staves>")
+                for staff_no, clef in enumerate(measure.clefs, start=1):
+                    if clef:
+                        out.append(f'        <clef number="{staff_no}">\n'
+                                   f"          <sign>{_escape(clef[:1])}</sign>")
+                        if clef[1:]:
+                            out.append(f"          <line>{_escape(clef[1:])}</line>")
+                        out.append("        </clef>")
+                out.append("      </attributes>")
+            _write_measure_events(out, measure, divisions)
+            out.append("    </measure>")
+        out.append("  </part>")
+    out.append("</score-partwise>")
+    return "\n".join(out).encode("utf-8", "xmlcharrefreplace")
 
 
 def write_musicxml(score: Score, path: str) -> None:
     with open(path, "wb") as fh:
         fh.write(serialize_musicxml(score))
+
+
+def _escape(text: str) -> str:
+    """Text content escaped as ElementTree escapes it (quotes stay as they are)."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _measure_divisions(measure: Measure) -> int:
@@ -641,13 +712,13 @@ def _measure_divisions(measure: Measure) -> int:
     return lcm(*denoms)
 
 
-def _write_measure_events(m_el: ET.Element, measure: Measure, divisions: int) -> None:
+def _write_measure_events(out: list[str], measure: Measure, divisions: int) -> None:
     voices = sorted({ev.voice for ev in measure.events})
     cursor = Fraction(0)  # in quarters, relative to measure start
     for voice in voices:
         if cursor != 0:
-            backup = ET.SubElement(m_el, "backup")
-            ET.SubElement(backup, "duration").text = str(int(cursor * divisions))
+            out.append(f"      <backup>\n        <duration>{int(cursor * divisions)}"
+                       "</duration>\n      </backup>")
             cursor = Fraction(0)
         evs = [ev for ev in measure.events if ev.voice == voice]
         groups: dict[Fraction, list[NoteEvent]] = {}
@@ -656,52 +727,55 @@ def _write_measure_events(m_el: ET.Element, measure: Measure, divisions: int) ->
         for onset in sorted(groups):
             rel = onset - measure.start
             if rel > cursor:
-                fwd = ET.SubElement(m_el, "forward")
-                ET.SubElement(fwd, "duration").text = str(int((rel - cursor) * divisions))
+                out.append(f"      <forward>\n        <duration>{int((rel - cursor) * divisions)}"
+                           "</duration>\n      </forward>")
                 cursor = rel
             group = sorted(groups[onset], key=lambda e: (not e.grace, e.chord))
             first_sounding = True
             for ev in group:
-                _write_note(m_el, ev, divisions, chord=not ev.grace and not first_sounding)
+                _write_note(out, ev, divisions, chord=not ev.grace and not first_sounding)
                 if not ev.grace:
                     if first_sounding:
                         cursor = rel + ev.duration
                     first_sounding = False
 
 
-def _write_note(m_el: ET.Element, ev: NoteEvent, divisions: int, chord: bool) -> None:
-    note = ET.SubElement(m_el, "note")
-    if ev.hidden:
-        note.set("print-object", "no")
+def _write_note(out: list[str], ev: NoteEvent, divisions: int, chord: bool) -> None:
+    out.append('      <note print-object="no">' if ev.hidden else "      <note>")
     if ev.grace:
-        ET.SubElement(note, "grace")
+        out.append("        <grace />")
     if chord:
-        ET.SubElement(note, "chord")
-    if ev.pitch is None:
-        ET.SubElement(note, "rest")
+        out.append("        <chord />")
+    pitch = ev.pitch
+    if pitch is None:
+        out.append("        <rest />")
+    elif pitch.alter:
+        out.append(f"        <pitch>\n          <step>{pitch.step}</step>\n"
+                   f"          <alter>{pitch.alter}</alter>\n"
+                   f"          <octave>{pitch.octave}</octave>\n        </pitch>")
     else:
-        p = ET.SubElement(note, "pitch")
-        ET.SubElement(p, "step").text = ev.pitch.step
-        if ev.pitch.alter:
-            ET.SubElement(p, "alter").text = str(ev.pitch.alter)
-        ET.SubElement(p, "octave").text = str(ev.pitch.octave)
+        out.append(f"        <pitch>\n          <step>{pitch.step}</step>\n"
+                   f"          <octave>{pitch.octave}</octave>\n        </pitch>")
     if not ev.grace:
-        ET.SubElement(note, "duration").text = str(int(ev.duration * divisions))
-    for flag, kind in ((ev.tie_stop, "stop"), (ev.tie_start, "start")):
-        if flag:
-            ET.SubElement(note, "tie", type=kind)
-    ET.SubElement(note, "voice").text = str(ev.voice)
-    decomposed = type_for_duration(ev.duration)
+        # a duration is positive, so floor division truncates as int() does
+        ticks = ev.duration.numerator * divisions // ev.duration.denominator
+        out.append(f"        <duration>{ticks}</duration>")
+    if ev.tie_stop:
+        out.append('        <tie type="stop" />')
+    if ev.tie_start:
+        out.append('        <tie type="start" />')
+    out.append(f"        <voice>{ev.voice}</voice>")
+    decomposed = _NOTATED.get(ev.duration)
     if decomposed is not None:
         name, dots, tuplet = decomposed
-        ET.SubElement(note, "type").text = name
-        for _ in range(dots):
-            ET.SubElement(note, "dot")
+        out.append(f"        <type>{name}</type>")
+        out += ("        <dot />",) * dots
         if tuplet is not None:
-            tm = ET.SubElement(note, "time-modification")
-            ET.SubElement(tm, "actual-notes").text = str(tuplet[0])
-            ET.SubElement(tm, "normal-notes").text = str(tuplet[1])
-    ET.SubElement(note, "staff").text = str(ev.staff)
+            out.append(f"        <time-modification>\n"
+                       f"          <actual-notes>{tuplet[0]}</actual-notes>\n"
+                       f"          <normal-notes>{tuplet[1]}</normal-notes>\n"
+                       f"        </time-modification>")
+    out.append(f"        <staff>{ev.staff}</staff>\n      </note>")
 
 
 # ---------------------------------------------------------------------------

@@ -483,12 +483,43 @@ LOCATED_ROW_ERRORS = {
 }
 
 
-@pytest.mark.parametrize("case", LOCATED_ROW_ERRORS.values(), ids=LOCATED_ROW_ERRORS.keys())
-def test_row_missing_a_field_is_a_located_cli_error(ws, synthetic_variations, trained,
-                                                    tmp_path, monkeypatch, capsys, case):
-    argv, source, field = case
+# stage -> (argv as above, the file whose last row gets a wrong value in one
+# field, that field, the value, what the field must be)
+MISTYPED_ROW_ERRORS = {
+    "fit-gnb": (LOCATED_ROW_ERRORS["fit-gnb"][0], "feat.jsonl", "features", "x",
+                "a list of finite numbers"),
+    "classify": (LOCATED_ROW_ERRORS["classify"][0], "feat.jsonl", "features",
+                 [1.0, "2"], "a list of finite numbers"),
+    "classify non-finite": (LOCATED_ROW_ERRORS["classify"][0], "feat.jsonl", "features",
+                            [1.0, float("nan")], "a list of finite numbers"),
+    "classify beyond float": (LOCATED_ROW_ERRORS["classify"][0], "feat.jsonl", "features",
+                              [10 ** 400], "a list of finite numbers"),
+    "build-seqs conditioned": (("build-seqs", "--mode", "conditioned", "--vocab",
+                                "enc/vocab.txt", "--tokens", "BAD", "--profiles",
+                                "prof.jsonl", "--out", "OUT"),
+                               "sky.jsonl", "tokens", ["C4", 1], "a list of strings"),
+    "build-seqs adaptation": (LOCATED_ROW_ERRORS["build-seqs adaptation"][0],
+                              "vars/variations.jsonl", "tokens", "C4", "a list of strings"),
+    "build-seqs perturbed": (LOCATED_ROW_ERRORS["build-seqs conditioned"][0], "prof.jsonl",
+                             "perturbed", [True], "a list of finite numbers"),
+    "sample skylines": (("sample", "--checkpoint", "CK", "--vocab", "enc/vocab.txt",
+                         "--skylines", "BAD", "--profiles", "prof.jsonl", "--out-dir", "OUT"),
+                        "sky.jsonl", "tokens", {"C4": 1}, "a list of strings"),
+    "sample profiles": (LOCATED_ROW_ERRORS["sample"][0], "prof.jsonl", "profile", None,
+                        "a list of finite numbers"),
+    "lmx decode": (LOCATED_ROW_ERRORS["lmx decode"][0], "enc/tokens.jsonl", "tokens", 3,
+                   "a list of strings"),
+}
+
+
+def _fail_on_last_row(ws, trained, tmp_path, monkeypatch, capsys, argv, source, change):
+    """Run ``argv`` in ``ws`` with ``change`` made to the last row of ``source``.
+
+    Returns the stage's error payload and the path of the changed file and
+    its row count.
+    """
     rows = read_jsonl(ws / source)
-    del rows[-1][field]
+    change(rows[-1])
     bad = tmp_path / "bad.jsonl"
     bad.write_text("".join(json.dumps(r) + "\n" for r in rows))
     (tmp_path / "empty.jsonl").write_text("")
@@ -498,7 +529,53 @@ def test_row_missing_a_field_is_a_located_cli_error(ws, synthetic_variations, tr
     assert main([str(names.get(a, a)) for a in argv]) == 1
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert payload["error"] == "CliError"
-    assert payload["message"] == f"{bad}:{len(rows)}: missing field {field!r}"
+    return payload["message"], f"{bad}:{len(rows)}"
+
+
+@pytest.mark.parametrize("case", LOCATED_ROW_ERRORS.values(), ids=LOCATED_ROW_ERRORS.keys())
+def test_row_missing_a_field_is_a_located_cli_error(ws, synthetic_variations, trained,
+                                                    tmp_path, monkeypatch, capsys, case):
+    argv, source, field = case
+    message, where = _fail_on_last_row(ws, trained, tmp_path, monkeypatch, capsys, argv,
+                                       source, lambda row: row.pop(field))
+    assert message == f"{where}: missing field {field!r}"
+
+
+@pytest.mark.parametrize("case", MISTYPED_ROW_ERRORS.values(), ids=MISTYPED_ROW_ERRORS.keys())
+def test_row_with_a_mistyped_field_is_a_located_cli_error(ws, synthetic_variations, trained,
+                                                          tmp_path, monkeypatch, capsys, case):
+    argv, source, field, value, kind = case
+    message, where = _fail_on_last_row(ws, trained, tmp_path, monkeypatch, capsys, argv,
+                                       source, lambda row: row.update({field: value}))
+    assert message == f"{where}: field {field!r} must be {kind}"
+
+
+@pytest.mark.parametrize("table", ["original", "variation"])
+def test_pair_without_an_embedding_is_a_cli_error(ws, synthetic_variations, tmp_path,
+                                                  capsys, table):
+    run("mine-pairs", "--variations", str(synthetic_variations / "variations.jsonl"),
+        "--posteriors", str(synthetic_variations / "varpost.jsonl"),
+        "--embeddings", str(synthetic_variations / "varemb.jsonl"),
+        "--strategy", "random", "--min-gap", "1", "--out-dir", str(tmp_path / "mined"))
+    first = read_jsonl(tmp_path / "mined" / "pairs.jsonl")[0]
+    missing = first["piece"] if table == "original" else first["easy"]
+    source = ws / "emb.jsonl" if table == "original" else synthetic_variations / "varemb.jsonl"
+    embeddings = tmp_path / "emb.jsonl"
+    embeddings.write_text("".join(json.dumps(r) + "\n" for r in read_jsonl(source)
+                                  if r["id"] != missing))
+    tables = {"original": str(ws / "emb.jsonl"),
+              "variation": str(synthetic_variations / "varemb.jsonl")}
+    tables[table] = str(embeddings)
+    rc = main(["evaluate", "--runs", str(tmp_path / "mined"),
+               "--original-posteriors", str(ws / "post.jsonl"),
+               "--variation-posteriors", str(synthetic_variations / "varpost.jsonl"),
+               "--original-embeddings", tables["original"],
+               "--variation-embeddings", tables["variation"],
+               "--out-dir", str(tmp_path / "eval")])
+    assert rc == 1
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload == {"error": "CliError",
+                       "message": f"no {table} embedding for {missing}"}
 
 
 def test_row_that_is_not_an_object_is_a_cli_error(ws, tmp_path, capsys):
