@@ -128,6 +128,11 @@ def _read_jsonl(path: str, *fields: str) -> list[dict]:
     A field named in ``_FIELD_TYPES`` must also hold its type, whether or
     not the caller asked for it.
     """
+    return [row for _, row in _read_located(path, *fields)]
+
+
+def _read_located(path: str, *fields: str) -> list[tuple[str, dict]]:
+    """:func:`_read_jsonl`'s rows, each with its ``path:line``."""
     rows = []
     for where, row in interchange.read_jsonl(path, CliError):
         for name in fields:
@@ -136,7 +141,7 @@ def _read_jsonl(path: str, *fields: str) -> list[dict]:
         for name, (kind, holds) in _FIELD_TYPES.items():
             if name in row and not holds(row[name]):
                 raise CliError(f"{where}: field {name!r} must be {kind}")
-        rows.append(row)
+        rows.append((where, row))
     return rows
 
 
@@ -313,10 +318,16 @@ def _cmd_fit_gnb(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    rows = _read_jsonl(args.features, "piece", "features")
+    located = _read_located(args.features, "piece", "features")
+    rows = [row for _, row in located]
     fitted = gnb.load_model(args.model)
     x = np.array([r["features"] for r in rows], dtype=np.float64)
-    posterior = fitted.posterior(x)
+    try:
+        posterior = fitted.posterior(x)
+    except gnb.ModelError as exc:
+        if exc.row is None:
+            raise
+        raise CliError(f"{located[exc.row][0]}: {exc}") from exc
     levels = fitted.predict(x)
     out_rows = []
     for r, level, post in zip(rows, levels, posterior):

@@ -31,7 +31,14 @@ __all__ = [
 
 
 class ModelError(Exception):
-    pass
+    """A model that cannot be fitted, stored or applied.
+
+    ``row`` is the index of the feature row at fault, when one is.
+    """
+
+    def __init__(self, message: str, row: Optional[int] = None) -> None:
+        super().__init__(message)
+        self.row = row
 
 
 LEVELS: tuple[int, ...] = tuple(range(1, 10))
@@ -70,25 +77,32 @@ class GaussianNB:
         """Unnormalized log P(level, features), shape (n, 9).
 
         Sum of the log prior and the per-feature Gaussian log densities;
-        absent classes come out as -inf.
+        absent classes come out as -inf.  A row that no class gives a
+        finite value (a feature so far from every mean that its square
+        overflows, or a non-finite feature) raises :class:`ModelError`.
         """
         x = np.atleast_2d(np.asarray(features, dtype=np.float64))
         if x.shape[1] != _N_FEATURES:
             raise ModelError(f"expected {_N_FEATURES} features, got {x.shape[1]}")
         diff = x[:, None, :] - self.mean[None, :, :]       # (n, 9, 12)
-        log_pdf = -0.5 * (np.log(2.0 * np.pi * self.var)[None, :, :]
-                          + diff * diff / self.var[None, :, :])
-        with np.errstate(invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            log_pdf = -0.5 * (np.log(2.0 * np.pi * self.var)[None, :, :]
+                              + diff * diff / self.var[None, :, :])
             joint = self.log_prior[None, :] + log_pdf.sum(axis=2)
         # 0 * -inf from absent classes would give nan; force them back to -inf
         joint = np.where(np.isneginf(self.log_prior)[None, :], -np.inf, joint)
-        return joint
+        return _scorable(joint)
 
     def posterior(self, features: np.ndarray, calibrated: bool = True) -> np.ndarray:
-        """P(level | features), rows summing to 1, shape (n, 9)."""
+        """P(level | features), rows summing to 1, shape (n, 9).
+
+        Raises :class:`ModelError` for a row that :meth:`log_joint` refuses,
+        or whose log-joint a temperature below 1 scales past the float range.
+        """
         joint = self.log_joint(features)
         if calibrated:
-            joint = joint / self.temperature
+            with np.errstate(over="ignore"):
+                joint = _scorable(joint / self.temperature)
         joint = joint - joint.max(axis=1, keepdims=True)
         p = np.exp(joint)
         return p / p.sum(axis=1, keepdims=True)
@@ -97,6 +111,16 @@ class GaussianNB:
         """Most probable level per row (ties go to the lower level)."""
         joint = self.log_joint(features)
         return np.asarray(LEVELS)[np.argmax(joint, axis=1)]
+
+
+def _scorable(joint: np.ndarray) -> np.ndarray:
+    """``joint``, if every row gives some level a finite log-joint."""
+    unscorable = np.flatnonzero(~np.isfinite(joint.max(axis=1)))
+    if unscorable.size:
+        row = int(unscorable[0])
+        raise ModelError(f"feature row {row} has a finite log-likelihood under no level",
+                         row=row)
+    return joint
 
 
 def fit(features: np.ndarray, levels: Sequence[int],

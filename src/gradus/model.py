@@ -133,13 +133,20 @@ def _gelu_bwd(dy: np.ndarray, cache) -> np.ndarray:
 
 
 def _softmax_last(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis, written over ``x``, which it returns.
+
+    Every caller passes a temporary of its own, so no new array of the
+    size of ``x`` is made.
+    """
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
 
 
-# float64 score elements per query block: 8 MiB of scores
-_ATTN_BLOCK_ELEMS = 2 ** 20
+# float64 score elements per query block: 2 MiB of scores, so that a block
+# stays in a core's L2 cache
+_ATTN_BLOCK_ELEMS = 2 ** 18
 
 
 def _query_blocks(b: int, h: int, start: int, s: int) -> list[tuple[int, int]]:
@@ -171,7 +178,8 @@ def _attend(qr: np.ndarray, keys: np.ndarray, values: np.ndarray, start: int,
     ctx = np.empty_like(qr)
     for lo, hi in blocks:
         end = start + hi
-        scores = qr[:, :, lo:hi] @ keys[:, :, :end].swapaxes(-1, -2) / np.sqrt(hd)
+        scores = qr[:, :, lo:hi] @ keys[:, :, :end].swapaxes(-1, -2)
+        scores /= np.sqrt(hd)
         if hi - lo > 1:
             scores[..., start + lo:] += future[:hi - lo, :hi - lo]
         p = _softmax_last(scores)
@@ -192,9 +200,12 @@ def _attend_bwd(dctx: np.ndarray, qr: np.ndarray, kr: np.ndarray, vh: np.ndarray
         hi = p.shape[-1]
         lo = hi - p.shape[-2]
         d = dctx[:, :, lo:hi]
-        dprobs = d @ vh[:, :, :hi].swapaxes(-1, -2)
-        dscores = (dprobs - (dprobs * p).sum(axis=-1, keepdims=True)) * p
-        dscores = dscores / np.sqrt(hd)
+        # dprobs becomes dscores in place; only the product for the row sums
+        # is a second block-sized array
+        dscores = d @ vh[:, :, :hi].swapaxes(-1, -2)
+        dscores -= (dscores * p).sum(axis=-1, keepdims=True)
+        dscores *= p
+        dscores /= np.sqrt(hd)
         dqr[:, :, lo:hi] = dscores @ kr[:, :, :hi]
         dkr[:, :, :hi] += dscores.swapaxes(-1, -2) @ qr[:, :, lo:hi]
         dvh[:, :, :hi] += p.swapaxes(-1, -2) @ d
@@ -252,7 +263,13 @@ class TinyLM:
             h = np.atleast_2d(np.asarray(harmony, dtype=np.float64))
             if h.shape != (ids.shape[0], 12):
                 raise LMError(f"harmony must be ({ids.shape[0]}, 12), got {h.shape}")
-            inj = h @ p["harm_w"] + p["harm_b"]
+            if h.shape[0] == 1:
+                # numpy sends a one-row product to BLAS gemv, which rounds
+                # otherwise than gemm's rows: two rows give the one row the
+                # injection it gets in a batch, as in sample's shared prefill
+                inj = (np.repeat(h, 2, axis=0) @ p["harm_w"])[:1] + p["harm_b"]
+            else:
+                inj = h @ p["harm_w"] + p["harm_b"]
             sel = (ids == self.config.harmony_token_id).astype(np.float64)
             x = x + sel[:, :, None] * inj[:, None, :]
         return x
@@ -264,6 +281,8 @@ class TinyLM:
         ``caches`` (a list) collects what :meth:`_backward` needs.  With a
         :meth:`start_cache` dict as ``kv``, positions start at ``kv["n"]``
         and attention runs over the cache, which the new keys fill in place.
+        One row of ``ids`` on a cache of more rows runs once, and its keys
+        and values are broadcast into every cache row.
         """
         cfg = self.config
         p = self.params
@@ -292,7 +311,7 @@ class TinyLM:
             else:
                 kv["k"][i][:, :, start:end] = kr
                 kv["v"][i][:, :, start:end] = vh
-                keys, values = kv["k"][i][:, :, :end], kv["v"][i][:, :, :end]
+                keys, values = kv["k"][i][:b, :, :end], kv["v"][i][:b, :, :end]
             probs = None if caches is None else []
             ctx = _attend(qr, keys, values, start, probs)
             merged = ctx.transpose(0, 2, 1, 3).reshape(b, s, cfg.d_model)
@@ -446,13 +465,20 @@ class TinyLM:
         positions continuing from ``cache["n"]``: the new keys and values
         are written in place into the cache that :meth:`start_cache`
         preallocated, and attention runs over the filled part; nothing is
-        reallocated.  A wrong shape, a token id outside the vocabulary or
-        going past the cache's capacity raises :class:`LMError` before the
-        cache is touched.  Returns logits for the new positions only.
+        reallocated.  On an empty cache, ``ids`` may also have shape (1, S):
+        a prefix shared by every row then runs once, its keys and values
+        fill every cache row, and the logits come back for that one row.
+        A wrong shape (including one row on a cache of several rows that
+        already holds tokens, whose rows may differ), a token id outside the
+        vocabulary or going past the cache's capacity raises
+        :class:`LMError` before the cache is touched.  Returns logits for
+        the new positions only.
         """
         ids = np.asarray(ids)
-        if ids.ndim != 2 or ids.shape[0] != cache["batch"]:
-            raise LMError(f"ids must have shape ({cache['batch']}, S), got {ids.shape}")
+        shared = ids.ndim == 2 and ids.shape[0] == 1 and cache["n"] == 0
+        if ids.ndim != 2 or (ids.shape[0] != cache["batch"] and not shared):
+            raise LMError(f"ids must have shape ({cache['batch']}, S), or (1, S) on an "
+                          f"empty cache, got {ids.shape}")
         end = cache["n"] + ids.shape[1]
         if end > cache["capacity"]:
             raise LMError(f"sequence length {end} exceeds cache capacity {cache['capacity']}")
@@ -543,6 +569,9 @@ def sample(model: TinyLM, prefix: Sequence[int], n_sequences: int,
     k entries, and sampled.  Generation stops per sequence at ``end_id``
     (which is not included in the output) or after ``max_new_tokens``.
     The cache is preallocated once for the prefix plus ``max_new_tokens``.
+    The prefix runs once for all rows.  Rows that have drawn ``end_id``
+    leave the cache once the rows still running are three quarters of its
+    rows or fewer.
     """
     if n_sequences < 1:
         raise LMError("n_sequences must be positive")
@@ -560,25 +589,48 @@ def sample(model: TinyLM, prefix: Sequence[int], n_sequences: int,
     # capped at max_len: a call that needs more fails in extend once the cache is full
     cache = model.start_cache(b, capacity=min(prefix_arr.size + max_new_tokens,
                                               model.config.max_len))
-    tiled = np.tile(prefix_arr, (b, 1))
     hmat = None
     if harmony is not None:
-        hmat = np.tile(np.asarray(harmony, dtype=np.float64).reshape(1, 12), (b, 1))
-    logits = model.extend(cache, tiled, hmat)[:, -1, :]
+        hmat = np.asarray(harmony, dtype=np.float64).reshape(1, 12)
+    logits = np.repeat(model.extend(cache, prefix_arr[None], hmat)[:, -1, :], b, axis=0)
     # every row still running has drawn one token per step, so row r's
-    # output is tokens[r, :lengths[r]]; rows keep drawing after they stop
+    # output is tokens[r, :lengths[r]]; rows keep drawing after they stop,
+    # from their last logits once they have left the cache, so the random
+    # stream is the same however many rows the cache holds
     tokens = np.empty((b, max_new_tokens), dtype=np.int64)
     lengths = np.zeros(b, dtype=np.int64)
     done = np.zeros(b, dtype=bool)
+    rows = np.arange(b)     # the row that each cache row holds
     for step in range(max_new_tokens):
         tokens[:, step] = _pick(logits, temperature, top_k, rng)
         done |= tokens[:, step] == end_id
         lengths += ~done
         if done.all() or step + 1 == max_new_tokens:
             break
-        logits = model.extend(cache, tokens[:, step:step + 1], None)[:, -1, :]
+        running = ~done[rows]
+        if 4 * np.count_nonzero(running) <= 3 * rows.size:
+            _keep_rows(cache, np.flatnonzero(running))
+            rows = rows[running]
+        logits[rows] = model.extend(cache, tokens[rows, step:step + 1], None)[:, -1, :]
     return SampleResult(sequences=[row[:n].tolist() for row, n in zip(tokens, lengths)],
                         stopped_on_end=done.tolist())
+
+
+def _keep_rows(cache: dict, keep: np.ndarray) -> None:
+    """Move the cache rows ``keep`` (ascending) to its front and drop the rest.
+
+    Rows are copied one at a time, front to back, so a row is read before
+    any copy lands on it and no temporary of the cache is made; the cache
+    then views the front of the same arrays.
+    """
+    n = cache["n"]
+    for arrays in (cache["k"], cache["v"]):
+        for i, arr in enumerate(arrays):
+            for j, r in enumerate(keep):
+                if j != r:
+                    arr[j, :, :n] = arr[r, :, :n]
+            arrays[i] = arr[:keep.size]
+    cache["batch"] = keep.size
 
 
 def _pick(logits: np.ndarray, temperature: float, top_k: Optional[int],

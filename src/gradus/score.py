@@ -423,10 +423,9 @@ def parse_musicxml(document: bytes | str) -> Score:
                                 step or "C", int(float(alter or 0)), int(octave or 4))
 
                     if is_grace:
-                        type_text = _text(children.get("type")) or "eighth"
                         raw.append((pos, 0, divisions, NoteEvent(
                             onset=_shared_q(onsets, pos, divisions, m_index, cursor),
-                            duration=DURATION_TYPES.get(type_text, Fraction(1, 2)),
+                            duration=_grace_length(elem, children),
                             pitch=pitch, voice=voice, staff=staff,
                             grace=True, hidden=hidden)))
                         continue
@@ -533,6 +532,20 @@ def _required_duration(duration: Optional[ET.Element], tag: str, m_index: int) -
     if value < 0:
         raise MusicXmlParseError(f"measure {m_index + 1}: negative duration")
     return value
+
+
+def _grace_length(note: ET.Element, children: dict[str, ET.Element]) -> Fraction:
+    """A grace note's notated length, from its ``<type>`` (an eighth when
+    missing or unknown), ``<dot />`` count and ``<time-modification>``, as
+    :func:`serialize_musicxml` writes them.  Bad counts raise ``ValueError``
+    or ``TypeError``, which the measure loop reports as malformed."""
+    name = _text(children.get("type"))
+    if name not in DURATION_TYPES:
+        name = "eighth"
+    mod = children.get("time-modification")
+    tuplet = None if mod is None else (int(_text(mod.find("actual-notes"))),
+                                       int(_text(mod.find("normal-notes"))))
+    return duration_for_type(name, len(note.findall("dot")), tuplet)
 
 
 def _text(elem: Optional[ET.Element]) -> Optional[str]:

@@ -133,6 +133,25 @@ def test_prefill_at_offset_then_decode_match_dense(dense, budget, elems):
     assert_close(model.logits(ids, harmony), want)
 
 
+@pytest.mark.parametrize("elems", BUDGETS)
+def test_shared_prefill_matches_tiled_over_blocks(budget, elems):
+    # above one row per block, one row splits into fewer blocks than three
+    budget(elems)
+    model = TinyLM.create(CFG, seed=13)
+    ids, _, harmony = batch(14, b=1, t=11)
+    one = model.start_cache(3, capacity=12)
+    tiled = model.start_cache(3, capacity=12)
+    got = model.extend(one, ids, harmony)
+    want = model.extend(tiled, np.tile(ids, (3, 1)), np.tile(harmony, (3, 1)))
+    assert elems == 1 or _query_blocks(1, 2, 0, 11) != _query_blocks(3, 2, 0, 11)
+    for row in want:
+        assert_close(got[0], row)
+    for a, b in zip(one["k"] + one["v"], tiled["k"] + tiled["v"]):
+        assert_close(a[:, :, :11], b[:, :, :11])
+    step = np.array([[3], [5], [7]])
+    assert_close(model.extend(one, step), model.extend(tiled, step))
+
+
 @pytest.mark.parametrize("elems", [1, 3 * 36])
 def test_finite_differences_over_blocks(budget, elems):
     # shaped like acceptance test 08, split into 1-row and ragged blocks

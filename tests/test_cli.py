@@ -550,6 +550,17 @@ def test_row_with_a_mistyped_field_is_a_located_cli_error(ws, synthetic_variatio
     assert message == f"{where}: field {field!r} must be {kind}"
 
 
+def test_features_no_level_can_score_are_a_located_cli_error(ws, trained, tmp_path,
+                                                             monkeypatch, capsys):
+    # finite, but far enough out that every level's log-likelihood overflows
+    argv, source, _ = LOCATED_ROW_ERRORS["classify"]
+    message, where = _fail_on_last_row(ws, trained, tmp_path, monkeypatch, capsys, argv,
+                                       source, lambda row: row["features"].__setitem__(3, 1e155))
+    line = int(where.rsplit(":", 1)[1])
+    assert message == (f"{where}: feature row {line - 1} has a finite log-likelihood "
+                       "under no level")
+
+
 @pytest.mark.parametrize("table", ["original", "variation"])
 def test_pair_without_an_embedding_is_a_cli_error(ws, synthetic_variations, tmp_path,
                                                   capsys, table):

@@ -3,6 +3,8 @@ concatenating cache and the per-row loop they replaced."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradus.model import (
     _GELU_A,
@@ -200,3 +202,76 @@ def test_gelu_matches_power_form():
     # one rounding step of tanh moves the output by |x| * eps / 4 however
     # the cube is formed; allow that on top of the relative bound
     assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want) + np.abs(x) * np.finfo(float).eps)
+
+
+def test_shared_prefill_is_the_tiled_prefill_bit_for_bit(model):
+    # one row of the prefix fills every cache row with what a tiled
+    # prefix gives each row, and returns that one row's logits
+    rng = np.random.default_rng(12)
+    prefix = rng.integers(1, 17, size=9).astype(np.int64)
+    prefix[2] = CFG.harmony_token_id
+    harmony = rng.uniform(size=12)
+    one = model.start_cache(5, capacity=12)
+    tiled = model.start_cache(5, capacity=12)
+    got = model.extend(one, prefix[None], harmony[None])
+    want = model.extend(tiled, np.tile(prefix, (5, 1)), np.tile(harmony, (5, 1)))
+    assert got.shape == (1, 9, CFG.vocab_size) and one["n"] == 9
+    for row in want:
+        np.testing.assert_array_equal(got[0], row)
+    for a, b in zip(one["k"] + one["v"], tiled["k"] + tiled["v"]):
+        np.testing.assert_array_equal(a[:, :, :9], b[:, :, :9])
+    step = rng.integers(1, 17, size=(5, 1)).astype(np.int64)
+    np.testing.assert_array_equal(model.extend(one, step), model.extend(tiled, step))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_sequences=st.integers(1, 24), max_new=st.integers(1, 24),
+       temperature=st.sampled_from([0.0, 1.2]), top_k=st.sampled_from([None, 1, 3, 16]),
+       with_harmony=st.booleans(), data=st.data())
+def test_sample_matches_reference_as_rows_end(model, n_sequences, max_new, temperature,
+                                              top_k, with_harmony, data):
+    prefix = data.draw(st.lists(st.integers(0, CFG.vocab_size - 1), min_size=1, max_size=10),
+                       label="prefix")
+    if with_harmony:
+        prefix[0] = CFG.harmony_token_id
+    kwargs = dict(n_sequences=n_sequences, max_new_tokens=max_new, temperature=temperature,
+                  top_k=top_k, seed=data.draw(st.integers(0, 2 ** 16), label="seed"),
+                  harmony=harmony_of(with_harmony))
+    full = reference_sample(model, prefix, end_id=-1, **kwargs)
+    assert sample(model, prefix, end_id=-1, **kwargs) == full
+    # a token some row drew stops rows at different steps
+    drawn = sorted({tok for seq in full.sequences for tok in seq})
+    end_id = data.draw(st.sampled_from(drawn), label="end_id")
+    assert (sample(model, prefix, end_id=end_id, **kwargs)
+            == reference_sample(model, prefix, end_id=end_id, **kwargs))
+
+
+def test_ended_rows_leave_the_cache(model):
+    kwargs = dict(n_sequences=16, max_new_tokens=24, temperature=1.2, seed=6,
+                  harmony=harmony_of(True))
+    full = reference_sample(model, PREFIX, end_id=-1, **kwargs)
+    # the token most rows draw ends them at many different steps
+    rows_with = {}
+    for seq in full.sequences:
+        for tok in set(seq):
+            rows_with[tok] = rows_with.get(tok, 0) + 1
+    end_id = max(sorted(rows_with), key=rows_with.get)
+    batches = []
+    extend = model.extend
+
+    def spy(cache, ids, harmony=None):
+        batches.append((cache["batch"], ids.shape[0]))
+        return extend(cache, ids, harmony)
+
+    model.extend = spy
+    try:
+        got = sample(model, PREFIX, end_id=end_id, **kwargs)
+    finally:
+        del model.extend
+    assert got == reference_sample(model, PREFIX, end_id=end_id, **kwargs)
+    # the prefix runs as one row; every step runs exactly the cache's rows
+    assert batches[0] == (16, 1)
+    assert all(cache_rows == rows for cache_rows, rows in batches[1:])
+    sizes = [rows for _, rows in batches[1:]]
+    assert sizes == sorted(sizes, reverse=True)
+    assert len(set(sizes)) >= 3, sizes

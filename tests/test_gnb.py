@@ -6,6 +6,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradus.gnb import (
     LEVELS,
@@ -50,6 +52,14 @@ def make_training_set(rng, n=120, dims=12, levels=LEVELS):
         y[2 * i] = lv
         y[2 * i + 1] = lv
     return X, y
+
+
+def calibrated_model():
+    X, y = make_training_set(np.random.default_rng(10))
+    return fit_temperature(fit(X[:80], y[:80]), X[80:], y[80:])
+
+
+CALIBRATED = calibrated_model()
 
 
 class TestFit:
@@ -145,6 +155,44 @@ class TestPosterior:
         post = model.posterior(Q)
         assert np.all(np.isfinite(post))
         np.testing.assert_allclose(post.sum(axis=1), 1.0)
+
+    def test_features_whose_square_overflows_raise(self):
+        rng = np.random.default_rng(10)
+        X, y = make_training_set(rng)
+        model = fit(X, y)
+        Q = np.full((3, 12), 1.0)
+        Q[1, 4] = 1e154
+        assert np.all(np.isfinite(model.posterior(Q[:2])))
+        Q[2, 7] = -1e155
+        for method in (model.posterior, model.predict, model.log_joint):
+            with pytest.raises(ModelError, match="feature row 2 ") as info:
+                method(Q)
+            assert info.value.row == 2
+
+    def test_temperature_that_scales_past_the_float_range_raises(self):
+        model = GaussianNB(log_prior=np.zeros(9), mean=np.zeros((9, 12)),
+                           var=np.ones((9, 12)), temperature=0.05)
+        Q = np.full((2, 12), 3e153)
+        Q[0] = 1e153
+        assert np.all(np.isfinite(model.log_joint(Q)))
+        assert np.all(np.isfinite(model.posterior(Q[:1])))
+        assert np.all(np.isfinite(model.posterior(Q, calibrated=False)))
+        with pytest.raises(ModelError, match="feature row 1 ") as info:
+            model.posterior(Q)
+        assert info.value.row == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                  min_size=12, max_size=12), min_size=1, max_size=4),
+           calibrated=st.booleans())
+    def test_posterior_of_finite_features_is_finite_or_refused(self, rows, calibrated):
+        try:
+            post = CALIBRATED.posterior(np.array(rows), calibrated=calibrated)
+        except ModelError as exc:
+            assert exc.row is not None and 0 <= exc.row < len(rows)
+            return
+        assert np.all(np.isfinite(post))
+        assert np.all(np.abs(post.sum(axis=1) - 1.0) <= 1e-12)
 
 
 class TestTemperature:

@@ -268,6 +268,19 @@ class TestKVCache:
         with pytest.raises(LMError):
             model.extend(cache, np.ones((3, 1), dtype=np.int64))
 
+    def test_one_row_on_a_filled_cache_rejected(self):
+        # one row broadcasts only into an empty cache: rows that already
+        # hold tokens may differ, and must not all get row 0's history
+        model = TinyLM.create(TINY, seed=11)
+        cache = model.start_cache(batch=2, capacity=8)
+        model.extend(cache, np.array([[1, 2, 3], [3, 2, 1]], dtype=np.int64))
+        before = [a.copy() for a in cache["k"] + cache["v"]]
+        with pytest.raises(LMError):
+            model.extend(cache, np.ones((1, 1), dtype=np.int64))
+        assert cache["n"] == 3
+        for got, want in zip(cache["k"] + cache["v"], before):
+            np.testing.assert_array_equal(got, want)
+
     def test_overflow_rejected(self):
         model = TinyLM.create(TINY, seed=12)
         cache = model.start_cache(batch=1)

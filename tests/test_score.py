@@ -12,6 +12,7 @@ from gradus.score import (
     MusicXmlParseError,
     NoteEvent,
     Pitch,
+    TUPLET_RATIOS,
     Score,
     UnsupportedStructureError,
     ValidationError,
@@ -207,6 +208,40 @@ class TestParsing:
         assert len(grace) == 1 and grace[0].onset == 0
         assert main[0].onset == 0 and main[0].duration == 4
 
+    @pytest.mark.parametrize("marks, length", [
+        ("<type>eighth</type><dot/>", Fraction(3, 4)),
+        ("<type>16th</type><dot/>", Fraction(3, 8)),
+        ("<type>eighth</type><time-modification><actual-notes>3</actual-notes>"
+         "<normal-notes>2</normal-notes></time-modification>", Fraction(1, 3)),
+        ("<type>eighth</type><time-modification><actual-notes>5</actual-notes>"
+         "<normal-notes>4</normal-notes></time-modification>", Fraction(2, 5)),
+        ("<type>16th</type><dot/><dot/>", Fraction(7, 16)),
+        ("", Fraction(1, 2)),
+        ("<type>maxima</type>", Fraction(1, 2)),
+    ], ids=["eighth-dot", "16th-dot", "eighth-triplet", "eighth-quintuplet",
+            "16th-two-dots", "no-type", "unknown-type"])
+    def test_grace_length_keeps_dots_and_tuplets(self, marks, length):
+        body = ("<note><grace/><pitch><step>D</step><octave>5</octave></pitch>"
+                f"<voice>1</voice>{marks}<staff>1</staff></note>" + _note("C", 5, 16))
+        score = parse_musicxml(MINIMAL.format(divisions=4, body=body))
+        (grace,) = [e for e in score.events() if e.grace]
+        assert grace.duration == length and grace.onset == 0
+
+    @pytest.mark.parametrize("marks", [
+        "<type>eighth</type><dot/><dot/><dot/>",
+        "<type>eighth</type><time-modification><actual-notes>three</actual-notes>"
+        "<normal-notes>2</normal-notes></time-modification>",
+        "<type>eighth</type><time-modification><normal-notes>2</normal-notes>"
+        "</time-modification>",
+        "<type>eighth</type><time-modification><actual-notes>0</actual-notes>"
+        "<normal-notes>2</normal-notes></time-modification>",
+    ], ids=["three-dots", "actual-text", "actual-missing", "actual-zero"])
+    def test_malformed_grace_marks_raise_parse_error(self, marks):
+        body = ("<note><grace/><pitch><step>D</step><octave>5</octave></pitch>"
+                f"<voice>1</voice>{marks}</note>" + _note("C", 5, 16))
+        with pytest.raises(MusicXmlParseError, match="measure 1"):
+            parse_musicxml(MINIMAL.format(divisions=4, body=body))
+
     def test_empty_measure_gets_nominal_duration(self):
         score = parse_musicxml(MINIMAL.format(divisions=4, body=""))
         assert score.measures[0].duration == Fraction(4)
@@ -390,6 +425,23 @@ class TestSerialization:
     def test_serialization_deterministic(self, small_corpus):
         for score in small_corpus[:3]:
             assert serialize_musicxml(score) == serialize_musicxml(score)
+
+    def test_dotted_and_tuplet_grace_notes_survive_round_trip(self):
+        lengths = [duration_for_type(name, dots, tuplet) for name in ("eighth", "16th")
+                   for dots in range(3) for tuplet in (None,) + TUPLET_RATIOS]
+        events = []
+        for i, length in enumerate(lengths):
+            events.append(NoteEvent(onset=Fraction(i), duration=length,
+                                    pitch=Pitch.from_name("D5"), voice=1, staff=1, grace=True))
+            events.append(NoteEvent(onset=Fraction(i), duration=Fraction(1),
+                                    pitch=Pitch.from_name("C5"), voice=1, staff=1))
+        score = Score(measures=(Measure(index=0, start=Fraction(0),
+                                        duration=Fraction(len(lengths)),
+                                        events=tuple(events)),))
+        back = parse_musicxml(serialize_musicxml(score))
+        assert [(e.onset, e.duration) for e in back.events() if e.grace] == \
+            [(Fraction(i), length) for i, length in enumerate(lengths)]
+        assert back == score
 
     def test_ties_survive_round_trip(self, small_corpus):
         for score in small_corpus:

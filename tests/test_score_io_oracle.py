@@ -205,7 +205,10 @@ TEXT = st.one_of(st.none(), st.text(st.sampled_from(list("&<>\"' aZé中Ω ")),
 LENGTHS = sorted({duration_for_type(name, dots, tuplet)
                   for name in ("half", "quarter", "eighth", "16th")
                   for dots in range(3) for tuplet in (None,) + TUPLET_RATIOS})
-GRACE_TYPES = ("eighth", "16th", "32nd")
+# grace notes carry their dots and time modification too
+GRACE_LENGTHS = sorted({duration_for_type(name, dots, tuplet)
+                        for name in ("eighth", "16th", "32nd")
+                        for dots in range(3) for tuplet in (None,) + TUPLET_RATIOS})
 TIME_SIGS = (None, (4, 4), (3, 4), (6, 8), (7, 8))
 CLEFS = (None, "G2", "F4", "C3", "G", "&<")
 
@@ -223,8 +226,7 @@ def voice_line(draw, start, voice, staff):
     for _ in range(draw(st.integers(0, 5))):
         length = draw(st.sampled_from(LENGTHS))
         if draw(st.integers(0, 3)) == 0:
-            events.append(pitched(DURATION_TYPES[draw(st.sampled_from(GRACE_TYPES))],
-                                  grace=True))
+            events.append(pitched(draw(st.sampled_from(GRACE_LENGTHS)), grace=True))
         kind = draw(st.sampled_from(("note", "chord", "rest", "hidden rest")))
         if kind.endswith("rest"):
             events.append(NoteEvent(onset=cursor, duration=length, pitch=None, voice=voice,
