@@ -224,7 +224,7 @@ def test_shared_prefill_is_the_tiled_prefill_bit_for_bit(model):
     np.testing.assert_array_equal(model.extend(one, step), model.extend(tiled, step))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(n_sequences=st.integers(1, 24), max_new=st.integers(1, 24),
        temperature=st.sampled_from([0.0, 1.2]), top_k=st.sampled_from([None, 1, 3, 16]),
        with_harmony=st.booleans(), data=st.data())
@@ -247,15 +247,6 @@ def test_sample_matches_reference_as_rows_end(model, n_sequences, max_new, tempe
 
 
 def test_ended_rows_leave_the_cache(model):
-    kwargs = dict(n_sequences=16, max_new_tokens=24, temperature=1.2, seed=6,
-                  harmony=harmony_of(True))
-    full = reference_sample(model, PREFIX, end_id=-1, **kwargs)
-    # the token most rows draw ends them at many different steps
-    rows_with = {}
-    for seq in full.sequences:
-        for tok in set(seq):
-            rows_with[tok] = rows_with.get(tok, 0) + 1
-    end_id = max(sorted(rows_with), key=rows_with.get)
     batches = []
     extend = model.extend
 
@@ -263,15 +254,29 @@ def test_ended_rows_leave_the_cache(model):
         batches.append((cache["batch"], ids.shape[0]))
         return extend(cache, ids, harmony)
 
+    shrinks = {}
     model.extend = spy
     try:
-        got = sample(model, PREFIX, end_id=end_id, **kwargs)
+        for seed in range(8):
+            kwargs = dict(n_sequences=16, max_new_tokens=24, temperature=1.2, seed=seed,
+                          harmony=harmony_of(True))
+            full = reference_sample(model, PREFIX, end_id=-1, **kwargs)
+            # the tokens most rows draw end them at many different steps
+            rows_with = {}
+            for seq in full.sequences:
+                for tok in set(seq):
+                    rows_with[tok] = rows_with.get(tok, 0) + 1
+            for end_id in sorted(rows_with, key=lambda tok: (-rows_with[tok], tok))[:2]:
+                batches.clear()
+                got = sample(model, PREFIX, end_id=end_id, **kwargs)
+                assert got == reference_sample(model, PREFIX, end_id=end_id, **kwargs)
+                # the prefix runs as one row; every step runs exactly the cache's rows
+                assert batches[0] == (16, 1)
+                assert all(cache_rows == rows for cache_rows, rows in batches[1:])
+                sizes = [rows for _, rows in batches[1:]]
+                assert sizes == sorted(sizes, reverse=True)
+                shrinks[seed, end_id] = len(set(sizes)) - 1
     finally:
         del model.extend
-    assert got == reference_sample(model, PREFIX, end_id=end_id, **kwargs)
-    # the prefix runs as one row; every step runs exactly the cache's rows
-    assert batches[0] == (16, 1)
-    assert all(cache_rows == rows for cache_rows, rows in batches[1:])
-    sizes = [rows for _, rows in batches[1:]]
-    assert sizes == sorted(sizes, reverse=True)
-    assert len(set(sizes)) >= 3, sizes
+    # in each of these pinned cases the batch shrinks at least twice
+    assert min(shrinks.values()) >= 2, shrinks
