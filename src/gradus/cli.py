@@ -18,6 +18,7 @@ import hashlib
 import json
 import math
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from pathlib import Path
@@ -291,13 +292,14 @@ def _cmd_fit_gnb(args) -> int:
         uncalibrated = "corpus too small for a holdout"
     holdout = order[:n_holdout]
     trainrows = order[n_holdout:] if n_holdout else order
-    try:
-        fitted = gnb.fit(x[trainrows], y[trainrows])
-    except gnb.ModelError:
+    if n_holdout and 1 in Counter(y[trainrows].tolist()).values():
+        # gnb.fit needs two examples of every level it sees
         n_holdout = 0
         trainrows = order
         fitted = gnb.fit(x, y)
         uncalibrated = "split starved a level"
+    else:
+        fitted = gnb.fit(x[trainrows], y[trainrows])
     if n_holdout:
         if set(y[holdout].tolist()) - set(y[trainrows].tolist()):
             uncalibrated = "holdout has levels absent from training"

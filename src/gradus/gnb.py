@@ -129,7 +129,9 @@ def fit(features: np.ndarray, levels: Sequence[int],
 
     Each level present in ``levels`` needs at least two examples so its
     variance is estimable.  ``var_floor`` overrides the default floor of
-    ``1e-6`` times the mean pooled feature variance.
+    ``1e-6`` times the mean pooled feature variance.  A mean or variance
+    that is not finite (a non-finite feature, or one whose square
+    overflows) raises :class:`ModelError` naming the feature column.
     """
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(levels, dtype=np.int64)
@@ -144,7 +146,7 @@ def fit(features: np.ndarray, levels: Sequence[int],
         raise ModelError(f"levels outside 1..9: {sorted(bad)}")
 
     if var_floor is None:
-        pooled = x.var(axis=0, ddof=0)
+        pooled = _finite_stat(np.var, x, "pooled variance")
         var_floor = VARIANCE_FLOOR_RATIO * float(pooled.mean())
         if var_floor <= 0:
             var_floor = 1e-12
@@ -161,9 +163,23 @@ def fit(features: np.ndarray, levels: Sequence[int],
             raise ModelError(
                 f"level {level} has {rows.shape[0]} example(s); need at least 2")
         log_prior[k] = np.log(rows.shape[0] / n)
-        mean[k] = rows.mean(axis=0)
-        var[k] = np.maximum(rows.var(axis=0, ddof=0), var_floor)
+        mean[k] = _finite_stat(np.mean, rows, f"mean of level {level}")
+        var[k] = np.maximum(_finite_stat(np.var, rows, f"variance of level {level}"), var_floor)
     return GaussianNB(log_prior=log_prior, mean=mean, var=var)
+
+
+def _finite_stat(reduce, rows: np.ndarray, what: str) -> np.ndarray:
+    """``reduce`` over the rows, one value per feature column, if each is finite.
+
+    An overflow comes out as ``inf`` and raises :class:`ModelError`, not a
+    warning.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = reduce(rows, axis=0)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ModelError(f"feature column {int(bad[0])}: {what} is not finite")
+    return values
 
 
 # ---------------------------------------------------------------------------

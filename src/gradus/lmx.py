@@ -204,10 +204,6 @@ class DecodeReport:
     score: Score
     skipped: tuple[str, ...]
 
-    @property
-    def clean(self) -> bool:
-        return not self.skipped
-
 
 def decode(tokens: Sequence[str]) -> Score:
     """Strict inverse of :func:`encode`; any grammar violation raises."""

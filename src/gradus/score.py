@@ -8,6 +8,9 @@ onset arithmetic stays exact across ``<divisions>`` changes.
 The module reads partwise MusicXML (plain ``.musicxml``/``.xml`` or
 compressed ``.mxl``), writes it back, and exposes a time-ordered
 :func:`timeline` view of which pitches sound in each segment of the piece.
+The timeline sweeps one integer tick grid per score, the lcm of the
+denominators of its note times, and turns only its cuts back into
+fractions, so it stays exact without comparing fractions.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
 __all__ = [
@@ -801,34 +805,56 @@ class TimelineSegment:
     pitches: tuple[Pitch, ...]  # sorted by midi number, deduplicated
 
 
+_first = itemgetter(0)
+_first_three = itemgetter(0, 1, 2)
+
+
+def _sounding_ticks(score: Score) -> tuple[int, int, list[tuple[int, int, int, Pitch]]]:
+    """The score's tick unit, its length in ticks and its merged intervals.
+
+    The unit is the lcm of the denominators of ``total_duration`` and of
+    every onset and duration of a pitched, non-grace note, so each of
+    those times is a whole number of ``1/unit`` quarter ticks.  Intervals
+    are ``(start, end, midi, pitch)`` in ticks, in
+    :func:`merged_sounding_intervals` order.
+    """
+    notes = list(score.notes())
+    total = score.total_duration
+    denominators = {ev.onset.denominator for ev in notes}
+    denominators.update(ev.duration.denominator for ev in notes)
+    unit = lcm(total.denominator, *denominators)
+    chains: dict[tuple[int, int, int], list[tuple[int, int, NoteEvent]]] = {}
+    for ev in notes:
+        onset, duration = ev.onset, ev.duration
+        start = onset.numerator * (unit // onset.denominator)
+        chains.setdefault((ev.voice, ev.staff, ev.pitch.midi_number), []).append(
+            (start, start + duration.numerator * (unit // duration.denominator), ev))
+    out: list[tuple[int, int, int, Pitch]] = []
+    for (_, _, midi), links in chains.items():
+        links.sort(key=_first)
+        start, end, prev = links[0]
+        pitch = prev.pitch
+        for onset, stop, ev in links[1:]:
+            if not (prev.tie_start and ev.tie_stop and onset == end):
+                out.append((start, end, midi, pitch))
+                start, pitch = onset, ev.pitch
+            end, prev = stop, ev
+        out.append((start, end, midi, pitch))
+    out.sort(key=_first_three)
+    return unit, total.numerator * (unit // total.denominator), out
+
+
 def merged_sounding_intervals(score: Score) -> list[tuple[Fraction, Fraction, Pitch]]:
     """Sounding intervals of pitched notes with tie chains merged.
 
     A chain of tied events (same voice, staff and midi number, each link
     starting where the previous one ends) counts as one interval.  Grace
-    notes are excluded.
+    notes are excluded.  Intervals are sorted by start, end and midi
+    number; equal keys keep the order of their chains' first notes.
     """
-    chains: dict[tuple[int, int, int], list[NoteEvent]] = {}
-    for ev in score.notes():
-        chains.setdefault((ev.voice, ev.staff, ev.pitch.midi_number), []).append(ev)
-    out: list[tuple[Fraction, Fraction, Pitch]] = []
-    for evs in chains.values():
-        evs.sort(key=lambda e: e.onset)
-        open_start: Optional[Fraction] = None
-        open_pitch: Optional[Pitch] = None
-        prev: Optional[NoteEvent] = None
-        for ev in evs:
-            chained = (prev is not None and prev.tie_start and ev.tie_stop
-                       and ev.onset == prev.end)
-            if not chained:
-                if open_start is not None:
-                    out.append((open_start, prev.end, open_pitch))
-                open_start, open_pitch = ev.onset, ev.pitch
-            prev = ev
-        if open_start is not None:
-            out.append((open_start, prev.end, open_pitch))
-    out.sort(key=lambda t: (t[0], t[1], t[2].midi_number))
-    return out
+    unit, _, intervals = _sounding_ticks(score)
+    return [(Fraction(start, unit), Fraction(end, unit), pitch)
+            for start, end, _, pitch in intervals]
 
 
 def timeline(score: Score) -> list[TimelineSegment]:
@@ -837,21 +863,22 @@ def timeline(score: Score) -> list[TimelineSegment]:
     Each segment lists the distinct pitches sounding throughout it, sorted
     by midi number.  Returns an empty list for an empty score.
 
-    The segments come from one boundary sweep: every merged interval is
-    filed under the cut where it starts and the cut where it stops, and a
-    walk over the sorted cuts keeps the set of active intervals, so the
-    cost is O(n log n) in the number of intervals rather than one test per
-    interval and segment.  An interval ending past ``total_duration`` stays
-    active to the last cut.  When two active intervals share a midi number
-    but differ in spelling, the segment keeps the one that comes first in
+    The segments come from one boundary sweep on the score's integer tick
+    grid (see :func:`_sounding_ticks`): every merged interval is filed
+    under the cut where it starts and the cut where it stops, and a walk
+    over the sorted cuts keeps the set of active intervals, so the cost is
+    O(n log n) in the number of intervals rather than one test per
+    interval and segment.  Only the cuts become fractions, one each.  An
+    interval ending past ``total_duration`` stays active to the last cut.
+    When two active intervals share a midi number but differ in spelling,
+    the segment keeps the one that comes first in
     :func:`merged_sounding_intervals` order.
     """
     if not score.measures:
         return []
-    total = score.total_duration
-    intervals = merged_sounding_intervals(score)
-    bounds = {Fraction(0), total}
-    for start, end, _ in intervals:
+    unit, total, intervals = _sounding_ticks(score)
+    bounds = {0, total}
+    for start, end, _, _ in intervals:
         bounds.add(start)
         bounds.add(min(end, total))
     cuts = sorted(bounds)
@@ -859,7 +886,7 @@ def timeline(score: Score) -> list[TimelineSegment]:
     n_segments = len(cuts) - 1
     starting: list[list[int]] = [[] for _ in range(n_segments)]
     stopping: list[list[int]] = [[] for _ in range(n_segments)]
-    for index, (start, end, _) in enumerate(intervals):
+    for index, (start, end, _, _) in enumerate(intervals):
         first = position[start]
         # the first segment that does not end by ``end``; ``end`` is a cut
         # unless it lies past ``total``
@@ -868,20 +895,21 @@ def timeline(score: Score) -> list[TimelineSegment]:
             starting[first].append(index)
             if stop < n_segments:
                 stopping[stop].append(index)
+    times = [Fraction(cut, unit) for cut in cuts]
     # midi number -> indices of its active intervals, ascending: intervals
     # are sorted by start, so each newly started one has the largest index
     active: dict[int, list[int]] = {}
     segments = []
     for i in range(n_segments):
         for index in stopping[i]:
-            midi = intervals[index][2].midi_number
+            midi = intervals[index][2]
             held = active[midi]
             held.remove(index)
             if not held:
                 del active[midi]
         for index in starting[i]:
-            active.setdefault(intervals[index][2].midi_number, []).append(index)
+            active.setdefault(intervals[index][2], []).append(index)
         segments.append(TimelineSegment(
-            start=cuts[i], end=cuts[i + 1],
-            pitches=tuple(intervals[active[m][0]][2] for m in sorted(active))))
+            start=times[i], end=times[i + 1],
+            pitches=tuple(intervals[active[m][0]][3] for m in sorted(active))))
     return segments

@@ -211,8 +211,9 @@ class TestFitGnbReport:
 
     SEED = 5
 
-    def fit(self, tmp_path, capsys, levels):
-        x = np.random.default_rng(1).normal(size=(len(levels), 12))
+    def fit(self, tmp_path, capsys, levels, x=None):
+        if x is None:
+            x = np.random.default_rng(1).normal(size=(len(levels), 12))
         with open(tmp_path / "feat.jsonl", "w", encoding="utf-8") as fh:
             for k, row in enumerate(x):
                 fh.write(json.dumps({"piece": f"p{k}", "features": row.tolist()}) + "\n")
@@ -247,6 +248,17 @@ class TestFitGnbReport:
         out = self.fit(tmp_path, capsys, self.levels_with_twos_at([0, 5]))
         assert out == ("fitted on 12 pieces, temperature 1.000 "
                        "(not calibrated: split starved a level)")
+
+    def test_feature_whose_square_overflows_fails_the_stage(self, tmp_path, capsys):
+        levels = [1, 2] * 6
+        x = np.random.default_rng(1).normal(size=(len(levels), 12))
+        # a training row: the default holdout is the first 3 rows of the order
+        x[int(np.random.default_rng(self.SEED).permutation(len(levels))[5]), 3] = 1e155
+        with pytest.raises(AssertionError, match="command failed"):
+            self.fit(tmp_path, capsys, levels, x)
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload == {"error": "ModelError",
+                           "message": "feature column 3: pooled variance is not finite"}
 
     def test_holdout_levels_absent_from_training(self, tmp_path, capsys):
         out = self.fit(tmp_path, capsys, self.levels_with_twos_at([0, 1]))

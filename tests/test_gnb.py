@@ -169,6 +169,22 @@ class TestPosterior:
                 method(Q)
             assert info.value.row == 2
 
+    @pytest.mark.parametrize("var_floor", [None, 1e-3])
+    def test_fit_refuses_features_whose_square_overflows(self, var_floor):
+        rng = np.random.default_rng(10)
+        X, y = make_training_set(rng)
+        X[int(np.flatnonzero(y == 4)[0]), 5] = 1e155
+        what = "pooled variance" if var_floor is None else "variance of level 4"
+        with pytest.raises(ModelError, match=f"^feature column 5: {what} is not finite$"):
+            fit(X, y, var_floor=var_floor)
+
+    def test_fit_refuses_a_mean_that_overflows(self):
+        rng = np.random.default_rng(10)
+        X, y = make_training_set(rng)
+        X[np.flatnonzero(y == 2)[:2], 0] = 1.5e308
+        with pytest.raises(ModelError, match="^feature column 0: mean of level 2 is not finite$"):
+            fit(X, y, var_floor=1e-3)
+
     def test_temperature_that_scales_past_the_float_range_raises(self):
         model = GaussianNB(log_prior=np.zeros(9), mean=np.zeros((9, 12)),
                            var=np.ones((9, 12)), temperature=0.05)

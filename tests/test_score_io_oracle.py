@@ -33,8 +33,9 @@ from gradus.score import (
     serialize_musicxml,
     type_for_duration,
 )
-from test_timeline_oracle import GRID, NAMES
+from test_timeline_oracle import NAMES
 
+GRID = Fraction(1, 6)   # the step of the strategies' non-grace onsets and lengths
 _DOT_FACTORS = (Fraction(1), Fraction(3, 2), Fraction(7, 4))
 
 
@@ -243,7 +244,7 @@ def voice_line(draw, start, voice, staff):
 
 @st.composite
 def loose_events(draw, start, length):
-    """Events placed as the timeline strategy places them: voices may overlap."""
+    """Events on one 1/6 grid whose voices may overlap."""
     events = []
     for _ in range(draw(st.integers(0, 4))):
         grace = draw(st.integers(0, 3)) == 0
