@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .score import (
+    DURATION_TYPES,
     Measure,
     NoteEvent,
     Pitch,
@@ -149,8 +150,7 @@ def _notatable_pieces(onset: Fraction, duration: Fraction) -> list[tuple[Fractio
 
 
 def _largest_plain_fit(duration: Fraction) -> Optional[Fraction]:
-    for q in (Fraction(8), Fraction(4), Fraction(2), Fraction(1),
-              Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 16)):
+    for q in DURATION_TYPES.values():
         if q <= duration:
             return q
     return None

@@ -1,11 +1,14 @@
 """Command-line pipeline driver.
 
 Every subcommand reads artifacts produced by earlier stages and writes
-its own together with a manifest derived from its parsed arguments: the
-command, every option, the seed and SHA-256 digests of all inputs.  An
-output directory gets ``manifest.json``; an output file ``F`` gets
-``F.manifest.json``.  Manifests carry no timestamps, so identical runs
-produce byte-identical artifacts.
+its own.  Each subparser names its input arguments once
+(``set_defaults(inputs=...)``); :func:`main` creates the output directory
+(or an output file's parent) before the stage runs and, once the stage
+succeeds, writes a manifest derived from the parsed arguments: the
+command, every option, the seed and SHA-256 digests of the declared
+inputs.  An output directory gets ``manifest.json``; an output file ``F``
+gets ``F.manifest.json``.  Manifests carry no timestamps, so identical
+runs produce byte-identical artifacts.
 
 Failures print a single JSON line to stderr and exit nonzero.
 """
@@ -13,6 +16,7 @@ Failures print a single JSON line to stderr and exit nonzero.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -20,7 +24,6 @@ import math
 import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -28,7 +31,7 @@ import numpy as np
 
 from . import (__version__, analysis, fixtures, gnb, interchange, lmx, mining, model, report,
                seqbuild, style)
-from .score import Score, parse_musicxml, read_musicxml, validate_two_staff, write_musicxml
+from .score import Score, read_musicxml, validate_two_staff, write_musicxml
 
 __all__ = ["main"]
 
@@ -48,25 +51,33 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _input_digests(paths: Sequence[Path]) -> dict[str, str]:
+def _input_digests(args: argparse.Namespace) -> dict[str, str]:
+    """Digests of the paths held by the arguments ``args.inputs`` names.
+
+    An unset optional input is skipped and each of a list's paths counts;
+    a directory gets ``dir:`` and a digest over its files.
+    """
     out: dict[str, str] = {}
-    for path in paths:
-        if path.is_dir():
-            agg = hashlib.sha256()
-            for child in sorted(p for p in path.iterdir() if p.is_file()):
-                agg.update(child.name.encode())
-                agg.update(bytes.fromhex(_sha256(child)))
-            out[str(path)] = "dir:" + agg.hexdigest()
-        else:
-            out[str(path)] = _sha256(path)
+    for name in args.inputs:
+        value = getattr(args, name) or []
+        for path in map(Path, value if isinstance(value, list) else [value]):
+            if path.is_dir():
+                agg = hashlib.sha256()
+                for child in sorted(p for p in path.iterdir() if p.is_file()):
+                    agg.update(child.name.encode())
+                    agg.update(bytes.fromhex(_sha256(child)))
+                out[str(path)] = "dir:" + agg.hexdigest()
+            else:
+                out[str(path)] = _sha256(path)
     return out
 
 
-# keys argparse sets for dispatch, plus the seed, which the manifest keeps top-level
-_PARSER_KEYS = ("func", "command", "lmx_command", "seed")
+# keys argparse sets for dispatch and input declaration, plus the seed, which
+# the manifest keeps top-level
+_PARSER_KEYS = ("func", "inputs", "command", "lmx_command", "seed")
 
 
-def _write_manifest(out: Path, args: argparse.Namespace, inputs: Sequence[Path]) -> None:
+def _write_manifest(out: Path, args: argparse.Namespace) -> None:
     """Record the parsed arguments that produced ``out``.
 
     A directory gets ``DIR/manifest.json``; a file ``F`` gets
@@ -77,7 +88,7 @@ def _write_manifest(out: Path, args: argparse.Namespace, inputs: Sequence[Path])
         "command": " ".join(filter(None, (args.command, getattr(args, "lmx_command", None)))),
         "args": {k: v for k, v in vars(args).items() if k not in _PARSER_KEYS},
         "seed": getattr(args, "seed", None),
-        "inputs": _input_digests(inputs),
+        "inputs": _input_digests(args),
         "version": __version__,
     }
     path = out / "manifest.json" if out.is_dir() else out.with_name(out.name + ".manifest.json")
@@ -92,14 +103,6 @@ def _corpus_paths(corpus: Path) -> list[Path]:
     if not paths:
         raise CliError(f"no MusicXML files under {corpus}")
     return paths
-
-
-def _read_piece(path: Path | str) -> tuple[str, Score]:
-    return Path(path).stem, validate_two_staff(read_musicxml(str(path)))
-
-
-def _load_corpus(corpus: Path) -> list[tuple[str, Score]]:
-    return [_read_piece(path) for path in _corpus_paths(corpus)]
 
 
 def _finite_numbers(value) -> bool:
@@ -146,23 +149,30 @@ def _read_located(path: str, *fields: str) -> list[tuple[str, dict]]:
     return rows
 
 
-def _write_jsonl(path: Path, rows: Sequence[dict]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    interchange.write_jsonl(path, rows)
-
-
-def _pmap(fn, items: Sequence, jobs: int) -> list:
-    """Order-preserving map, optionally across processes."""
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 def _per_piece(fn, path: Path) -> tuple[str, object]:
     """``(stem, fn(score))`` for one file; module level so it pickles for --jobs."""
-    name, score = _read_piece(path)
-    return name, fn(score)
+    return path.stem, fn(validate_two_staff(read_musicxml(str(path))))
+
+
+def _map_corpus(fn, corpus: str, jobs: int = 1) -> list[tuple[str, object]]:
+    """``(stem, fn(score))`` per corpus file in name order, across ``jobs`` processes."""
+    paths = _corpus_paths(Path(corpus))
+    work = functools.partial(_per_piece, fn)
+    if jobs <= 1 or len(paths) <= 1:
+        return [work(path) for path in paths]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(work, paths))
+
+
+@contextlib.contextmanager
+def _located_rows(wheres: Sequence[str]):
+    """Report a :class:`gnb.ModelError` about row ``i`` of a model's input at ``wheres[i]``."""
+    try:
+        yield
+    except gnb.ModelError as exc:
+        if exc.row is None:
+            raise
+        raise CliError(f"{wheres[exc.row]}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -170,18 +180,17 @@ def _per_piece(fn, path: Path) -> tuple[str, object]:
 
 def _cmd_gen_fixtures(args) -> int:
     scores = fixtures.generate_corpus(args.pieces, seed=args.seed)
-    out_dir = Path(args.out)
-    fixtures.write_corpus(str(out_dir), scores)
-    _write_manifest(out_dir, args, [])
-    print(f"wrote {len(scores)} pieces to {out_dir}")
+    fixtures.write_corpus(args.out, scores)
+    print(f"wrote {len(scores)} pieces to {args.out}")
     return 0
 
 
 def _cmd_parse(args) -> int:
     rows = []
-    for name, score in map(_read_piece, args.files):
+    for path in map(Path, args.files):
+        score = validate_two_staff(read_musicxml(str(path)))
         rows.append({
-            "piece": name,
+            "piece": path.stem,
             "measures": len(score.measures),
             "notes": sum(1 for _ in score.notes(include_grace=True)),
             "duration_quarters": str(score.total_duration),
@@ -196,14 +205,12 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_lmx_encode(args) -> int:
-    corpus = Path(args.corpus)
-    pieces = _pmap(functools.partial(_per_piece, lmx.encode), _corpus_paths(corpus), args.jobs)
-    rows = [{"piece": name, "tokens": tokens} for name, tokens in pieces]
+    rows = [{"piece": name, "tokens": tokens}
+            for name, tokens in _map_corpus(lmx.encode, args.corpus, args.jobs)]
     out_dir = Path(args.out_dir)
-    _write_jsonl(out_dir / "tokens.jsonl", rows)
+    interchange.write_jsonl(out_dir / "tokens.jsonl", rows)
     vocab = lmx.Vocabulary.from_corpus([r["tokens"] for r in rows])
     vocab.save(str(out_dir / "vocab.txt"))
-    _write_manifest(out_dir, args, [corpus])
     print(f"encoded {len(rows)} pieces; vocabulary size {len(vocab)}")
     return 0
 
@@ -211,69 +218,56 @@ def _cmd_lmx_encode(args) -> int:
 def _cmd_lmx_decode(args) -> int:
     rows = _read_jsonl(args.tokens, "piece", "tokens")
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for row in rows:
         score = lmx.decode(row["tokens"])
         write_musicxml(score, str(out_dir / f"{row['piece']}.musicxml"))
-    _write_manifest(out_dir, args, [Path(args.tokens)])
     print(f"decoded {len(rows)} pieces to {out_dir}")
     return 0
 
 
+def _skyline_row(score: Score) -> dict:
+    line = analysis.skyline(score)
+    return {
+        "notes": [[str(n.onset), str(n.duration),
+                   None if n.pitch is None else n.pitch.midi_number]
+                  for n in line],
+        "tokens": lmx.encode(analysis._skyline_score_of(score, line)),
+    }
+
+
 def _cmd_skyline(args) -> int:
-    corpus = Path(args.corpus)
-    rows = []
-    for name, score in _load_corpus(corpus):
-        line = analysis.skyline(score)
-        sky = analysis._skyline_score_of(score, line)
-        rows.append({
-            "piece": name,
-            "notes": [[str(n.onset), str(n.duration),
-                       None if n.pitch is None else n.pitch.midi_number]
-                      for n in line],
-            "tokens": lmx.encode(sky),
-        })
-    out = Path(args.out)
-    _write_jsonl(out, rows)
-    _write_manifest(out, args, [corpus])
-    print(f"skylines for {len(rows)} pieces -> {out}")
+    rows = [{"piece": name, **row} for name, row in _map_corpus(_skyline_row, args.corpus)]
+    interchange.write_jsonl(args.out, rows)
+    print(f"skylines for {len(rows)} pieces -> {args.out}")
     return 0
 
 
 def _cmd_profile(args) -> int:
-    corpus = Path(args.corpus)
     rng = np.random.default_rng(args.seed)
     rows = []
-    for name, score in _load_corpus(corpus):
-        profile = analysis.pitch_class_profile(score)
+    for name, profile in _map_corpus(analysis.pitch_class_profile, args.corpus):
         row = {"piece": name, "profile": [float(v) for v in profile]}
         if args.noise_scale > 0:
             jittered = analysis.perturb_profile(profile, rng, args.noise_scale)
             row["perturbed"] = [float(v) for v in jittered]
         rows.append(row)
-    out = Path(args.out)
-    _write_jsonl(out, rows)
-    _write_manifest(out, args, [corpus])
-    print(f"profiles for {len(rows)} pieces -> {out}")
+    interchange.write_jsonl(args.out, rows)
+    print(f"profiles for {len(rows)} pieces -> {args.out}")
     return 0
 
 
 def _cmd_features(args) -> int:
-    corpus = Path(args.corpus)
-    pieces = _pmap(functools.partial(_per_piece, analysis.feature_vector),
-                   _corpus_paths(corpus), args.jobs)
-    rows = [{"piece": name, "features": [float(v) for v in vec]} for name, vec in pieces]
-    out = Path(args.out)
-    _write_jsonl(out, rows)
-    _write_manifest(out, args, [corpus])
-    print(f"features for {len(rows)} pieces -> {out}")
+    rows = [{"piece": name, "features": [float(v) for v in vec]}
+            for name, vec in _map_corpus(analysis.feature_vector, args.corpus, args.jobs)]
+    interchange.write_jsonl(args.out, rows)
+    print(f"features for {len(rows)} pieces -> {args.out}")
     return 0
 
 
 def _cmd_fit_gnb(args) -> int:
-    rows = _read_jsonl(args.features, "piece", "features")
-    names = [r["piece"] for r in rows]
-    x = np.array([r["features"] for r in rows], dtype=np.float64)
+    located = _read_located(args.features, "piece", "features")
+    names = [r["piece"] for _, r in located]
+    x = np.array([r["features"] for _, r in located], dtype=np.float64)
     if args.labels:
         label_rows = _read_jsonl(args.labels, "piece", "level")
         by_piece = {r["piece"]: int(r["level"]) for r in label_rows}
@@ -304,14 +298,12 @@ def _cmd_fit_gnb(args) -> int:
         if set(y[holdout].tolist()) - set(y[trainrows].tolist()):
             uncalibrated = "holdout has levels absent from training"
         else:
-            fitted = gnb.fit_temperature(fitted, x[holdout], y[holdout])
+            with _located_rows([located[i][0] for i in holdout]):
+                fitted = gnb.fit_temperature(fitted, x[holdout], y[holdout])
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     gnb.save_model(fitted, str(out_dir / "model.json"))
-    _write_jsonl(out_dir / "labels.jsonl",
-                 [{"piece": n, "level": int(v)} for n, v in zip(names, y)])
-    inputs = [Path(args.features)] + ([Path(args.labels)] if args.labels else [])
-    _write_manifest(out_dir, args, inputs)
+    interchange.write_jsonl(out_dir / "labels.jsonl",
+                            [{"piece": n, "level": int(v)} for n, v in zip(names, y)])
     msg = f"fitted on {len(trainrows)} pieces, temperature {fitted.temperature:.3f}"
     if uncalibrated:
         msg += f" (not calibrated: {uncalibrated})"
@@ -321,37 +313,25 @@ def _cmd_fit_gnb(args) -> int:
 
 def _cmd_classify(args) -> int:
     located = _read_located(args.features, "piece", "features")
-    rows = [row for _, row in located]
     fitted = gnb.load_model(args.model)
-    x = np.array([r["features"] for r in rows], dtype=np.float64)
-    try:
+    x = np.array([r["features"] for _, r in located], dtype=np.float64)
+    with _located_rows([where for where, _ in located]):
         posterior = fitted.posterior(x)
-    except gnb.ModelError as exc:
-        if exc.row is None:
-            raise
-        raise CliError(f"{located[exc.row][0]}: {exc}") from exc
     levels = fitted.predict(x)
     out_rows = []
-    for r, level, post in zip(rows, levels, posterior):
+    for (_, r), level, post in zip(located, levels, posterior):
         out_rows.append({"piece": r["piece"], "level": int(level),
                          "confidence": float(post.max()),
                          "posterior": [float(v) for v in post]})
-    out = Path(args.out)
-    _write_jsonl(out, out_rows)
-    _write_manifest(out, args, [Path(args.model), Path(args.features)])
-    print(f"classified {len(out_rows)} pieces -> {out}")
+    interchange.write_jsonl(args.out, out_rows)
+    print(f"classified {len(out_rows)} pieces -> {args.out}")
     return 0
 
 
 def _cmd_embed(args) -> int:
-    corpus = Path(args.corpus)
-    embeddings = dict(_pmap(functools.partial(_per_piece, style.baseline_embed),
-                            _corpus_paths(corpus), args.jobs))
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    style.save_embeddings(str(out), embeddings)
-    _write_manifest(out, args, [corpus])
-    print(f"embedded {len(embeddings)} pieces -> {out}")
+    embeddings = dict(_map_corpus(style.baseline_embed, args.corpus, args.jobs))
+    style.save_embeddings(args.out, embeddings)
+    print(f"embedded {len(embeddings)} pieces -> {args.out}")
     return 0
 
 
@@ -375,11 +355,8 @@ def _cmd_mine_pairs(args) -> int:
             confidence=float(post["confidence"]), embedding=embeddings[var_id]))
     pairs, rep = mining.mine(pool, strategy=args.strategy, min_gap=args.min_gap)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     mining.save_pairs(str(out_dir / "pairs.jsonl"), pairs)
     mining.save_report(str(out_dir / "report.json"), rep)
-    _write_manifest(out_dir, args, [Path(args.variations), Path(args.posteriors),
-                                    Path(args.embeddings)])
     print(f"{args.strategy} gap>={args.min_gap}: {rep.counts['raw']} raw -> "
           f"{len(pairs)} kept")
     return 0
@@ -392,7 +369,6 @@ def _cmd_build_seqs(args) -> int:
     if args.mode == "conditioned":
         tokens_rows = _read_jsonl(args.tokens, "piece", "tokens")
         profiles = {r["piece"]: r for r in _read_jsonl(args.profiles, "piece", "profile")}
-        inputs = [Path(args.tokens), Path(args.profiles)]
         for row in tokens_rows:
             prof = profiles.get(row["piece"])
             if prof is None:
@@ -405,21 +381,17 @@ def _cmd_build_seqs(args) -> int:
         pairs = mining.load_pairs(args.pairs)
         variations = _read_jsonl(args.variations, "var", "tokens")
         tokens_by_id = {r["var"]: r["tokens"] for r in variations}
-        inputs = [Path(args.pairs), Path(args.variations)]
         samples, skipped = seqbuild.adaptation_samples(
             vocab, pairs, tokens_by_id, max_len=args.max_len,
             include_level_tokens=not args.no_level_tokens)
     if not samples:
         raise CliError("no training sequences could be built")
     ids, mask, harmony = seqbuild.collate(samples, vocab)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    np.savez(out, ids=ids, mask=mask, harmony=harmony,
+    np.savez(args.out, ids=ids, mask=mask, harmony=harmony,
              lengths=np.array([len(s) for s in samples], dtype=np.int64),
              pieces=np.frombuffer(json.dumps([s.piece for s in samples]).encode(),
                                   dtype=np.uint8))
-    _write_manifest(out, args, inputs + [Path(args.vocab)])
-    msg = f"built {len(samples)} {args.mode} sequences -> {out}"
+    msg = f"built {len(samples)} {args.mode} sequences -> {args.out}"
     if skipped:
         msg += f" ({len(skipped)} pairs skipped)"
     print(msg)
@@ -445,14 +417,12 @@ def _cmd_train(args) -> int:
         width = int(lengths[lo:hi].max())
         batches.append((ids[lo:hi, :width], mask[lo:hi, :width], harmony[lo:hi]))
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     losses = model.train(lm, batches, steps=args.steps, lr=args.lr, seed=args.seed)
     with open(out_dir / "train_log.csv", "w", encoding="utf-8") as fh:
         fh.write("step,loss\n")
         for step, loss in enumerate(losses, start=1):
             fh.write(f"{step},{loss:.6f}\n")
     model.save_checkpoint(str(out_dir / "checkpoint.npz"), lm, step=len(losses))
-    _write_manifest(out_dir, args, [Path(args.seqs), Path(args.vocab)])
     print(f"trained {len(losses)} steps, final loss {losses[-1]:.4f}")
     return 0
 
@@ -464,7 +434,7 @@ def _cmd_sample(args) -> int:
     profiles = {r["piece"]: r for r in _read_jsonl(args.profiles, "piece", "profile")}
     out_dir = Path(args.out_dir)
     scores_dir = out_dir / "scores"
-    scores_dir.mkdir(parents=True, exist_ok=True)
+    scores_dir.mkdir(exist_ok=True)
     prefix = [vocab.id(lmx.BOS), vocab.id(lmx.HARMONY)]
     end_id = vocab.id(lmx.EOS)
     max_new = min(args.max_new, lm.config.max_len - len(prefix))
@@ -495,9 +465,7 @@ def _cmd_sample(args) -> int:
             if valid:
                 n_valid += 1
                 write_musicxml(decoded.score, str(scores_dir / f"{var_id}.musicxml"))
-    _write_jsonl(out_dir / "variations.jsonl", rows)
-    _write_manifest(out_dir, args, [Path(args.checkpoint), Path(args.vocab),
-                                    Path(args.skylines), Path(args.profiles)])
+    interchange.write_jsonl(out_dir / "variations.jsonl", rows)
     print(f"sampled {len(rows)} variations ({n_valid} valid) -> {out_dir}")
     return 0
 
@@ -507,10 +475,9 @@ def _cmd_evaluate(args) -> int:
     var_post = {r["piece"]: r for r in _read_jsonl(args.variation_posteriors, "piece", "level")}
     orig_emb = style.load_embeddings(args.original_embeddings)
     var_emb = style.load_embeddings(args.variation_embeddings)
-    genres: dict[str, str] = {}
+    genres = {}
     if args.corpus:
-        for name, score in _load_corpus(Path(args.corpus)):
-            genres[name] = score.genre or ""
+        genres = dict(_map_corpus(lambda score: score.genre or "", args.corpus))
     records: list[report.OutcomeRecord] = []
     for run in args.runs:
         run_dir = Path(run)
@@ -540,7 +507,6 @@ def _cmd_evaluate(args) -> int:
     if not records:
         raise CliError("no evaluable records in the given runs")
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     report.save_records(str(out_dir / "records.jsonl"), records)
     group_by = tuple(args.group_by.split(","))
     rows = report.aggregate(records, group_by=group_by)
@@ -548,12 +514,6 @@ def _cmd_evaluate(args) -> int:
                                         encoding="utf-8")
     (out_dir / "report.md").write_text(report.render_report(rows, "markdown"),
                                        encoding="utf-8")
-    inputs = [Path(r) for r in args.runs] + [
-        Path(args.original_posteriors), Path(args.variation_posteriors),
-        Path(args.original_embeddings), Path(args.variation_embeddings)]
-    if args.corpus:
-        inputs.append(Path(args.corpus))
-    _write_manifest(out_dir, args, inputs)
     print(f"{len(records)} records, {len(rows)} report rows -> {out_dir}")
     return 0
 
@@ -572,7 +532,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--pieces", type=int, default=20)
     p.add_argument("--seed", type=int, default=42)
-    p.set_defaults(func=_cmd_gen_fixtures)
+    p.set_defaults(func=_cmd_gen_fixtures, inputs=())
 
     p = sub.add_parser("parse", help="validate scores and print summaries")
     p.add_argument("files", nargs="+")
@@ -585,29 +545,29 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(func=_cmd_lmx_encode)
+    p.set_defaults(func=_cmd_lmx_encode, inputs=("corpus",))
     p = lmx_sub.add_parser("decode", help="token streams -> MusicXML files")
     p.add_argument("--tokens", required=True)
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=_cmd_lmx_decode)
+    p.set_defaults(func=_cmd_lmx_decode, inputs=("tokens",))
 
     p = sub.add_parser("skyline", help="extract melodic skylines")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_skyline)
+    p.set_defaults(func=_cmd_skyline, inputs=("corpus",))
 
     p = sub.add_parser("profile", help="pitch-class profiles, optionally jittered")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--noise-scale", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=42)
-    p.set_defaults(func=_cmd_profile)
+    p.set_defaults(func=_cmd_profile, inputs=("corpus",))
 
     p = sub.add_parser("features", help="difficulty feature vectors")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(func=_cmd_features)
+    p.set_defaults(func=_cmd_features, inputs=("corpus",))
 
     p = sub.add_parser("fit-gnb", help="fit the difficulty model")
     p.add_argument("--features", required=True)
@@ -615,19 +575,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--holdout-fraction", type=float, default=0.25)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--seed", type=int, default=42)
-    p.set_defaults(func=_cmd_fit_gnb)
+    p.set_defaults(func=_cmd_fit_gnb, inputs=("features", "labels"))
 
     p = sub.add_parser("classify", help="difficulty posteriors for feature rows")
     p.add_argument("--model", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_classify)
+    p.set_defaults(func=_cmd_classify, inputs=("model", "features"))
 
     p = sub.add_parser("embed", help="baseline style embeddings")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(func=_cmd_embed)
+    p.set_defaults(func=_cmd_embed, inputs=("corpus",))
 
     p = sub.add_parser("mine-pairs", help="difficulty-ordered pair mining")
     p.add_argument("--variations", required=True)
@@ -636,7 +596,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=mining.STRATEGIES, default="filtered")
     p.add_argument("--min-gap", type=int, default=1)
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=_cmd_mine_pairs)
+    p.set_defaults(func=_cmd_mine_pairs, inputs=("variations", "posteriors", "embeddings"))
 
     p = sub.add_parser("build-seqs", help="assemble training sequences")
     p.add_argument("--mode", choices=("conditioned", "adaptation"), required=True)
@@ -648,7 +608,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variations", help="variation token JSONL (adaptation mode)")
     p.add_argument("--max-len", type=int, default=seqbuild.MAX_ADAPTATION_LEN)
     p.add_argument("--no-level-tokens", action="store_true")
-    p.set_defaults(func=_cmd_build_seqs)
+    p.set_defaults(func=_cmd_build_seqs,
+                   inputs=("tokens", "profiles", "pairs", "variations", "vocab"))
 
     p = sub.add_parser("train", help="train the token model")
     p.add_argument("--seqs", required=True)
@@ -664,7 +625,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--context", type=int, default=4096,
                    help="inference length bound; rotary encoding has no length cost")
     p.add_argument("--seed", type=int, default=42)
-    p.set_defaults(func=_cmd_train)
+    p.set_defaults(func=_cmd_train, inputs=("seqs", "vocab"))
 
     p = sub.add_parser("sample", help="draw conditioned variations per piece")
     p.add_argument("--checkpoint", required=True)
@@ -677,7 +638,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--temperature", type=float, default=1.0)
     p.add_argument("--top-k", type=int, default=None)
     p.add_argument("--seed", type=int, default=42)
-    p.set_defaults(func=_cmd_sample)
+    p.set_defaults(func=_cmd_sample, inputs=("checkpoint", "vocab", "skylines", "profiles"))
 
     p = sub.add_parser("evaluate", help="score variations against originals")
     p.add_argument("--runs", nargs="+", required=True,
@@ -689,19 +650,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", help="original corpus dir, enables genre grouping")
     p.add_argument("--group-by", default="strategy,gap")
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=_cmd_evaluate)
+    p.set_defaults(func=_cmd_evaluate,
+                   inputs=("runs", "original_posteriors", "variation_posteriors",
+                           "original_embeddings", "variation_embeddings", "corpus"))
 
     return parser
 
 
+_MODE_FILES = {"conditioned": ("tokens", "profiles"), "adaptation": ("pairs", "variations")}
+
+
 def _check_mode_args(args) -> None:
-    if getattr(args, "command", "") == "build-seqs":
-        if args.mode == "conditioned":
-            missing = [n for n in ("tokens", "profiles") if not getattr(args, n)]
-        else:
-            missing = [n for n in ("pairs", "variations") if not getattr(args, n)]
-        if missing:
-            raise CliError(f"--{missing[0]} is required for mode {args.mode}")
+    """``build-seqs`` takes its mode's files, and none of the other mode's."""
+    if args.command == "build-seqs":
+        for mode, names in _MODE_FILES.items():
+            for name in names:
+                if mode == args.mode and not getattr(args, name):
+                    raise CliError(f"--{name} is required for mode {args.mode}")
+                if mode != args.mode and getattr(args, name):
+                    raise CliError(f"--{name} is not used by mode {args.mode}")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -709,7 +676,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_mode_args(args)
-        return args.func(args)
+        if "inputs" not in args:    # parse records no manifest
+            return args.func(args)
+        out = Path(args.out_dir) if "out_dir" in args else Path(args.out)
+        (out if "out_dir" in args else out.parent).mkdir(parents=True, exist_ok=True)
+        rc = args.func(args)
+        if rc == 0:
+            _write_manifest(out, args)
+        return rc
     except Exception as exc:  # single-line machine-parseable failure contract
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)

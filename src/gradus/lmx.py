@@ -447,9 +447,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self._tokens)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self._ids
-
     @property
     def tokens(self) -> tuple[str, ...]:
         return self._tokens

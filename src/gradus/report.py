@@ -10,7 +10,7 @@ optionally genre or original level), rendered as CSV or Markdown.
 from __future__ import annotations
 
 from dataclasses import dataclass, asdict
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 

@@ -13,7 +13,7 @@ the easy half and the closing ``[EOS]``.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np

@@ -260,6 +260,19 @@ class TestFitGnbReport:
         assert payload == {"error": "ModelError",
                            "message": "feature column 3: pooled variance is not finite"}
 
+    def test_holdout_row_no_level_can_score_is_located(self, tmp_path, capsys):
+        levels = [1, 2] * 6
+        x = np.random.default_rng(1).normal(size=(len(levels), 12))
+        # the first held-out row, which calibration is the first to score
+        row = int(np.random.default_rng(self.SEED).permutation(len(levels))[0])
+        x[row, 3] = 1e155
+        with pytest.raises(AssertionError, match="command failed"):
+            self.fit(tmp_path, capsys, levels, x)
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "CliError"
+        assert payload["message"].startswith(f"{tmp_path / 'feat.jsonl'}:{row + 1}: ")
+        assert payload["message"].endswith("has a finite log-likelihood under no level")
+
     def test_holdout_levels_absent_from_training(self, tmp_path, capsys):
         out = self.fit(tmp_path, capsys, self.levels_with_twos_at([0, 1]))
         assert out == ("fitted on 9 pieces, temperature 1.000 "
@@ -324,6 +337,17 @@ class TestMiningCommands:
         assert rc == 1
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert "tokens" in payload["message"]
+
+    def test_other_modes_files_refused(self, ws, tmp_path, capsys):
+        rc = main(["build-seqs", "--mode", "conditioned",
+                   "--vocab", str(ws / "enc" / "vocab.txt"),
+                   "--tokens", str(ws / "sky.jsonl"), "--profiles", str(ws / "prof.jsonl"),
+                   "--pairs", str(ws / "sky.jsonl"), "--out", str(tmp_path / "seqs.npz")])
+        assert rc == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload == {"error": "CliError",
+                           "message": "--pairs is not used by mode conditioned"}
+        assert not (tmp_path / "seqs.npz").exists()
 
 
 @pytest.fixture(scope="module")
@@ -608,3 +632,82 @@ def test_row_that_is_not_an_object_is_a_cli_error(ws, tmp_path, capsys):
     payload = json.loads(capsys.readouterr().err.strip())
     assert payload["error"] == "CliError"
     assert payload["message"].startswith(f"{bad}:7: ")
+
+
+def test_manifest_inputs_are_the_paths_passed(ws, synthetic_variations, trained, tmp_path):
+    """Every manifest-writing stage digests exactly the input paths it was given."""
+    corpus, vocab = str(ws / "corpus"), str(ws / "enc" / "vocab.txt")
+    variations = str(synthetic_variations / "variations.jsonl")
+    varpost, varemb = (str(synthetic_variations / n) for n in ("varpost.jsonl", "varemb.jsonl"))
+    mined = str(tmp_path / "mined")
+    evaluate = ("evaluate", "--runs", mined, "--original-posteriors", str(ws / "post.jsonl"),
+                "--variation-posteriors", varpost, "--original-embeddings",
+                str(ws / "emb.jsonl"), "--variation-embeddings", varemb)
+    # (argv with OUT for its output, the manifest under OUT, the argv values that are inputs)
+    cases = [
+        (("gen-fixtures", "--out", "OUT", "--pieces", "2"), "manifest.json", []),
+        (("lmx", "encode", "--corpus", corpus, "--out-dir", "OUT"), "manifest.json", [corpus]),
+        (("lmx", "decode", "--tokens", str(ws / "enc" / "tokens.jsonl"), "--out-dir", "OUT"),
+         "manifest.json", [str(ws / "enc" / "tokens.jsonl")]),
+        (("skyline", "--corpus", corpus, "--out", "OUT/o.jsonl"), "o.jsonl.manifest.json",
+         [corpus]),
+        (("profile", "--corpus", corpus, "--out", "OUT/o.jsonl"), "o.jsonl.manifest.json",
+         [corpus]),
+        (("features", "--corpus", corpus, "--out", "OUT/o.jsonl"), "o.jsonl.manifest.json",
+         [corpus]),
+        (("fit-gnb", "--features", str(ws / "feat.jsonl"), "--out-dir", "OUT"),
+         "manifest.json", [str(ws / "feat.jsonl")]),
+        (("fit-gnb", "--features", str(ws / "feat.jsonl"),
+          "--labels", str(ws / "gnb" / "labels.jsonl"), "--out-dir", "OUT"),
+         "manifest.json", [str(ws / "feat.jsonl"), str(ws / "gnb" / "labels.jsonl")]),
+        (("classify", "--model", str(ws / "gnb" / "model.json"),
+          "--features", str(ws / "feat.jsonl"), "--out", "OUT/o.jsonl"),
+         "o.jsonl.manifest.json", [str(ws / "gnb" / "model.json"), str(ws / "feat.jsonl")]),
+        (("embed", "--corpus", corpus, "--out", "OUT/o.jsonl"), "o.jsonl.manifest.json",
+         [corpus]),
+        (("mine-pairs", "--variations", variations, "--posteriors", varpost,
+          "--embeddings", varemb, "--out-dir", mined), None, [variations, varpost, varemb]),
+        (("build-seqs", "--mode", "conditioned", "--vocab", vocab,
+          "--tokens", str(ws / "sky.jsonl"), "--profiles", str(ws / "prof.jsonl"),
+          "--out", "OUT/o.npz"), "o.npz.manifest.json",
+         [vocab, str(ws / "sky.jsonl"), str(ws / "prof.jsonl")]),
+        (("build-seqs", "--mode", "adaptation", "--vocab", vocab,
+          "--pairs", f"{mined}/pairs.jsonl", "--variations", variations,
+          "--out", "OUT/o.npz"), "o.npz.manifest.json",
+         [vocab, f"{mined}/pairs.jsonl", variations]),
+        (("train", "--seqs", str(trained / "cond.npz"), "--vocab", vocab, "--out-dir", "OUT",
+          "--steps", "1", "--d-model", "16", "--n-layers", "1", "--n-heads", "2",
+          "--d-ff", "32"), "manifest.json", [str(trained / "cond.npz"), vocab]),
+        (("sample", "--checkpoint", str(trained / "ck" / "checkpoint.npz"), "--vocab", vocab,
+          "--skylines", str(ws / "sky.jsonl"), "--profiles", str(ws / "prof.jsonl"),
+          "--out-dir", "OUT", "--n", "1", "--max-new", "8"), "manifest.json",
+         [str(trained / "ck" / "checkpoint.npz"), vocab, str(ws / "sky.jsonl"),
+          str(ws / "prof.jsonl")]),
+        (evaluate + ("--out-dir", "OUT"), "manifest.json", [mined, *evaluate[4::2]]),
+        (evaluate + ("--corpus", corpus, "--out-dir", "OUT"), "manifest.json",
+         [mined, *evaluate[4::2], corpus]),
+    ]
+    commands = set()
+    for k, (argv, manifest, inputs) in enumerate(cases):
+        out = tmp_path / f"out{k}"
+        run(*(a.replace("OUT", str(out)) for a in argv))
+        where = Path(mined) / "manifest.json" if manifest is None else out / manifest
+        recorded = json.loads(where.read_text())
+        commands.add(recorded["command"])
+        assert sorted(recorded["inputs"]) == sorted(inputs), argv
+        for path, digest in recorded["inputs"].items():
+            prefix = "dir:" if Path(path).is_dir() else ""
+            assert digest.startswith(prefix) and len(digest) == len(prefix) + 64, path
+    assert len(commands) == 14
+    assert recorded["inputs"][mined].startswith("dir:")
+
+    run("parse", *map(str, sorted((ws / "corpus").glob("*.musicxml"))[:2]),
+        "--out", str(tmp_path / "parsed.jsonl"))
+    assert [p.name for p in tmp_path.glob("parsed*")] == ["parsed.jsonl"]
+
+    (tmp_path / "empty.jsonl").write_text("")
+    failed = tmp_path / "failed" / "o.npz"
+    assert main(["build-seqs", "--mode", "adaptation", "--vocab", vocab,
+                 "--pairs", str(tmp_path / "empty.jsonl"), "--variations", variations,
+                 "--out", str(failed)]) == 1
+    assert not failed.with_name("o.npz.manifest.json").exists()
