@@ -20,7 +20,6 @@ import contextlib
 import functools
 import hashlib
 import json
-import math
 import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -105,50 +104,6 @@ def _corpus_paths(corpus: Path) -> list[Path]:
     return paths
 
 
-def _finite_numbers(value) -> bool:
-    try:
-        return isinstance(value, list) and all(
-            type(v) in (int, float) and math.isfinite(v) for v in value)
-    except OverflowError:   # an integer too large for a float
-        return False
-
-
-def _strings(value) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
-
-
-# the fields of a row whose type is checked wherever a row holds them
-_FIELD_TYPES = {
-    "features": ("a list of finite numbers", _finite_numbers),
-    "profile": ("a list of finite numbers", _finite_numbers),
-    "perturbed": ("a list of finite numbers", _finite_numbers),
-    "tokens": ("a list of strings", _strings),
-}
-
-
-def _read_jsonl(path: str, *fields: str) -> list[dict]:
-    """The rows of a JSONL file, each holding every one of ``fields``.
-
-    A field named in ``_FIELD_TYPES`` must also hold its type, whether or
-    not the caller asked for it.
-    """
-    return [row for _, row in _read_located(path, *fields)]
-
-
-def _read_located(path: str, *fields: str) -> list[tuple[str, dict]]:
-    """:func:`_read_jsonl`'s rows, each with its ``path:line``."""
-    rows = []
-    for where, row in interchange.read_jsonl(path, CliError):
-        for name in fields:
-            if name not in row:
-                raise CliError(f"{where}: missing field {name!r}")
-        for name, (kind, holds) in _FIELD_TYPES.items():
-            if name in row and not holds(row[name]):
-                raise CliError(f"{where}: field {name!r} must be {kind}")
-        rows.append((where, row))
-    return rows
-
-
 def _per_piece(fn, path: Path) -> tuple[str, object]:
     """``(stem, fn(score))`` for one file; module level so it pickles for --jobs."""
     return path.stem, fn(validate_two_staff(read_musicxml(str(path))))
@@ -216,10 +171,13 @@ def _cmd_lmx_encode(args) -> int:
 
 
 def _cmd_lmx_decode(args) -> int:
-    rows = _read_jsonl(args.tokens, "piece", "tokens")
+    rows = list(interchange.read_jsonl(args.tokens, CliError, "piece", "tokens"))
     out_dir = Path(args.out_dir)
-    for row in rows:
-        score = lmx.decode(row["tokens"])
+    for where, row in rows:
+        try:
+            score = lmx.decode(row["tokens"])
+        except lmx.DecodeError as exc:
+            raise CliError(f"{where}: {exc}") from exc
         write_musicxml(score, str(out_dir / f"{row['piece']}.musicxml"))
     print(f"decoded {len(rows)} pieces to {out_dir}")
     return 0
@@ -265,12 +223,12 @@ def _cmd_features(args) -> int:
 
 
 def _cmd_fit_gnb(args) -> int:
-    located = _read_located(args.features, "piece", "features")
+    located = list(interchange.read_jsonl(args.features, CliError, "piece", "features"))
     names = [r["piece"] for _, r in located]
     x = np.array([r["features"] for _, r in located], dtype=np.float64)
     if args.labels:
-        label_rows = _read_jsonl(args.labels, "piece", "level")
-        by_piece = {r["piece"]: int(r["level"]) for r in label_rows}
+        by_piece = {r["piece"]: r["level"]
+                    for _, r in interchange.read_jsonl(args.labels, CliError, "piece", "level")}
         missing = [n for n in names if n not in by_piece]
         if missing:
             raise CliError(f"labels missing for {missing[:5]}")
@@ -312,7 +270,7 @@ def _cmd_fit_gnb(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    located = _read_located(args.features, "piece", "features")
+    located = list(interchange.read_jsonl(args.features, CliError, "piece", "features"))
     fitted = gnb.load_model(args.model)
     x = np.array([r["features"] for _, r in located], dtype=np.float64)
     with _located_rows([where for where, _ in located]):
@@ -336,12 +294,12 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_mine_pairs(args) -> int:
-    variations = _read_jsonl(args.variations, "piece", "var")
-    posteriors = {r["piece"]: r for r in _read_jsonl(args.posteriors,
-                                                     "piece", "level", "confidence")}
+    variations = interchange.read_jsonl(args.variations, CliError, "piece", "var")
+    posteriors = {r["piece"]: r for _, r in interchange.read_jsonl(
+        args.posteriors, CliError, "piece", "level", "confidence")}
     embeddings = style.load_embeddings(args.embeddings)
     pool = []
-    for row in variations:
+    for _, row in variations:
         if not row.get("valid", True):
             continue
         var_id = row["var"]
@@ -351,8 +309,8 @@ def _cmd_mine_pairs(args) -> int:
             raise CliError(f"no embedding for variation {var_id}")
         post = posteriors[var_id]
         pool.append(mining.Variation(
-            id=var_id, piece=row["piece"], level=int(post["level"]),
-            confidence=float(post["confidence"]), embedding=embeddings[var_id]))
+            id=var_id, piece=row["piece"], level=post["level"],
+            confidence=post["confidence"], embedding=embeddings[var_id]))
     pairs, rep = mining.mine(pool, strategy=args.strategy, min_gap=args.min_gap)
     out_dir = Path(args.out_dir)
     mining.save_pairs(str(out_dir / "pairs.jsonl"), pairs)
@@ -367,9 +325,10 @@ def _cmd_build_seqs(args) -> int:
     samples: list[seqbuild.Sample] = []
     skipped: list[str] = []
     if args.mode == "conditioned":
-        tokens_rows = _read_jsonl(args.tokens, "piece", "tokens")
-        profiles = {r["piece"]: r for r in _read_jsonl(args.profiles, "piece", "profile")}
-        for row in tokens_rows:
+        tokens_rows = interchange.read_jsonl(args.tokens, CliError, "piece", "tokens")
+        profiles = {r["piece"]: r for _, r in interchange.read_jsonl(
+            args.profiles, CliError, "piece", "profile")}
+        for _, row in tokens_rows:
             prof = profiles.get(row["piece"])
             if prof is None:
                 raise CliError(f"no profile for piece {row['piece']}")
@@ -379,8 +338,8 @@ def _cmd_build_seqs(args) -> int:
                 max_len=args.max_len))
     else:
         pairs = mining.load_pairs(args.pairs)
-        variations = _read_jsonl(args.variations, "var", "tokens")
-        tokens_by_id = {r["var"]: r["tokens"] for r in variations}
+        tokens_by_id = {r["var"]: r["tokens"] for _, r in interchange.read_jsonl(
+            args.variations, CliError, "var", "tokens")}
         samples, skipped = seqbuild.adaptation_samples(
             vocab, pairs, tokens_by_id, max_len=args.max_len,
             include_level_tokens=not args.no_level_tokens)
@@ -430,8 +389,9 @@ def _cmd_train(args) -> int:
 def _cmd_sample(args) -> int:
     vocab = lmx.Vocabulary.load(args.vocab)
     lm, _, _ = model.load_checkpoint(args.checkpoint)
-    skyline_rows = _read_jsonl(args.skylines, "piece")
-    profiles = {r["piece"]: r for r in _read_jsonl(args.profiles, "piece", "profile")}
+    skyline_rows = list(interchange.read_jsonl(args.skylines, CliError, "piece"))
+    profiles = {r["piece"]: r for _, r in interchange.read_jsonl(
+        args.profiles, CliError, "piece", "profile")}
     out_dir = Path(args.out_dir)
     scores_dir = out_dir / "scores"
     scores_dir.mkdir(exist_ok=True)
@@ -444,7 +404,7 @@ def _cmd_sample(args) -> int:
     n_valid = 0
     seed_rng = np.random.default_rng(args.seed)
     piece_seeds = seed_rng.integers(0, 2 ** 31, size=len(skyline_rows))
-    for row, piece_seed in zip(skyline_rows, piece_seeds):
+    for (_, row), piece_seed in zip(skyline_rows, piece_seeds):
         prof = profiles.get(row["piece"])
         if prof is None:
             raise CliError(f"no profile for piece {row['piece']}")
@@ -471,8 +431,9 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    orig_post = {r["piece"]: r for r in _read_jsonl(args.original_posteriors, "piece", "level")}
-    var_post = {r["piece"]: r for r in _read_jsonl(args.variation_posteriors, "piece", "level")}
+    orig_level, var_level = ({r["piece"]: r["level"]
+                              for _, r in interchange.read_jsonl(path, CliError, "piece", "level")}
+                             for path in (args.original_posteriors, args.variation_posteriors))
     orig_emb = style.load_embeddings(args.original_embeddings)
     var_emb = style.load_embeddings(args.variation_embeddings)
     genres = {}
@@ -488,20 +449,18 @@ def _cmd_evaluate(args) -> int:
             if pair.easy in seen:
                 continue
             seen.add(pair.easy)
-            if pair.piece not in orig_post:
+            if pair.piece not in orig_level:
                 raise CliError(f"no original posterior for {pair.piece}")
-            if pair.easy not in var_post:
+            if pair.easy not in var_level:
                 raise CliError(f"no variation posterior for {pair.easy}")
             if pair.piece not in orig_emb:
                 raise CliError(f"no original embedding for {pair.piece}")
             if pair.easy not in var_emb:
                 raise CliError(f"no variation embedding for {pair.easy}")
-            original_level = int(orig_post[pair.piece]["level"])
-            predicted_level = int(var_post[pair.easy]["level"])
             distance = style.style_distance(orig_emb[pair.piece], var_emb[pair.easy])
             records.append(report.OutcomeRecord.build(
                 piece=pair.piece, variation=pair.easy,
-                original_level=original_level, predicted_level=predicted_level,
+                original_level=orig_level[pair.piece], predicted_level=var_level[pair.easy],
                 distance=distance, genre=genres.get(pair.piece, ""),
                 strategy=rep.strategy, gap=rep.min_gap))
     if not records:

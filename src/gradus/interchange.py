@@ -4,21 +4,63 @@ Both are UTF-8.  A JSONL file holds one JSON object per line; blank
 lines are skipped.  A JSON file holds one object, written with
 ``indent=1``, sorted keys and a closing newline, so equal payloads give
 equal bytes.  Readers raise the caller's own error class, naming the
-path (and line); each caller checks its own fields.
+path (and line).  :data:`FIELDS` types every JSONL field any reader
+reads; numbers are never coerced from strings or booleans.
 """
 
 import json
+import math
 
-__all__ = ["read_jsonl", "write_jsonl", "read_json", "write_json"]
+__all__ = ["FIELDS", "read_jsonl", "write_jsonl", "read_json", "write_json"]
 
 
-def read_jsonl(path, error):
-    """Yield ``(where, record)`` per nonblank line, ``where`` being ``path:line``."""
+def _finite_numbers(value) -> bool:
+    try:
+        return (isinstance(value, list) and {int, float}.issuperset(map(type, value))
+                and all(map(math.isfinite, value)))
+    except OverflowError:   # an integer too large for a float
+        return False
+
+
+_STRING = ("a string", lambda v: isinstance(v, str))
+_INT = ("an integer", lambda v: type(v) is int)
+_NUMBER = ("a finite number", lambda v: _finite_numbers([v]))
+_BOOL = ("true or false", lambda v: type(v) is bool)
+_NUMBERS = ("a list of finite numbers", _finite_numbers)
+_STRINGS = ("a list of strings", lambda v: isinstance(v, list) and {str}.issuperset(map(type, v)))
+
+# field -> (what it must be, the test of a value); checked in every row that holds it
+FIELDS = {
+    **dict.fromkeys(("piece", "var", "hard", "easy", "id"), _STRING),
+    **dict.fromkeys(("level", "hard_level", "easy_level", "gap", "dim"), _INT),
+    **dict.fromkeys(("confidence", "sim"), _NUMBER),
+    "valid": _BOOL,
+    **dict.fromkeys(("features", "profile", "perturbed", "v"), _NUMBERS),
+    "tokens": _STRINGS,
+}
+
+
+def read_jsonl(path, error, *required):
+    """Yield ``(where, row)`` per nonblank line, ``where`` being ``path:line``.
+
+    Every row must hold each ``required`` field, and each :data:`FIELDS`
+    field it holds must be of its kind.
+    """
     with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
-            if line.strip():
-                where = f"{path}:{line_no}"
-                yield where, _object(line, where, error)
+            if not line.strip():
+                continue
+            where = f"{path}:{line_no}"
+            row = _object(line, where, error)
+            for name in required:
+                if name not in row:
+                    raise error(f"{where}: missing field {name!r}")
+            for name, value in row.items():
+                if name in FIELDS:
+                    kind, holds = FIELDS[name]
+                    if not holds(value):
+                        raise error(f"{where}: field {name!r} must be {kind}")
+            yield where, row
 
 
 def write_jsonl(path, rows) -> None:

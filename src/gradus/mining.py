@@ -11,7 +11,7 @@ random strategy's pairs.
 
 from __future__ import annotations
 
-import math
+import operator
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
@@ -192,21 +192,9 @@ def save_pairs(path: str, pairs: Sequence[Pair]) -> None:
 
 
 def load_pairs(path: str) -> list[Pair]:
-    out: list[Pair] = []
-    for where, rec in interchange.read_jsonl(path, MiningError):
-        try:
-            pair = Pair(piece=rec["piece"], hard=rec["hard"], easy=rec["easy"],
-                        hard_level=int(rec["hard_level"]),
-                        easy_level=int(rec["easy_level"]),
-                        gap=int(rec["gap"]), sim=float(rec["sim"]))
-        except KeyError as exc:
-            raise MiningError(f"{where}: missing field {exc}") from exc
-        except (ValueError, TypeError) as exc:
-            raise MiningError(f"{where}: bad record: {exc}") from exc
-        if not math.isfinite(pair.sim):
-            raise MiningError(f"{where}: sim {pair.sim} is not finite")
-        out.append(pair)
-    return out
+    names = tuple(Pair.__dataclass_fields__)
+    values = operator.itemgetter(*names)
+    return [Pair(*values(rec)) for _, rec in interchange.read_jsonl(path, MiningError, *names)]
 
 
 def save_report(path: str, report: MiningReport) -> None:

@@ -25,7 +25,6 @@ __all__ = [
     "aggregate",
     "render_report",
     "save_records",
-    "load_records",
 ]
 
 
@@ -164,16 +163,3 @@ def render_report(rows: Sequence[ReportRow], format: str = "csv") -> str:
 
 def save_records(path: str, records: Iterable[OutcomeRecord]) -> None:
     interchange.write_jsonl(path, (dict(sorted(asdict(rec).items())) for rec in records))
-
-
-def load_records(path: str) -> list[OutcomeRecord]:
-    out = []
-    for where, rec in interchange.read_jsonl(path, ReportError):
-        try:
-            record = OutcomeRecord(**rec)
-        except (TypeError, ReportError) as exc:
-            raise ReportError(f"{where}: bad record: {exc}") from exc
-        if type(record.distance) not in (int, float) or not np.isfinite(record.distance):
-            raise ReportError(f"{where}: distance {record.distance!r} is not a finite number")
-        out.append(record)
-    return out

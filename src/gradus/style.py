@@ -36,7 +36,6 @@ class StyleError(Exception):
 
 EMBEDDING_DIM = 64
 _BIGRAM_BINS = 40
-_STAT_BINS = 12
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
@@ -150,23 +149,17 @@ def save_embeddings(path: str, embeddings: dict[str, np.ndarray]) -> None:
 def load_embeddings(path: str) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
     dim: Optional[int] = None
-    for where, rec in interchange.read_jsonl(path, StyleError):
-        key = rec.get("id")
-        try:
-            v = np.asarray(rec.get("v", []), dtype=np.float64)
-        except (ValueError, TypeError) as exc:
-            raise StyleError(f"{where}: bad record: {exc}") from exc
-        if not isinstance(key, str) or v.ndim != 1 or v.shape[0] == 0:
-            raise StyleError(f"{where}: record needs a string 'id' and nonempty 'v'")
-        if not np.isfinite(v).all():
-            raise StyleError(f"{where}: 'v' of {key!r} holds a non-finite number")
-        if rec.get("dim") != v.shape[0]:
-            raise StyleError(f"{where}: dim {rec.get('dim')} does not "
-                             f"match vector length {v.shape[0]}")
+    for where, rec in interchange.read_jsonl(path, StyleError, "id", "dim", "v"):
+        key, v = rec["id"], np.array(rec["v"], dtype=np.float64)
+        if v.size == 0:
+            raise StyleError(f"{where}: 'v' of {key!r} is empty")
+        if rec["dim"] != v.size:
+            raise StyleError(f"{where}: dim {rec['dim']} does not "
+                             f"match vector length {v.size}")
         if dim is None:
-            dim = v.shape[0]
-        elif v.shape[0] != dim:
-            raise StyleError(f"{where}: mixed dimensions {dim} and {v.shape[0]}")
+            dim = v.size
+        elif v.size != dim:
+            raise StyleError(f"{where}: mixed dimensions {dim} and {v.size}")
         if key in out:
             raise StyleError(f"{where}: duplicate id {key!r}")
         out[key] = v

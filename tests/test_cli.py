@@ -137,6 +137,16 @@ class TestLmx:
             back = read_musicxml(str(f))
             assert encode(back) == originals[f.stem]
 
+    def test_decode_error_names_the_row(self, ws, tmp_path, capsys):
+        rows = read_jsonl(ws / "enc" / "tokens.jsonl")[:2]
+        rows[1]["tokens"] = rows[1]["tokens"][1:]
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        assert main(["lmx", "decode", "--tokens", str(bad), "--out-dir", str(tmp_path)]) == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload == {"error": "CliError",
+                           "message": f"{bad}:2: token 0: stream must begin with 'measure'"}
+
     def test_parallel_encode_identical(self, ws, tmp_path):
         par = tmp_path / "par"
         run("lmx", "encode", "--corpus", str(ws / "corpus"), "--out-dir",
@@ -519,8 +529,13 @@ LOCATED_ROW_ERRORS = {
 }
 
 
+MINE_VARIATIONS = ("mine-pairs", "--variations", "BAD", "--posteriors", "vars/varpost.jsonl",
+                   "--embeddings", "vars/varemb.jsonl", "--out-dir", "OUT")
+
+
 # stage -> (argv as above, the file whose last row gets a wrong value in one
-# field, that field, the value, what the field must be)
+# field, that field, the value, what the field must be); one case per kind of
+# field at least
 MISTYPED_ROW_ERRORS = {
     "fit-gnb": (LOCATED_ROW_ERRORS["fit-gnb"][0], "feat.jsonl", "features", "x",
                 "a list of finite numbers"),
@@ -545,6 +560,14 @@ MISTYPED_ROW_ERRORS = {
                         "a list of finite numbers"),
     "lmx decode": (LOCATED_ROW_ERRORS["lmx decode"][0], "enc/tokens.jsonl", "tokens", 3,
                    "a list of strings"),
+    "mine-pairs level": (LOCATED_ROW_ERRORS["mine-pairs"][0], "vars/varpost.jsonl", "level",
+                         "x", "an integer"),
+    "mine-pairs confidence": (LOCATED_ROW_ERRORS["mine-pairs"][0], "vars/varpost.jsonl",
+                              "confidence", "0.5", "a finite number"),
+    "mine-pairs valid": (MINE_VARIATIONS, "vars/variations.jsonl", "valid", "no",
+                         "true or false"),
+    "mine-pairs var": (MINE_VARIATIONS, "vars/variations.jsonl", "var", ["p.v0"], "a string"),
+    "fit-gnb piece": (LOCATED_ROW_ERRORS["fit-gnb"][0], "feat.jsonl", "piece", 3, "a string"),
 }
 
 

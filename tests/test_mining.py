@@ -263,6 +263,10 @@ MALFORMED_PAIR_LINES = {
     "text level": json.dumps({**GOOD_PAIR, "hard_level": "x"}),
     "no gap": json.dumps(without(GOOD_PAIR, "gap")),
     "truncated": "{",
+    "bool level": json.dumps({**GOOD_PAIR, "hard_level": True}),
+    "fractional level": json.dumps({**GOOD_PAIR, "easy_level": 0.7}),
+    "text gap": json.dumps({**GOOD_PAIR, "gap": "2"}),
+    "text sim": json.dumps({**GOOD_PAIR, "sim": "0.5"}),
 }
 MALFORMED_REPORTS = {
     "list": "[1]",
@@ -287,7 +291,7 @@ def test_malformed_pair_line_raises_mining_error(tmp_path, line):
 def test_non_finite_sim_raises_mining_error(tmp_path, sim):
     path = tmp_path / "pairs.jsonl"
     path.write_text(json.dumps(GOOD_PAIR) + "\n" + json.dumps({**GOOD_PAIR, "sim": sim}) + "\n")
-    with pytest.raises(MiningError, match=r"pairs\.jsonl:2: sim .* not finite"):
+    with pytest.raises(MiningError, match=r"pairs\.jsonl:2: field 'sim' must be a finite number"):
         load_pairs(str(path))
 
 

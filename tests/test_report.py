@@ -8,9 +8,7 @@ from gradus.report import (
     ReportError,
     aggregate,
     classify_outcome,
-    load_records,
     render_report,
-    save_records,
 )
 
 
@@ -169,34 +167,3 @@ class TestRender:
     def test_unknown_format_rejected(self):
         with pytest.raises(ReportError):
             render_report(self.sample_rows(), format="html")
-
-
-class TestPersistence:
-    def test_round_trip(self, tmp_path):
-        records = [rec(5, 3, "filtered", 1, 0.25),
-                   rec(6, 6, "random", 2, 0.5,
-                       piece="p1", variation="p1.v001", genre="waltz")]
-        path = tmp_path / "records.jsonl"
-        save_records(str(path), records)
-        loaded = load_records(str(path))
-        assert loaded == records
-
-    def test_loaded_records_revalidated(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text(
-            '{"piece": "p", "variation": "v", "original_level": 5, '
-            '"predicted_level": 3, "outcome": "harder", "distance": 0.1, '
-            '"genre": "etude", "strategy": "random", "gap": 1}\n')
-        with pytest.raises(ReportError):
-            load_records(str(path))
-
-    @pytest.mark.parametrize("distance", ["NaN", "Infinity", "-Infinity", '"0.5"', "null"])
-    def test_non_finite_or_non_numeric_distance_rejected(self, tmp_path, distance):
-        path = tmp_path / "bad.jsonl"
-        path.write_text(
-            '{"piece": "p", "variation": "v", "original_level": 5, '
-            '"predicted_level": 3, "outcome": "easier", "distance": 0.1}\n'
-            '{"piece": "p", "variation": "w", "original_level": 5, '
-            '"predicted_level": 3, "outcome": "easier", "distance": ' + distance + '}\n')
-        with pytest.raises(ReportError, match=r"bad\.jsonl:2: distance .* not a finite number"):
-            load_records(str(path))

@@ -190,6 +190,7 @@ class TestPersistence:
         '{"id": "x", "dim": 2, "v": {"a": 1}}',
         '{"id": ["x"], "dim": 2, "v": [1.0, 0.0]}',
         '{"id": "x", "dim": 2',
+        '{"id": "x", "dim": 2, "v": ["1", "0"]}',
     ])
     def test_malformed_line_names_path_and_line(self, tmp_path, line):
         path = tmp_path / "bad.jsonl"
@@ -204,5 +205,13 @@ class TestPersistence:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"id": "ok", "dim": 2, "v": [1.0, 0.0]}\n'
                         '{"id": "x", "dim": 2, "v": ' + v + '}\n')
-        with pytest.raises(StyleError, match=r"bad\.jsonl:2: .*non-finite"):
+        with pytest.raises(StyleError,
+                           match=r"bad\.jsonl:2: field 'v' must be a list of finite numbers"):
+            load_embeddings(str(path))
+
+    def test_rejects_bool_dim(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"id": "ok", "dim": 1, "v": [1.0]}\n'
+                        '{"id": "x", "dim": true, "v": [0.5]}\n')
+        with pytest.raises(StyleError, match=r"bad\.jsonl:2: field 'dim' must be an integer"):
             load_embeddings(str(path))

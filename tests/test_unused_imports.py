@@ -1,9 +1,12 @@
-"""Every name a ``gradus`` module imports is used by that module.
+"""Every name a ``gradus`` module imports is used by that module, and
+every private name a module defines is read by some module.
 
 No linter ships with the project, so this walks each module's syntax tree
-with the standard ``ast`` module.  A name counts as used when the module
-reads it anywhere (annotations included) or lists it in ``__all__``;
-``from __future__`` imports are directives, not names.
+with the standard ``ast`` module.  An imported name counts as used when the
+module reads it anywhere (annotations included) or lists it in ``__all__``;
+``from __future__`` imports are directives, not names.  A private
+module-level name (one leading underscore) counts as read when any module
+of the package loads it, imports it or reads it as an attribute.
 """
 
 import ast
@@ -59,3 +62,61 @@ def test_checker_sees_unused_and_used_names():
               "def f(x: Sequence[int]) -> None:\n"
               "    return np.asarray(x)\n")
     assert unused_imports(source) == ["line 2: os", "line 4: Optional"]
+
+
+def private_names(tree: ast.Module) -> dict[str, int]:
+    """Each private name bound at module level, with the line that binds it."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in bound:
+            if name.startswith("_") and not name.startswith("__"):
+                names[name] = node.lineno
+    return names
+
+
+def read_names(tree: ast.Module) -> set[str]:
+    """Names a module loads, reads as an attribute or imports from a module."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = set().union(*map(read_names, trees.values()))
+    return [f"{module} line {line}: {name}" for module, tree in trees.items()
+            for name, line in private_names(tree).items() if name not in read]
+
+
+def test_every_private_name_is_read():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert unread_private_names(sources) == []
+
+
+def test_checker_sees_unread_and_read_private_names():
+    sources = {"a.py": ("_UNREAD = 1\n"
+                        "_LOADED = 2\n"
+                        "_IMPORTED: int = 3\n"
+                        "_ATTR, __dunder__ = 4, 5\n"
+                        "def _helper():\n"
+                        "    return _LOADED\n"
+                        "class _Gone:\n"
+                        "    _attr_of_class = 6\n"),
+               "b.py": ("from .a import _IMPORTED\n"
+                        "from . import a\n"
+                        "print(a._ATTR)\n")}
+    assert unread_private_names(sources) == ["a.py line 1: _UNREAD", "a.py line 5: _helper",
+                                             "a.py line 7: _Gone"]
