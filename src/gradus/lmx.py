@@ -64,6 +64,10 @@ _PITCH_RE = re.compile(r"^([A-G])(#{1,2}|b{1,2})?(-?\d+)$")
 _DEFAULT_VOICE = {1: 1, 2: 2}
 _TUPLET_TOKENS = {(3, 2): "triplet", (5, 4): "quintuplet"}
 _TOKEN_TUPLETS = {v: k for k, v in _TUPLET_TOKENS.items()}
+# the length of every (type, dots, tuplet) a note's tokens can spell
+_LENGTHS = {(name, dots, tuplet): duration_for_type(name, dots, tuplet)
+            for name in DURATION_TYPES for dots in range(3)
+            for tuplet in (None, *_TUPLET_TOKENS)}
 
 
 class EncodeError(Exception):
@@ -380,7 +384,7 @@ def _decode_note(tokens: Sequence[str], i: int, lane: _Lane,
     if i < n and tokens[i] in _TOKEN_TUPLETS:
         tuplet = _TOKEN_TUPLETS[tokens[i]]
         i += 1
-    duration = duration_for_type(name, dots, tuplet)
+    duration = _LENGTHS[name, dots, tuplet]
     tie_start = tie_stop = False
     while i < n and tokens[i] in ("tie:start", "tie:stop"):
         if grace:

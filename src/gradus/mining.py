@@ -12,7 +12,7 @@ random strategy's pairs.
 from __future__ import annotations
 
 import operator
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -188,7 +188,7 @@ def _mean_distance(pairs: Sequence[Pair]) -> float:
 def save_pairs(path: str, pairs: Sequence[Pair]) -> None:
     """One JSON object per line, sorted by (piece, hard, easy)."""
     ordered = sorted(pairs, key=lambda p: (p.piece, p.hard, p.easy))
-    interchange.write_jsonl(path, map(asdict, ordered))
+    interchange.write_jsonl(path, map(vars, ordered))
 
 
 def load_pairs(path: str) -> list[Pair]:
@@ -208,17 +208,13 @@ def save_report(path: str, report: MiningReport) -> None:
 
 
 def load_report(path: str) -> MiningReport:
-    payload = interchange.read_json(path, MiningError)
-    try:
-        md = payload.get("mean_distance")
-        return MiningReport(
-            strategy=payload["strategy"], min_gap=int(payload["min_gap"]),
-            counts=dict(payload["counts"]),
-            mean_distance=float("nan") if md is None else float(md),
-            mean_distance_by_gap={int(g): float(d)
-                                  for g, d in payload["mean_distance_by_gap"].items()},
-        )
-    except KeyError as exc:
-        raise MiningError(f"{path}: missing field {exc}") from exc
-    except (ValueError, TypeError, AttributeError) as exc:
-        raise MiningError(f"{path}: bad report: {exc}") from exc
+    """The report :func:`save_report` wrote; fields are checked, never coerced."""
+    payload = interchange.check(path, interchange.read_json(path, MiningError), MiningError,
+                                "strategy", "min_gap", "counts", "mean_distance_by_gap")
+    md = payload.get("mean_distance")
+    return MiningReport(
+        strategy=payload["strategy"], min_gap=payload["min_gap"], counts=payload["counts"],
+        mean_distance=float("nan") if md is None else float(md),
+        mean_distance_by_gap={int(g): float(d)
+                              for g, d in payload["mean_distance_by_gap"].items()},
+    )

@@ -9,7 +9,7 @@ optionally genre or original level), rendered as CSV or Markdown.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -162,4 +162,4 @@ def render_report(rows: Sequence[ReportRow], format: str = "csv") -> str:
 # Interchange format
 
 def save_records(path: str, records: Iterable[OutcomeRecord]) -> None:
-    interchange.write_jsonl(path, (dict(sorted(asdict(rec).items())) for rec in records))
+    interchange.write_jsonl(path, (dict(sorted(vars(rec).items())) for rec in records))

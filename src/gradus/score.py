@@ -15,6 +15,7 @@ fractions, so it stays exact without comparing fractions.
 
 from __future__ import annotations
 
+import gc
 import io
 import xml.etree.ElementTree as ET
 import zipfile
@@ -88,18 +89,20 @@ TUPLET_RATIOS: tuple[tuple[int, int], ...] = ((3, 2), (5, 4))
 _DOT_FACTORS = (Fraction(1), Fraction(3, 2), Fraction(7, 4))
 
 
-def _notated_readings() -> dict[Fraction, tuple[str, int, Optional[tuple[int, int]]]]:
-    """Every notatable duration and its reading.
+def _notated_readings() -> dict[tuple[int, int], tuple[str, int, Optional[tuple[int, int]]]]:
+    """Every notatable duration, as ``(numerator, denominator)``, and its reading.
 
     Filled in search order (plain before tuplet, fewer dots first, longer
-    types first); the first reading of a duration wins.
+    types first); the first reading of a duration wins.  The keys are ints
+    because hashing a Fraction computes a modular inverse.
     """
-    table: dict[Fraction, tuple[str, int, Optional[tuple[int, int]]]] = {}
+    table: dict[tuple[int, int], tuple[str, int, Optional[tuple[int, int]]]] = {}
     for ratio in ((1, 1),) + TUPLET_RATIOS:
         actual, normal = ratio
         for dots, factor in enumerate(_DOT_FACTORS):
             for name, length in DURATION_TYPES.items():
-                table.setdefault(length * factor * normal / actual,
+                quarters = length * factor * normal / actual
+                table.setdefault((quarters.numerator, quarters.denominator),
                                  (name, dots, None if ratio == (1, 1) else ratio))
     return table
 
@@ -114,7 +117,7 @@ def type_for_duration(quarters: Fraction) -> Optional[tuple[str, int, Optional[t
     value (plain, dotted once or twice, optionally under a supported tuplet
     ratio).  Plain values are preferred over tuplet readings.
     """
-    return _NOTATED.get(quarters)
+    return _NOTATED.get((quarters.numerator, quarters.denominator))
 
 
 def duration_for_type(name: str, dots: int = 0, tuplet: Optional[tuple[int, int]] = None) -> Fraction:
@@ -160,8 +163,14 @@ class Pitch:
 
     @classmethod
     def from_parts(cls, step: str, alter: int, octave: int) -> "Pitch":
-        midi = 12 * (octave + 1) + _STEP_TO_PC[step] + alter
-        return cls(midi, midi % 12, octave, step, alter)
+        """The pitch of a spelling; equal spellings share one object."""
+        key = (step, alter, octave)
+        pitch = _PITCHES.get(key)
+        if pitch is None:
+            midi = 12 * (octave + 1) + _STEP_TO_PC[step] + alter
+            # an invalid spelling raises here, so it is never stored
+            pitch = _PITCHES[key] = cls(midi, midi % 12, octave, step, alter)
+        return pitch
 
     @classmethod
     def from_midi(cls, midi: int) -> "Pitch":
@@ -199,7 +208,13 @@ class Pitch:
         return cls.from_parts(step, _TEXT_ALTER[alter_text], octave)
 
 
-@dataclass(frozen=True)
+# (step, alter, octave) -> its Pitch, filled by Pitch.from_parts.  Keyed by
+# value, so the tokens "C4" and "C04" share one Pitch; only valid spellings
+# are stored, 374 at most (7 steps x 5 alterations, octaves -2 to 9 in midi range).
+_PITCHES: dict[tuple[str, int, int], Pitch] = {}
+
+
+@dataclass(frozen=True, init=False)
 class NoteEvent:
     """One note or rest.
 
@@ -208,6 +223,9 @@ class NoteEvent:
     their notated type but do not occupy time (they are skipped by the
     timeline and by onset accounting).  ``hidden`` marks gap-filling rests
     that were not literally present in the source.
+
+    Onset and duration are rationals (``Fraction`` or ``int``); the checks
+    read their numerators, whose sign is the value's sign.
     """
 
     onset: Fraction
@@ -221,13 +239,21 @@ class NoteEvent:
     grace: bool = False
     hidden: bool = False
 
-    def __post_init__(self) -> None:
-        if self.onset < 0:
+    def __init__(self, onset: Fraction, duration: Fraction, pitch: Optional[Pitch],
+                 voice: int = 1, staff: int = 1, tie_start: bool = False,
+                 tie_stop: bool = False, chord: bool = False, grace: bool = False,
+                 hidden: bool = False) -> None:
+        if onset.numerator < 0:
             raise ValueError("onset must be >= 0")
-        if self.duration <= 0:
+        if duration.numerator <= 0:
             raise ValueError("duration must be > 0")
-        if self.staff not in (1, 2):
+        if staff != 1 and staff != 2:
             raise ValueError("staff must be 1 or 2")
+        # one write of every field; frozen dataclasses block setattr
+        self.__dict__.update(
+            onset=onset, duration=duration, pitch=pitch, voice=voice, staff=staff,
+            tie_start=tie_start, tie_stop=tie_stop, chord=chord, grace=grace,
+            hidden=hidden)
 
     @property
     def is_rest(self) -> bool:
@@ -352,7 +378,23 @@ def parse_musicxml(document: bytes | str) -> Score:
     Positions inside a measure are counted in integer ticks; a
     :class:`~fractions.Fraction` is built only for the onset and the
     duration of each event.
+
+    The cyclic garbage collector is paused while the parse runs.  The
+    element tree is acyclic and lives until the score is built, so no
+    collection could free any of it, yet its tens of thousands of tracked
+    elements would be promoted to the oldest generation and set off full
+    collections.  Reference counting frees the tree when the parse returns.
     """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _parse_musicxml(document)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _parse_musicxml(document: bytes | str) -> Score:
     if isinstance(document, str):
         document = document.encode("utf-8")
     if document[:2] == b"PK":
@@ -379,8 +421,7 @@ def parse_musicxml(document: bytes | str) -> Score:
     time_sig: Optional[tuple[int, int]] = None
     measures: list[Measure] = []
     cursor = Fraction(0)
-    # equal values share one object: Pitch and Fraction are immutable
-    pitches: dict[tuple[Optional[str], ...], Pitch] = {}
+    # equal values share one object: Fraction is immutable
     lengths: dict[tuple[int, int], Fraction] = {}   # quarters from 0
 
     for m_index, m_elem in enumerate(part.findall("measure")):
@@ -399,42 +440,65 @@ def parse_musicxml(document: bytes | str) -> Score:
             for elem in m_elem:
                 tag = elem.tag
                 if tag == "note":
-                    # the first child of each tag, as find() would return it
-                    children = {child.tag: child for child in reversed(elem)}
-                    is_grace = "grace" in children
-                    is_chord = "chord" in children
-                    voice = int(_text(children.get("voice")) or 1)
-                    staff = int(_text(children.get("staff")) or 1)
+                    # one pass over the children; the first child of each
+                    # tag is the one read, as find() would return it
+                    p_el = dur_el = voice_el = staff_el = None
+                    is_rest = is_chord = is_grace = tie_start = tie_stop = False
+                    for child in elem:
+                        ctag = child.tag
+                        if ctag == "pitch":
+                            if p_el is None:
+                                p_el = child
+                        elif ctag == "duration":
+                            if dur_el is None:
+                                dur_el = child
+                        elif ctag == "voice":
+                            if voice_el is None:
+                                voice_el = child
+                        elif ctag == "staff":
+                            if staff_el is None:
+                                staff_el = child
+                        elif ctag == "tie":
+                            kind = child.get("type")
+                            if kind == "start":
+                                tie_start = True
+                            elif kind == "stop":
+                                tie_stop = True
+                        elif ctag == "rest":
+                            is_rest = True
+                        elif ctag == "chord":
+                            is_chord = True
+                        elif ctag == "grace":
+                            is_grace = True
+                    voice = int(_text(voice_el) or 1)
+                    staff = int(_text(staff_el) or 1)
                     declared_staves = max(declared_staves, staff)
                     if staff > 2:
                         # keep parsing; validate_two_staff reports the violation
                         staff = 2
                     hidden = elem.get("print-object") == "no"
-                    ties = {t.get("type") for t in elem.findall("tie")}
 
                     pitch = None
-                    if "rest" not in children:
-                        p_el = children.get("pitch")
+                    if not is_rest:
                         if p_el is None:
                             raise MusicXmlParseError(
                                 f"measure {m_index + 1}: note with neither pitch nor rest")
-                        spelling = (p_el.findtext("step"), p_el.findtext("alter"),
-                                    p_el.findtext("octave"))
-                        pitch = pitches.get(spelling)
-                        if pitch is None:
-                            step, alter, octave = (t.strip() if t else None for t in spelling)
-                            pitch = pitches[spelling] = Pitch.from_parts(
-                                step or "C", int(float(alter or 0)), int(octave or 4))
+                        # a missing or blank text reads as its default
+                        step = p_el.findtext("step")
+                        alter = p_el.findtext("alter")
+                        octave = p_el.findtext("octave")
+                        pitch = Pitch.from_parts((step and step.strip()) or "C",
+                                                 int(float((alter and alter.strip()) or 0)),
+                                                 int((octave and octave.strip()) or 4))
 
                     if is_grace:
                         raw.append((pos, 0, divisions, NoteEvent(
                             onset=_shared_q(onsets, pos, divisions, m_index, cursor),
-                            duration=_grace_length(elem, children),
-                            pitch=pitch, voice=voice, staff=staff,
-                            grace=True, hidden=hidden)))
+                            duration=_grace_length(elem), pitch=pitch, voice=voice,
+                            staff=staff, grace=True, hidden=hidden)))
                         continue
 
-                    dur_divs = _required_duration(children.get("duration"), tag, m_index)
+                    dur_divs = _required_duration(dur_el, tag, m_index)
                     if divisions is None:
                         raise MusicXmlParseError(
                             f"measure {m_index + 1}: missing divisions attribute")
@@ -443,7 +507,7 @@ def parse_musicxml(document: bytes | str) -> Score:
                         onset=_shared_q(onsets, onset_divs, divisions, m_index, cursor),
                         duration=_shared_q(lengths, dur_divs, divisions, m_index),
                         pitch=pitch, voice=voice, staff=staff,
-                        tie_start="start" in ties, tie_stop="stop" in ties,
+                        tie_start=tie_start, tie_stop=tie_stop,
                         chord=is_chord, hidden=hidden)))
                     if not is_chord:
                         last_onset = pos
@@ -538,15 +602,15 @@ def _required_duration(duration: Optional[ET.Element], tag: str, m_index: int) -
     return value
 
 
-def _grace_length(note: ET.Element, children: dict[str, ET.Element]) -> Fraction:
+def _grace_length(note: ET.Element) -> Fraction:
     """A grace note's notated length, from its ``<type>`` (an eighth when
     missing or unknown), ``<dot />`` count and ``<time-modification>``, as
     :func:`serialize_musicxml` writes them.  Bad counts raise ``ValueError``
     or ``TypeError``, which the measure loop reports as malformed."""
-    name = _text(children.get("type"))
+    name = _text(note.find("type"))
     if name not in DURATION_TYPES:
         name = "eighth"
-    mod = children.get("time-modification")
+    mod = note.find("time-modification")
     tuplet = None if mod is None else (int(_text(mod.find("actual-notes"))),
                                        int(_text(mod.find("normal-notes"))))
     return duration_for_type(name, len(note.findall("dot")), tuplet)
@@ -607,7 +671,11 @@ def _fill_voice_gaps(raw: list[tuple[int, int, int, NoteEvent]], start: Fraction
             if onset > cur:
                 timed.append((cur, onset - cur, _hidden_rest(
                     start, cur, onset - cur, unit, voice, group[0][2].staff, m_index)))
-            root = next((item for item in group if not item[2].chord), group[0])
+            for root in group:   # the first non-chord event, else the first
+                if not root[2].chord:
+                    break
+            else:
+                root = group[0]
             cur = onset + root[1]
             staff_hint = group[-1][2].staff
         if cur < end:
@@ -773,16 +841,16 @@ def _write_note(out: list[str], ev: NoteEvent, divisions: int, chord: bool) -> N
     else:
         out.append(f"        <pitch>\n          <step>{pitch.step}</step>\n"
                    f"          <octave>{pitch.octave}</octave>\n        </pitch>")
+    length = (ev.duration.numerator, ev.duration.denominator)
     if not ev.grace:
         # a duration is positive, so floor division truncates as int() does
-        ticks = ev.duration.numerator * divisions // ev.duration.denominator
-        out.append(f"        <duration>{ticks}</duration>")
+        out.append(f"        <duration>{length[0] * divisions // length[1]}</duration>")
     if ev.tie_stop:
         out.append('        <tie type="stop" />')
     if ev.tie_start:
         out.append('        <tie type="start" />')
     out.append(f"        <voice>{ev.voice}</voice>")
-    decomposed = _NOTATED.get(ev.duration)
+    decomposed = _NOTATED.get(length)
     if decomposed is not None:
         name, dots, tuplet = decomposed
         out.append(f"        <type>{name}</type>")

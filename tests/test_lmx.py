@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import build_reference_piece, semantic_signature
+from gradus import lmx
+from gradus import score as score_module
 from gradus.lmx import (
     DecodeError,
     EncodeError,
@@ -177,6 +179,15 @@ class TestDecodeErrors:
         with pytest.raises(DecodeError):
             decode(["measure", "C4", "quarter", "time:3/4"])
 
+    @pytest.mark.parametrize("pitch, message", [
+        ("C-5", "token 1: midi_number -48 out of range"),
+        ("G#9", "token 1: midi_number 128 out of range"),
+    ])
+    def test_bad_pitch_raises_the_same_error_every_time(self, pitch, message):
+        for _ in range(2):
+            with pytest.raises(DecodeError, match=f"^{message}$"):
+                decode(["measure", pitch, "quarter"])
+
     def test_recoverable_skips_bad_measure(self):
         good = ["measure", "time:4/4", "C4", "whole"]
         bad = ["measure", "blorp"]
@@ -195,6 +206,21 @@ class TestDecodeErrors:
         assert report.skipped == ()
         assert semantic_signature(report.score) == \
             semantic_signature(reference_piece)
+
+
+def test_decoded_values_come_from_bounded_shared_tables():
+    before = set(score_module._PITCHES)
+    spellings = [f"C{'0' * k}4" for k in range(40)] + ["C#04", "Db004", "C٤"]
+    score = decode(["measure"] + [tok for name in spellings for tok in (name, "16th")])
+    events = score.measures[0].events
+    assert [ev.pitch.name for ev in events] == ["C4"] * 40 + ["C#4", "Db4", "C4"]
+    assert all(ev.pitch is events[0].pitch for ev in events if ev.pitch.name == "C4")
+    # one entry per spelling, whatever its digits
+    assert set(score_module._PITCHES) - before <= {("C", 0, 4), ("C", 1, 4), ("D", -1, 4)}
+    assert len(score_module._PITCHES) <= 374
+    assert len({id(ev.duration) for ev in events}) == 1
+    # (type, dots, tuplet) for 8 types, 0-2 dots and no, 3:2 or 5:4 tuplet
+    assert len(lmx._LENGTHS) == 72
 
 
 class TestVocabulary:

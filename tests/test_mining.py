@@ -10,6 +10,7 @@ import pytest
 from gradus.mining import (
     CONFIDENCE_DROP_FRACTION,
     MiningError,
+    MiningReport,
     Pair,
     SIMILARITY_KEEP_FRACTION,
     Variation,
@@ -301,6 +302,45 @@ def test_malformed_report_raises_mining_error(tmp_path, text):
     path.write_text(text)
     with pytest.raises(MiningError, match=r"report\.json"):
         load_report(str(path))
+
+
+COERCIBLE_REPORTS = {
+    "bool min_gap": ({"min_gap": True}, "min_gap", "an integer"),
+    "text mean_distance": ({"mean_distance": "0.5"}, "mean_distance",
+                           "a finite number or null"),
+    "text count": ({"counts": {"raw": "3"}}, "counts", "an object of integers"),
+    "bool count": ({"counts": {"raw": False}}, "counts", "an object of integers"),
+    "infinite mean_distance": ({"mean_distance": float("inf")}, "mean_distance",
+                               "a finite number or null"),
+    "text gap key": ({"mean_distance_by_gap": {"x": 0.5}}, "mean_distance_by_gap",
+                     "an object of finite numbers keyed by gap"),
+    "list strategy": ({"strategy": ["random"]}, "strategy", "a string"),
+}
+
+
+@pytest.mark.parametrize("change, field, kind", COERCIBLE_REPORTS.values(),
+                         ids=COERCIBLE_REPORTS.keys())
+def test_report_fields_are_checked_not_coerced(tmp_path, change, field, kind):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps({**GOOD_REPORT, **change}))
+    with pytest.raises(MiningError) as exc:
+        load_report(str(path))
+    assert str(exc.value) == f"{path}: field {field!r} must be {kind}"
+
+
+def test_report_missing_a_field_names_it(tmp_path):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(without(GOOD_REPORT, "counts")))
+    with pytest.raises(MiningError, match=r"report\.json: missing field 'counts'$"):
+        load_report(str(path))
+
+
+def test_report_round_trips_exactly(tmp_path):
+    path = tmp_path / "report.json"
+    rep = MiningReport(strategy="filtered", min_gap=2, counts={"raw": 7, "after_similarity": 3},
+                       mean_distance=0.375, mean_distance_by_gap={2: 0.25, 5: 1})
+    save_report(str(path), rep)
+    assert load_report(str(path)) == rep
 
 
 def test_good_report_record_loads(tmp_path):

@@ -1,5 +1,7 @@
 """Score model, MusicXML I/O and timeline tests."""
 
+import dataclasses
+import gc
 import zipfile
 from fractions import Fraction
 
@@ -63,6 +65,37 @@ class TestPitch:
             with pytest.raises(ValueError):
                 Pitch.from_name(bad)
 
+    def test_every_valid_spelling_is_one_shared_object(self):
+        table = score_module._PITCHES
+        valid = set()
+        for key in ((s, a, o) for s in "CDEFGAB" for a in range(-3, 4) for o in range(-5, 15)):
+            try:
+                pitch = Pitch.from_parts(*key)
+            except ValueError:
+                continue
+            valid.add(key)
+            assert pitch is table[key] is Pitch.from_parts(*key)
+        assert set(table) == valid and len(table) == 374
+        assert {p.midi_number for p in table.values()} == set(range(128))
+        for name in ("C4", "C04", "C004", "Bb-1", "B#-2", "G9"):
+            pitch = Pitch.from_name(name)
+            assert pitch is table[pitch.step, pitch.alter, pitch.octave]
+        assert Pitch.from_parts("C", 0, 4) is Pitch.from_name("C0004")
+
+    @pytest.mark.parametrize("parts, error", [
+        (("C", 0, 10), "midi_number 132 out of range"),
+        (("C", -1, -1), "midi_number -1 out of range"),
+        (("C", 3, 4), "unsupported alter 3"),
+    ])
+    def test_invalid_spellings_raise_and_are_not_shared(self, parts, error):
+        size = len(score_module._PITCHES)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=error):
+                Pitch.from_parts(*parts)
+        assert len(score_module._PITCHES) == size
+        with pytest.raises(KeyError):
+            Pitch.from_parts("H", 0, 4)
+
 
 class TestNoteEvent:
     def test_positive_duration_required(self):
@@ -82,6 +115,56 @@ class TestNoteEvent:
                          pitch=Pitch.from_name("C4"))
         assert not note.is_rest
         assert note.end == Fraction(1)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"onset": Fraction(-1, 3)}, "onset must be >= 0"),
+        ({"onset": -1}, "onset must be >= 0"),
+        ({"duration": Fraction(0)}, "duration must be > 0"),
+        ({"duration": Fraction(-1, 2)}, "duration must be > 0"),
+        ({"duration": 0}, "duration must be > 0"),
+        ({"duration": -2}, "duration must be > 0"),
+        ({"staff": 0}, "staff must be 1 or 2"),
+        ({"staff": 3}, "staff must be 1 or 2"),
+    ])
+    def test_rejections_keep_their_messages(self, kwargs, message):
+        fields = {"onset": Fraction(1, 2), "duration": Fraction(1), "pitch": None, **kwargs}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            NoteEvent(**fields)
+
+    def test_int_times_are_accepted(self):
+        ev = NoteEvent(onset=0, duration=2, pitch=None, staff=2)
+        assert (ev.onset, ev.duration, ev.end, ev.staff) == (0, 2, 2, 2)
+
+    def test_fields_are_frozen(self):
+        ev = NoteEvent(onset=Fraction(0), duration=Fraction(1), pitch=None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ev.voice = 2
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del ev.onset
+        assert ev.voice == 1
+
+    def test_equal_fields_give_equal_events_and_hashes(self):
+        fields = dict(onset=Fraction(3, 2), duration=Fraction(1, 3),
+                      pitch=Pitch.from_name("F#3"), voice=2, staff=2, tie_start=True,
+                      chord=True, hidden=False)
+        a, b = NoteEvent(**fields), NoteEvent(**fields)
+        assert a == b and hash(a) == hash(b) and a is not b
+        assert a != NoteEvent(**{**fields, "tie_stop": True})
+        assert repr(a) == (
+            "NoteEvent(onset=Fraction(3, 2), duration=Fraction(1, 3), pitch=Pitch("
+            "midi_number=54, pitch_class=6, octave=3, step='F', alter=1), voice=2, "
+            "staff=2, tie_start=True, tie_stop=False, chord=True, grace=False, hidden=False)")
+
+    def test_positional_construction_and_replace(self):
+        c4 = Pitch.from_name("C4")
+        ev = NoteEvent(Fraction(1), Fraction(2), c4, 2, 2, True, False, True, False, True)
+        assert ev == NoteEvent(onset=Fraction(1), duration=Fraction(2), pitch=c4, voice=2,
+                               staff=2, tie_start=True, chord=True, hidden=True)
+        moved = dataclasses.replace(ev, onset=Fraction(5), staff=1)
+        assert (moved.onset, moved.staff, moved.voice, moved.tie_start) == (5, 1, 2, True)
+        assert ev.onset == 1
+        with pytest.raises(ValueError, match="staff must be 1 or 2"):
+            dataclasses.replace(ev, staff=3)
 
 
 class TestDurationTypes:
@@ -322,6 +405,33 @@ class TestParsing:
     def test_malformed_values_raise_parse_error(self, doc):
         with pytest.raises(MusicXmlParseError, match="measure 1"):
             parse_musicxml(doc)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_state_is_restored(self, enabled):
+        good = MINIMAL.format(divisions=4, body=_note("C", 4, 4))
+        bad = MINIMAL.format(divisions=4, body=_note("H", 4, 4))
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            parse_musicxml(good)
+            assert gc.isenabled() is enabled
+            with pytest.raises(MusicXmlParseError):
+                parse_musicxml(bad)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    @pytest.mark.parametrize("step, octave, message", [
+        ("H", 4, "(KeyError: 'H')"),
+        ("C", 40, "(ValueError: midi_number 492 out of range)"),
+        ("C", "4.5", "(ValueError: invalid literal for int() with base 10: '4.5')"),
+    ])
+    def test_bad_pitch_raises_the_same_error_every_time(self, step, octave, message):
+        doc = MINIMAL.format(divisions=4, body=_note("C", 4, 4) + _note(step, octave, 4))
+        for _ in range(2):
+            with pytest.raises(MusicXmlParseError) as exc:
+                parse_musicxml(doc)
+            assert str(exc.value) == f"measure 1: malformed value {message}"
 
 
 class TestMxlContainer:

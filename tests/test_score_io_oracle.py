@@ -1,17 +1,22 @@
-"""MusicXML writing and the duration table against the ElementTree forms.
+"""MusicXML writing, parsing and the duration table against their older forms.
 
 ``serialize_musicxml`` writes its text directly, and ``type_for_duration``
 looks a duration up in a table built at import.  The ElementTree writer and
 the search they replaced live on here as oracles: every score must give the
 same bytes, and every duration the same reading.  Parsing counts integer
 ticks per measure; the hand-written documents below pin its results,
-hidden rests and errors included.
+hidden rests and errors included.  ``parse_musicxml`` reads each note's
+children in one pass; the parser that built a dict of them per note lives
+on here as ``reference_parse``, and both must read every document, mutated
+ones included, to equal scores or to the same error.
 """
 
+import copy
 import io
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 from math import lcm
+from typing import Optional, Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +33,7 @@ from gradus.score import (
     NoteEvent,
     Pitch,
     Score,
+    UnsupportedStructureError,
     duration_for_type,
     parse_musicxml,
     serialize_musicxml,
@@ -447,3 +453,373 @@ def test_first_child_of_a_tag_is_the_one_read():
         "<duration>6</duration><voice>2</voice><voice>1</voice><staff> </staff></note>",
         "</measure>"]))
     assert summary(parse_musicxml(doc)) == [("0", "1", [("0", "1", "D4", 2, 1, "")])]
+
+
+# ---------------------------------------------------------------------------
+# Parsing: the per-note dict parser as the oracle
+
+def reference_parse(document: bytes | str) -> Score:
+    """``parse_musicxml`` as it was before one pass per note: a dict of each
+    note's children, ``findall("tie")`` and a pitch cache per document keyed
+    by the raw texts.  Plain documents only."""
+    if isinstance(document, str):
+        document = document.encode("utf-8")
+    try:
+        root = ET.fromstring(document)
+    except ET.ParseError as exc:
+        raise MusicXmlParseError(f"XML syntax error: {exc}") from exc
+    if root.tag != "score-partwise":
+        raise UnsupportedStructureError(f"expected score-partwise, found {root.tag!r}")
+
+    parts = root.findall("part")
+    if len(parts) != 1:
+        raise UnsupportedStructureError(
+            f"expected exactly one part, found {len(parts)}")
+    part = parts[0]
+
+    title = ref_first_text(root, ("movement-title", "work/work-title"))
+    genre = ref_misc_field(root, "genre")
+    source_id = ref_misc_field(root, "source")
+
+    divisions: Optional[int] = None
+    declared_staves = 1
+    time_sig: Optional[tuple[int, int]] = None
+    measures: list[Measure] = []
+    cursor = Fraction(0)
+    # equal values share one object: Pitch and Fraction are immutable
+    pitches: dict[tuple[Optional[str], ...], Pitch] = {}
+    lengths: dict[tuple[int, int], Fraction] = {}   # quarters from 0
+
+    for m_index, m_elem in enumerate(part.findall("measure")):
+        try:
+            m_time: Optional[tuple[int, int]] = None
+            m_key: Optional[int] = None
+            m_clefs: list[Optional[str]] = [None, None]
+            # (onset, length, divisions, event): onset and length in the
+            # divisions current at the note, length 0 for grace notes
+            raw: list[tuple[int, int, int, NoteEvent]] = []
+            onsets: dict[tuple[int, int], Fraction] = {}   # quarters from cursor
+            pos = 0                 # divisions from measure start
+            maxpos = 0
+            last_onset = 0          # onset of the most recent non-chord note
+
+            for elem in m_elem:
+                tag = elem.tag
+                if tag == "note":
+                    # the first child of each tag, as find() would return it
+                    children = {child.tag: child for child in reversed(elem)}
+                    is_grace = "grace" in children
+                    is_chord = "chord" in children
+                    voice = int(ref_text(children.get("voice")) or 1)
+                    staff = int(ref_text(children.get("staff")) or 1)
+                    declared_staves = max(declared_staves, staff)
+                    if staff > 2:
+                        # keep parsing; validate_two_staff reports the violation
+                        staff = 2
+                    hidden = elem.get("print-object") == "no"
+                    ties = {t.get("type") for t in elem.findall("tie")}
+
+                    pitch = None
+                    if "rest" not in children:
+                        p_el = children.get("pitch")
+                        if p_el is None:
+                            raise MusicXmlParseError(
+                                f"measure {m_index + 1}: note with neither pitch nor rest")
+                        spelling = (p_el.findtext("step"), p_el.findtext("alter"),
+                                    p_el.findtext("octave"))
+                        pitch = pitches.get(spelling)
+                        if pitch is None:
+                            step, alter, octave = (t.strip() if t else None for t in spelling)
+                            pitch = pitches[spelling] = Pitch.from_parts(
+                                step or "C", int(float(alter or 0)), int(octave or 4))
+
+                    if is_grace:
+                        raw.append((pos, 0, divisions, NoteEvent(
+                            onset=ref_shared_q(onsets, pos, divisions, m_index, cursor),
+                            duration=ref_grace_length(elem, children),
+                            pitch=pitch, voice=voice, staff=staff,
+                            grace=True, hidden=hidden)))
+                        continue
+
+                    dur_divs = ref_required_duration(children.get("duration"), tag, m_index)
+                    if divisions is None:
+                        raise MusicXmlParseError(
+                            f"measure {m_index + 1}: missing divisions attribute")
+                    onset_divs = last_onset if is_chord else pos
+                    raw.append((onset_divs, dur_divs, divisions, NoteEvent(
+                        onset=ref_shared_q(onsets, onset_divs, divisions, m_index, cursor),
+                        duration=ref_shared_q(lengths, dur_divs, divisions, m_index),
+                        pitch=pitch, voice=voice, staff=staff,
+                        tie_start="start" in ties, tie_stop="stop" in ties,
+                        chord=is_chord, hidden=hidden)))
+                    if not is_chord:
+                        last_onset = pos
+                        pos += dur_divs
+                        maxpos = max(maxpos, pos)
+                elif tag == "attributes":
+                    div_el = elem.find("divisions")
+                    if div_el is not None and div_el.text:
+                        divisions = int(div_el.text)
+                    staves_el = elem.find("staves")
+                    if staves_el is not None and staves_el.text:
+                        declared_staves = max(declared_staves, int(staves_el.text))
+                    fifths = elem.find("key/fifths")
+                    if fifths is not None and fifths.text:
+                        m_key = int(fifths.text)
+                    beats = elem.find("time/beats")
+                    beat_type = elem.find("time/beat-type")
+                    if beats is not None and beat_type is not None:
+                        m_time = (int(beats.text), int(beat_type.text))
+                        time_sig = m_time
+                    for clef in elem.findall("clef"):
+                        number = int(clef.get("number", "1"))
+                        sign = ref_first_text(clef, ("sign",)) or "G"
+                        line = ref_first_text(clef, ("line",)) or ""
+                        if 1 <= number <= 2:
+                            m_clefs[number - 1] = f"{sign}{line}"
+                        declared_staves = max(declared_staves, number)
+                elif tag == "backup":
+                    pos -= ref_required_duration(elem.find("duration"), tag, m_index)
+                    if pos < 0:
+                        raise MusicXmlParseError(
+                            f"measure {m_index + 1}: backup before measure start")
+                elif tag == "forward":
+                    pos += ref_required_duration(elem.find("duration"), tag, m_index)
+                    maxpos = max(maxpos, pos)
+                # directions, barlines, harmony, prints, sounds: no timing content
+
+            if maxpos > 0:
+                m_duration = ref_q(maxpos, divisions, m_index)
+            elif time_sig is not None:
+                m_duration = Fraction(time_sig[0] * 4, time_sig[1])
+            else:
+                m_duration = Fraction(4)
+
+            events = ref_fill_voice_gaps(raw, cursor, m_duration, m_index)
+            measures.append(Measure(
+                index=m_index, start=cursor, duration=m_duration,
+                events=tuple(events), time_sig=m_time, key_fifths=m_key,
+                clefs=(m_clefs[0], m_clefs[1])))
+            cursor += m_duration
+        except (ValueError, TypeError, KeyError, ZeroDivisionError) as exc:
+            # int() of bad text, a missing <beats>, divisions 0, an unknown
+            # step, or a pitch or duration that Pitch/NoteEvent reject
+            raise MusicXmlParseError(f"measure {m_index + 1}: malformed value "
+                                     f"({type(exc).__name__}: {exc})") from exc
+
+    observed = max((ev.staff for m in measures for ev in m.events), default=1)
+    return Score(
+        measures=tuple(measures), title=title, genre=genre, source_id=source_id,
+        n_staves=max(declared_staves, observed))
+
+
+def ref_q(divs: int, divisions: Optional[int], m_index: int,
+          start: Fraction = Fraction(0)) -> Fraction:
+    """``start + divs / divisions`` quarters, built as one Fraction."""
+    if divisions is None:
+        raise MusicXmlParseError(f"measure {m_index + 1}: missing divisions attribute")
+    return Fraction(start.numerator * divisions + divs * start.denominator,
+                    start.denominator * divisions)
+
+
+def ref_shared_q(shared: dict[tuple[int, int], Fraction], divs: int,
+                 divisions: Optional[int], m_index: int,
+                 start: Fraction = Fraction(0)) -> Fraction:
+    """:func:`ref_q`, built once per ``(divs, divisions)`` in ``shared``.
+
+    ``shared`` must hold values for this ``start`` only.
+    """
+    value = shared.get((divs, divisions))
+    if value is None:
+        value = shared[divs, divisions] = ref_q(divs, divisions, m_index, start)
+    return value
+
+
+def ref_required_duration(duration: Optional[ET.Element], tag: str, m_index: int) -> int:
+    text = ref_text(duration)
+    if text is None:
+        raise MusicXmlParseError(f"measure {m_index + 1}: <{tag}> without duration")
+    value = int(float(text))
+    if value < 0:
+        raise MusicXmlParseError(f"measure {m_index + 1}: negative duration")
+    return value
+
+
+def ref_grace_length(note: ET.Element, children: dict[str, ET.Element]) -> Fraction:
+    """A grace note's notated length, from its ``<type>`` (an eighth when
+    missing or unknown), ``<dot />`` count and ``<time-modification>``, as
+    :func:`serialize_musicxml` writes them.  Bad counts raise ``ValueError``
+    or ``TypeError``, which the measure loop reports as malformed."""
+    name = ref_text(children.get("type"))
+    if name not in DURATION_TYPES:
+        name = "eighth"
+    mod = children.get("time-modification")
+    tuplet = None if mod is None else (int(ref_text(mod.find("actual-notes"))),
+                                       int(ref_text(mod.find("normal-notes"))))
+    return duration_for_type(name, len(note.findall("dot")), tuplet)
+
+
+def ref_text(elem: Optional[ET.Element]) -> Optional[str]:
+    """Stripped text of ``elem``; None when it is missing or has no text."""
+    return elem.text.strip() if elem is not None and elem.text else None
+
+
+def ref_first_text(elem: ET.Element, paths: Sequence[str]) -> Optional[str]:
+    for path in paths:
+        text = ref_text(elem.find(path))
+        if text is not None:
+            return text
+    return None
+
+
+def ref_misc_field(root: ET.Element, name: str) -> Optional[str]:
+    for f in root.findall("identification/miscellaneous/miscellaneous-field"):
+        if f.get("name") == name and f.text:
+            return f.text.strip()
+    return None
+
+
+def ref_fill_voice_gaps(raw: list[tuple[int, int, int, NoteEvent]], start: Fraction,
+                        duration: Fraction, m_index: int) -> list[NoteEvent]:
+    """Insert hidden rests so each voice is contiguous from measure start to end.
+
+    Also rejects overlapping events within a voice (chord members excepted).
+    Events are returned in a stable order: by onset, then staff, voice, with
+    grace notes ahead of their principal and chord members after their root.
+    All positions are compared as integer ticks of ``1/unit`` quarter from
+    the measure start, where ``unit`` is a multiple of every divisions value
+    the measure used and of the denominator of its duration.
+    """
+    unit = lcm(duration.denominator, *{divisions for _, _, divisions, _ in raw})
+    end = duration.numerator * (unit // duration.denominator)
+    timed: list[tuple[int, int, NoteEvent]] = []
+    by_voice: dict[int, list[tuple[int, int, NoteEvent]]] = {}
+    for divs, length, divisions, ev in raw:
+        scale = unit // divisions
+        item = (divs * scale, length * scale, ev)
+        timed.append(item)
+        if not ev.grace:
+            by_voice.setdefault(ev.voice, []).append(item)
+    for voice, items in by_voice.items():
+        groups: dict[int, list[tuple[int, int, NoteEvent]]] = {}
+        for item in items:
+            groups.setdefault(item[0], []).append(item)
+        cur = 0
+        staff_hint = items[0][2].staff
+        for onset in sorted(groups):
+            group = groups[onset]
+            if onset < cur:
+                raise MusicXmlParseError(
+                    f"measure {m_index + 1}: overlapping events in voice {voice}")
+            if onset > cur:
+                timed.append((cur, onset - cur, ref_hidden_rest(
+                    start, cur, onset - cur, unit, voice, group[0][2].staff, m_index)))
+            root = next((item for item in group if not item[2].chord), group[0])
+            cur = onset + root[1]
+            staff_hint = group[-1][2].staff
+        if cur < end:
+            timed.append((cur, end - cur, ref_hidden_rest(
+                start, cur, end - cur, unit, voice, staff_hint, m_index)))
+    decorated = [(tick, ev.staff, ev.voice, not ev.grace, ev.chord, i, ev)
+                 for i, (tick, _, ev) in enumerate(timed)]
+    # the index is unique, so the events themselves are never compared
+    decorated.sort()
+    return [t[-1] for t in decorated]
+
+
+def ref_hidden_rest(start: Fraction, tick: int, length: int, unit: int, voice: int,
+                    staff: int, m_index: int) -> NoteEvent:
+    return NoteEvent(onset=ref_q(tick, unit, m_index, start), duration=Fraction(length, unit),
+                     pitch=None, voice=voice, staff=staff, hidden=True)
+
+
+def outcome(parse, document):
+    """The parsed score, or the type and message of what the parse raised."""
+    try:
+        return parse(document)
+    except Exception as exc:   # the two parsers must fail alike, whatever the error
+        return type(exc), str(exc)
+
+
+def assert_same_reading(document):
+    ours, theirs = outcome(parse_musicxml, document), outcome(reference_parse, document)
+    assert ours == theirs
+
+
+@settings(max_examples=300, deadline=None)
+@given(scores(loose=True))
+def test_parser_matches_the_reference_on_written_scores(score):
+    assert_same_reading(serialize_musicxml(score))
+
+
+def test_parser_matches_the_reference_on_the_fixture_corpus():
+    for piece in generate_corpus(12, seed=9090):
+        for score in (piece, analysis.skyline_score(piece), lmx.decode(lmx.encode(piece))):
+            document = serialize_musicxml(score)
+            assert parse_musicxml(document) == reference_parse(document), piece.source_id
+
+
+TEXTS = ("", " ", "x", "-1", "0", "1.5")
+
+
+@st.composite
+def mutated_documents(draw):
+    """A written score with one to three mutations of its notes or divisions."""
+    root = ET.fromstring(serialize_musicxml(draw(scores(loose=True))))
+    for _ in range(draw(st.integers(1, 3))):
+        notes = root.findall("part/measure/note")
+        kinds = ["divisions"] + (["drop", "duplicate", "reorder", "text", "tie", "first chord"]
+                                 if notes else [])
+        kind = draw(st.sampled_from(kinds))
+        if kind == "divisions":
+            divisions = root.findall("part/measure/attributes/divisions")
+            if divisions:
+                draw(st.sampled_from(divisions)).text = str(draw(st.integers(-4, 0)))
+            continue
+        if kind == "first chord":
+            firsts = [m.find("note") for m in root.iter("measure") if m.find("note") is not None]
+            draw(st.sampled_from(firsts)).insert(0, ET.Element("chord"))
+            continue
+        note = draw(st.sampled_from(notes))
+        children = list(note)
+        if kind == "drop" and children:
+            note.remove(draw(st.sampled_from(children)))
+        elif kind == "duplicate" and children:
+            twin = copy.deepcopy(draw(st.sampled_from(children)))
+            note.insert(draw(st.integers(0, len(children))), twin)
+        elif kind == "reorder":
+            for child in children:
+                note.remove(child)
+            note.extend(draw(st.permutations(children)))
+        elif kind == "text":
+            draw(st.sampled_from(list(note.iter()))).text = draw(st.sampled_from(TEXTS))
+        elif kind == "tie":
+            tie = ET.Element("tie", type=draw(st.sampled_from(("start", "stop", "continue"))))
+            note.insert(draw(st.integers(0, len(children))), tie)
+    return ET.tostring(root)
+
+
+# every text a note can hold, in a note with an alteration and a tuplet grace
+SWEPT = HEAD.format(measures="".join([
+    '<measure number="1"><attributes><divisions>6</divisions></attributes>',
+    note("B", 4, pre="<grace/>", post="<type>16th</type><dot/><time-modification>"
+         "<actual-notes>3</actual-notes><normal-notes>2</normal-notes></time-modification>"),
+    "<note><pitch><step>F</step><alter>1</alter><octave>4</octave></pitch><duration>6</duration>"
+    '<tie type="start"/><voice>1</voice><type>quarter</type><staff>1</staff></note>',
+    "</measure>"]))
+
+
+@pytest.mark.parametrize("text", TEXTS)
+def test_parser_matches_the_reference_on_every_text_of_a_note(text):
+    root = ET.fromstring(SWEPT)
+    for index, elem in enumerate(root.iter()):
+        if elem.text is not None and elem.text.strip():
+            mutated = ET.fromstring(SWEPT)
+            list(mutated.iter())[index].text = text
+            assert_same_reading(ET.tostring(mutated))
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_documents())
+def test_parser_matches_the_reference_on_mutated_documents(document):
+    assert_same_reading(document)
