@@ -5,6 +5,7 @@
 # output directory, F.manifest.json beside an output file F), so a run can
 # be reproduced from the directory alone.
 set -euo pipefail
+command -v gradus >/dev/null || gradus() { python3 -m gradus.cli "$@"; }
 
 WS="$(mktemp -d)"
 trap 'rm -rf "$WS"' EXIT

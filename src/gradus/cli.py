@@ -21,6 +21,7 @@ import functools
 import hashlib
 import json
 import sys
+import zipfile
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -357,13 +358,22 @@ def _cmd_build_seqs(args) -> int:
     return 0
 
 
+def _load_seqs(path: str) -> tuple[np.ndarray, ...]:
+    """The ``ids``, ``mask``, ``harmony`` and ``lengths`` arrays of a ``build-seqs`` file."""
+    names = ("ids", "mask", "harmony", "lengths")
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            missing = [name for name in names if name not in data.files]
+            if missing:
+                raise CliError(f"{path}: sequence file has no {missing[0]!r} array")
+            return tuple(data[name] for name in names)
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
+        raise CliError(f"{path}: not a sequence file ({type(exc).__name__}: {exc})") from exc
+
+
 def _cmd_train(args) -> int:
     vocab = lmx.Vocabulary.load(args.vocab)
-    with np.load(args.seqs) as data:
-        ids = data["ids"]
-        mask = data["mask"]
-        harmony = data["harmony"]
-        lengths = data["lengths"]
+    ids, mask, harmony, lengths = _load_seqs(args.seqs)
     config = model.ModelConfig(
         vocab_size=len(vocab), d_model=args.d_model, n_heads=args.n_heads,
         n_layers=args.n_layers, d_ff=args.d_ff,
@@ -389,6 +399,9 @@ def _cmd_train(args) -> int:
 def _cmd_sample(args) -> int:
     vocab = lmx.Vocabulary.load(args.vocab)
     lm, _, _ = model.load_checkpoint(args.checkpoint)
+    if len(vocab) != lm.config.vocab_size:
+        raise CliError(f"{args.vocab}: vocabulary has {len(vocab)} tokens but checkpoint "
+                       f"{args.checkpoint} was trained on {lm.config.vocab_size}")
     skyline_rows = list(interchange.read_jsonl(args.skylines, CliError, "piece"))
     profiles = {r["piece"]: r for _, r in interchange.read_jsonl(
         args.profiles, CliError, "piece", "profile")}

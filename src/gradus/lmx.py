@@ -17,17 +17,19 @@ cursor, exactly like MusicXML's own duration accounting.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .score import (
     DURATION_TYPES,
+    PITCH_NAME,
     Measure,
     NoteEvent,
     Pitch,
     Score,
     duration_for_type,
+    measure_order,
     type_for_duration,
 )
 
@@ -60,14 +62,18 @@ SPECIAL_TOKENS = (PAD, BOS, EOS, SEP, HARMONY) + LEVEL_TOKENS
 
 MAX_VOCAB_SIZE = 512
 
-_PITCH_RE = re.compile(r"^([A-G])(#{1,2}|b{1,2})?(-?\d+)$")
 _DEFAULT_VOICE = {1: 1, 2: 2}
 _TUPLET_TOKENS = {(3, 2): "triplet", (5, 4): "quintuplet"}
 _TOKEN_TUPLETS = {v: k for k, v in _TUPLET_TOKENS.items()}
-# the length of every (type, dots, tuplet) a note's tokens can spell
-_LENGTHS = {(name, dots, tuplet): duration_for_type(name, dots, tuplet)
+# a lane's cursor counts ticks of 1/960 quarter: every length a note's
+# tokens can spell, down to a double-dotted 64th under 5:4, is a whole number
+_TICKS = 960
+# the length of every (type, dots, tuplet) a note's tokens can spell, in
+# quarters and in ticks
+_LENGTHS = {(name, dots, tuplet): (length, int(length * _TICKS))
             for name in DURATION_TYPES for dots in range(3)
-            for tuplet in (None, *_TUPLET_TOKENS)}
+            for tuplet in (None, *_TUPLET_TOKENS)
+            for length in (duration_for_type(name, dots, tuplet),)}
 
 
 class EncodeError(Exception):
@@ -116,55 +122,48 @@ def encode(score: Score) -> list[str]:
 
 
 def _encode_measure_events(measure: Measure) -> list[str]:
+    # (staff, voice) -> onset -> its grace notes, chord roots and chord members
+    lanes: dict[tuple[int, int], dict[Fraction, tuple[list, list, list]]] = {}
+    for ev in measure.events:
+        groups = lanes.setdefault((ev.staff, ev.voice), {})
+        group = groups.setdefault(ev.onset, ([], [], []))
+        group[0 if ev.grace else 2 if ev.chord else 1].append(ev)
     tokens: list[str] = []
     cur_staff, cur_voice = 1, _DEFAULT_VOICE[1]
-    for staff, voice in sorted({(ev.staff, ev.voice) for ev in measure.events}):
+    for (staff, voice), groups in sorted(lanes.items()):
         if staff != cur_staff:
             tokens.append(f"staff:{staff}")
             cur_staff, cur_voice = staff, _DEFAULT_VOICE[staff]
         if voice != cur_voice:
             tokens.append(f"voice:{voice}")
             cur_voice = voice
-        evs = [ev for ev in measure.events if (ev.staff, ev.voice) == (staff, voice)]
-        tokens.extend(_encode_lane(evs, measure))
-    return tokens
-
-
-def _encode_lane(evs: Sequence[NoteEvent], measure: Measure) -> list[str]:
-    tokens: list[str] = []
-    groups: dict[Fraction, list[NoteEvent]] = {}
-    graces: dict[Fraction, list[NoteEvent]] = {}
-    for ev in evs:
-        (graces if ev.grace else groups).setdefault(ev.onset, []).append(ev)
-    cursor = measure.start   # where the decoder will place the next event
-    for onset in sorted(set(groups) | set(graces)):
-        if onset != cursor:
-            raise EncodeError(
-                f"measure {measure.index + 1}: staff {evs[0].staff} voice {evs[0].voice} "
-                f"has an event at {onset - measure.start} quarters but its previous "
-                f"events end at {cursor - measure.start}")
-        for g in graces.get(onset, []):
-            tokens.append("grace")
-            tokens.append(g.pitch.name if g.pitch else "rest")
-            tokens.extend(_duration_tokens(g.duration, measure))
-        group = groups.get(onset, [])
-        roots = [e for e in group if not e.chord]
-        members = [e for e in group if e.chord]
-        if len(roots) > 1:
-            raise EncodeError(
-                f"measure {measure.index + 1}: simultaneous non-chord events "
-                f"in staff {evs[0].staff} voice {evs[0].voice}")
-        if roots:
-            cursor += roots[0].duration
-        for i, ev in enumerate(roots + members):
-            if i > 0:
-                tokens.append("chord")
-            tokens.append(ev.pitch.name if ev.pitch else "rest")
-            tokens.extend(_duration_tokens(ev.duration, measure))
-            if ev.tie_stop:
-                tokens.append("tie:stop")
-            if ev.tie_start:
-                tokens.append("tie:start")
+        cursor = measure.start   # where the decoder will place the next event
+        for onset in sorted(groups):
+            if onset != cursor:
+                raise EncodeError(
+                    f"measure {measure.index + 1}: staff {staff} voice {voice} "
+                    f"has an event at {onset - measure.start} quarters but its previous "
+                    f"events end at {cursor - measure.start}")
+            graces, roots, members = groups[onset]
+            for g in graces:
+                tokens.append("grace")
+                tokens.append(g.pitch.name if g.pitch else "rest")
+                tokens.extend(_duration_tokens(g.duration, measure))
+            if len(roots) > 1:
+                raise EncodeError(
+                    f"measure {measure.index + 1}: simultaneous non-chord events "
+                    f"in staff {staff} voice {voice}")
+            if roots:
+                cursor += roots[0].duration
+            for i, ev in enumerate(roots + members):
+                if i > 0:
+                    tokens.append("chord")
+                tokens.append(ev.pitch.name if ev.pitch else "rest")
+                tokens.extend(_duration_tokens(ev.duration, measure))
+                if ev.tie_stop:
+                    tokens.append("tie:stop")
+                if ev.tie_start:
+                    tokens.append("tie:start")
     return tokens
 
 
@@ -182,25 +181,6 @@ def _duration_tokens(quarters: Fraction, measure: Measure) -> list[str]:
 
 # ---------------------------------------------------------------------------
 # Decoding
-
-@dataclass
-class _Lane:
-    """Write cursor for one (staff, voice) within the open measure."""
-    staff: int
-    voice: int
-    cursor: Fraction  # onset of the lane's next event, in quarters from the score start
-    events: list[NoteEvent] = field(default_factory=list)
-
-
-@dataclass
-class _MeasureDraft:
-    start: Fraction
-    key_fifths: Optional[int] = None
-    time_sig: Optional[tuple[int, int]] = None
-    clefs: list[Optional[str]] = field(default_factory=lambda: [None, None])
-    clef_slot: int = 0
-    lanes: dict[tuple[int, int], _Lane] = field(default_factory=dict)
-
 
 @dataclass(frozen=True)
 class DecodeReport:
@@ -263,8 +243,14 @@ def _decode_measure(tokens: Sequence[str], i: int, index: int, start: Fraction,
                     ) -> tuple[Measure, Optional[tuple[int, int]], int]:
     assert tokens[i] == "measure"
     i += 1
-    draft = _MeasureDraft(start)
-    lane = _lane_for(draft, 1, _DEFAULT_VOICE[1])
+    key_fifths: Optional[int] = None
+    m_time: Optional[tuple[int, int]] = None
+    clefs: list[str] = []
+    # (staff, voice) -> [cursor, [(tick, event), ...]], in ticks from the measure start
+    staff, voice = 1, _DEFAULT_VOICE[1]
+    lane: list = [0, []]
+    lanes = {(staff, voice): lane}
+    onsets: dict[int, Fraction] = {}   # tick -> its onset in quarters from the score start
     notes_seen = False
     n = len(tokens)
     while i < n and tokens[i] != "measure":
@@ -272,98 +258,97 @@ def _decode_measure(tokens: Sequence[str], i: int, index: int, start: Fraction,
         if tok.startswith("key:"):
             if notes_seen:
                 raise DecodeError("attribute token after notes", i)
-            draft.key_fifths = _parse_int(tok[4:], "key signature", i)
+            key_fifths = _parse_int(tok[4:], "key signature", i)
         elif tok.startswith("time:"):
             if notes_seen:
                 raise DecodeError("attribute token after notes", i)
             m = re.fullmatch(r"(\d+)/(\d+)", tok[5:])
             if m is None:
                 raise DecodeError(f"bad time signature {tok!r}", i)
-            draft.time_sig = (int(m.group(1)), int(m.group(2)))
+            m_time = (int(m.group(1)), int(m.group(2)))
         elif tok.startswith("clef:"):
             if notes_seen:
                 raise DecodeError("attribute token after notes", i)
-            if draft.clef_slot >= 2:
+            if len(clefs) >= 2:
                 raise DecodeError("more than two clef tokens", i)
-            draft.clefs[draft.clef_slot] = tok[5:]
-            draft.clef_slot += 1
+            clefs.append(tok[5:])
         elif tok.startswith("staff:"):
             staff = _parse_int(tok[6:], "staff", i)
             if staff not in (1, 2):
                 raise DecodeError(f"staff must be 1 or 2, got {staff}", i)
-            lane = _lane_for(draft, staff, _DEFAULT_VOICE[staff])
+            voice = _DEFAULT_VOICE[staff]
+            lane = lanes.setdefault((staff, voice), [0, []])
         elif tok.startswith("voice:"):
             voice = _parse_int(tok[6:], "voice", i)
             if voice < 1:
                 raise DecodeError(f"voice must be positive, got {voice}", i)
-            lane = _lane_for(draft, lane.staff, voice)
-        elif tok == "grace":
-            i, ev = _decode_note(tokens, i + 1, lane, grace=True, chord=False)
-            lane.events.append(ev)
-            notes_seen = True
-            continue
-        elif tok == "chord":
-            if not lane.events or lane.events[-1].grace or lane.events[-1].is_rest:
+            lane = lanes.setdefault((staff, voice), [0, []])
+        elif tok in ("grace", "chord", "rest") or PITCH_NAME.match(tok):
+            grace, chord = tok == "grace", tok == "chord"
+            placed = lane[1]
+            if chord and (not placed or placed[-1][1].grace or placed[-1][1].is_rest):
                 raise DecodeError("'chord' without a preceding note", i)
-            i, ev = _decode_note(tokens, i + 1, lane, grace=False, chord=True)
-            if ev.is_rest:
+            i, pitch, (length, ticks), tie_start, tie_stop = _decode_note(
+                tokens, i + 1 if grace or chord else i, grace)
+            if chord and pitch is None:
                 raise DecodeError("'chord' followed by a rest", i - 1)
-            lane.events.append(ev)
-            notes_seen = True
-            continue
-        elif tok == "rest" or _PITCH_RE.match(tok):
-            i, ev = _decode_note(tokens, i, lane, grace=False, chord=False)
-            lane.cursor += ev.duration
-            lane.events.append(ev)
+            tick = placed[-1][0] if chord else lane[0]
+            if not grace and not chord:
+                lane[0] += ticks
+            placed.append((tick, NoteEvent(
+                onset=_onset(onsets, start, tick), duration=length, pitch=pitch,
+                voice=voice, staff=staff, tie_start=tie_start, tie_stop=tie_stop,
+                chord=chord, grace=grace)))
             notes_seen = True
             continue
         else:
             raise DecodeError(f"unexpected token {tok!r}", i)
         i += 1
 
-    if draft.time_sig is not None:
-        time_sig = draft.time_sig
-    filled_lanes = [l for l in draft.lanes.values() if l.events]
-    if filled_lanes:
-        duration = max(l.cursor for l in filled_lanes) - start
+    if m_time is not None:
+        time_sig = m_time
+    ends = [cursor for cursor, placed in lanes.values() if placed]
+    end = max(ends, default=0)
+    if ends:
+        duration = Fraction(end, _TICKS)
     elif time_sig is not None:
         duration = Fraction(time_sig[0] * 4, time_sig[1])
     else:
         duration = Fraction(4)
-    end = start + duration
-    events: list[NoteEvent] = []
-    for key in sorted(draft.lanes):
-        lane_obj = draft.lanes[key]
-        events.extend(lane_obj.events)
-        if lane_obj.events and lane_obj.cursor < end:
-            events.append(NoteEvent(
-                onset=lane_obj.cursor, duration=end - lane_obj.cursor,
-                pitch=None, voice=lane_obj.voice, staff=lane_obj.staff, hidden=True))
-    events.sort(key=lambda ev: (ev.onset, ev.staff, ev.voice, not ev.grace, ev.chord))
+    timed: list[tuple[int, NoteEvent]] = []
+    for (staff, voice), (cursor, placed) in lanes.items():
+        timed += placed
+        if placed and cursor < end:
+            timed.append((cursor, NoteEvent(
+                onset=_onset(onsets, start, cursor), duration=Fraction(end - cursor, _TICKS),
+                pitch=None, voice=voice, staff=staff, hidden=True)))
     measure = Measure(
-        index=index, start=start, duration=duration, events=tuple(events),
-        time_sig=draft.time_sig, key_fifths=draft.key_fifths,
-        clefs=(draft.clefs[0], draft.clefs[1]))
+        index=index, start=start, duration=duration, events=tuple(measure_order(timed)),
+        time_sig=m_time, key_fifths=key_fifths,
+        clefs=(*clefs, None, None)[:2])
     return measure, time_sig, i
 
 
-def _lane_for(draft: _MeasureDraft, staff: int, voice: int) -> _Lane:
-    key = (staff, voice)
-    if key not in draft.lanes:
-        draft.lanes[key] = _Lane(staff=staff, voice=voice, cursor=draft.start)
-    return draft.lanes[key]
+def _onset(onsets: dict[int, Fraction], start: Fraction, tick: int) -> Fraction:
+    """``start`` plus ``tick`` ticks, built once per tick in ``onsets``."""
+    onset = onsets.get(tick)
+    if onset is None:
+        onset = onsets[tick] = Fraction(start.numerator * _TICKS + tick * start.denominator,
+                                        start.denominator * _TICKS)
+    return onset
 
 
-def _decode_note(tokens: Sequence[str], i: int, lane: _Lane,
-                 grace: bool, chord: bool) -> tuple[int, NoteEvent]:
+def _decode_note(tokens: Sequence[str], i: int, grace: bool,
+                 ) -> tuple[int, Optional[Pitch], tuple[Fraction, int], bool, bool]:
+    """The note whose pitch or ``rest`` is ``tokens[i]``: the index after it,
+    its pitch, its length in quarters and in ticks, and its ties."""
     n = len(tokens)
     if i >= n:
         raise DecodeError("stream ends where a pitch was expected", n - 1)
     tok = tokens[i]
     pitch: Optional[Pitch] = None
     if tok != "rest":
-        m = _PITCH_RE.match(tok)
-        if m is None:
+        if PITCH_NAME.match(tok) is None:
             raise DecodeError(f"expected a pitch or 'rest', got {tok!r}", i)
         try:
             pitch = Pitch.from_name(tok)
@@ -384,7 +369,6 @@ def _decode_note(tokens: Sequence[str], i: int, lane: _Lane,
     if i < n and tokens[i] in _TOKEN_TUPLETS:
         tuplet = _TOKEN_TUPLETS[tokens[i]]
         i += 1
-    duration = _LENGTHS[name, dots, tuplet]
     tie_start = tie_stop = False
     while i < n and tokens[i] in ("tie:start", "tie:stop"):
         if grace:
@@ -400,11 +384,7 @@ def _decode_note(tokens: Sequence[str], i: int, lane: _Lane,
         i += 1
     if (tie_start or tie_stop) and pitch is None:
         raise DecodeError("rests cannot carry ties", i - 1)
-    onset = lane.events[-1].onset if chord else lane.cursor
-    ev = NoteEvent(onset=onset, duration=duration, pitch=pitch, voice=lane.voice,
-                   staff=lane.staff, tie_start=tie_start, tie_stop=tie_stop,
-                   chord=chord, grace=grace)
-    return i, ev
+    return i, pitch, _LENGTHS[name, dots, tuplet], tie_start, tie_stop
 
 
 def _parse_int(text: str, what: str, pos: int) -> int:

@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, asdict
+import zipfile
+import zlib
+from dataclasses import asdict, dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -212,6 +214,20 @@ def _attend_bwd(dctx: np.ndarray, qr: np.ndarray, kr: np.ndarray, vh: np.ndarray
     return dqr, dkr, dvh
 
 
+def _param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Every parameter's name and shape, in the order the model holds them."""
+    d, ff, v = config.d_model, config.d_ff, config.vocab_size
+    shapes = {"tok_emb": (v, d), "harm_w": (12, d), "harm_b": (d,),
+              "lnf_g": (d,), "lnf_b": (d,), "head": (d, v)}
+    for i in range(config.n_layers):
+        shapes.update({
+            f"l{i}.ln1_g": (d,), f"l{i}.ln1_b": (d,), f"l{i}.wq": (d, d),
+            f"l{i}.wk": (d, d), f"l{i}.wv": (d, d), f"l{i}.wo": (d, d),
+            f"l{i}.ln2_g": (d,), f"l{i}.ln2_b": (d,), f"l{i}.w1": (d, ff),
+            f"l{i}.b1": (ff,), f"l{i}.w2": (ff, d), f"l{i}.b2": (d,)})
+    return shapes
+
+
 @dataclass
 class TinyLM:
     """Model parameters plus the forward/backward machinery."""
@@ -221,32 +237,21 @@ class TinyLM:
 
     @classmethod
     def create(cls, config: ModelConfig, seed: int = 42) -> "TinyLM":
-        """Gaussian init, scaled down on residual-output projections."""
+        """Gaussian init, scaled down on residual-output projections.
+
+        Matrices are drawn in :func:`_param_shapes` order; layer-norm gains
+        start at one and every other vector at zero.
+        """
         rng = np.random.default_rng(seed)
-        d, ff, v = config.d_model, config.d_ff, config.vocab_size
         std = 0.02
         res_std = std / np.sqrt(2.0 * config.n_layers)
-        p: dict[str, np.ndarray] = {
-            "tok_emb": rng.normal(0.0, std, (v, d)),
-            "harm_w": rng.normal(0.0, std, (12, d)),
-            "harm_b": np.zeros(d),
-            "lnf_g": np.ones(d),
-            "lnf_b": np.zeros(d),
-            "head": rng.normal(0.0, std, (d, v)),
-        }
-        for i in range(config.n_layers):
-            p[f"l{i}.ln1_g"] = np.ones(d)
-            p[f"l{i}.ln1_b"] = np.zeros(d)
-            p[f"l{i}.wq"] = rng.normal(0.0, std, (d, d))
-            p[f"l{i}.wk"] = rng.normal(0.0, std, (d, d))
-            p[f"l{i}.wv"] = rng.normal(0.0, std, (d, d))
-            p[f"l{i}.wo"] = rng.normal(0.0, res_std, (d, d))
-            p[f"l{i}.ln2_g"] = np.ones(d)
-            p[f"l{i}.ln2_b"] = np.zeros(d)
-            p[f"l{i}.w1"] = rng.normal(0.0, std, (d, ff))
-            p[f"l{i}.b1"] = np.zeros(ff)
-            p[f"l{i}.w2"] = rng.normal(0.0, res_std, (ff, d))
-            p[f"l{i}.b2"] = np.zeros(d)
+        p: dict[str, np.ndarray] = {}
+        for name, shape in _param_shapes(config).items():
+            if len(shape) == 2:
+                scale = res_std if name.endswith((".wo", ".w2")) else std
+                p[name] = rng.normal(0.0, scale, shape)
+            else:
+                p[name] = np.ones(shape) if name.endswith("_g") else np.zeros(shape)
         return cls(config=config, params=p)
 
     # -- full forward ------------------------------------------------------
@@ -685,22 +690,46 @@ def save_checkpoint(path: str, model: TinyLM, step: int = 0,
 
 
 def load_checkpoint(path: str) -> tuple[TinyLM, int, Optional[AdamW]]:
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["meta"]).decode())
-        if meta.get("format") != _CHECKPOINT_FORMAT:
-            raise LMError(f"unrecognized checkpoint format in {path}")
-        # checkpoints written before dropout was removed carry "dropout": 0.0
-        if meta["config"].pop("dropout", 0.0) != 0.0:
-            raise LMError(f"checkpoint {path} was trained with dropout, which is no longer supported")
-        config = ModelConfig(**meta["config"])
-        params = {name[2:]: data[name] for name in data.files if name.startswith("p/")}
-        model = TinyLM(config=config, params=params)
-        optimizer = None
-        if meta["optimizer"] is not None:
-            o = meta["optimizer"]
-            optimizer = AdamW(params, lr=o["lr"], betas=tuple(o["betas"]),
-                              eps=o["eps"], weight_decay=o["weight_decay"])
-            optimizer.step_count = o["step_count"]
-            optimizer.m = {name[2:]: data[name] for name in data.files if name.startswith("m/")}
-            optimizer.v = {name[2:]: data[name] for name in data.files if name.startswith("v/")}
+    """The model, its step and its optimizer (None if none was saved).
+
+    Raises :class:`LMError` naming ``path`` when the file is not a readable
+    checkpoint of this format, or when its config keys or its arrays' names
+    and shapes are not the ones the config gives.
+    """
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            arrays = {name: data[name] for name in data.files}
+        meta = json.loads(bytes(arrays.pop("meta")).decode())
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile, zlib.error) as exc:
+        raise LMError(f"checkpoint {path} is unreadable: {type(exc).__name__}: {exc}") from exc
+    if not isinstance(meta, dict) or meta.get("format") != _CHECKPOINT_FORMAT \
+            or not isinstance(meta.get("config"), dict):
+        raise LMError(f"unrecognized checkpoint format in {path}")
+    stored = meta["config"]
+    # checkpoints written before dropout was removed carry "dropout": 0.0
+    if stored.pop("dropout", 0.0) != 0.0:
+        raise LMError(f"checkpoint {path} was trained with dropout, which is no longer supported")
+    known = {f.name for f in fields(ModelConfig)}
+    if set(stored) != known:
+        raise LMError(f"checkpoint {path} config keys differ from ModelConfig's: "
+                      f"missing {sorted(known - set(stored))}, "
+                      f"unexpected {sorted(set(stored) - known)}")
+    config = ModelConfig(**stored)
+    shapes = _param_shapes(config)
+    o = meta.get("optimizer")
+    for prefix in ("p/",) if o is None else ("p/", "m/", "v/"):
+        found = {name[2:]: arr.shape for name, arr in arrays.items() if name.startswith(prefix)}
+        wrong = sorted(set(found) ^ set(shapes)) or [n for n in shapes if found[n] != shapes[n]]
+        if wrong:
+            raise LMError(f"checkpoint {path} arrays {prefix}* do not match the config "
+                          f"at {wrong[:5]}")
+    params = {name[2:]: arrays[name] for name in arrays if name.startswith("p/")}
+    model = TinyLM(config=config, params=params)
+    optimizer = None
+    if o is not None:
+        optimizer = AdamW(params, lr=o["lr"], betas=tuple(o["betas"]),
+                          eps=o["eps"], weight_decay=o["weight_decay"])
+        optimizer.step_count = o["step_count"]
+        optimizer.m = {name[2:]: arrays[name] for name in arrays if name.startswith("m/")}
+        optimizer.v = {name[2:]: arrays[name] for name in arrays if name.startswith("v/")}
     return model, int(meta["step"]), optimizer

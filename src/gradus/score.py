@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import gc
 import io
+import re
 import xml.etree.ElementTree as ET
 import zipfile
 import zlib
@@ -44,10 +45,12 @@ __all__ = [
     "validate_two_staff",
     "timeline",
     "merged_sounding_intervals",
+    "measure_order",
     "type_for_duration",
     "duration_for_type",
     "DURATION_TYPES",
     "TUPLET_RATIOS",
+    "PITCH_NAME",
 ]
 
 
@@ -70,6 +73,8 @@ class ValidationError(ScoreError):
 _STEP_TO_PC = {"C": 0, "D": 2, "E": 4, "F": 5, "G": 7, "A": 9, "B": 11}
 _ALTER_TEXT = {-2: "bb", -1: "b", 0: "", 1: "#", 2: "##"}
 _TEXT_ALTER = {v: k for k, v in _ALTER_TEXT.items()}
+# a pitch name: step, up to two sharps or two flats, octave
+PITCH_NAME = re.compile(r"^([A-G])(#{1,2}|b{1,2})?(-?\d+)$")
 
 # Note type names (MusicXML vocabulary) and their length in quarter notes.
 DURATION_TYPES: dict[str, Fraction] = {
@@ -193,19 +198,12 @@ class Pitch:
 
     @classmethod
     def from_name(cls, text: str) -> "Pitch":
-        step = text[:1]
-        rest = text[1:]
-        alter_text = ""
-        while rest and rest[0] in "#b" and alter_text + rest[0] in _TEXT_ALTER:
-            alter_text += rest[0]
-            rest = rest[1:]
-        if step not in _STEP_TO_PC or not rest:
+        """The pitch a :data:`PITCH_NAME` spells, such as ``C4`` or ``Bb-1``."""
+        m = PITCH_NAME.match(text)
+        if m is None:
             raise ValueError(f"bad pitch name {text!r}")
-        try:
-            octave = int(rest)
-        except ValueError as exc:
-            raise ValueError(f"bad pitch name {text!r}") from exc
-        return cls.from_parts(step, _TEXT_ALTER[alter_text], octave)
+        step, alter, octave = m.groups()
+        return cls.from_parts(step, _TEXT_ALTER[alter or ""], int(octave))
 
 
 # (step, alter, octave) -> its Pitch, filled by Pitch.from_parts.  Keyed by
@@ -641,22 +639,21 @@ def _fill_voice_gaps(raw: list[tuple[int, int, int, NoteEvent]], start: Fraction
     """Insert hidden rests so each voice is contiguous from measure start to end.
 
     Also rejects overlapping events within a voice (chord members excepted).
-    Events are returned in a stable order: by onset, then staff, voice, with
-    grace notes ahead of their principal and chord members after their root.
-    All positions are compared as integer ticks of ``1/unit`` quarter from
-    the measure start, where ``unit`` is a multiple of every divisions value
-    the measure used and of the denominator of its duration.
+    Events are returned in :func:`measure_order`.  All positions are
+    compared as integer ticks of ``1/unit`` quarter from the measure start,
+    where ``unit`` is a multiple of every divisions value the measure used
+    and of the denominator of its duration.
     """
     unit = lcm(duration.denominator, *{divisions for _, _, divisions, _ in raw})
     end = duration.numerator * (unit // duration.denominator)
-    timed: list[tuple[int, int, NoteEvent]] = []
+    timed: list[tuple[int, NoteEvent]] = []
     by_voice: dict[int, list[tuple[int, int, NoteEvent]]] = {}
     for divs, length, divisions, ev in raw:
         scale = unit // divisions
-        item = (divs * scale, length * scale, ev)
-        timed.append(item)
+        tick = divs * scale
+        timed.append((tick, ev))
         if not ev.grace:
-            by_voice.setdefault(ev.voice, []).append(item)
+            by_voice.setdefault(ev.voice, []).append((tick, length * scale, ev))
     for voice, items in by_voice.items():
         groups: dict[int, list[tuple[int, int, NoteEvent]]] = {}
         for item in items:
@@ -669,7 +666,7 @@ def _fill_voice_gaps(raw: list[tuple[int, int, int, NoteEvent]], start: Fraction
                 raise MusicXmlParseError(
                     f"measure {m_index + 1}: overlapping events in voice {voice}")
             if onset > cur:
-                timed.append((cur, onset - cur, _hidden_rest(
+                timed.append((cur, _hidden_rest(
                     start, cur, onset - cur, unit, voice, group[0][2].staff, m_index)))
             for root in group:   # the first non-chord event, else the first
                 if not root[2].chord:
@@ -679,10 +676,20 @@ def _fill_voice_gaps(raw: list[tuple[int, int, int, NoteEvent]], start: Fraction
             cur = onset + root[1]
             staff_hint = group[-1][2].staff
         if cur < end:
-            timed.append((cur, end - cur, _hidden_rest(
+            timed.append((cur, _hidden_rest(
                 start, cur, end - cur, unit, voice, staff_hint, m_index)))
+    return measure_order(timed)
+
+
+def measure_order(timed: Sequence[tuple[int, NoteEvent]]) -> list[NoteEvent]:
+    """The events of a measure's ``(tick, event)`` pairs, in measure order.
+
+    The order is by tick, then staff and voice, with grace notes ahead of
+    their principal and chord members after their root; ties keep the
+    order of ``timed``.
+    """
     decorated = [(tick, ev.staff, ev.voice, not ev.grace, ev.chord, i, ev)
-                 for i, (tick, _, ev) in enumerate(timed)]
+                 for i, (tick, ev) in enumerate(timed)]
     # the index is unique, so the events themselves are never compared
     decorated.sort()
     return [t[-1] for t in decorated]

@@ -403,6 +403,46 @@ class TestTrainSample:
                 assert (out / "scores" / f"{row['var']}.musicxml").exists()
 
 
+def failure(capsys, *argv):
+    """The error line a failing command prints."""
+    assert main(list(argv)) == 1
+    return json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+
+
+class TestTrainSampleInputErrors:
+    def test_sequence_file_without_lengths(self, ws, trained, tmp_path, capsys):
+        with np.load(trained / "cond.npz") as data:
+            arrays = {name: data[name] for name in data.files if name != "lengths"}
+        seqs = tmp_path / "nolengths.npz"
+        np.savez(seqs, **arrays)
+        payload = failure(capsys, "train", "--seqs", str(seqs),
+                          "--vocab", str(ws / "enc" / "vocab.txt"),
+                          "--out-dir", str(tmp_path / "ck"), "--steps", "1")
+        assert payload == {"error": "CliError",
+                           "message": f"{seqs}: sequence file has no 'lengths' array"}
+
+    def test_jsonl_as_sequence_file(self, ws, tmp_path, capsys):
+        payload = failure(capsys, "train", "--seqs", str(ws / "sky.jsonl"),
+                          "--vocab", str(ws / "enc" / "vocab.txt"),
+                          "--out-dir", str(tmp_path / "ck"), "--steps", "1")
+        assert payload["error"] == "CliError"
+        assert payload["message"].startswith(f"{ws / 'sky.jsonl'}: not a sequence file (ValueError")
+
+    def test_vocabulary_shorter_than_the_checkpoints(self, ws, trained, tmp_path, capsys):
+        lines = (ws / "enc" / "vocab.txt").read_text().splitlines()
+        vocab = tmp_path / "short.txt"
+        vocab.write_text("\n".join(lines[:-3]) + "\n")
+        checkpoint = trained / "ck" / "checkpoint.npz"
+        payload = failure(capsys, "sample", "--checkpoint", str(checkpoint),
+                          "--vocab", str(vocab), "--skylines", str(ws / "sky.jsonl"),
+                          "--profiles", str(ws / "prof.jsonl"),
+                          "--out-dir", str(tmp_path / "out"), "--n", "2")
+        assert payload == {"error": "CliError", "message": (
+            f"{vocab}: vocabulary has {len(lines) - 3} tokens but checkpoint "
+            f"{checkpoint} was trained on {len(lines)}")}
+        assert not (tmp_path / "out" / "variations.jsonl").exists()
+
+
 class TestManifests:
     def test_derived_from_parsed_arguments(self, ws, trained):
         enc = json.loads((ws / "enc" / "manifest.json").read_text())

@@ -221,6 +221,8 @@ def test_decoded_values_come_from_bounded_shared_tables():
     assert len({id(ev.duration) for ev in events}) == 1
     # (type, dots, tuplet) for 8 types, 0-2 dots and no, 3:2 or 5:4 tuplet
     assert len(lmx._LENGTHS) == 72
+    # each a whole number of the lane cursors' ticks
+    assert all(Fraction(ticks, lmx._TICKS) == length for length, ticks in lmx._LENGTHS.values())
 
 
 class TestVocabulary:

@@ -1,6 +1,7 @@
 """Transformer forward/backward, cache, training and sampling tests."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -541,3 +542,61 @@ class TestCheckpoint:
         assert loaded.config == model.config
         for k, v in model.params.items():
             np.testing.assert_array_equal(loaded.params[k], v)
+
+
+def rewrite_checkpoint(path, out, edit):
+    """Save ``path``'s arrays and meta to ``out`` after ``edit(meta, arrays)``."""
+    with np.load(path) as data:
+        arrays = {name: data[name] for name in data.files}
+    meta = json.loads(bytes(arrays.pop("meta")).decode())
+    edit(meta, arrays)
+    np.savez(out, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
+
+
+class TestCheckpointErrors:
+    @pytest.fixture
+    def saved(self, tmp_path):
+        path = tmp_path / "ck.npz"
+        model = TinyLM.create(TINY, seed=31)
+        save_checkpoint(str(path), model, step=2, optimizer=AdamW(model.params, lr=1e-3))
+        return path
+
+    def load_edited(self, saved, edit):
+        bad = saved.parent / "bad.npz"
+        rewrite_checkpoint(saved, bad, edit)
+        with pytest.raises(LMError, match=re.escape(str(bad))) as exc:
+            load_checkpoint(str(bad))
+        return str(exc.value)
+
+    def test_extra_config_key(self, saved):
+        message = self.load_edited(saved, lambda meta, _: meta["config"].update(width=3))
+        assert "unexpected ['width']" in message
+
+    def test_missing_parameter(self, saved):
+        message = self.load_edited(saved, lambda _, arrays: arrays.pop("p/tok_emb"))
+        assert "arrays p/* do not match the config at ['tok_emb']" in message
+
+    def test_parameter_of_the_wrong_shape(self, saved):
+        def widen(_, arrays):
+            arrays["p/tok_emb"] = np.zeros((TINY.vocab_size, TINY.d_model + 2))
+        message = self.load_edited(saved, widen)
+        assert "at ['tok_emb']" in message
+
+    def test_optimizer_moment_of_the_wrong_shape(self, saved):
+        def shrink(_, arrays):
+            arrays["m/head"] = arrays["m/head"][:1]
+        assert "arrays m/* do not match the config at ['head']" in self.load_edited(saved, shrink)
+
+    def test_truncated_file(self, saved):
+        bad = saved.parent / "cut.npz"
+        bad.write_bytes(saved.read_bytes()[:saved.stat().st_size // 2])
+        with pytest.raises(LMError, match=f"checkpoint {re.escape(str(bad))} is unreadable: "
+                                          "BadZipFile"):
+            load_checkpoint(str(bad))
+
+    def test_pickled_arrays_are_not_loaded(self, saved):
+        bad = saved.parent / "pickled.npz"
+        rewrite_checkpoint(saved, bad, lambda _, arrays: arrays.update(
+            {"p/tok_emb": np.array([{"x": 1}], dtype=object)}))
+        with pytest.raises(LMError, match="is unreadable: ValueError"):
+            load_checkpoint(str(bad))

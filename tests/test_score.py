@@ -2,12 +2,14 @@
 
 import dataclasses
 import gc
+import re
 import zipfile
 from fractions import Fraction
 
 import pytest
 
 from conftest import semantic_signature
+from gradus import lmx
 from gradus import score as score_module
 from gradus.score import (
     Measure,
@@ -65,6 +67,13 @@ class TestPitch:
             with pytest.raises(ValueError):
                 Pitch.from_name(bad)
 
+    @pytest.mark.parametrize("text", ["C+4", "C 4", "C4 ", "C\t4"])
+    def test_names_the_token_decoder_refuses_are_refused(self, text):
+        # one grammar, PITCH_NAME, reads a pitch name for the score model and the decoder
+        with pytest.raises(ValueError, match=re.escape(f"bad pitch name {text!r}")):
+            Pitch.from_name(text)
+        assert lmx.decode_recoverable(["measure", text, "quarter"]).score.measures == ()
+
     def test_every_valid_spelling_is_one_shared_object(self):
         table = score_module._PITCHES
         valid = set()
@@ -80,7 +89,7 @@ class TestPitch:
         for name in ("C4", "C04", "C004", "Bb-1", "B#-2", "G9"):
             pitch = Pitch.from_name(name)
             assert pitch is table[pitch.step, pitch.alter, pitch.octave]
-        assert Pitch.from_parts("C", 0, 4) is Pitch.from_name("C0004")
+        assert Pitch.from_parts("C", 0, 4) is Pitch.from_name("C0004") is Pitch.from_name("C٤")
 
     @pytest.mark.parametrize("parts, error", [
         (("C", 0, 10), "midi_number 132 out of range"),
