@@ -21,7 +21,6 @@ import functools
 import hashlib
 import json
 import sys
-import zipfile
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -347,10 +346,10 @@ def _cmd_build_seqs(args) -> int:
     if not samples:
         raise CliError("no training sequences could be built")
     ids, mask, harmony = seqbuild.collate(samples, vocab)
-    np.savez(args.out, ids=ids, mask=mask, harmony=harmony,
-             lengths=np.array([len(s) for s in samples], dtype=np.int64),
-             pieces=np.frombuffer(json.dumps([s.piece for s in samples]).encode(),
-                                  dtype=np.uint8))
+    interchange.write_npz(args.out, {
+        "ids": ids, "mask": mask, "harmony": harmony,
+        "lengths": np.array([len(s) for s in samples], dtype=np.int64),
+        "pieces": [s.piece for s in samples]})
     msg = f"built {len(samples)} {args.mode} sequences -> {args.out}"
     if skipped:
         msg += f" ({len(skipped)} pairs skipped)"
@@ -358,33 +357,33 @@ def _cmd_build_seqs(args) -> int:
     return 0
 
 
-def _load_seqs(path: str) -> tuple[np.ndarray, ...]:
-    """The ``ids``, ``mask``, ``harmony`` and ``lengths`` arrays of a ``build-seqs`` file."""
-    names = ("ids", "mask", "harmony", "lengths")
-    try:
-        with np.load(path, allow_pickle=False) as data:
-            missing = [name for name in names if name not in data.files]
-            if missing:
-                raise CliError(f"{path}: sequence file has no {missing[0]!r} array")
-            return tuple(data[name] for name in names)
-    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
-        raise CliError(f"{path}: not a sequence file ({type(exc).__name__}: {exc})") from exc
+# each array train reads from a build-seqs file: its dtype kinds and rank
+_SEQ_ARRAYS = {"ids": ("iu", 2), "mask": ("iu", 2), "harmony": ("f", 2), "lengths": ("iu", 1)}
 
 
 def _cmd_train(args) -> int:
     vocab = lmx.Vocabulary.load(args.vocab)
-    ids, mask, harmony, lengths = _load_seqs(args.seqs)
+    seqs = interchange.read_npz(args.seqs, CliError, "sequence file", _SEQ_ARRAYS)
+    ids, mask, harmony, lengths = (seqs[name] for name in _SEQ_ARRAYS)
+    n, width = ids.shape
+    for name, fits, expected in (
+            ("ids", n and ((ids >= 0) & (ids < len(vocab))).all(),
+             f"hold a row or more of ids in [0, {len(vocab)})"),
+            ("mask", mask.shape == ids.shape, f"be shaped as 'ids', {ids.shape}"),
+            ("harmony", harmony.shape == (n, 12), f"be shaped {(n, 12)}"),
+            ("lengths", lengths.shape == (n,) and ((lengths >= 1) & (lengths <= width)).all(),
+             f"be shaped {(n,)} and hold lengths in [1, {width}]")):
+        if not fits:
+            raise CliError(f"{args.seqs}: sequence file array {name!r} must {expected}")
     config = model.ModelConfig(
         vocab_size=len(vocab), d_model=args.d_model, n_heads=args.n_heads,
         n_layers=args.n_layers, d_ff=args.d_ff,
         max_len=max(int(lengths.max()), args.context),
         harmony_token_id=vocab.id(lmx.HARMONY))
     lm = model.TinyLM.create(config, seed=args.seed)
-    batches = []
-    for lo in range(0, ids.shape[0], args.batch_size):
-        hi = min(lo + args.batch_size, ids.shape[0])
-        width = int(lengths[lo:hi].max())
-        batches.append((ids[lo:hi, :width], mask[lo:hi, :width], harmony[lo:hi]))
+    b, starts = args.batch_size, range(0, n, args.batch_size)
+    batches = [(ids[lo:lo + b, :w], mask[lo:lo + b, :w], harmony[lo:lo + b])
+               for lo, w in zip(starts, np.maximum.reduceat(lengths, starts))]
     out_dir = Path(args.out_dir)
     losses = model.train(lm, batches, steps=args.steps, lr=args.lr, seed=args.seed)
     with open(out_dir / "train_log.csv", "w", encoding="utf-8") as fh:

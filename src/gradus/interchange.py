@@ -1,18 +1,26 @@
-"""The JSON and JSON Lines files the pipeline stages hand each other.
+"""The JSON, JSON Lines and npz files the pipeline stages hand each other.
 
-Both are UTF-8.  A JSONL file holds one JSON object per line; blank
-lines are skipped.  A JSON file holds one object, written with
+JSON and JSONL are UTF-8.  A JSONL file holds one JSON object per line;
+blank lines are skipped.  A JSON file holds one object, written with
 ``indent=1``, sorted keys and a closing newline, so equal payloads give
-equal bytes.  Readers raise the caller's own error class, naming the
-path (and line).  :data:`FIELDS` types every JSONL field any reader
-or the mining report holds; numbers are never coerced from strings or
-booleans.
+equal bytes.  An npz file (``build-seqs``' sequences, ``train``'s
+checkpoint) is an uncompressed numpy zip archive, read without pickles;
+a JSON member is stored as its UTF-8 bytes in a uint8 array.  Readers
+raise the caller's own error class, naming the path (and line or
+member).  :data:`FIELDS` types every JSONL field any reader, the mining
+report or a checkpoint's meta holds; numbers are never coerced from
+strings or booleans.
 """
 
 import json
 import math
+import zipfile
+import zlib
 
-__all__ = ["FIELDS", "check", "read_jsonl", "write_jsonl", "read_json", "write_json"]
+import numpy as np
+
+__all__ = ["FIELDS", "check", "read_jsonl", "write_jsonl", "read_json", "write_json",
+           "read_npz", "write_npz"]
 
 
 def _finite_numbers(value) -> bool:
@@ -33,6 +41,7 @@ _NUMBER = ("a finite number", lambda v: _finite_numbers([v]))
 _BOOL = ("true or false", lambda v: type(v) is bool)
 _NUMBERS = ("a list of finite numbers", _finite_numbers)
 _STRINGS = ("a list of strings", lambda v: isinstance(v, list) and {str}.issuperset(map(type, v)))
+_POSITIVE = ("a positive integer", lambda v: type(v) is int and v > 0)
 
 # field -> (what it must be, the test of a value); checked in every record that holds it
 FIELDS = {
@@ -48,6 +57,14 @@ FIELDS = {
     "mean_distance": ("a finite number or null", lambda v: v is None or _finite_numbers([v])),
     "mean_distance_by_gap": ("an object of finite numbers keyed by gap", lambda v: isinstance(
         v, dict) and _gap_keys(v) and _finite_numbers(list(v.values()))),
+    # a checkpoint's meta, its model config and its optimizer
+    "config": ("an object", lambda v: isinstance(v, dict)),
+    "optimizer": ("an object or null", lambda v: v is None or isinstance(v, dict)),
+    **dict.fromkeys(("step", "step_count", "harmony_token_id"), _INT),
+    **dict.fromkeys(("vocab_size", "d_model", "n_heads", "n_layers", "d_ff", "max_len"), _POSITIVE),
+    **dict.fromkeys(("lr", "eps", "weight_decay"), _NUMBER),
+    "rope_base": ("a positive finite number", lambda v: _finite_numbers([v]) and v > 0),
+    "betas": ("a list of two finite numbers", lambda v: _finite_numbers(v) and len(v) == 2),
 }
 
 
@@ -102,3 +119,48 @@ def _object(data, where, error) -> dict:
     if not isinstance(value, dict):
         raise error(f"{where}: expected a JSON object, got {type(value).__name__}")
     return value
+
+
+def write_npz(path, members) -> None:
+    """Write ``members`` (name -> value, in order) as an uncompressed npz at
+    exactly ``path``; a value that is not an array is stored as its
+    ``json.dumps(..., sort_keys=True)`` bytes in a uint8 array."""
+    arrays = {name: value if isinstance(value, np.ndarray) else np.frombuffer(
+        json.dumps(value, sort_keys=True).encode(), dtype=np.uint8)
+        for name, value in members.items()}
+    with open(path, "wb") as fh:    # np.savez appends ".npz" to a path, not to a file
+        np.savez(fh, **arrays)
+
+
+def read_npz(path, error, what, declared) -> dict:
+    """Every member of the npz at ``path``, name -> array.
+
+    ``declared`` maps each member the file must hold either to ``dict``, a
+    JSON object (returned decoded), or to ``(kinds, rank)``, the dtype
+    kinds (``"iu"``, ``"f"``) and the number of dimensions its array must
+    have.  Any failure, a ``.npy`` array or pickled member included,
+    raises ``error`` naming ``path`` and the member.
+    """
+    try:
+        data = np.load(path, allow_pickle=False)
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ValueError("a single .npy array, not an npz archive")
+        with data:
+            members = {name: data[name] for name in data.files}
+    except (OSError, EOFError, ValueError, NotImplementedError, zipfile.BadZipFile,
+            zlib.error) as exc:
+        raise error(f"{path}: not a {what} ({type(exc).__name__}: {exc})") from exc
+    for name, kind in declared.items():
+        if name not in members:
+            raise error(f"{path}: {what} has no {name!r} array")
+        value = members[name]
+        kinds, rank = ("u", 1) if kind is dict else kind
+        if not (isinstance(value, np.ndarray) and value.dtype.kind in kinds
+                and value.ndim == rank):
+            got = (f"{value.ndim}-d {value.dtype}" if isinstance(value, np.ndarray)
+                   else type(value).__name__)
+            raise error(f"{path}: {what} array {name!r} must be {rank}-d of dtype kind "
+                        f"{kinds!r}, got {got}")
+        if kind is dict:
+            members[name] = _object(value.tobytes(), f"{path} {name}", error)
+    return members

@@ -348,11 +348,11 @@ def _decode_note(tokens: Sequence[str], i: int, grace: bool,
     tok = tokens[i]
     pitch: Optional[Pitch] = None
     if tok != "rest":
-        if PITCH_NAME.match(tok) is None:
-            raise DecodeError(f"expected a pitch or 'rest', got {tok!r}", i)
         try:
             pitch = Pitch.from_name(tok)
         except ValueError as exc:
+            if PITCH_NAME.match(tok) is None:
+                raise DecodeError(f"expected a pitch or 'rest', got {tok!r}", i) from None
             raise DecodeError(str(exc), i) from exc
     i += 1
     if i >= n or tokens[i] not in DURATION_TYPES:
@@ -458,13 +458,18 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: str) -> "Vocabulary":
-        with open(path, encoding="utf-8") as fh:
-            lines = [line.rstrip("\n") for line in fh]
-        while lines and not lines[-1]:
-            lines.pop()
-        if lines[:len(SPECIAL_TOKENS)] != list(SPECIAL_TOKENS):
-            raise VocabularyError("vocabulary file does not start with the special tokens")
-        vocab = cls(lines[len(SPECIAL_TOKENS):])
-        if list(vocab.tokens) != lines:
-            raise VocabularyError("vocabulary file contains duplicates")
+        """The vocabulary :meth:`save` wrote to ``path``; any fault in the
+        file raises :class:`VocabularyError` naming ``path``."""
+        try:
+            with open(path, encoding="utf-8") as fh:
+                lines = [line.rstrip("\n") for line in fh]
+            while lines and not lines[-1]:
+                lines.pop()
+            if lines[:len(SPECIAL_TOKENS)] != list(SPECIAL_TOKENS):
+                raise VocabularyError("vocabulary file does not start with the special tokens")
+            vocab = cls(lines[len(SPECIAL_TOKENS):])
+            if list(vocab.tokens) != lines:
+                raise VocabularyError("vocabulary file contains duplicates")
+        except (UnicodeDecodeError, VocabularyError) as exc:
+            raise VocabularyError(f"{path}: {exc}") from exc
         return vocab

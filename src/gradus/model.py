@@ -20,15 +20,12 @@ nothing to loss or gradients.
 
 from __future__ import annotations
 
-import io
-import json
-import zipfile
-import zlib
 from dataclasses import asdict, dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
 
+from . import interchange
 from .seqbuild import cross_entropy_terms
 
 __all__ = [
@@ -661,75 +658,59 @@ def _pick(logits: np.ndarray, temperature: float, top_k: Optional[int],
 # Checkpoints
 
 _CHECKPOINT_FORMAT = "tiny-lm-v1"
+# the AdamW attributes a checkpoint's meta keeps
+_OPTIMIZER_FIELDS = ("lr", "betas", "eps", "weight_decay", "step_count")
 
 
 def save_checkpoint(path: str, model: TinyLM, step: int = 0,
                     optimizer: Optional[AdamW] = None) -> None:
-    arrays: dict[str, np.ndarray] = {}
-    for name, arr in model.params.items():
-        arrays[f"p/{name}"] = arr
-    if optimizer is not None:
-        for name, arr in optimizer.m.items():
-            arrays[f"m/{name}"] = arr
-        for name, arr in optimizer.v.items():
-            arrays[f"v/{name}"] = arr
-    meta = {
-        "format": _CHECKPOINT_FORMAT,
-        "config": asdict(model.config),
-        "step": step,
-        "optimizer": None if optimizer is None else {
-            "lr": optimizer.lr, "betas": list(optimizer.betas),
-            "eps": optimizer.eps, "weight_decay": optimizer.weight_decay,
-            "step_count": optimizer.step_count},
-    }
-    buf = io.BytesIO()
-    np.savez(buf, meta=np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8),
-             **arrays)
-    with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+    groups = {"p": model.params} if optimizer is None else {
+        "p": model.params, "m": optimizer.m, "v": optimizer.v}
+    arrays = {f"{k}/{name}": arr for k, group in groups.items() for name, arr in group.items()}
+    meta = {"format": _CHECKPOINT_FORMAT, "config": asdict(model.config), "step": step,
+            "optimizer": None if optimizer is None else {
+                name: getattr(optimizer, name) for name in _OPTIMIZER_FIELDS}}
+    interchange.write_npz(path, {"meta": meta, **arrays})
 
 
 def load_checkpoint(path: str) -> tuple[TinyLM, int, Optional[AdamW]]:
     """The model, its step and its optimizer (None if none was saved).
 
     Raises :class:`LMError` naming ``path`` when the file is not a readable
-    checkpoint of this format, or when its config keys or its arrays' names
-    and shapes are not the ones the config gives.
+    checkpoint of this format, a meta field is missing or mistyped, or its
+    config keys or its arrays' names, shapes and float64 dtype are not the config's.
     """
-    try:
-        with np.load(path, allow_pickle=False) as data:
-            arrays = {name: data[name] for name in data.files}
-        meta = json.loads(bytes(arrays.pop("meta")).decode())
-    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile, zlib.error) as exc:
-        raise LMError(f"checkpoint {path} is unreadable: {type(exc).__name__}: {exc}") from exc
-    if not isinstance(meta, dict) or meta.get("format") != _CHECKPOINT_FORMAT \
-            or not isinstance(meta.get("config"), dict):
+    arrays = interchange.read_npz(path, LMError, "checkpoint", {"meta": dict})
+    meta = arrays.pop("meta")
+    if meta.get("format") != _CHECKPOINT_FORMAT:
         raise LMError(f"unrecognized checkpoint format in {path}")
+    interchange.check(f"{path} meta", meta, LMError, "config", "step", "optimizer")
     stored = meta["config"]
     # checkpoints written before dropout was removed carry "dropout": 0.0
     if stored.pop("dropout", 0.0) != 0.0:
         raise LMError(f"checkpoint {path} was trained with dropout, which is no longer supported")
-    known = {f.name for f in fields(ModelConfig)}
-    if set(stored) != known:
+    known = [f.name for f in fields(ModelConfig)]
+    interchange.check(f"{path} meta config", stored, LMError, *known)
+    if set(stored).difference(known):
         raise LMError(f"checkpoint {path} config keys differ from ModelConfig's: "
-                      f"missing {sorted(known - set(stored))}, "
-                      f"unexpected {sorted(set(stored) - known)}")
+                      f"unexpected {sorted(set(stored).difference(known))}")
     config = ModelConfig(**stored)
-    shapes = _param_shapes(config)
-    o = meta.get("optimizer")
-    for prefix in ("p/",) if o is None else ("p/", "m/", "v/"):
-        found = {name[2:]: arr.shape for name, arr in arrays.items() if name.startswith(prefix)}
-        wrong = sorted(set(found) ^ set(shapes)) or [n for n in shapes if found[n] != shapes[n]]
+    # every layer has arrays of its own, so more layers than arrays match none
+    shapes = _param_shapes(config) if config.n_layers <= len(arrays) else {}
+    o = meta["optimizer"]
+    groups = {k: {name[2:]: arr for name, arr in arrays.items() if name.startswith(f"{k}/")}
+              for k in (("p",) if o is None else ("p", "m", "v"))}
+    for k, found in groups.items():
+        wrong = sorted(set(found) ^ set(shapes)) or [
+            n for n in shapes if (found[n].shape, found[n].dtype) != (shapes[n], np.float64)]
         if wrong:
-            raise LMError(f"checkpoint {path} arrays {prefix}* do not match the config "
-                          f"at {wrong[:5]}")
-    params = {name[2:]: arrays[name] for name in arrays if name.startswith("p/")}
-    model = TinyLM(config=config, params=params)
+            raise LMError(f"checkpoint {path} arrays {k}/* do not match the config at "
+                          f"{wrong[:5]} (float64 arrays of the config's shapes)")
+    model = TinyLM(config=config, params=groups["p"])
     optimizer = None
     if o is not None:
-        optimizer = AdamW(params, lr=o["lr"], betas=tuple(o["betas"]),
+        interchange.check(f"{path} meta optimizer", o, LMError, *_OPTIMIZER_FIELDS)
+        optimizer = AdamW(groups["p"], lr=o["lr"], betas=tuple(o["betas"]),
                           eps=o["eps"], weight_decay=o["weight_decay"])
-        optimizer.step_count = o["step_count"]
-        optimizer.m = {name[2:]: arrays[name] for name in arrays if name.startswith("m/")}
-        optimizer.v = {name[2:]: arrays[name] for name in arrays if name.startswith("v/")}
-    return model, int(meta["step"]), optimizer
+        optimizer.step_count, optimizer.m, optimizer.v = o["step_count"], groups["m"], groups["v"]
+    return model, meta["step"], optimizer

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gradus import style
+from gradus import model, style
 from gradus.cli import main
 from gradus.lmx import SPECIAL_TOKENS, encode
 from gradus.score import read_musicxml
@@ -321,6 +321,23 @@ class TestMiningCommands:
         pieces = json.loads(bytes(data["pieces"]).decode())
         assert len(pieces) == 6
 
+    def test_sequence_file_without_npz_suffix_is_written_and_read_at_its_path(
+            self, ws, tmp_path, capsys):
+        out = tmp_path / "seqs.bin"
+        run("build-seqs", "--mode", "conditioned",
+            "--vocab", str(ws / "enc" / "vocab.txt"),
+            "--tokens", str(ws / "sky.jsonl"),
+            "--profiles", str(ws / "prof.jsonl"),
+            "--out", str(out))
+        assert capsys.readouterr().out == f"built 6 conditioned sequences -> {out}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["seqs.bin",
+                                                              "seqs.bin.manifest.json"]
+        run("train", "--seqs", str(out), "--vocab", str(ws / "enc" / "vocab.txt"),
+            "--out-dir", str(tmp_path / "ck"), "--steps", "1",
+            "--d-model", "8", "--n-layers", "1", "--n-heads", "2", "--d-ff", "8")
+        manifest = json.loads((tmp_path / "ck" / "manifest.json").read_text())
+        assert str(out) in manifest["inputs"]
+
     def test_build_adaptation_seqs(self, ws, synthetic_variations, tmp_path):
         mined = tmp_path / "mined"
         run("mine-pairs",
@@ -427,6 +444,60 @@ class TestTrainSampleInputErrors:
                           "--out-dir", str(tmp_path / "ck"), "--steps", "1")
         assert payload["error"] == "CliError"
         assert payload["message"].startswith(f"{ws / 'sky.jsonl'}: not a sequence file (ValueError")
+
+    def _train_fails(self, ws, tmp_path, capsys, monkeypatch, seqs, vocab=None):
+        """The error of ``train`` on ``seqs``, which must come before any model is made."""
+        def create(*args, **kwargs):
+            raise AssertionError("TinyLM.create ran")
+        monkeypatch.setattr(model.TinyLM, "create", create)
+        return failure(capsys, "train", "--seqs", str(seqs),
+                       "--vocab", str(vocab or ws / "enc" / "vocab.txt"),
+                       "--out-dir", str(tmp_path / "ck"), "--steps", "1")
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda a, v: a["ids"].__setitem__((0, 0), v + 1000),
+         "'ids' must hold a row or more of ids in [0, {v})"),
+        (lambda a, v: a["ids"].__setitem__((1, 2), -1),
+         "'ids' must hold a row or more of ids in [0, {v})"),
+        (lambda a, v: a.update(mask=a["mask"][1:]), "'mask' must be shaped as 'ids', "),
+        (lambda a, v: a.update(harmony=a["harmony"][:, :5]),
+         "'harmony' must be shaped (6, 12)"),
+        (lambda a, v: a.update(lengths=a["lengths"][:3]),
+         "'lengths' must be shaped (6,) and hold lengths in [1, "),
+        (lambda a, v: a["lengths"].__setitem__(0, a["ids"].shape[1] + 1),
+         "'lengths' must be shaped (6,) and hold lengths in [1, "),
+        (lambda a, v: a.update(ids=a["ids"].astype(np.float64)),
+         "'ids' must be 2-d of dtype kind 'iu', got 2-d float64"),
+    ], ids=["id-above-vocab", "negative-id", "mask-rows", "harmony-width", "lengths-rows",
+            "length-over-width", "float-ids"])
+    def test_sequence_file_that_does_not_fit(self, ws, trained, tmp_path, capsys, monkeypatch,
+                                             change, message):
+        vocab_size = len((ws / "enc" / "vocab.txt").read_text().splitlines())
+        with np.load(trained / "cond.npz") as data:
+            arrays = {name: data[name] for name in data.files}
+        change(arrays, vocab_size)
+        seqs = tmp_path / "bad.npz"
+        np.savez(seqs, **arrays)
+        payload = self._train_fails(ws, tmp_path, capsys, monkeypatch, seqs)
+        assert payload["error"] == "CliError"
+        assert payload["message"].startswith(
+            f"{seqs}: sequence file array " + message.format(v=vocab_size))
+
+    def test_npy_as_sequence_file(self, ws, trained, tmp_path, capsys, monkeypatch):
+        seqs = tmp_path / "ids.npy"
+        with np.load(trained / "cond.npz") as data:
+            np.save(seqs, data["ids"])
+        payload = self._train_fails(ws, tmp_path, capsys, monkeypatch, seqs)
+        assert payload == {"error": "CliError", "message": (
+            f"{seqs}: not a sequence file (ValueError: a single .npy array, not an npz archive)")}
+
+    def test_vocabulary_that_is_not_utf8(self, ws, trained, tmp_path, capsys, monkeypatch):
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_bytes((ws / "enc" / "vocab.txt").read_bytes() + b"\xff\n")
+        payload = self._train_fails(ws, tmp_path, capsys, monkeypatch, trained / "cond.npz",
+                                    vocab)
+        assert payload["error"] == "VocabularyError"
+        assert payload["message"].startswith(f"{vocab}: 'utf-8' codec can't decode byte 0xff")
 
     def test_vocabulary_shorter_than_the_checkpoints(self, ws, trained, tmp_path, capsys):
         lines = (ws / "enc" / "vocab.txt").read_text().splitlines()

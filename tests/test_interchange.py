@@ -118,3 +118,75 @@ def test_jsonl_rows_round_trip_skipping_blank_lines(tmp_path):
     path.write_text(path.read_text() + "\n  \n")
     assert list(interchange.read_jsonl(path, Boom)) == [
         (f"{path}:1", {"a": 1}), (f"{path}:2", {"b": [1.5, None]})]
+
+
+def test_npz_is_written_at_exactly_its_path_in_member_order(tmp_path):
+    path = tmp_path / "arrays.bin"
+    interchange.write_npz(path, {"b": np.arange(3), "meta": {"z": 1, "a": [2]},
+                                 "a": np.zeros((2, 2))})
+    assert [p.name for p in tmp_path.iterdir()] == ["arrays.bin"]
+    with np.load(path, allow_pickle=False) as data:
+        assert data.files == ["b", "meta", "a"]
+        assert data["meta"].dtype == np.uint8
+        assert data["meta"].tobytes() == b'{"a": [2], "z": 1}'
+
+
+def test_npz_bytes_are_those_of_savez(tmp_path):
+    members = {"ids": np.arange(6).reshape(2, 3), "pieces": ["p", "q"]}
+    interchange.write_npz(tmp_path / "seqs.npz", members)
+    np.savez(tmp_path / "ref.npz", ids=members["ids"],
+             pieces=np.frombuffer(b'["p", "q"]', dtype=np.uint8))
+    assert (tmp_path / "seqs.npz").read_bytes() == (tmp_path / "ref.npz").read_bytes()
+
+
+def test_npz_round_trip_decodes_declared_json(tmp_path):
+    path = tmp_path / "f.npz"
+    interchange.write_npz(path, {"meta": {"k": [1, "x"]}, "x": np.ones(3, np.float32)})
+    members = interchange.read_npz(path, Boom, "thing", {"meta": dict, "x": ("f", 1)})
+    assert members["meta"] == {"k": [1, "x"]}
+    assert members["x"].dtype == np.float32 and members["x"].tolist() == [1.0, 1.0, 1.0]
+
+
+DECLARED = {"ids": ("iu", 2), "meta": dict}
+
+
+def _npz_error(path):
+    with pytest.raises(Boom) as exc:
+        interchange.read_npz(path, Boom, "thing", DECLARED)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("members, message", [
+    ({"meta": {}}, "{path}: thing has no 'ids' array"),
+    ({"ids": np.zeros((2, 2), np.int64)}, "{path}: thing has no 'meta' array"),
+    ({"ids": np.zeros((2, 2)), "meta": {}},
+     "{path}: thing array 'ids' must be 2-d of dtype kind 'iu', got 2-d float64"),
+    ({"ids": np.zeros(4, np.int64), "meta": {}},
+     "{path}: thing array 'ids' must be 2-d of dtype kind 'iu', got 1-d int64"),
+    ({"ids": np.zeros((1, 1), np.int8), "meta": np.zeros(2)},
+     "{path}: thing array 'meta' must be 1-d of dtype kind 'u', got 1-d float64"),
+    ({"ids": np.zeros((1, 1), np.int8), "meta": [1]},
+     "{path} meta: expected a JSON object, got list"),
+    ({"ids": np.zeros((1, 1), np.int8), "meta": np.frombuffer(b"\xff{}", np.uint8)},
+     "{path} meta: bad JSON: 'utf-8' codec can't decode byte 0xff"),
+])
+def test_npz_member_faults_raise_the_callers_error(tmp_path, members, message):
+    path = tmp_path / "f.npz"
+    interchange.write_npz(path, members)
+    assert _npz_error(path).startswith(message.format(path=path))
+
+
+def test_npz_that_is_not_an_archive_raises_the_callers_error(tmp_path):
+    npy, text, cut, pickled = (tmp_path / name for name in ("a.npy", "a.txt", "cut.npz", "p.npz"))
+    np.save(npy, np.zeros((2, 2), np.int64))
+    text.write_text('{"a": 1}\n')
+    interchange.write_npz(cut, {"ids": np.zeros((4, 4), np.int64), "meta": {}})
+    cut.write_bytes(cut.read_bytes()[:100])
+    np.savez(pickled, ids=np.array([[{"x": 1}]], dtype=object), meta=np.zeros(0, np.uint8))
+    assert _npz_error(npy) == (
+        f"{npy}: not a thing (ValueError: a single .npy array, not an npz archive)")
+    assert _npz_error(text).startswith(f"{text}: not a thing (ValueError: ")
+    assert _npz_error(cut).startswith(f"{cut}: not a thing (BadZipFile: ")
+    assert _npz_error(pickled).startswith(f"{pickled}: not a thing (ValueError: ")
+    assert _npz_error(tmp_path / "none.npz").startswith(
+        f"{tmp_path / 'none.npz'}: not a thing (FileNotFoundError: ")

@@ -1,5 +1,6 @@
 """Token codec and vocabulary tests."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -277,11 +278,20 @@ class TestVocabulary:
     def test_load_rejects_duplicates(self, tmp_path):
         path = tmp_path / "vocab.txt"
         path.write_text("\n".join(list(SPECIAL_TOKENS) + ["a", "a"]) + "\n")
-        with pytest.raises(VocabularyError):
+        with pytest.raises(VocabularyError,
+                           match=f"^{re.escape(str(path))}: vocabulary file contains duplicates$"):
             Vocabulary.load(str(path))
 
     def test_load_rejects_missing_specials(self, tmp_path):
         path = tmp_path / "vocab.txt"
         path.write_text("a\nb\nc\n")
-        with pytest.raises(VocabularyError):
+        with pytest.raises(VocabularyError, match=f"^{re.escape(str(path))}: vocabulary file "
+                                                  "does not start with the special tokens$"):
+            Vocabulary.load(str(path))
+
+    def test_load_rejects_bytes_that_are_not_utf8(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_bytes("\n".join(SPECIAL_TOKENS).encode() + b"\nC\xe94\n")
+        with pytest.raises(VocabularyError,
+                           match=f"^{re.escape(str(path))}: 'utf-8' codec can't decode byte 0xe9"):
             Vocabulary.load(str(path))

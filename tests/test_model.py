@@ -590,13 +590,46 @@ class TestCheckpointErrors:
     def test_truncated_file(self, saved):
         bad = saved.parent / "cut.npz"
         bad.write_bytes(saved.read_bytes()[:saved.stat().st_size // 2])
-        with pytest.raises(LMError, match=f"checkpoint {re.escape(str(bad))} is unreadable: "
-                                          "BadZipFile"):
+        with pytest.raises(LMError, match=f"^{re.escape(str(bad))}: not a checkpoint "
+                                          r"\(BadZipFile: "):
             load_checkpoint(str(bad))
 
     def test_pickled_arrays_are_not_loaded(self, saved):
         bad = saved.parent / "pickled.npz"
         rewrite_checkpoint(saved, bad, lambda _, arrays: arrays.update(
             {"p/tok_emb": np.array([{"x": 1}], dtype=object)}))
-        with pytest.raises(LMError, match="is unreadable: ValueError"):
+        with pytest.raises(LMError, match=f"^{re.escape(str(bad))}: not a checkpoint "
+                                          r"\(ValueError: .*allow_pickle=False"):
+            load_checkpoint(str(bad))
+
+    def test_meta_without_step(self, saved):
+        message = self.load_edited(saved, lambda meta, _: meta.pop("step"))
+        assert message.endswith(" meta: missing field 'step'")
+
+    def test_step_that_is_not_an_integer(self, saved):
+        message = self.load_edited(saved, lambda meta, _: meta.update(step="x"))
+        assert message.endswith(" meta: field 'step' must be an integer")
+
+    def test_config_field_of_the_wrong_type(self, saved):
+        message = self.load_edited(saved, lambda meta, _: meta["config"].update(n_heads="2"))
+        assert message.endswith(" meta config: field 'n_heads' must be a positive integer")
+
+    @pytest.mark.parametrize("field", ["lr", "step_count"])
+    def test_optimizer_without_a_field(self, saved, field):
+        message = self.load_edited(saved, lambda meta, _: meta["optimizer"].pop(field))
+        assert message.endswith(f" meta optimizer: missing field {field!r}")
+
+    def test_parameter_of_the_wrong_dtype(self, saved):
+        def narrow(_, arrays):
+            arrays["p/head"] = arrays["p/head"].astype(np.float32)
+        assert "arrays p/* do not match the config at ['head']" in self.load_edited(saved, narrow)
+
+    def test_meta_that_is_not_utf8(self, saved):
+        bad = saved.parent / "bytes.npz"
+        with np.load(saved) as data:
+            arrays = {name: data[name] for name in data.files}
+        arrays["meta"] = np.frombuffer(b"\xff" + arrays["meta"].tobytes(), dtype=np.uint8)
+        np.savez(bad, **arrays)
+        with pytest.raises(LMError, match=f"^{re.escape(str(bad))} meta: bad JSON: "
+                                          "'utf-8' codec can't decode"):
             load_checkpoint(str(bad))
