@@ -140,25 +140,6 @@ def _cmd_gen_fixtures(args) -> int:
     return 0
 
 
-def _cmd_parse(args) -> int:
-    rows = []
-    for path in map(Path, args.files):
-        score = validate_two_staff(read_musicxml(str(path)))
-        rows.append({
-            "piece": path.stem,
-            "measures": len(score.measures),
-            "notes": sum(1 for _ in score.notes(include_grace=True)),
-            "duration_quarters": str(score.total_duration),
-            "title": score.title,
-            "genre": score.genre,
-        })
-    if args.out:
-        interchange.write_jsonl(args.out, rows)
-    else:
-        sys.stdout.write("".join(json.dumps(r) + "\n" for r in rows))
-    return 0
-
-
 def _cmd_lmx_encode(args) -> int:
     rows = [{"piece": name, "tokens": tokens}
             for name, tokens in _map_corpus(lmx.encode, args.corpus, args.jobs)]
@@ -222,6 +203,10 @@ def _cmd_features(args) -> int:
     return 0
 
 
+# the share of fit-gnb's rows held out to calibrate the temperature
+_HOLDOUT_FRACTION = 0.25
+
+
 def _cmd_fit_gnb(args) -> int:
     located = list(interchange.read_jsonl(args.features, CliError, "piece", "features"))
     names = [r["piece"] for _, r in located]
@@ -235,29 +220,24 @@ def _cmd_fit_gnb(args) -> int:
         y = np.array([by_piece[n] for n in names], dtype=np.int64)
     else:
         y = gnb.quantile_levels(gnb.difficulty_proxy(x))
-    rng = np.random.default_rng(args.seed)
-    order = rng.permutation(len(names))
-    n_holdout = max(2, int(round(args.holdout_fraction * len(names))))
-    uncalibrated = ""           # why the temperature stays at 1, if it does
-    if len(names) - n_holdout < 2 * len(set(y.tolist())):
-        n_holdout = 0
+    order = np.random.default_rng(args.seed).permutation(len(names))
+    holdout, trainrows = np.split(order, [max(2, round(_HOLDOUT_FRACTION * len(names)))])
+    levels = set(y.tolist())
+    counts = Counter(y[trainrows].tolist())
+    # why the temperature stays at 1, if it does; gnb.fit needs two rows of every level
+    if len(trainrows) < 2 * len(levels):
         uncalibrated = "corpus too small for a holdout"
-    holdout = order[:n_holdout]
-    trainrows = order[n_holdout:] if n_holdout else order
-    if n_holdout and 1 in Counter(y[trainrows].tolist()).values():
-        # gnb.fit needs two examples of every level it sees
-        n_holdout = 0
-        trainrows = order
-        fitted = gnb.fit(x, y)
+    elif any(counts[level] < 2 for level in levels):
         uncalibrated = "split starved a level"
     else:
+        uncalibrated = ""
+    if uncalibrated:
+        trainrows = order
+        fitted = gnb.fit(x, y)
+    else:
         fitted = gnb.fit(x[trainrows], y[trainrows])
-    if n_holdout:
-        if set(y[holdout].tolist()) - set(y[trainrows].tolist()):
-            uncalibrated = "holdout has levels absent from training"
-        else:
-            with _located_rows([located[i][0] for i in holdout]):
-                fitted = gnb.fit_temperature(fitted, x[holdout], y[holdout])
+        with _located_rows([located[i][0] for i in holdout]):
+            fitted = gnb.fit_temperature(fitted, x[holdout], y[holdout])
     out_dir = Path(args.out_dir)
     gnb.save_model(fitted, str(out_dir / "model.json"))
     interchange.write_jsonl(out_dir / "labels.jsonl",
@@ -335,14 +315,12 @@ def _cmd_build_seqs(args) -> int:
             harmony = np.array(prof.get("perturbed", prof["profile"]))
             samples.append(seqbuild.conditioned_sample(
                 vocab, row["tokens"], harmony, piece=row["piece"],
-                max_len=args.max_len))
+                max_len=seqbuild.MAX_ADAPTATION_LEN))
     else:
         pairs = mining.load_pairs(args.pairs)
         tokens_by_id = {r["var"]: r["tokens"] for _, r in interchange.read_jsonl(
             args.variations, CliError, "var", "tokens")}
-        samples, skipped = seqbuild.adaptation_samples(
-            vocab, pairs, tokens_by_id, max_len=args.max_len,
-            include_level_tokens=not args.no_level_tokens)
+        samples, skipped = seqbuild.adaptation_samples(vocab, pairs, tokens_by_id)
     if not samples:
         raise CliError("no training sequences could be built")
     ids, mask, harmony = seqbuild.collate(samples, vocab)
@@ -424,7 +402,7 @@ def _cmd_sample(args) -> int:
         piece_seed = int(piece_seed)
         result = model.sample(
             lm, prefix, n_sequences=args.n, max_new_tokens=max_new,
-            end_id=end_id, temperature=args.temperature, top_k=args.top_k,
+            end_id=end_id, temperature=args.temperature,
             seed=piece_seed, harmony=harmony)
         for k, seq in enumerate(result.sequences):
             var_id = f"{row['piece']}.v{k:03d}"
@@ -505,11 +483,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42)
     p.set_defaults(func=_cmd_gen_fixtures, inputs=())
 
-    p = sub.add_parser("parse", help="validate scores and print summaries")
-    p.add_argument("files", nargs="+")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_parse)
-
     p_lmx = sub.add_parser("lmx", help="token codec")
     lmx_sub = p_lmx.add_subparsers(dest="lmx_command", required=True)
     p = lmx_sub.add_parser("encode", help="corpus -> token streams + vocabulary")
@@ -543,7 +516,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit-gnb", help="fit the difficulty model")
     p.add_argument("--features", required=True)
     p.add_argument("--labels", help="piece->level JSONL; synthesized when omitted")
-    p.add_argument("--holdout-fraction", type=float, default=0.25)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--seed", type=int, default=42)
     p.set_defaults(func=_cmd_fit_gnb, inputs=("features", "labels"))
@@ -577,8 +549,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profiles", help="profile JSONL (conditioned mode)")
     p.add_argument("--pairs", help="mined pairs JSONL (adaptation mode)")
     p.add_argument("--variations", help="variation token JSONL (adaptation mode)")
-    p.add_argument("--max-len", type=int, default=seqbuild.MAX_ADAPTATION_LEN)
-    p.add_argument("--no-level-tokens", action="store_true")
     p.set_defaults(func=_cmd_build_seqs,
                    inputs=("tokens", "profiles", "pairs", "variations", "vocab"))
 
@@ -607,7 +577,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=128)
     p.add_argument("--max-new", type=int, default=256)
     p.add_argument("--temperature", type=float, default=1.0)
-    p.add_argument("--top-k", type=int, default=None)
     p.add_argument("--seed", type=int, default=42)
     p.set_defaults(func=_cmd_sample, inputs=("checkpoint", "vocab", "skylines", "profiles"))
 
@@ -647,8 +616,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_mode_args(args)
-        if "inputs" not in args:    # parse records no manifest
-            return args.func(args)
         out = Path(args.out_dir) if "out_dir" in args else Path(args.out)
         (out if "out_dir" in args else out.parent).mkdir(parents=True, exist_ok=True)
         rc = args.func(args)

@@ -87,7 +87,7 @@ def read_jsonl(path, error, *required):
 
     Every row passes :func:`check` with the ``required`` fields.
     """
-    with open(path, "rb") as fh:
+    with _open(path, error) as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -102,8 +102,16 @@ def write_jsonl(path, rows) -> None:
 
 
 def read_json(path, error) -> dict:
-    with open(path, "rb") as fh:
+    with _open(path, error) as fh:
         return _object(fh.read(), path, error)
+
+
+def _open(path, error):
+    """``path`` opened for reading bytes; an ``OSError`` raises ``error`` naming it."""
+    try:
+        return open(path, "rb")
+    except OSError as exc:
+        raise error(f"{path}: cannot read ({type(exc).__name__}: {exc.strerror})") from exc
 
 
 def write_json(path, payload) -> None:

@@ -470,6 +470,9 @@ class Vocabulary:
             vocab = cls(lines[len(SPECIAL_TOKENS):])
             if list(vocab.tokens) != lines:
                 raise VocabularyError("vocabulary file contains duplicates")
+        except OSError as exc:
+            raise VocabularyError(
+                f"{path}: cannot read ({type(exc).__name__}: {exc.strerror})") from exc
         except (UnicodeDecodeError, VocabularyError) as exc:
             raise VocabularyError(f"{path}: {exc}") from exc
         return vocab

@@ -561,15 +561,14 @@ class SampleResult:
 
 
 def sample(model: TinyLM, prefix: Sequence[int], n_sequences: int,
-           max_new_tokens: int, end_id: int, temperature: float = 1.0,
-           top_k: Optional[int] = None, seed: int = 42,
+           max_new_tokens: int, end_id: int, temperature: float = 1.0, seed: int = 42,
            harmony: Optional[np.ndarray] = None) -> SampleResult:
     """Draw continuations of one shared prefix, batched with a KV cache.
 
     ``temperature=0`` is greedy argmax (all sequences identical); otherwise
-    logits are divided by the temperature, optionally truncated to the top
-    k entries, and sampled.  Generation stops per sequence at ``end_id``
-    (which is not included in the output) or after ``max_new_tokens``.
+    logits are divided by the temperature and sampled.  Generation stops
+    per sequence at ``end_id`` (which is not included in the output) or
+    after ``max_new_tokens``.
     The cache is preallocated once for the prefix plus ``max_new_tokens``.
     The prefix runs once for all rows.  Rows that have drawn ``end_id``
     leave the cache once the rows still running are three quarters of its
@@ -581,8 +580,6 @@ def sample(model: TinyLM, prefix: Sequence[int], n_sequences: int,
         raise LMError("max_new_tokens must be nonnegative")
     if temperature < 0:
         raise LMError("temperature must be nonnegative")
-    if top_k is not None and top_k < 1:
-        raise LMError("top_k must be positive when given")
     prefix_arr = np.asarray(prefix, dtype=np.int64)
     if prefix_arr.ndim != 1 or prefix_arr.size == 0:
         raise LMError("prefix must be a nonempty id sequence")
@@ -604,7 +601,7 @@ def sample(model: TinyLM, prefix: Sequence[int], n_sequences: int,
     done = np.zeros(b, dtype=bool)
     rows = np.arange(b)     # the row that each cache row holds
     for step in range(max_new_tokens):
-        tokens[:, step] = _pick(logits, temperature, top_k, rng)
+        tokens[:, step] = _pick(logits, temperature, rng)
         done |= tokens[:, step] == end_id
         lengths += ~done
         if done.all() or step + 1 == max_new_tokens:
@@ -635,21 +632,16 @@ def _keep_rows(cache: dict, keep: np.ndarray) -> None:
     cache["batch"] = keep.size
 
 
-def _pick(logits: np.ndarray, temperature: float, top_k: Optional[int],
-          rng: np.random.Generator) -> np.ndarray:
+def _pick(logits: np.ndarray, temperature: float, rng: np.random.Generator) -> np.ndarray:
     if temperature == 0:
         return logits.argmax(axis=-1).astype(np.int64)
-    z = logits / temperature
-    if top_k is not None and top_k < z.shape[-1]:
-        kth = np.partition(z, -top_k, axis=-1)[:, -top_k][:, None]
-        z = np.where(z < kth, -np.inf, z)
-    p = _softmax_last(z)
+    p = _softmax_last(logits / temperature)
     cdf = np.cumsum(p, axis=-1)
     cdf[:, -1] = 1.0    # guard against rounding in the last bin
-    u = rng.random((z.shape[0], 1))
+    u = rng.random((p.shape[0], 1))
     picks = (u > cdf).sum(axis=-1)
-    # a draw above a rounded-down cdf lands on the forced last bin, which
-    # may have zero probability: take the last bin that can be drawn
+    # a draw above a rounded-down cdf lands on the forced last bin, whose
+    # probability may have underflowed to zero: take the last bin that can be drawn
     last = p.shape[-1] - 1 - (p[:, ::-1] > 0).argmax(axis=-1)
     return np.minimum(picks, last).astype(np.int64)
 
@@ -694,7 +686,10 @@ def load_checkpoint(path: str) -> tuple[TinyLM, int, Optional[AdamW]]:
     if set(stored).difference(known):
         raise LMError(f"checkpoint {path} config keys differ from ModelConfig's: "
                       f"unexpected {sorted(set(stored).difference(known))}")
-    config = ModelConfig(**stored)
+    try:
+        config = ModelConfig(**stored)
+    except LMError as exc:
+        raise LMError(f"checkpoint {path} config: {exc}") from exc
     # every layer has arrays of its own, so more layers than arrays match none
     shapes = _param_shapes(config) if config.n_layers <= len(arrays) else {}
     o = meta["optimizer"]

@@ -48,6 +48,7 @@ class TruncationWarning(UserWarning):
     pass
 
 
+# the token budget build-seqs gives every sequence, in both layouts
 MAX_ADAPTATION_LEN = 8000
 
 
@@ -117,8 +118,7 @@ def conditioned_sample(vocab: Vocabulary, melody_tokens: Sequence[str],
 
 def adaptation_sample(vocab: Vocabulary, hard_tokens: Sequence[str],
                       easy_tokens: Sequence[str], hard_level: int, easy_level: int,
-                      piece: str = "", max_len: int = MAX_ADAPTATION_LEN,
-                      include_level_tokens: bool = True) -> Sample:
+                      piece: str = "", max_len: int = MAX_ADAPTATION_LEN) -> Sample:
     """Hard-to-easy rewriting sample, scored on the easy half.
 
     Over-budget sequences lose whole trailing measures of the hard half
@@ -131,7 +131,7 @@ def adaptation_sample(vocab: Vocabulary, hard_tokens: Sequence[str],
     easy = list(easy_tokens)
     if not hard or not easy:
         raise SequenceError("adaptation sample needs nonempty halves")
-    overhead = 4 if include_level_tokens else 2  # level/[SEP]/level/[EOS]
+    overhead = 4  # level/[SEP]/level/[EOS]
     budget = max_len - overhead - len(easy)
     if len(hard) > budget:
         truncated = _drop_trailing_measures(hard, budget)
@@ -142,15 +142,11 @@ def adaptation_sample(vocab: Vocabulary, hard_tokens: Sequence[str],
         hard = truncated
         warnings.warn(f"piece {piece!r}: hard half truncated to fit {max_len} tokens",
                       TruncationWarning, stacklevel=2)
-    if include_level_tokens:
-        tokens = ([LEVEL_TOKENS[hard_level - 1]] + hard + [SEP]
-                  + [LEVEL_TOKENS[easy_level - 1]] + easy + [EOS])
-        prefix_len = 1 + len(hard) + 1 + 1
-    else:
-        tokens = hard + [SEP] + easy + [EOS]
-        prefix_len = len(hard) + 1
+    tokens = ([LEVEL_TOKENS[hard_level - 1]] + hard + [SEP]
+              + [LEVEL_TOKENS[easy_level - 1]] + easy + [EOS])
     ids = np.asarray(vocab.encode_ids(tokens), dtype=np.int64)
-    return Sample(ids=ids, mask=prefix_mask(prefix_len, len(tokens)), piece=piece)
+    # conditioning: both level tokens, the hard half and [SEP]
+    return Sample(ids=ids, mask=prefix_mask(len(hard) + 3, len(tokens)), piece=piece)
 
 
 def _drop_trailing_measures(tokens: list[str], budget: int) -> Optional[list[str]]:
@@ -175,9 +171,7 @@ def _drop_trailing_measures(tokens: list[str], budget: int) -> Optional[list[str
 
 
 def adaptation_samples(vocab: Vocabulary, pairs: Sequence, tokens_by_id: dict[str, Sequence[str]],
-                       max_len: int = MAX_ADAPTATION_LEN,
-                       include_level_tokens: bool = True,
-                       ) -> tuple[list[Sample], list[str]]:
+                       max_len: int = MAX_ADAPTATION_LEN) -> tuple[list[Sample], list[str]]:
     """Build samples for mined pairs; unbuildable pairs are skipped, not fatal.
 
     Returns the samples plus one reason line per skipped pair.
@@ -194,8 +188,7 @@ def adaptation_samples(vocab: Vocabulary, pairs: Sequence, tokens_by_id: dict[st
         try:
             samples.append(adaptation_sample(
                 vocab, hard, easy, pair.hard_level, pair.easy_level,
-                piece=pair.piece, max_len=max_len,
-                include_level_tokens=include_level_tokens))
+                piece=pair.piece, max_len=max_len))
         except OversizedPairError as exc:
             skipped.append(str(exc))
     return samples, skipped

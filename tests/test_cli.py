@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gradus import model, style
+from gradus import gnb, model, style
 from gradus.cli import main
 from gradus.lmx import SPECIAL_TOKENS, encode
 from gradus.score import read_musicxml
@@ -91,29 +91,6 @@ class TestGenFixtures:
         for f in sorted((ws / "corpus").glob("*.musicxml")):
             twin = tmp_path / "again" / f.name
             assert twin.read_text() == f.read_text()
-
-
-class TestParse:
-    def test_summarizes_scores(self, ws, tmp_path, capsys):
-        files = sorted(str(p) for p in (ws / "corpus").glob("*.musicxml"))
-        out = tmp_path / "summary.jsonl"
-        run("parse", *files, "--out", str(out))
-        rows = read_jsonl(out)
-        assert len(rows) == 6
-        for row in rows:
-            assert row["measures"] >= 1
-            assert row["notes"] > 0
-            assert row["genre"]
-            assert "/" not in row["piece"]
-
-    def test_bad_file_fails_with_json_error(self, tmp_path, capsys):
-        bad = tmp_path / "junk.musicxml"
-        bad.write_text("<not-music/>")
-        rc = main(["parse", str(bad)])
-        assert rc == 1
-        err = capsys.readouterr().err.strip()
-        payload = json.loads(err.splitlines()[-1])
-        assert "error" in payload and "message" in payload
 
 
 class TestLmx:
@@ -284,9 +261,23 @@ class TestFitGnbReport:
         assert payload["message"].endswith("has a finite log-likelihood under no level")
 
     def test_holdout_levels_absent_from_training(self, tmp_path, capsys):
+        # level 2 has no training row, which starves it as one row would
         out = self.fit(tmp_path, capsys, self.levels_with_twos_at([0, 1]))
-        assert out == ("fitted on 9 pieces, temperature 1.000 "
-                       "(not calibrated: holdout has levels absent from training)")
+        assert out == ("fitted on 12 pieces, temperature 1.000 "
+                       "(not calibrated: split starved a level)")
+
+    def test_proxy_level_held_out_whole_fits_every_row(self, tmp_path, capsys):
+        # at this seed the holdout takes every row of one of the nine proxy levels
+        with open(tmp_path / "feat.jsonl", "w", encoding="utf-8") as fh:
+            for k, row in enumerate(np.random.default_rng(0).normal(size=(24, 12))):
+                fh.write(json.dumps({"piece": f"p{k}", "features": row.tolist()}) + "\n")
+        capsys.readouterr()
+        run("fit-gnb", "--features", str(tmp_path / "feat.jsonl"),
+            "--out-dir", str(tmp_path / "gnb"), "--seed", "28")
+        assert capsys.readouterr().out.strip() == (
+            "fitted on 24 pieces, temperature 1.000 (not calibrated: split starved a level)")
+        fitted = gnb.load_model(str(tmp_path / "gnb" / "model.json"))
+        assert np.isfinite(fitted.log_prior).all()
 
 
 class TestMiningCommands:
@@ -544,11 +535,11 @@ class TestManifests:
                 "--tokens", str(ws / "sky.jsonl"), "--profiles", str(ws / "prof.jsonl"),
                 "--out", str(tmp_path / "seqs.npz"))
         where = tmp_path / "seqs.npz.manifest.json"
-        plain = manifest_after(where, *seqs)
-        flagged = manifest_after(where, *seqs, "--no-level-tokens")
-        assert plain != flagged
-        assert (plain["args"]["no_level_tokens"], flagged["args"]["no_level_tokens"]) == \
-            (False, True)
+        skyline = manifest_after(where, *seqs)
+        score = manifest_after(where, *seqs, "--tokens", str(ws / "enc" / "tokens.jsonl"))
+        assert skyline != score
+        assert (skyline["args"]["tokens"], score["args"]["tokens"]) == \
+            (str(ws / "sky.jsonl"), str(ws / "enc" / "tokens.jsonl"))
 
         train = ("train", "--seqs", str(trained / "cond.npz"),
                  "--vocab", str(ws / "enc" / "vocab.txt"), "--out-dir", str(tmp_path / "ck"),
@@ -605,6 +596,58 @@ class TestErrorContract:
         payload = json.loads(err)
         assert payload["error"]
         assert payload["message"]
+
+    def test_bad_score_fails_with_json_error(self, tmp_path, capsys):
+        (tmp_path / "junk.musicxml").write_text("<not-music/>")
+        rc = main(["skyline", "--corpus", str(tmp_path), "--out", str(tmp_path / "o.jsonl")])
+        assert rc == 1
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["error"] == "UnsupportedStructureError" and payload["message"]
+
+    @pytest.mark.parametrize("error, argv", [
+        ("VocabularyError", ("train", "--seqs", "SEQS", "--vocab", "MISSING", "--out-dir", "OUT")),
+        ("MiningError", ("build-seqs", "--mode", "adaptation", "--vocab", "VOCAB",
+                         "--pairs", "MISSING", "--variations", "VARS", "--out", "OUT/o.npz")),
+        ("CliError", ("fit-gnb", "--features", "MISSING", "--out-dir", "OUT")),
+        ("ModelError", ("classify", "--model", "MISSING", "--features", "FEAT",
+                        "--out", "OUT/o.jsonl")),
+        ("CliError", ("evaluate", "--runs", "OUT", "--original-posteriors", "POST",
+                      "--variation-posteriors", "MISSING", "--original-embeddings", "EMB",
+                      "--variation-embeddings", "EMB", "--out-dir", "OUT")),
+    ], ids=["train", "build-seqs", "fit-gnb", "classify", "evaluate"])
+    def test_missing_input_file_is_named(self, ws, synthetic_variations, trained, tmp_path,
+                                         capsys, error, argv):
+        missing = tmp_path / "nope"
+        names = {"MISSING": missing, "OUT": tmp_path / "out", "SEQS": trained / "cond.npz",
+                 "VOCAB": ws / "enc" / "vocab.txt", "FEAT": ws / "feat.jsonl",
+                 "VARS": synthetic_variations / "variations.jsonl", "POST": ws / "post.jsonl",
+                 "EMB": ws / "emb.jsonl"}
+        payload = failure(capsys, *(str(names.get(a, a)) for a in argv))
+        assert payload == {"error": error, "message": (
+            f"{missing}: cannot read (FileNotFoundError: No such file or directory)")}
+
+    @pytest.mark.parametrize("argv", [
+        ("parse", "x.musicxml"),
+        ("build-seqs", "--mode", "conditioned", "--vocab", "v", "--out", "o",
+         "--no-level-tokens"),
+        ("build-seqs", "--mode", "conditioned", "--vocab", "v", "--out", "o", "--max-len", "9"),
+        ("fit-gnb", "--features", "f", "--out-dir", "o", "--holdout-fraction", "0.5"),
+        ("sample", "--checkpoint", "c", "--vocab", "v", "--skylines", "s", "--profiles", "p",
+         "--out-dir", "o", "--top-k", "3"),
+    ], ids=["parse", "no-level-tokens", "max-len", "holdout-fraction", "top-k"])
+    def test_removed_options_are_refused(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+
+    def test_removed_options_are_gone_from_help(self, capsys):
+        for argv in ([], ["build-seqs"], ["fit-gnb"], ["sample"]):
+            with pytest.raises(SystemExit):
+                main([*argv, "--help"])
+        helps = capsys.readouterr().out
+        for removed in ("parse", "--no-level-tokens", "--max-len", "--holdout-fraction",
+                        "--top-k"):
+            assert removed not in helps
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -834,10 +877,6 @@ def test_manifest_inputs_are_the_paths_passed(ws, synthetic_variations, trained,
             assert digest.startswith(prefix) and len(digest) == len(prefix) + 64, path
     assert len(commands) == 14
     assert recorded["inputs"][mined].startswith("dir:")
-
-    run("parse", *map(str, sorted((ws / "corpus").glob("*.musicxml"))[:2]),
-        "--out", str(tmp_path / "parsed.jsonl"))
-    assert [p.name for p in tmp_path.glob("parsed*")] == ["parsed.jsonl"]
 
     (tmp_path / "empty.jsonl").write_text("")
     failed = tmp_path / "failed" / "o.npz"

@@ -66,7 +66,7 @@ def reference_extend(model, cache, ids, harmony=None):
 
 
 def reference_sample(model, prefix, n_sequences, max_new_tokens, end_id,
-                     temperature=1.0, top_k=None, seed=42, harmony=None):
+                     temperature=1.0, seed=42, harmony=None):
     """Append each row's draw to a Python list, one row at a time."""
     b = n_sequences
     rng = np.random.default_rng(seed)
@@ -80,7 +80,7 @@ def reference_sample(model, prefix, n_sequences, max_new_tokens, end_id,
     out = [[] for _ in range(b)]
     done = np.zeros(b, dtype=bool)
     for _ in range(max_new_tokens):
-        next_ids = _pick(logits, temperature, top_k, rng)
+        next_ids = _pick(logits, temperature, rng)
         for r in range(b):
             if done[r]:
                 continue
@@ -105,21 +105,22 @@ def harmony_of(with_harmony):
 
 @pytest.mark.parametrize("with_harmony", [False, True], ids=["plain", "harmony"])
 @pytest.mark.parametrize("batch", [1, 6])
-@pytest.mark.parametrize("top_k", [None, 3])
+@pytest.mark.parametrize("stop_at", [None, 3])
 @pytest.mark.parametrize("temperature", [0.0, 1.2])
-def test_sample_matches_reference(model, temperature, top_k, batch, with_harmony):
+def test_sample_matches_reference(model, temperature, stop_at, batch, with_harmony):
+    """``stop_at`` is the draw of row 0 whose token ends the rows, or None
+    for an end id that never matches, so every row runs the full length."""
     kwargs = dict(n_sequences=batch, max_new_tokens=20, temperature=temperature,
-                  top_k=top_k, seed=9, harmony=harmony_of(with_harmony))
-    # end_id -1 never matches, so every row runs the full length
+                  seed=9, harmony=harmony_of(with_harmony))
     full = reference_sample(model, PREFIX, end_id=-1, **kwargs)
-    got = sample(model, PREFIX, end_id=-1, **kwargs)
-    assert got == full
-    # stopping does not change the draws, so row 0's fifth token stops it early
-    end_id = full.sequences[0][4]
+    # stopping does not change the draws, so row 0's draw stop_at stops it early
+    end_id = -1 if stop_at is None else full.sequences[0][stop_at]
     want = reference_sample(model, PREFIX, end_id=end_id, **kwargs)
-    got = sample(model, PREFIX, end_id=end_id, **kwargs)
-    assert got == want
-    assert want.stopped_on_end[0] and len(want.sequences[0]) <= 4
+    assert sample(model, PREFIX, end_id=end_id, **kwargs) == want
+    if stop_at is None:
+        assert want == full
+    else:
+        assert want.stopped_on_end[0] and len(want.sequences[0]) <= stop_at
 
 
 def test_some_rows_stop_early_and_others_run_out(model):
@@ -226,16 +227,15 @@ def test_shared_prefill_is_the_tiled_prefill_bit_for_bit(model):
 
 @settings(max_examples=100, deadline=None)
 @given(n_sequences=st.integers(1, 24), max_new=st.integers(1, 24),
-       temperature=st.sampled_from([0.0, 1.2]), top_k=st.sampled_from([None, 1, 3, 16]),
-       with_harmony=st.booleans(), data=st.data())
+       temperature=st.sampled_from([0.0, 1.2]), with_harmony=st.booleans(), data=st.data())
 def test_sample_matches_reference_as_rows_end(model, n_sequences, max_new, temperature,
-                                              top_k, with_harmony, data):
+                                              with_harmony, data):
     prefix = data.draw(st.lists(st.integers(0, CFG.vocab_size - 1), min_size=1, max_size=10),
                        label="prefix")
     if with_harmony:
         prefix[0] = CFG.harmony_token_id
     kwargs = dict(n_sequences=n_sequences, max_new_tokens=max_new, temperature=temperature,
-                  top_k=top_k, seed=data.draw(st.integers(0, 2 ** 16), label="seed"),
+                  seed=data.draw(st.integers(0, 2 ** 16), label="seed"),
                   harmony=harmony_of(with_harmony))
     full = reference_sample(model, prefix, end_id=-1, **kwargs)
     assert sample(model, prefix, end_id=-1, **kwargs) == full

@@ -6,6 +6,7 @@ the benchmark's artifact hash.
 """
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -110,6 +111,19 @@ def test_jsonl_line_not_an_object_raises_the_callers_error(tmp_path, line):
     path.write_bytes(b'{"a": 1}\n\n' + line + b"\n")
     with pytest.raises(Boom, match=r"rows\.jsonl:3: "):
         list(interchange.read_jsonl(path, Boom))
+
+
+@pytest.mark.parametrize("read", [lambda path: list(interchange.read_jsonl(path, Boom)),
+                                  lambda path: interchange.read_json(path, Boom)],
+                         ids=["jsonl", "json"])
+def test_file_that_cannot_be_opened_raises_the_callers_error(tmp_path, read):
+    missing = tmp_path / "nope.json"
+    with pytest.raises(Boom, match=f"^{re.escape(str(missing))}: cannot read "
+                                   r"\(FileNotFoundError: No such file or directory\)$"):
+        read(missing)
+    with pytest.raises(Boom, match=f"^{re.escape(str(tmp_path))}: cannot read "
+                                   r"\(IsADirectoryError: Is a directory\)$"):
+        read(tmp_path)
 
 
 def test_jsonl_rows_round_trip_skipping_blank_lines(tmp_path):

@@ -289,6 +289,12 @@ class TestVocabulary:
                                                   "does not start with the special tokens$"):
             Vocabulary.load(str(path))
 
+    def test_load_of_a_missing_file_names_it(self, tmp_path):
+        path = tmp_path / "missing.txt"
+        with pytest.raises(VocabularyError, match=f"^{re.escape(str(path))}: cannot read "
+                                                  r"\(FileNotFoundError: No such file"):
+            Vocabulary.load(str(path))
+
     def test_load_rejects_bytes_that_are_not_utf8(self, tmp_path):
         path = tmp_path / "vocab.txt"
         path.write_bytes("\n".join(SPECIAL_TOKENS).encode() + b"\nC\xe94\n")

@@ -420,14 +420,6 @@ class TestSampling:
                    end_id=2, temperature=1.0, seed=8)
         assert a.sequences != c.sequences or a.stopped_on_end != c.stopped_on_end
 
-    def test_top_k_one_equals_greedy(self):
-        model = TinyLM.create(TINY, seed=21)
-        greedy = sample(model, prefix=[1, 5], n_sequences=1,
-                        max_new_tokens=8, end_id=2, temperature=0.0, seed=0)
-        topk = sample(model, prefix=[1, 5], n_sequences=1, max_new_tokens=8,
-                      end_id=2, temperature=1.0, top_k=1, seed=3)
-        assert greedy.sequences == topk.sequences
-
     def test_length_cap_and_eos_absent(self):
         model = TinyLM.create(TINY, seed=22)
         out = sample(model, prefix=[1], n_sequences=5, max_new_tokens=6,
@@ -453,21 +445,20 @@ class TestSampling:
         with pytest.raises(LMError):
             sample(model, prefix=[1], n_sequences=1, max_new_tokens=3,
                    end_id=2, temperature=-1.0)
-        with pytest.raises(LMError):
-            sample(model, prefix=[1], n_sequences=1, max_new_tokens=3,
-                   end_id=2, top_k=0)
 
     def test_pick_never_draws_a_zero_probability_bin(self):
         class AlmostOne:
             def random(self, shape):
                 return np.full(shape, np.nextafter(1.0, 0.0))
 
-        # top-3 keeps bins 0..2, whose probabilities sum to just below 1
-        # in float64, so ``u`` falls past every kept bin of the cdf
-        logits = np.array([[0.2, 0.5, 0.0, -5.0, -6.0]])
-        kept = np.exp(logits[0, :3] - 0.5)
-        assert np.cumsum(kept / kept.sum())[-1] < np.nextafter(1.0, 0.0)
-        pick = _pick(logits, temperature=1.0, top_k=3, rng=AlmostOne())
+        # exp underflows to zero in bins 3 and 4, and bins 0..2 sum to just
+        # below 1 in float64, so ``u`` falls past every drawable bin of the cdf
+        logits = np.array([[0.2, 0.5, 0.0, -800.0, -900.0]])
+        p = np.exp(logits[0] - 0.5)
+        p /= p.sum()
+        assert p[3:].tolist() == [0.0, 0.0]
+        assert np.cumsum(p)[2] < np.nextafter(1.0, 0.0)
+        pick = _pick(logits, temperature=1.0, rng=AlmostOne())
         assert pick.tolist() == [2]
 
     def test_pick_unchanged_when_cdf_reaches_one(self):
@@ -483,7 +474,7 @@ class TestSampling:
         cdf = np.cumsum(p / p.sum(axis=-1, keepdims=True), axis=-1)
         cdf[:, -1] = 1.0
         want = (draws > cdf).sum(axis=-1)
-        got = _pick(logits, temperature=0.8, top_k=None, rng=Fixed())
+        got = _pick(logits, temperature=0.8, rng=Fixed())
         assert got.tolist() == want.tolist()
 
 
@@ -613,6 +604,11 @@ class TestCheckpointErrors:
     def test_config_field_of_the_wrong_type(self, saved):
         message = self.load_edited(saved, lambda meta, _: meta["config"].update(n_heads="2"))
         assert message.endswith(" meta config: field 'n_heads' must be a positive integer")
+
+    def test_config_that_breaks_an_invariant(self, saved):
+        message = self.load_edited(saved, lambda meta, _: meta["config"].update(n_heads=3))
+        assert message == (f"checkpoint {saved.parent / 'bad.npz'} config: "
+                           "d_model must be divisible by n_heads")
 
     @pytest.mark.parametrize("field", ["lr", "step_count"])
     def test_optimizer_without_a_field(self, saved, field):

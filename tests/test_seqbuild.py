@@ -146,14 +146,6 @@ class TestAdaptation:
             adaptation_sample(vocab, hard, easy, hard_level=8, easy_level=1,
                               max_len=4 + len(easy))
 
-    def test_level_tokens_optional(self, vocab, streams):
-        hard, easy = streams[2], streams[3]
-        s = adaptation_sample(vocab, hard, easy, hard_level=6, easy_level=3,
-                              include_level_tokens=False)
-        assert len(s.ids) == len(hard) + 1 + len(easy) + 1
-        assert s.ids[0] == vocab.id(hard[0])
-        assert int((s.mask == 0).sum()) == len(easy) + 1
-
     def test_level_bounds_checked(self, vocab, streams):
         with pytest.raises(SequenceError):
             adaptation_sample(vocab, streams[0], streams[1], hard_level=0,

@@ -1,18 +1,24 @@
-"""Every name a ``gradus`` module imports is used by that module, and
-every private name a module defines is read by some module.
+"""Every name a ``gradus`` module imports is used by that module, every
+private name a module defines is read by some module, and every option a
+CLI stage defines is read by that stage.
 
 No linter ships with the project, so this walks each module's syntax tree
 with the standard ``ast`` module.  An imported name counts as used when the
 module reads it anywhere (annotations included) or lists it in ``__all__``;
 ``from __future__`` imports are directives, not names.  A private
 module-level name (one leading underscore) counts as read when any module
-of the package loads it, imports it or reads it as an attribute.
+of the package loads it, imports it or reads it as an attribute.  A stage's
+option counts as read when the stage's function reads ``args.<dest>`` or
+the stage declares it among its ``inputs``.
 """
 
+import argparse
 import ast
 from pathlib import Path
 
 import pytest
+
+from gradus import cli
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "gradus"
 
@@ -120,3 +126,50 @@ def test_checker_sees_unread_and_read_private_names():
                         "print(a._ATTR)\n")}
     assert unread_private_names(sources) == ["a.py line 1: _UNREAD", "a.py line 5: _helper",
                                              "a.py line 7: _Gone"]
+
+
+def stage_parsers(parser: argparse.ArgumentParser) -> list[argparse.ArgumentParser]:
+    """The parser of every stage under ``parser``, nested subcommands included."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return [parser]
+    return [stage for a in subs for sub in a.choices.values() for stage in stage_parsers(sub)]
+
+
+def unread_options(parser: argparse.ArgumentParser, source: str) -> list[str]:
+    """Each stage option that its function in ``source`` never reads as
+    ``args.<dest>`` and that its ``inputs`` do not declare."""
+    functions = {node.name: node for node in ast.walk(ast.parse(source))
+                 if isinstance(node, ast.FunctionDef)}
+    unread = []
+    for stage in stage_parsers(parser):
+        body = functions[stage.get_default("func").__name__]
+        read = {node.attr for node in ast.walk(body) if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name) and node.value.id == "args"}
+        read.update(stage.get_default("inputs") or ())
+        unread += [f"{stage.prog}: {action.dest}" for action in stage._actions
+                   if not isinstance(action, argparse._HelpAction) and action.dest not in read]
+    return unread
+
+
+def test_every_stage_reads_its_options():
+    parser = cli._build_parser()
+    assert unread_options(parser, (SRC / "cli.py").read_text(encoding="utf-8")) == []
+
+
+def _cmd_demo(args):
+    pass
+
+
+def test_checker_sees_unread_and_read_options():
+    parser = argparse.ArgumentParser(prog="p")
+    sub = parser.add_subparsers(dest="command")
+    group = sub.add_parser("group").add_subparsers(dest="inner")
+    for stage in (sub.add_parser("one"), group.add_parser("two")):
+        for option in ("--read", "--declared", "--dead"):
+            stage.add_argument(option)
+        stage.set_defaults(func=_cmd_demo, inputs=("declared",))
+    source = ("def _cmd_demo(args):\n"
+              "    dead = 'args.dead'\n"
+              "    return args.read, getattr(args, 'dead'), other.dead\n")
+    assert unread_options(parser, source) == ["p group two: dead", "p one: dead"]
