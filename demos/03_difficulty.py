@@ -35,7 +35,7 @@ agree = (pred == levels[hold]).mean()
 print(f"held-out agreement with the bootstrap labels: {agree:.0%}")
 
 confidences = post.max(axis=1)
-kept = gnb.confidence_filter(confidences, drop_fraction=0.25)
+kept = gnb.confidence_filter(confidences)
 print(f"\nconfidence filter keeps {len(kept)} of {len(confidences)} "
       f"held-out pieces (drops the least certain quarter); "
       f"lowest kept confidence {confidences[kept].min():.3f}")

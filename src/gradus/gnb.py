@@ -186,6 +186,8 @@ def _finite_stat(reduce, rows: np.ndarray, what: str) -> np.ndarray:
 # Temperature calibration
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+TEMPERATURE_RANGE = (0.05, 20.0)
+TEMPERATURE_TOL = 1e-4
 
 
 def _held_out_nll(model: GaussianNB, features: np.ndarray, levels: np.ndarray,
@@ -199,15 +201,14 @@ def _held_out_nll(model: GaussianNB, features: np.ndarray, levels: np.ndarray,
 
 
 def fit_temperature(model: GaussianNB, features: np.ndarray,
-                    levels: Sequence[int], lo: float = 0.05, hi: float = 20.0,
-                    tol: float = 1e-4) -> GaussianNB:
+                    levels: Sequence[int]) -> GaussianNB:
     """Pick the temperature minimizing held-out negative log likelihood.
 
-    Golden-section search on ``[lo, hi]``; the objective is unimodal enough
-    in practice that this converges to ``tol``.  Returns a copy of the
-    model with the temperature set.  Held-out rows whose true level is
-    impossible under the model make the objective infinite everywhere, so
-    they are rejected up front.
+    Golden-section search on :data:`TEMPERATURE_RANGE`; the objective is
+    unimodal enough in practice that this converges to
+    :data:`TEMPERATURE_TOL`.  Returns a copy of the model with the
+    temperature set.  Held-out rows whose true level is impossible under the
+    model make the objective infinite everywhere, so they are rejected up front.
     """
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(levels, dtype=np.int64)
@@ -221,12 +222,12 @@ def fit_temperature(model: GaussianNB, features: np.ndarray,
             f"held-out rows {np.nonzero(impossible)[0].tolist()[:5]} have levels "
             "the model assigns zero prior")
 
-    a, b = lo, hi
+    a, b = TEMPERATURE_RANGE
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc = _held_out_nll(model, x, y, c)
     fd = _held_out_nll(model, x, y, d)
-    while b - a > tol:
+    while b - a > TEMPERATURE_TOL:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
@@ -243,28 +244,24 @@ def fit_temperature(model: GaussianNB, features: np.ndarray,
 # ---------------------------------------------------------------------------
 # Confidence filter
 
-def confidence_filter(confidences: Sequence[float], drop_fraction: float = 0.25,
-                      ) -> np.ndarray:
-    """Indices that survive dropping the least confident fraction.
+CONFIDENCE_DROP_FRACTION = 0.25
 
-    Exactly ``floor(drop_fraction * n)`` entries are removed.  Ties on
-    confidence are broken by position: among equals, later entries are
-    dropped first, so earlier ones are kept.  The returned indices are in
+
+def confidence_filter(confidences: Sequence[float]) -> np.ndarray:
+    """Indices that survive dropping the least confident quarter.
+
+    Exactly ``floor(CONFIDENCE_DROP_FRACTION * n)`` entries are removed.
+    Ties on confidence are broken by position: among equals, later entries
+    are dropped first, so earlier ones are kept.  The returned indices are in
     their original order.
     """
     c = np.asarray(confidences, dtype=np.float64)
     if c.ndim != 1:
         raise ModelError("confidences must be one-dimensional")
-    if not 0 <= drop_fraction < 1:
-        raise ModelError("drop_fraction must lie in [0, 1)")
     n = c.shape[0]
-    n_drop = int(np.floor(drop_fraction * n))
-    if n_drop == 0:
-        return np.arange(n)
     # sort by (confidence, -index): equal confidences put later indices first
     order = np.lexsort((-np.arange(n), c))
-    dropped = set(order[:n_drop].tolist())
-    return np.array([i for i in range(n) if i not in dropped], dtype=np.int64)
+    return np.sort(order[int(np.floor(CONFIDENCE_DROP_FRACTION * n)):])
 
 
 # ---------------------------------------------------------------------------
@@ -327,25 +324,16 @@ def save_model(model: GaussianNB, path: str) -> None:
 
 def load_model(path: str) -> GaussianNB:
     payload = interchange.read_json(path, ModelError)
+    if payload.get("format") != "gnb-v1":
+        raise ModelError(f"unrecognized model format in {path}")
+    interchange.check(path, payload, ModelError, *interchange.MODEL_FIELDS,
+                      fields=interchange.MODEL_FIELDS)
+    # null marks a class absent from training: its log prior is -inf
+    log_prior = [-np.inf if v is None else v for v in payload["log_prior"]]
     try:
-        if payload.get("format") != "gnb-v1":
-            raise ModelError(f"unrecognized model format in {path}")
-        # null marks a class absent from training: its log prior is -inf
-        log_prior = np.array([-np.inf if v is None else float(v)
-                              for v in payload["log_prior"]])
-        model = GaussianNB(
-            log_prior=log_prior,
-            mean=np.asarray(payload["mean"], dtype=np.float64),
-            var=np.asarray(payload["var"], dtype=np.float64),
-            temperature=float(payload["temperature"]),
-        )
-        present = [v is not None for v in payload["log_prior"]]
-        for name, values in (("log_prior", log_prior[present]), ("mean", model.mean),
-                             ("var", model.var)):
-            if not np.isfinite(values).all():
-                raise ModelError(f"{path}: {name} holds a non-finite number")
-        return model
-    except KeyError as exc:
-        raise ModelError(f"{path}: missing field {exc}") from exc
-    except (ValueError, TypeError) as exc:
-        raise ModelError(f"{path}: bad model: {exc}") from exc
+        return GaussianNB(np.array(log_prior, dtype=np.float64),
+                          np.array(payload["mean"], dtype=np.float64),
+                          np.array(payload["var"], dtype=np.float64),
+                          float(payload["temperature"]))
+    except ModelError as exc:   # an array of the wrong shape
+        raise ModelError(f"{path}: {exc}") from exc

@@ -8,8 +8,8 @@ checkpoint) is an uncompressed numpy zip archive, read without pickles;
 a JSON member is stored as its UTF-8 bytes in a uint8 array.  Readers
 raise the caller's own error class, naming the path (and line or
 member).  :data:`FIELDS` types every JSONL field any reader, the mining
-report or a checkpoint's meta holds; numbers are never coerced from
-strings or booleans.
+report or a checkpoint's meta holds, and :data:`MODEL_FIELDS` those of a
+difficulty model's file; numbers are never coerced from strings or booleans.
 """
 
 import json
@@ -19,8 +19,8 @@ import zlib
 
 import numpy as np
 
-__all__ = ["FIELDS", "check", "read_jsonl", "write_jsonl", "read_json", "write_json",
-           "read_npz", "write_npz"]
+__all__ = ["FIELDS", "MODEL_FIELDS", "check", "read_jsonl", "write_jsonl", "read_json",
+           "write_json", "read_npz", "write_npz"]
 
 
 def _finite_numbers(value) -> bool:
@@ -42,6 +42,9 @@ _BOOL = ("true or false", lambda v: type(v) is bool)
 _NUMBERS = ("a list of finite numbers", _finite_numbers)
 _STRINGS = ("a list of strings", lambda v: isinstance(v, list) and {str}.issuperset(map(type, v)))
 _POSITIVE = ("a positive integer", lambda v: type(v) is int and v > 0)
+_POSITIVE_NUMBER = ("a positive finite number", lambda v: _finite_numbers([v]) and v > 0)
+_MATRIX = ("a list of equal-length lists of finite numbers", lambda v: isinstance(v, list)
+           and all(map(_finite_numbers, v)) and len(set(map(len, v))) <= 1)
 
 # field -> (what it must be, the test of a value); checked in every record that holds it
 FIELDS = {
@@ -62,21 +65,28 @@ FIELDS = {
     "optimizer": ("an object or null", lambda v: v is None or isinstance(v, dict)),
     **dict.fromkeys(("step", "step_count", "harmony_token_id"), _INT),
     **dict.fromkeys(("vocab_size", "d_model", "n_heads", "n_layers", "d_ff", "max_len"), _POSITIVE),
-    **dict.fromkeys(("lr", "eps", "weight_decay"), _NUMBER),
-    "rope_base": ("a positive finite number", lambda v: _finite_numbers([v]) and v > 0),
-    "betas": ("a list of two finite numbers", lambda v: _finite_numbers(v) and len(v) == 2),
+    "lr": _NUMBER,
+    "rope_base": _POSITIVE_NUMBER,
+}
+
+# a difficulty model's file, whose "var" holds class variances, not a variation's id
+MODEL_FIELDS = {
+    "log_prior": ("a list of finite numbers or nulls", lambda v: isinstance(v, list)
+                  and _finite_numbers([x for x in v if x is not None])),
+    **dict.fromkeys(("mean", "var"), _MATRIX),
+    "temperature": _POSITIVE_NUMBER,
 }
 
 
-def check(where, record, error, *required) -> dict:
-    """``record``, once it holds each ``required`` field and each
-    :data:`FIELDS` field it holds is of its kind; else ``error`` at ``where``."""
+def check(where, record, error, *required, fields=FIELDS) -> dict:
+    """``record``, once it holds each ``required`` field and each ``fields``
+    field it holds is of its kind; else ``error`` at ``where``."""
     for name in required:
         if name not in record:
             raise error(f"{where}: missing field {name!r}")
     for name, value in record.items():
-        if name in FIELDS:
-            kind, holds = FIELDS[name]
+        if name in fields:
+            kind, holds = fields[name]
             if not holds(value):
                 raise error(f"{where}: field {name!r} must be {kind}")
     return record

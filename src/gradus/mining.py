@@ -18,10 +18,11 @@ from typing import Sequence
 import numpy as np
 
 from . import interchange
-from .gnb import confidence_filter
+from .gnb import CONFIDENCE_DROP_FRACTION, confidence_filter
 from .style import cosine_similarity
 
 __all__ = [
+    "CONFIDENCE_DROP_FRACTION",
     "MiningError",
     "Variation",
     "Pair",
@@ -42,7 +43,6 @@ class MiningError(Exception):
 
 STRATEGIES = ("random", "filtered")
 
-CONFIDENCE_DROP_FRACTION = 0.25
 SIMILARITY_KEEP_FRACTION = 0.5
 
 
@@ -128,8 +128,7 @@ def mine(variations: Sequence[Variation], strategy: str = "filtered",
         counts["after_confidence"] = len(kept)
         counts["after_similarity"] = len(kept)
     else:
-        keep_idx = confidence_filter([v.confidence for v in pool],
-                                     CONFIDENCE_DROP_FRACTION)
+        keep_idx = confidence_filter([v.confidence for v in pool])
         survivors = [pool[i] for i in keep_idx]
         confident = _in_piece_pairs(survivors, min_gap)
         counts["after_confidence"] = len(confident)

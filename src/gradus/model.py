@@ -258,9 +258,11 @@ class TinyLM:
         out, _ = self._forward(np.atleast_2d(ids), harmony)
         return out
 
-    def _embed(self, ids: np.ndarray, harmony: Optional[np.ndarray]) -> np.ndarray:
+    def _embed(self, ids: np.ndarray, harmony: Optional[np.ndarray],
+               caches: Optional[list] = None) -> np.ndarray:
         p = self.params
         x = p["tok_emb"][ids]
+        h = sel = None
         if harmony is not None and self.config.harmony_token_id >= 0:
             h = np.atleast_2d(np.asarray(harmony, dtype=np.float64))
             if h.shape != (ids.shape[0], 12):
@@ -274,6 +276,8 @@ class TinyLM:
                 inj = h @ p["harm_w"] + p["harm_b"]
             sel = (ids == self.config.harmony_token_id).astype(np.float64)
             x = x + sel[:, :, None] * inj[:, None, :]
+        if caches is not None:    # _backward reuses the harmony rows and [HARM] selection
+            caches.append(("embed", ids, h, sel))
         return x
 
     def _forward(self, ids: np.ndarray, harmony: Optional[np.ndarray],
@@ -298,9 +302,7 @@ class TinyLM:
         h = cfg.n_heads
         hd = cfg.d_model // h
         pos = np.arange(start, end)
-        x = self._embed(ids, harmony)
-        if caches is not None:
-            caches.append(("embed", ids, harmony))
+        x = self._embed(ids, harmony, caches)
         for i in range(cfg.n_layers):
             a, ln1c = _layernorm_fwd(x, p[f"l{i}.ln1_g"], p[f"l{i}.ln1_b"])
             qh = (a @ p[f"l{i}.wq"]).reshape(b, s, h, hd).transpose(0, 2, 1, 3)
@@ -428,12 +430,10 @@ class TinyLM:
             grads[f"l{i}.ln1_b"] += db
             dx = dx + dx1
 
-        tag, ids, harmony = caches.pop()
+        tag, ids, hmat, sel = caches.pop()
         assert tag == "embed"
         np.add.at(grads["tok_emb"], ids, dx)
-        if harmony is not None and cfg.harmony_token_id >= 0:
-            hmat = np.atleast_2d(np.asarray(harmony, dtype=np.float64))
-            sel = (ids == cfg.harmony_token_id).astype(np.float64)
+        if hmat is not None:
             dinj = (sel[:, :, None] * dx).sum(axis=1)       # (B, d)
             grads["harm_w"] += hmat.T @ dinj
             grads["harm_b"] += dinj.sum(axis=0)
@@ -441,16 +441,14 @@ class TinyLM:
 
     # -- incremental forward for sampling ----------------------------------
 
-    def start_cache(self, batch: int, capacity: Optional[int] = None) -> dict:
+    def start_cache(self, batch: int, capacity: int) -> dict:
         """An empty KV cache for ``batch`` rows of up to ``capacity`` tokens.
 
         The keys and values are preallocated once, as one
         (batch, heads, capacity, head_dim) array each per layer, and
-        :meth:`extend` fills them in place.  ``capacity`` defaults to
-        ``config.max_len``.
+        :meth:`extend` fills them in place.
         """
         cfg = self.config
-        capacity = cfg.max_len if capacity is None else capacity
         if not 1 <= capacity <= cfg.max_len:
             raise LMError(f"cache capacity {capacity} outside 1..{cfg.max_len}")
         shape = (batch, cfg.n_heads, capacity, cfg.d_model // cfg.n_heads)
@@ -491,35 +489,32 @@ class TinyLM:
 # ---------------------------------------------------------------------------
 # Optimizer
 
-class AdamW:
-    """Decoupled weight decay Adam; decay applies to matrix weights only."""
+ADAMW_BETAS = (0.9, 0.95)
+ADAMW_EPS = 1e-8
+ADAMW_WEIGHT_DECAY = 0.01
 
-    def __init__(self, params: dict[str, np.ndarray], lr: float = 6e-4,
-                 betas: tuple[float, float] = (0.9, 0.95), eps: float = 1e-8,
-                 weight_decay: float = 0.01) -> None:
+
+class AdamW:
+    """Decoupled weight decay Adam; decay applies to matrix weights other than
+    the token embedding."""
+
+    def __init__(self, params: dict[str, np.ndarray], lr: float) -> None:
         self.lr = lr
-        self.betas = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
         self.step_count = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
 
-    @staticmethod
-    def _decays(name: str, arr: np.ndarray) -> bool:
-        return arr.ndim == 2 and name != "tok_emb"
-
     def update(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         self.step_count += 1
-        b1, b2 = self.betas
+        b1, b2 = ADAMW_BETAS
         bc1 = 1.0 - b1 ** self.step_count
         bc2 = 1.0 - b2 ** self.step_count
         for name, g in grads.items():
             m = self.m[name] = b1 * self.m[name] + (1.0 - b1) * g
             v = self.v[name] = b2 * self.v[name] + (1.0 - b2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            if self.weight_decay and self._decays(name, params[name]):
-                update = update + self.weight_decay * params[name]
+            update = (m / bc1) / (np.sqrt(v / bc2) + ADAMW_EPS)
+            if params[name].ndim == 2 and name != "tok_emb":
+                update = update + ADAMW_WEIGHT_DECAY * params[name]
             params[name] -= self.lr * update
 
 
@@ -651,7 +646,7 @@ def _pick(logits: np.ndarray, temperature: float, rng: np.random.Generator) -> n
 
 _CHECKPOINT_FORMAT = "tiny-lm-v1"
 # the AdamW attributes a checkpoint's meta keeps
-_OPTIMIZER_FIELDS = ("lr", "betas", "eps", "weight_decay", "step_count")
+_OPTIMIZER_FIELDS = ("lr", "step_count")
 
 
 def save_checkpoint(path: str, model: TinyLM, step: int = 0,
@@ -665,12 +660,21 @@ def save_checkpoint(path: str, model: TinyLM, step: int = 0,
     interchange.write_npz(path, {"meta": meta, **arrays})
 
 
+def _check_keys(path: str, part: str, record: dict, known: Sequence[str], owner: str) -> None:
+    """Raise :class:`LMError` naming ``path`` unless meta ``part`` holds
+    exactly the ``known`` fields, each of its kind."""
+    interchange.check(f"{path} meta {part}", record, LMError, *known)
+    if set(record).difference(known):
+        raise LMError(f"checkpoint {path} {part} keys differ from {owner}'s: "
+                      f"unexpected {sorted(set(record).difference(known))}")
+
+
 def load_checkpoint(path: str) -> tuple[TinyLM, int, Optional[AdamW]]:
     """The model, its step and its optimizer (None if none was saved).
 
     Raises :class:`LMError` naming ``path`` when the file is not a readable
-    checkpoint of this format, a meta field is missing or mistyped, or its
-    config keys or its arrays' names, shapes and float64 dtype are not the config's.
+    checkpoint of this format, a meta field is missing, mistyped or unknown,
+    or its arrays' names, shapes and float64 dtype are not the config's.
     """
     arrays = interchange.read_npz(path, LMError, "checkpoint", {"meta": dict})
     meta = arrays.pop("meta")
@@ -681,11 +685,7 @@ def load_checkpoint(path: str) -> tuple[TinyLM, int, Optional[AdamW]]:
     # checkpoints written before dropout was removed carry "dropout": 0.0
     if stored.pop("dropout", 0.0) != 0.0:
         raise LMError(f"checkpoint {path} was trained with dropout, which is no longer supported")
-    known = [f.name for f in fields(ModelConfig)]
-    interchange.check(f"{path} meta config", stored, LMError, *known)
-    if set(stored).difference(known):
-        raise LMError(f"checkpoint {path} config keys differ from ModelConfig's: "
-                      f"unexpected {sorted(set(stored).difference(known))}")
+    _check_keys(path, "config", stored, [f.name for f in fields(ModelConfig)], "ModelConfig")
     try:
         config = ModelConfig(**stored)
     except LMError as exc:
@@ -704,8 +704,8 @@ def load_checkpoint(path: str) -> tuple[TinyLM, int, Optional[AdamW]]:
     model = TinyLM(config=config, params=groups["p"])
     optimizer = None
     if o is not None:
-        interchange.check(f"{path} meta optimizer", o, LMError, *_OPTIMIZER_FIELDS)
-        optimizer = AdamW(groups["p"], lr=o["lr"], betas=tuple(o["betas"]),
-                          eps=o["eps"], weight_decay=o["weight_decay"])
+        # an optimizer saved while betas, eps and weight decay were settings holds them
+        _check_keys(path, "optimizer", o, _OPTIMIZER_FIELDS, "AdamW")
+        optimizer = AdamW(groups["p"], lr=o["lr"])
         optimizer.step_count, optimizer.m, optimizer.v = o["step_count"], groups["m"], groups["v"]
     return model, meta["step"], optimizer

@@ -199,7 +199,7 @@ def test_05_gnb_matches_bayes_oracle():
 
     # dropping the least confident quarter keeps exactly 75 of 100
     conf = np.random.default_rng(502).uniform(size=100)
-    kept = gnb.confidence_filter(conf, drop_fraction=0.25)
+    kept = gnb.confidence_filter(conf)
     assert len(kept) == 75
     dropped = sorted(set(range(100)) - set(kept))
     assert max(conf[dropped]) <= min(conf[kept])

@@ -185,8 +185,8 @@ def test_past_capacity_rejected(model):
         model.extend(model.start_cache(2, capacity=5), np.ones((2, 6), dtype=np.int64))
 
 
-def test_capacity_defaults_to_max_len_and_is_bounded(model):
-    assert model.start_cache(1)["k"][0].shape[2] == CFG.max_len
+def test_capacity_is_bounded(model):
+    assert model.start_cache(1, capacity=CFG.max_len)["k"][0].shape[2] == CFG.max_len
     for bad in (0, CFG.max_len + 1):
         with pytest.raises(LMError):
             model.start_cache(1, capacity=bad)

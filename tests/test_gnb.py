@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradus.gnb import (
+    CONFIDENCE_DROP_FRACTION,
     LEVELS,
     GaussianNB,
     ModelError,
@@ -281,35 +282,31 @@ class TestTemperature:
 class TestConfidenceFilter:
     def test_keeps_exact_count(self):
         conf = np.random.default_rng(16).uniform(size=100)
-        kept = confidence_filter(conf, drop_fraction=0.25)
+        kept = confidence_filter(conf)
         assert len(kept) == 75
 
     def test_drops_lowest(self):
-        conf = np.array([0.9, 0.1, 0.5, 0.3, 0.7])
-        kept = confidence_filter(conf, drop_fraction=0.4)
-        # floor(0.4*5) = 2 dropped: indices 1 and 3
-        assert sorted(kept) == [0, 2, 4]
+        conf = np.array([0.9, 0.1, 0.5, 0.3, 0.7, 0.6, 0.2, 0.8, 0.4, 0.95, 0.05])
+        kept = confidence_filter(conf)
+        # floor(0.25 * 11) = 2 dropped: indices 10 and 1
+        assert CONFIDENCE_DROP_FRACTION == 0.25
+        assert list(kept) == [0, 2, 3, 4, 5, 6, 7, 8, 9]
 
     def test_order_preserved(self):
-        conf = np.array([0.5, 0.9, 0.1, 0.7, 0.3, 0.8])
-        kept = confidence_filter(conf, drop_fraction=0.34)
-        assert list(kept) == sorted(kept)
+        conf = np.array([0.5, 0.9, 0.1, 0.7, 0.3, 0.8, 0.2, 0.6])
+        kept = confidence_filter(conf)
+        assert list(kept) == sorted(kept) and len(kept) == 6
 
     def test_ties_drop_later_indices_first(self):
-        conf = np.array([0.5, 0.5, 0.5, 0.5])
-        kept = confidence_filter(conf, drop_fraction=0.5)
-        assert list(kept) == [0, 1]
+        # floor(0.25 * 9) = 2: of the three tied lowest, the first stays
+        conf = np.array([0.2, 0.5, 0.2, 0.9, 0.2, 0.7, 0.8, 0.6, 0.4])
+        kept = confidence_filter(conf)
+        assert list(kept) == [0, 1, 3, 5, 6, 7, 8]
 
     def test_zero_drop_keeps_all(self):
-        conf = np.array([0.2, 0.8])
-        assert list(confidence_filter(conf, drop_fraction=0.0)) == [0, 1]
-
-    def test_fraction_bounds(self):
-        conf = np.array([0.5, 0.5])
-        with pytest.raises(ModelError):
-            confidence_filter(conf, drop_fraction=1.0)
-        with pytest.raises(ModelError):
-            confidence_filter(conf, drop_fraction=-0.1)
+        # floor(0.25 * 3) = 0: a pool under four loses nothing
+        conf = np.array([0.2, 0.8, 0.1])
+        assert list(confidence_filter(conf)) == [0, 1, 2]
 
 
 class TestProxyAndQuantiles:
@@ -391,6 +388,13 @@ MALFORMED_MODELS = {   # name -> model file text made from a good model's payloa
     "scalar log_prior": lambda p: json.dumps({**p, "log_prior": 3}),
     "text mean": lambda p: json.dumps({**p, "mean": [["x"] * 12] * 9}),
     "text temperature": lambda p: json.dumps({**p, "temperature": "hot"}),
+    "numeric-string temperature": lambda p: json.dumps({**p, "temperature": "2.5"}),
+    "boolean temperature": lambda p: json.dumps({**p, "temperature": True}),
+    "string log_prior": lambda p: json.dumps({**p, "log_prior": [
+        None if v is None else str(v) for v in p["log_prior"]]}),
+    "boolean mean": lambda p: json.dumps({**p, "mean": [[True] * 12] * 9}),
+    "ragged var": lambda p: json.dumps({**p, "var": p["var"][:8] + [p["var"][8][:11]]}),
+    "eight-level mean": lambda p: json.dumps({**p, "mean": p["mean"][:8]}),
     "truncated": lambda p: json.dumps(p)[:40],
 }
 
@@ -438,5 +442,6 @@ def test_non_finite_model_raises_model_error(tmp_path, malform):
     payload = json.loads(path.read_text())
     assert payload["log_prior"][0] is not None and payload["log_prior"][1] is None
     path.write_text(malform(payload))
-    with pytest.raises(ModelError, match=r"model\.json: .* non-finite"):
+    with pytest.raises(ModelError, match=r"model\.json: field '(mean|var|log_prior)' must be a "
+                                         r"list of .*finite numbers"):
         load_model(str(path))

@@ -9,6 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradus.model import (
+    ADAMW_BETAS,
+    ADAMW_EPS,
+    ADAMW_WEIGHT_DECAY,
     AdamW,
     LMError,
     ModelConfig,
@@ -244,7 +247,7 @@ class TestKVCache:
         rng = np.random.default_rng(9)
         ids = rng.integers(1, 17, size=(3, 12)).astype(np.int64)
         full = model.logits(ids)
-        cache = model.start_cache(batch=3)
+        cache = model.start_cache(batch=3, capacity=12)
         steps = []
         for t in range(12):
             steps.append(model.extend(cache, ids[:, t:t + 1]))
@@ -256,7 +259,7 @@ class TestKVCache:
         rng = np.random.default_rng(11)
         ids = rng.integers(1, 17, size=(2, 10)).astype(np.int64)
         full = model.logits(ids)
-        cache = model.start_cache(batch=2)
+        cache = model.start_cache(batch=2, capacity=10)
         first = model.extend(cache, ids[:, :6])
         np.testing.assert_allclose(first, full[:, :6], atol=1e-10)
         rest = [model.extend(cache, ids[:, t:t + 1]) for t in range(6, 10)]
@@ -265,7 +268,7 @@ class TestKVCache:
 
     def test_batch_mismatch_rejected(self):
         model = TinyLM.create(TINY, seed=11)
-        cache = model.start_cache(batch=2)
+        cache = model.start_cache(batch=2, capacity=8)
         with pytest.raises(LMError):
             model.extend(cache, np.ones((3, 1), dtype=np.int64))
 
@@ -284,7 +287,7 @@ class TestKVCache:
 
     def test_overflow_rejected(self):
         model = TinyLM.create(TINY, seed=12)
-        cache = model.start_cache(batch=1)
+        cache = model.start_cache(batch=1, capacity=TINY.max_len)
         model.extend(cache, np.ones((1, TINY.max_len), dtype=np.int64))
         with pytest.raises(LMError):
             model.extend(cache, np.ones((1, 1), dtype=np.int64))
@@ -296,7 +299,7 @@ class TestKVCache:
         model = TinyLM.create(TINY, seed=13)
         rng = np.random.default_rng(14)
         ids = rng.integers(1, 17, size=(1, 6)).astype(np.int64)
-        cache = model.start_cache(batch=1)
+        cache = model.start_cache(batch=1, capacity=6)
         model.extend(cache, ids[:, :3])
         with pytest.raises(LMError):
             model.extend(cache, bad)
@@ -336,8 +339,10 @@ class TestAdamW:
         params = {"w": w.copy(), "b": bias.copy()}
         grads = {"w": np.array([[0.1, -0.2], [0.3, 0.4]]),
                  "b": np.array([0.5, -0.6])}
-        lr, b1, b2, eps, wd = 1e-3, 0.9, 0.95, 1e-8, 0.01
-        opt = AdamW(params, lr=lr, betas=(b1, b2), eps=eps, weight_decay=wd)
+        lr = 1e-3
+        (b1, b2), eps, wd = ADAMW_BETAS, ADAMW_EPS, ADAMW_WEIGHT_DECAY
+        assert (b1, b2, eps, wd) == (0.9, 0.95, 1e-8, 0.01)
+        opt = AdamW(params, lr=lr)
         opt.update(params, grads)
         for name, g in grads.items():
             m = (1 - b1) * g
@@ -350,18 +355,47 @@ class TestAdamW:
                 want = want - lr * wd * base
             np.testing.assert_allclose(params[name], want, atol=1e-15)
 
+    def test_second_step_matches_reference(self):
+        # moments carry over, and bias correction uses the step count
+        w = np.array([[1.0, -2.0], [0.5, 3.0]])
+        g1, g2 = np.array([[0.1, -0.2], [0.3, 0.4]]), np.array([[-0.3, 0.1], [0.2, -0.5]])
+        params = {"w": w.copy()}
+        opt = AdamW(params, lr=1e-2)
+        (b1, b2), eps, wd = ADAMW_BETAS, ADAMW_EPS, ADAMW_WEIGHT_DECAY
+        want, m, v = w.copy(), np.zeros_like(w), np.zeros_like(w)
+        for step, g in enumerate((g1, g2), start=1):
+            opt.update(params, {"w": g})
+            m = b1 * m + (1 - b1) * g
+            v = b2 * v + (1 - b2) * g * g
+            upd = (m / (1 - b1 ** step)) / (np.sqrt(v / (1 - b2 ** step)) + eps)
+            want = want - 1e-2 * (upd + wd * want)
+            np.testing.assert_allclose(params["w"], want, atol=1e-15)
+        assert opt.step_count == 2
+
+    def test_matrices_decay_and_vectors_do_not(self):
+        # zero gradients: any movement comes from decay alone
+        w, bias, tok = np.full((2, 3), 2.0), np.full(3, 2.0), np.ones((4, 2))
+        params = {"w": w.copy(), "b": bias.copy(), "tok_emb": tok.copy()}
+        opt = AdamW(params, lr=1e-3)
+        opt.update(params, {name: np.zeros_like(arr) for name, arr in params.items()})
+        np.testing.assert_allclose(params["w"], w * (1 - 1e-3 * ADAMW_WEIGHT_DECAY),
+                                   rtol=1e-15)
+        np.testing.assert_array_equal(params["b"], bias)
+        np.testing.assert_array_equal(params["tok_emb"], tok)
+
     def test_embedding_exempt_from_decay(self):
         tok = np.ones((4, 2))
         params = {"tok_emb": tok.copy()}
-        opt = AdamW(params, lr=1e-3, weight_decay=0.5)
+        opt = AdamW(params, lr=1.0)
         opt.update(params, {"tok_emb": np.zeros((4, 2))})
         # zero gradient: any movement would come from decay alone
         np.testing.assert_array_equal(params["tok_emb"], tok)
 
     def test_bias_correction_active_early(self):
+        # a zero matrix has no decay to apply
         params = {"w": np.zeros((2, 2))}
         grads = {"w": np.full((2, 2), 0.3)}
-        opt = AdamW(params, lr=1e-2, weight_decay=0.0)
+        opt = AdamW(params, lr=1e-2)
         opt.update(params, grads)
         # with full bias correction the first step is lr * sign(g)
         np.testing.assert_allclose(params["w"], -1e-2 * np.ones((2, 2)),
@@ -604,6 +638,13 @@ class TestCheckpointErrors:
     def test_config_field_of_the_wrong_type(self, saved):
         message = self.load_edited(saved, lambda meta, _: meta["config"].update(n_heads="2"))
         assert message.endswith(" meta config: field 'n_heads' must be a positive integer")
+
+    def test_optimizer_with_the_former_settings(self, saved):
+        # betas, eps and weight decay were AdamW parameters and saved with it
+        message = self.load_edited(saved, lambda meta, _: meta["optimizer"].update(
+            betas=[0.9, 0.95], eps=1e-8, weight_decay=0.01))
+        assert message == (f"checkpoint {saved.parent / 'bad.npz'} optimizer keys differ "
+                           "from AdamW's: unexpected ['betas', 'eps', 'weight_decay']")
 
     def test_config_that_breaks_an_invariant(self, saved):
         message = self.load_edited(saved, lambda meta, _: meta["config"].update(n_heads=3))

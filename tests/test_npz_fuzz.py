@@ -114,8 +114,7 @@ def meta_mutation(draw, meta):
 
 
 OPTIMIZER = st.fixed_dictionaries({}, optional={
-    "lr": JSON_VALUES | st.just(1e-3), "betas": JSON_VALUES, "eps": JSON_VALUES | st.just(1e-8),
-    "weight_decay": JSON_VALUES, "step_count": JSON_VALUES})
+    "lr": JSON_VALUES | st.just(1e-3), "step_count": JSON_VALUES})
 
 
 @st.composite
