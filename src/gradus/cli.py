@@ -119,6 +119,17 @@ def _map_corpus(fn, corpus: str, jobs: int = 1) -> list[tuple[str, object]]:
         return list(pool.map(work, paths))
 
 
+def _keyed(path: str, key: str, *required: str) -> dict[str, dict]:
+    """The rows of the JSONL at ``path`` by their ``key`` field; a repeated key
+    raises :class:`CliError` at ``path:line``."""
+    table: dict[str, dict] = {}
+    for where, row in interchange.read_jsonl(path, CliError, key, *required):
+        if row[key] in table:
+            raise CliError(f"{where}: duplicate {key} {row[key]!r}")
+        table[row[key]] = row
+    return table
+
+
 @contextlib.contextmanager
 def _located_rows(wheres: Sequence[str]):
     """Report a :class:`gnb.ModelError` about row ``i`` of a model's input at ``wheres[i]``."""
@@ -212,12 +223,11 @@ def _cmd_fit_gnb(args) -> int:
     names = [r["piece"] for _, r in located]
     x = np.array([r["features"] for _, r in located], dtype=np.float64)
     if args.labels:
-        by_piece = {r["piece"]: r["level"]
-                    for _, r in interchange.read_jsonl(args.labels, CliError, "piece", "level")}
+        by_piece = _keyed(args.labels, "piece", "level")
         missing = [n for n in names if n not in by_piece]
         if missing:
             raise CliError(f"labels missing for {missing[:5]}")
-        y = np.array([by_piece[n] for n in names], dtype=np.int64)
+        y = np.array([by_piece[n]["level"] for n in names], dtype=np.int64)
     else:
         y = gnb.quantile_levels(gnb.difficulty_proxy(x))
     order = np.random.default_rng(args.seed).permutation(len(names))
@@ -275,8 +285,7 @@ def _cmd_embed(args) -> int:
 
 def _cmd_mine_pairs(args) -> int:
     variations = interchange.read_jsonl(args.variations, CliError, "piece", "var")
-    posteriors = {r["piece"]: r for _, r in interchange.read_jsonl(
-        args.posteriors, CliError, "piece", "level", "confidence")}
+    posteriors = _keyed(args.posteriors, "piece", "level", "confidence")
     embeddings = style.load_embeddings(args.embeddings)
     pool = []
     for _, row in variations:
@@ -306,8 +315,7 @@ def _cmd_build_seqs(args) -> int:
     skipped: list[str] = []
     if args.mode == "conditioned":
         tokens_rows = interchange.read_jsonl(args.tokens, CliError, "piece", "tokens")
-        profiles = {r["piece"]: r for _, r in interchange.read_jsonl(
-            args.profiles, CliError, "piece", "profile")}
+        profiles = _keyed(args.profiles, "piece", "profile")
         for _, row in tokens_rows:
             prof = profiles.get(row["piece"])
             if prof is None:
@@ -318,8 +326,8 @@ def _cmd_build_seqs(args) -> int:
                 max_len=seqbuild.MAX_ADAPTATION_LEN))
     else:
         pairs = mining.load_pairs(args.pairs)
-        tokens_by_id = {r["var"]: r["tokens"] for _, r in interchange.read_jsonl(
-            args.variations, CliError, "var", "tokens")}
+        tokens_by_id = {var: r["tokens"]
+                        for var, r in _keyed(args.variations, "var", "tokens").items()}
         samples, skipped = seqbuild.adaptation_samples(vocab, pairs, tokens_by_id)
     if not samples:
         raise CliError("no training sequences could be built")
@@ -380,8 +388,7 @@ def _cmd_sample(args) -> int:
         raise CliError(f"{args.vocab}: vocabulary has {len(vocab)} tokens but checkpoint "
                        f"{args.checkpoint} was trained on {lm.config.vocab_size}")
     skyline_rows = list(interchange.read_jsonl(args.skylines, CliError, "piece"))
-    profiles = {r["piece"]: r for _, r in interchange.read_jsonl(
-        args.profiles, CliError, "piece", "profile")}
+    profiles = _keyed(args.profiles, "piece", "profile")
     out_dir = Path(args.out_dir)
     scores_dir = out_dir / "scores"
     scores_dir.mkdir(exist_ok=True)
@@ -421,9 +428,8 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    orig_level, var_level = ({r["piece"]: r["level"]
-                              for _, r in interchange.read_jsonl(path, CliError, "piece", "level")}
-                             for path in (args.original_posteriors, args.variation_posteriors))
+    orig_post, var_post = (_keyed(path, "piece", "level")
+                           for path in (args.original_posteriors, args.variation_posteriors))
     orig_emb = style.load_embeddings(args.original_embeddings)
     var_emb = style.load_embeddings(args.variation_embeddings)
     genres = {}
@@ -439,18 +445,19 @@ def _cmd_evaluate(args) -> int:
             if pair.easy in seen:
                 continue
             seen.add(pair.easy)
-            if pair.piece not in orig_level:
+            if pair.piece not in orig_post:
                 raise CliError(f"no original posterior for {pair.piece}")
-            if pair.easy not in var_level:
+            if pair.easy not in var_post:
                 raise CliError(f"no variation posterior for {pair.easy}")
             if pair.piece not in orig_emb:
                 raise CliError(f"no original embedding for {pair.piece}")
             if pair.easy not in var_emb:
                 raise CliError(f"no variation embedding for {pair.easy}")
             distance = style.style_distance(orig_emb[pair.piece], var_emb[pair.easy])
-            records.append(report.OutcomeRecord.build(
+            records.append(report.OutcomeRecord(
                 piece=pair.piece, variation=pair.easy,
-                original_level=orig_level[pair.piece], predicted_level=var_level[pair.easy],
+                original_level=orig_post[pair.piece]["level"],
+                predicted_level=var_post[pair.easy]["level"],
                 distance=distance, genre=genres.get(pair.piece, ""),
                 strategy=rep.strategy, gap=rep.min_gap))
     if not records:

@@ -45,6 +45,8 @@ _POSITIVE = ("a positive integer", lambda v: type(v) is int and v > 0)
 _POSITIVE_NUMBER = ("a positive finite number", lambda v: _finite_numbers([v]) and v > 0)
 _MATRIX = ("a list of equal-length lists of finite numbers", lambda v: isinstance(v, list)
            and all(map(_finite_numbers, v)) and len(set(map(len, v))) <= 1)
+_POSITIVE_MATRIX = ("a list of equal-length lists of positive finite numbers",
+                    lambda v: _MATRIX[1](v) and all(x > 0 for row in v for x in row))
 
 # field -> (what it must be, the test of a value); checked in every record that holds it
 FIELDS = {
@@ -73,7 +75,8 @@ FIELDS = {
 MODEL_FIELDS = {
     "log_prior": ("a list of finite numbers or nulls", lambda v: isinstance(v, list)
                   and _finite_numbers([x for x in v if x is not None])),
-    **dict.fromkeys(("mean", "var"), _MATRIX),
+    "mean": _MATRIX,
+    "var": _POSITIVE_MATRIX,
     "temperature": _POSITIVE_NUMBER,
 }
 

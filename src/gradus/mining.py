@@ -18,11 +18,10 @@ from typing import Sequence
 import numpy as np
 
 from . import interchange
-from .gnb import CONFIDENCE_DROP_FRACTION, confidence_filter
+from .gnb import confidence_filter
 from .style import cosine_similarity
 
 __all__ = [
-    "CONFIDENCE_DROP_FRACTION",
     "MiningError",
     "Variation",
     "Pair",
@@ -105,13 +104,13 @@ def enumerate_pairs(levels: Sequence[int], min_gap: int = 1) -> list[tuple[int, 
 
 def mine(variations: Sequence[Variation], strategy: str = "filtered",
          min_gap: int = 1) -> tuple[list[Pair], MiningReport]:
-    """Mine training pairs from a pool of variations.
+    """Mine training pairs from a pool of variations, one pass per piece.
 
-    ``random`` enumerates every in-piece pair meeting the gap.  ``filtered``
+    ``random`` keeps every in-piece pair meeting the gap.  ``filtered``
     first drops the least confident quarter of all variations (a single
-    global cut), then keeps, per piece, the most similar half of the
-    surviving pairs, rounding up.  Ties on similarity keep the pair that
-    was enumerated first.
+    global cut), then keeps, per piece, the most similar half of the pairs
+    left, rounding up; ties on similarity keep the pair enumerated first.
+    Only the pairs left after the confidence cut are built and scored.
     """
     if strategy not in STRATEGIES:
         raise MiningError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
@@ -119,21 +118,34 @@ def mine(variations: Sequence[Variation], strategy: str = "filtered",
     if len(set(ids)) != len(ids):
         raise MiningError("variation ids must be unique")
 
-    pool = list(variations)
-    raw_pairs = _in_piece_pairs(pool, min_gap)
-    counts = {"raw": len(raw_pairs)}
-
-    if strategy == "random":
-        kept = raw_pairs
-        counts["after_confidence"] = len(kept)
-        counts["after_similarity"] = len(kept)
-    else:
-        keep_idx = confidence_filter([v.confidence for v in pool])
-        survivors = [pool[i] for i in keep_idx]
-        confident = _in_piece_pairs(survivors, min_gap)
-        counts["after_confidence"] = len(confident)
-        kept = _similarity_cut(confident)
-        counts["after_similarity"] = len(kept)
+    survivors = set(ids) if strategy == "random" else {
+        ids[i] for i in confidence_filter([v.confidence for v in variations])}
+    by_piece: dict[str, list[Variation]] = {}
+    for v in variations:
+        by_piece.setdefault(v.piece, []).append(v)
+    counts = dict.fromkeys(("raw", "after_confidence", "after_similarity"), 0)
+    kept: list[Pair] = []
+    for piece in sorted(by_piece):
+        group = by_piece[piece]
+        raw = enumerate_pairs([v.level for v in group], min_gap)
+        pairs = []
+        for i, j in raw:
+            hard, easy = group[i], group[j]
+            if hard.id in survivors and easy.id in survivors:
+                pairs.append(Pair(
+                    piece=piece, hard=hard.id, easy=easy.id,
+                    hard_level=hard.level, easy_level=easy.level,
+                    gap=hard.level - easy.level,
+                    sim=cosine_similarity(hard.embedding, easy.embedding)))
+        counts["raw"] += len(raw)
+        counts["after_confidence"] += len(pairs)
+        if strategy == "filtered":
+            n_keep = int(np.ceil(SIMILARITY_KEEP_FRACTION * len(pairs)))
+            # a stable sort, so of tied pairs the earlier one ranks first
+            ranked = sorted(range(len(pairs)), key=lambda k: -pairs[k].sim)
+            pairs = [pairs[k] for k in sorted(ranked[:n_keep])]
+        counts["after_similarity"] += len(pairs)
+        kept.extend(pairs)
 
     report = MiningReport(
         strategy=strategy, min_gap=min_gap, counts=counts,
@@ -143,36 +155,6 @@ def mine(variations: Sequence[Variation], strategy: str = "filtered",
             for g in sorted({p.gap for p in kept})},
     )
     return kept, report
-
-
-def _in_piece_pairs(pool: Sequence[Variation], min_gap: int) -> list[Pair]:
-    by_piece: dict[str, list[Variation]] = {}
-    for v in pool:
-        by_piece.setdefault(v.piece, []).append(v)
-    pairs: list[Pair] = []
-    for piece in sorted(by_piece):
-        group = by_piece[piece]
-        for i, j in enumerate_pairs([v.level for v in group], min_gap):
-            hard, easy = group[i], group[j]
-            pairs.append(Pair(
-                piece=piece, hard=hard.id, easy=easy.id,
-                hard_level=hard.level, easy_level=easy.level,
-                gap=hard.level - easy.level,
-                sim=cosine_similarity(hard.embedding, easy.embedding)))
-    return pairs
-
-
-def _similarity_cut(pairs: Sequence[Pair]) -> list[Pair]:
-    by_piece: dict[str, list[tuple[int, Pair]]] = {}
-    for idx, p in enumerate(pairs):
-        by_piece.setdefault(p.piece, []).append((idx, p))
-    keep: list[tuple[int, Pair]] = []
-    for piece, group in by_piece.items():
-        n_keep = int(np.ceil(SIMILARITY_KEEP_FRACTION * len(group)))
-        ranked = sorted(group, key=lambda t: (-t[1].sim, t[0]))
-        keep.extend(ranked[:n_keep])
-    keep.sort(key=lambda t: t[0])
-    return [p for _, p in keep]
 
 
 def _mean_distance(pairs: Sequence[Pair]) -> float:

@@ -9,7 +9,7 @@ optionally genre or original level), rendered as CSV or Markdown.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -49,31 +49,21 @@ def classify_outcome(original_level: int, predicted_level: int) -> str:
 
 @dataclass(frozen=True)
 class OutcomeRecord:
+    """One variation's outcome, derived from its two levels by :func:`classify_outcome`."""
+
     piece: str
     variation: str
     original_level: int
     predicted_level: int
-    outcome: str
+    outcome: str = field(init=False)
     distance: float
     genre: str = ""
     strategy: str = ""
     gap: int = 0
 
     def __post_init__(self) -> None:
-        expected = classify_outcome(self.original_level, self.predicted_level)
-        if self.outcome != expected:
-            raise ReportError(
-                f"outcome {self.outcome!r} contradicts levels "
-                f"{self.original_level}->{self.predicted_level} ({expected})")
-
-    @classmethod
-    def build(cls, piece: str, variation: str, original_level: int,
-              predicted_level: int, distance: float, genre: str = "",
-              strategy: str = "", gap: int = 0) -> "OutcomeRecord":
-        return cls(piece=piece, variation=variation,
-                   original_level=original_level, predicted_level=predicted_level,
-                   outcome=classify_outcome(original_level, predicted_level),
-                   distance=distance, genre=genre, strategy=strategy, gap=gap)
+        object.__setattr__(self, "outcome",
+                           classify_outcome(self.original_level, self.predicted_level))
 
 
 @dataclass(frozen=True)

@@ -153,6 +153,8 @@ def load_embeddings(path: str) -> dict[str, np.ndarray]:
         key, v = rec["id"], np.array(rec["v"], dtype=np.float64)
         if v.size == 0:
             raise StyleError(f"{where}: 'v' of {key!r} is empty")
+        if not np.linalg.norm(v):
+            raise StyleError(f"{where}: 'v' of {key!r} has zero norm")
         if rec["dim"] != v.size:
             raise StyleError(f"{where}: dim {rec['dim']} does not "
                              f"match vector length {v.size}")

@@ -763,6 +763,57 @@ def test_row_with_a_mistyped_field_is_a_located_cli_error(ws, synthetic_variatio
     assert message == f"{where}: field {field!r} must be {kind}"
 
 
+# stage -> (argv as above, the keyed file whose last row takes the first row's
+# key, that key)
+REPEATED_KEY_ERRORS = {
+    "fit-gnb labels": (("fit-gnb", "--features", "feat.jsonl", "--labels", "BAD",
+                        "--out-dir", "OUT"), "gnb/labels.jsonl", "piece"),
+    "mine-pairs posteriors": (LOCATED_ROW_ERRORS["mine-pairs"][0], "vars/varpost.jsonl",
+                              "piece"),
+    "build-seqs profiles": (LOCATED_ROW_ERRORS["build-seqs conditioned"][0], "prof.jsonl",
+                            "piece"),
+    "build-seqs variations": (LOCATED_ROW_ERRORS["build-seqs adaptation"][0],
+                              "vars/variations.jsonl", "var"),
+    "sample profiles": (LOCATED_ROW_ERRORS["sample"][0] + ("--n", "1", "--max-new", "4"),
+                        "prof.jsonl", "piece"),
+    "evaluate original": (("evaluate", "--runs", "OUT", "--original-posteriors", "BAD",
+                           "--variation-posteriors", "post.jsonl", "--original-embeddings",
+                           "emb.jsonl", "--variation-embeddings", "emb.jsonl", "--out-dir",
+                           "OUT"), "post.jsonl", "piece"),
+    "evaluate variation": (LOCATED_ROW_ERRORS["evaluate"][0], "post.jsonl", "piece"),
+}
+
+
+@pytest.mark.parametrize("case", REPEATED_KEY_ERRORS.values(), ids=REPEATED_KEY_ERRORS.keys())
+def test_repeated_key_is_a_located_cli_error(ws, synthetic_variations, trained, tmp_path,
+                                             monkeypatch, capsys, case):
+    argv, source, key = case
+    first = read_jsonl(ws / source)[0][key]
+    message, where = _fail_on_last_row(ws, trained, tmp_path, monkeypatch, capsys, argv,
+                                       source, lambda row: row.update({key: first}))
+    assert message == f"{where}: duplicate {key} {first!r}"
+
+
+def test_zero_embedding_of_a_dropped_variation_is_located(ws, synthetic_variations, tmp_path,
+                                                          capsys):
+    # the least confident variation falls to the confidence cut, so mining
+    # never scores it; the reader refuses its zero vector all the same
+    least = min(read_jsonl(synthetic_variations / "varpost.jsonl"),
+                key=lambda r: r["confidence"])["piece"]
+    rows = read_jsonl(synthetic_variations / "varemb.jsonl")
+    line = next(n for n, r in enumerate(rows, start=1) if r["id"] == least)
+    rows[line - 1]["v"] = [0.0] * rows[line - 1]["dim"]
+    embeddings = tmp_path / "emb.jsonl"
+    embeddings.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    payload = failure(capsys, "mine-pairs",
+                      "--variations", str(synthetic_variations / "variations.jsonl"),
+                      "--posteriors", str(synthetic_variations / "varpost.jsonl"),
+                      "--embeddings", str(embeddings), "--strategy", "filtered",
+                      "--out-dir", str(tmp_path / "out"))
+    assert payload == {"error": "StyleError",
+                       "message": f"{embeddings}:{line}: 'v' of {least!r} has zero norm"}
+
+
 def test_features_no_level_can_score_are_a_located_cli_error(ws, trained, tmp_path,
                                                              monkeypatch, capsys):
     # finite, but far enough out that every level's log-likelihood overflows

@@ -394,6 +394,8 @@ MALFORMED_MODELS = {   # name -> model file text made from a good model's payloa
         None if v is None else str(v) for v in p["log_prior"]]}),
     "boolean mean": lambda p: json.dumps({**p, "mean": [[True] * 12] * 9}),
     "ragged var": lambda p: json.dumps({**p, "var": p["var"][:8] + [p["var"][8][:11]]}),
+    "zero var": lambda p: json.dumps({**p, "var": [[0.0] + p["var"][0][1:]] + p["var"][1:]}),
+    "negative var": lambda p: json.dumps({**p, "var": [[-1.0] + p["var"][0][1:]] + p["var"][1:]}),
     "eight-level mean": lambda p: json.dumps({**p, "mean": p["mean"][:8]}),
     "truncated": lambda p: json.dumps(p)[:40],
 }

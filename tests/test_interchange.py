@@ -76,9 +76,8 @@ def test_embeddings(cwd):
 
 def test_records(cwd):
     report.save_records("records.jsonl", [
-        report.OutcomeRecord.build("p", "p.v0", 5, 3, 0.25, genre="waltz",
-                                   strategy="random", gap=1),
-        report.OutcomeRecord.build("q", "q.v1", 2, 2, 0.0)])
+        report.OutcomeRecord("p", "p.v0", 5, 3, 0.25, genre="waltz", strategy="random", gap=1),
+        report.OutcomeRecord("q", "q.v1", 2, 2, 0.0)])
     assert (cwd / "records.jsonl").read_bytes() == (
         b'{"distance": 0.25, "gap": 1, "genre": "waltz", "original_level": 5,'
         b' "outcome": "easier", "piece": "p", "predicted_level": 3, "strategy": "random",'

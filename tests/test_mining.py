@@ -6,9 +6,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gradus import mining
+from gradus.gnb import CONFIDENCE_DROP_FRACTION, confidence_filter
 from gradus.mining import (
-    CONFIDENCE_DROP_FRACTION,
     MiningError,
     MiningReport,
     Pair,
@@ -137,8 +139,10 @@ class TestMine:
         rng = np.random.default_rng(4)
         variations = make_variations(rng, n_pieces=5, per_piece=20)  # 100
         pairs, _ = mine(variations, strategy="filtered", min_gap=1)
+        n_drop = int(CONFIDENCE_DROP_FRACTION * len(variations))
+        assert n_drop == 25
         dropped = {v.id for v in sorted(
-            variations, key=lambda v: v.confidence)[:25]}
+            variations, key=lambda v: v.confidence)[:n_drop]}
         # kept pairs never touch the 25 least-confident variations
         for pr in pairs:
             assert pr.hard not in dropped
@@ -202,6 +206,90 @@ class TestMine:
         for gap, dist in report.mean_distance_by_gap.items():
             sub = [1.0 - p.sim for p in pairs if p.gap == gap]
             assert dist == pytest.approx(float(np.mean(sub)), abs=1e-12)
+
+
+def two_pass_mine(variations, strategy, min_gap):
+    """The reference: score every raw pair, cut by confidence, enumerate and
+    score the survivors' pairs again, then keep each piece's most similar half."""
+    def in_piece_pairs(pool):
+        by_piece = {}
+        for v in pool:
+            by_piece.setdefault(v.piece, []).append(v)
+        pairs = []
+        for piece in sorted(by_piece):
+            group = by_piece[piece]
+            for i, j in enumerate_pairs([v.level for v in group], min_gap):
+                hard, easy = group[i], group[j]
+                pairs.append(Pair(
+                    piece=piece, hard=hard.id, easy=easy.id,
+                    hard_level=hard.level, easy_level=easy.level,
+                    gap=hard.level - easy.level,
+                    sim=mining.cosine_similarity(hard.embedding, easy.embedding)))
+        return pairs
+
+    def similarity_cut(pairs):
+        by_piece = {}
+        for idx, p in enumerate(pairs):
+            by_piece.setdefault(p.piece, []).append((idx, p))
+        keep = []
+        for group in by_piece.values():
+            n_keep = math.ceil(SIMILARITY_KEEP_FRACTION * len(group))
+            keep.extend(sorted(group, key=lambda t: (-t[1].sim, t[0]))[:n_keep])
+        return [p for _, p in sorted(keep, key=lambda t: t[0])]
+
+    pool = list(variations)
+    raw = in_piece_pairs(pool)
+    counts = {"raw": len(raw)}
+    if strategy == "random":
+        kept = raw
+        counts["after_confidence"] = counts["after_similarity"] = len(kept)
+    else:
+        confident = in_piece_pairs([pool[i] for i in confidence_filter(
+            [v.confidence for v in pool])])
+        counts["after_confidence"] = len(confident)
+        kept = similarity_cut(confident)
+        counts["after_similarity"] = len(kept)
+    return kept, counts
+
+
+class TestOnePass:
+    @pytest.mark.parametrize("strategy", ["random", "filtered"])
+    @pytest.mark.parametrize("min_gap", [1, 3])
+    def test_scores_each_confident_pair_once(self, monkeypatch, strategy, min_gap):
+        calls = []
+        cosine = mining.cosine_similarity
+
+        def counting(a, b):
+            calls.append(1)
+            return cosine(a, b)
+
+        monkeypatch.setattr(mining, "cosine_similarity", counting)
+        variations = make_variations(np.random.default_rng(12), n_pieces=5, per_piece=10)
+        _, report = mine(variations, strategy=strategy, min_gap=min_gap)
+        assert report.counts["after_confidence"] > 0
+        assert len(calls) == report.counts["after_confidence"]
+
+    # pools of up to 24 variations over 1-4 pieces, drawn from few levels,
+    # confidences and embeddings so levels, confidences and similarities tie;
+    # 300 examples take about 1.7 s of a tier-1 run on a 2-vCPU machine
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), strategy=st.sampled_from(["random", "filtered"]),
+           min_gap=st.integers(1, 3))
+    def test_matches_the_two_pass_reference(self, data, strategy, min_gap):
+        vectors = [np.array(v, dtype=np.float64) for v in
+                   ([1.0, 0.0, 0.0], [0.6, 0.8, 0.0], [0.0, 1.0, 0.0], [-1.0, 0.5, 2.0],
+                    [1.0, 1.0, 1.0])]
+        rows = data.draw(st.lists(st.tuples(
+            st.sampled_from(["a", "b", "c", "d"]), st.integers(1, 5),
+            st.sampled_from([0.1, 0.5, 0.5, 0.9, 1.0]),
+            st.integers(0, len(vectors) - 1)), max_size=24))
+        variations = [Variation(id=f"{piece}.v{k:03d}", piece=piece, level=level,
+                                confidence=confidence, embedding=vectors[e])
+                      for k, (piece, level, confidence, e) in enumerate(rows)]
+        pairs, report = mine(variations, strategy=strategy, min_gap=min_gap)
+        want_pairs, want_counts = two_pass_mine(variations, strategy, min_gap)
+        assert pairs == want_pairs
+        assert report.counts == want_counts
 
 
 class TestPersistence:

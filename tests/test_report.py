@@ -33,7 +33,7 @@ class TestClassifyOutcome:
 
 def rec(orig, pred, strategy="filtered", gap=1, distance=0.1,
         piece="p0", variation="p0.v000", genre="etude"):
-    return OutcomeRecord.build(
+    return OutcomeRecord(
         piece=piece, variation=variation, original_level=orig,
         predicted_level=pred, distance=distance, genre=genre,
         strategy=strategy, gap=gap)
@@ -46,16 +46,13 @@ def tenths(row):
 
 
 class TestOutcomeRecord:
-    def test_build_fills_outcome(self):
+    def test_outcome_derived_from_levels(self):
         assert rec(5, 3).outcome == "easier"
         assert rec(5, 5).outcome == "similar"
         assert rec(5, 8).outcome == "harder"
-
-    def test_contradiction_rejected(self):
-        with pytest.raises(ReportError):
-            OutcomeRecord(piece="p", variation="v", original_level=5,
-                          predicted_level=3, outcome="harder", distance=0.1,
-                          genre="etude", strategy="random", gap=1)
+        with pytest.raises(TypeError, match="outcome"):
+            OutcomeRecord(piece="p", variation="v", original_level=5, predicted_level=3,
+                          outcome="harder", distance=0.1)
 
     def test_level_bounds_checked(self):
         with pytest.raises(ReportError):

@@ -209,6 +209,13 @@ class TestPersistence:
                            match=r"bad\.jsonl:2: field 'v' must be a list of finite numbers"):
             load_embeddings(str(path))
 
+    def test_rejects_zero_vector(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"id": "ok", "dim": 2, "v": [1.0, 0.0]}\n'
+                        '{"id": "x", "dim": 2, "v": [0.0, 0.0]}\n')
+        with pytest.raises(StyleError, match=r"bad\.jsonl:2: 'v' of 'x' has zero norm"):
+            load_embeddings(str(path))
+
     def test_rejects_bool_dim(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"id": "ok", "dim": 1, "v": [1.0]}\n'

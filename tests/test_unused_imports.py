@@ -1,11 +1,14 @@
 """Every name a ``gradus`` module imports is used by that module, every
-private name a module defines is read by some module, and every option a
-CLI stage defines is read by that stage.
+name a module lists in ``__all__`` is its own, every private name a module
+defines is read by some module, and every option a CLI stage defines is
+read by that stage.
 
 No linter ships with the project, so this walks each module's syntax tree
 with the standard ``ast`` module.  An imported name counts as used when the
 module reads it anywhere (annotations included) or lists it in ``__all__``;
-``from __future__`` imports are directives, not names.  A private
+``from __future__`` imports are directives, not names.  A module's own
+names are those it binds at module level by ``def``, ``class`` or
+assignment; the package ``__init__`` re-exports by design.  A private
 module-level name (one leading underscore) counts as read when any module
 of the package loads it, imports it or reads it as an attribute.  A stage's
 option counts as read when the stage's function reads ``args.<dest>`` or
@@ -36,13 +39,18 @@ def imported_names(tree: ast.Module) -> dict[str, int]:
     return names
 
 
-def used_names(tree: ast.Module) -> set[str]:
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+def exported_names(tree: ast.Module) -> list[str]:
+    """The names the module's ``__all__`` lists."""
     for node in tree.body:
         if (isinstance(node, ast.Assign)
                 and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
-            used.update(ast.literal_eval(node.value))
-    return used
+            return ast.literal_eval(node.value)
+    return []
+
+
+def used_names(tree: ast.Module) -> set[str]:
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return used.union(exported_names(tree))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -70,8 +78,9 @@ def test_checker_sees_unused_and_used_names():
     assert unused_imports(source) == ["line 2: os", "line 4: Optional"]
 
 
-def private_names(tree: ast.Module) -> dict[str, int]:
-    """Each private name bound at module level, with the line that binds it."""
+def defined_names(tree: ast.Module) -> dict[str, int]:
+    """Each name bound at module level by ``def``, ``class`` or assignment,
+    with the line that binds it."""
     names = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -81,10 +90,38 @@ def private_names(tree: ast.Module) -> dict[str, int]:
             bound = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
         else:
             continue
-        for name in bound:
-            if name.startswith("_") and not name.startswith("__"):
-                names[name] = node.lineno
+        names.update(dict.fromkeys(bound, node.lineno))
     return names
+
+
+def foreign_exports(source: str) -> list[str]:
+    """Each name ``__all__`` lists that the module does not define itself."""
+    tree = ast.parse(source)
+    return [name for name in exported_names(tree) if name not in defined_names(tree)]
+
+
+@pytest.mark.parametrize("path", sorted(set(SRC.glob("*.py")) - {SRC / "__init__.py"}),
+                         ids=lambda p: p.name)
+def test_module_exports_only_its_own_names(path):
+    assert foreign_exports(path.read_text(encoding="utf-8")) == []
+
+
+def test_checker_sees_foreign_and_own_exports():
+    source = ("from .gnb import LIMIT, fit\n"
+              "import numpy as np\n"
+              "__all__ = ['LIMIT', 'Own', 'helper', 'RATE', 'np', 'missing']\n"
+              "RATE: float = 0.5\n"
+              "class Own:\n"
+              "    pass\n"
+              "def helper():\n"
+              "    return fit\n")
+    assert foreign_exports(source) == ["LIMIT", "np", "missing"]
+
+
+def private_names(tree: ast.Module) -> dict[str, int]:
+    """Each private name bound at module level, with the line that binds it."""
+    return {name: line for name, line in defined_names(tree).items()
+            if name.startswith("_") and not name.startswith("__")}
 
 
 def read_names(tree: ast.Module) -> set[str]:
