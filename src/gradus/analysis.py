@@ -183,15 +183,11 @@ def _profile_of(segs: Sequence[TimelineSegment]) -> np.ndarray:
 
 
 def profile_from_skyline(notes: Sequence[SkylineNote]) -> np.ndarray:
-    """Profile of a monophonic line (used for generated melodies)."""
-    weights = [Fraction(0)] * 12
-    for note in notes:
-        if note.pitch is not None:
-            weights[note.pitch.pitch_class] += note.duration
-    total = sum(weights)
-    if total == 0:
-        raise AnalysisError("line has no sounding pitches, profile is undefined")
-    return np.array([float(w / total) for w in weights], dtype=np.float64)
+    """Profile of a monophonic line (used for generated melodies): the
+    :func:`pitch_class_profile` of one segment per note."""
+    return _profile_of([TimelineSegment(note.onset, note.end,
+                                        () if note.pitch is None else (note.pitch,))
+                        for note in notes])
 
 
 def perturb_profile(profile: np.ndarray, rng: np.random.Generator,

@@ -144,14 +144,13 @@ def _located_rows(wheres: Sequence[str]):
 # ---------------------------------------------------------------------------
 # Subcommands
 
-def _cmd_gen_fixtures(args) -> int:
+def _cmd_gen_fixtures(args) -> None:
     scores = fixtures.generate_corpus(args.pieces, seed=args.seed)
     fixtures.write_corpus(args.out, scores)
     print(f"wrote {len(scores)} pieces to {args.out}")
-    return 0
 
 
-def _cmd_lmx_encode(args) -> int:
+def _cmd_lmx_encode(args) -> None:
     rows = [{"piece": name, "tokens": tokens}
             for name, tokens in _map_corpus(lmx.encode, args.corpus, args.jobs)]
     out_dir = Path(args.out_dir)
@@ -159,10 +158,9 @@ def _cmd_lmx_encode(args) -> int:
     vocab = lmx.Vocabulary.from_corpus([r["tokens"] for r in rows])
     vocab.save(str(out_dir / "vocab.txt"))
     print(f"encoded {len(rows)} pieces; vocabulary size {len(vocab)}")
-    return 0
 
 
-def _cmd_lmx_decode(args) -> int:
+def _cmd_lmx_decode(args) -> None:
     rows = list(interchange.read_jsonl(args.tokens, CliError, "piece", "tokens"))
     out_dir = Path(args.out_dir)
     for where, row in rows:
@@ -172,7 +170,6 @@ def _cmd_lmx_decode(args) -> int:
             raise CliError(f"{where}: {exc}") from exc
         write_musicxml(score, str(out_dir / f"{row['piece']}.musicxml"))
     print(f"decoded {len(rows)} pieces to {out_dir}")
-    return 0
 
 
 def _skyline_row(score: Score) -> dict:
@@ -185,14 +182,13 @@ def _skyline_row(score: Score) -> dict:
     }
 
 
-def _cmd_skyline(args) -> int:
+def _cmd_skyline(args) -> None:
     rows = [{"piece": name, **row} for name, row in _map_corpus(_skyline_row, args.corpus)]
     interchange.write_jsonl(args.out, rows)
     print(f"skylines for {len(rows)} pieces -> {args.out}")
-    return 0
 
 
-def _cmd_profile(args) -> int:
+def _cmd_profile(args) -> None:
     rng = np.random.default_rng(args.seed)
     rows = []
     for name, profile in _map_corpus(analysis.pitch_class_profile, args.corpus):
@@ -203,22 +199,20 @@ def _cmd_profile(args) -> int:
         rows.append(row)
     interchange.write_jsonl(args.out, rows)
     print(f"profiles for {len(rows)} pieces -> {args.out}")
-    return 0
 
 
-def _cmd_features(args) -> int:
+def _cmd_features(args) -> None:
     rows = [{"piece": name, "features": [float(v) for v in vec]}
             for name, vec in _map_corpus(analysis.feature_vector, args.corpus, args.jobs)]
     interchange.write_jsonl(args.out, rows)
     print(f"features for {len(rows)} pieces -> {args.out}")
-    return 0
 
 
 # the share of fit-gnb's rows held out to calibrate the temperature
 _HOLDOUT_FRACTION = 0.25
 
 
-def _cmd_fit_gnb(args) -> int:
+def _cmd_fit_gnb(args) -> None:
     located = list(interchange.read_jsonl(args.features, CliError, "piece", "features"))
     names = [r["piece"] for _, r in located]
     x = np.array([r["features"] for _, r in located], dtype=np.float64)
@@ -256,10 +250,9 @@ def _cmd_fit_gnb(args) -> int:
     if uncalibrated:
         msg += f" (not calibrated: {uncalibrated})"
     print(msg)
-    return 0
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> None:
     located = list(interchange.read_jsonl(args.features, CliError, "piece", "features"))
     fitted = gnb.load_model(args.model)
     x = np.array([r["features"] for _, r in located], dtype=np.float64)
@@ -273,17 +266,15 @@ def _cmd_classify(args) -> int:
                          "posterior": [float(v) for v in post]})
     interchange.write_jsonl(args.out, out_rows)
     print(f"classified {len(out_rows)} pieces -> {args.out}")
-    return 0
 
 
-def _cmd_embed(args) -> int:
+def _cmd_embed(args) -> None:
     embeddings = dict(_map_corpus(style.baseline_embed, args.corpus, args.jobs))
     style.save_embeddings(args.out, embeddings)
     print(f"embedded {len(embeddings)} pieces -> {args.out}")
-    return 0
 
 
-def _cmd_mine_pairs(args) -> int:
+def _cmd_mine_pairs(args) -> None:
     variations = interchange.read_jsonl(args.variations, CliError, "piece", "var")
     posteriors = _keyed(args.posteriors, "piece", "level", "confidence")
     embeddings = style.load_embeddings(args.embeddings)
@@ -306,10 +297,9 @@ def _cmd_mine_pairs(args) -> int:
     mining.save_report(str(out_dir / "report.json"), rep)
     print(f"{args.strategy} gap>={args.min_gap}: {rep.counts['raw']} raw -> "
           f"{len(pairs)} kept")
-    return 0
 
 
-def _cmd_build_seqs(args) -> int:
+def _cmd_build_seqs(args) -> None:
     vocab = lmx.Vocabulary.load(args.vocab)
     samples: list[seqbuild.Sample] = []
     skipped: list[str] = []
@@ -340,14 +330,13 @@ def _cmd_build_seqs(args) -> int:
     if skipped:
         msg += f" ({len(skipped)} pairs skipped)"
     print(msg)
-    return 0
 
 
 # each array train reads from a build-seqs file: its dtype kinds and rank
 _SEQ_ARRAYS = {"ids": ("iu", 2), "mask": ("iu", 2), "harmony": ("f", 2), "lengths": ("iu", 1)}
 
 
-def _cmd_train(args) -> int:
+def _cmd_train(args) -> None:
     vocab = lmx.Vocabulary.load(args.vocab)
     seqs = interchange.read_npz(args.seqs, CliError, "sequence file", _SEQ_ARRAYS)
     ids, mask, harmony, lengths = (seqs[name] for name in _SEQ_ARRAYS)
@@ -378,10 +367,9 @@ def _cmd_train(args) -> int:
             fh.write(f"{step},{loss:.6f}\n")
     model.save_checkpoint(str(out_dir / "checkpoint.npz"), lm, step=len(losses))
     print(f"trained {len(losses)} steps, final loss {losses[-1]:.4f}")
-    return 0
 
 
-def _cmd_sample(args) -> int:
+def _cmd_sample(args) -> None:
     vocab = lmx.Vocabulary.load(args.vocab)
     lm, _, _ = model.load_checkpoint(args.checkpoint)
     if len(vocab) != lm.config.vocab_size:
@@ -424,10 +412,9 @@ def _cmd_sample(args) -> int:
                 write_musicxml(decoded.score, str(scores_dir / f"{var_id}.musicxml"))
     interchange.write_jsonl(out_dir / "variations.jsonl", rows)
     print(f"sampled {len(rows)} variations ({n_valid} valid) -> {out_dir}")
-    return 0
 
 
-def _cmd_evaluate(args) -> int:
+def _cmd_evaluate(args) -> None:
     orig_post, var_post = (_keyed(path, "piece", "level")
                            for path in (args.original_posteriors, args.variation_posteriors))
     orig_emb = style.load_embeddings(args.original_embeddings)
@@ -471,7 +458,6 @@ def _cmd_evaluate(args) -> int:
     (out_dir / "report.md").write_text(report.render_report(rows, "markdown"),
                                        encoding="utf-8")
     print(f"{len(records)} records, {len(rows)} report rows -> {out_dir}")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -625,10 +611,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _check_mode_args(args)
         out = Path(args.out_dir) if "out_dir" in args else Path(args.out)
         (out if "out_dir" in args else out.parent).mkdir(parents=True, exist_ok=True)
-        rc = args.func(args)
-        if rc == 0:
-            _write_manifest(out, args)
-        return rc
+        args.func(args)
+        _write_manifest(out, args)
+        return 0
     except Exception as exc:  # single-line machine-parseable failure contract
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .score import Measure, NoteEvent, Pitch, Score, write_musicxml
+from .score import Measure, NoteEvent, Pitch, Score, measure_length, write_musicxml
 
 __all__ = [
     "GENRES",
@@ -62,7 +62,7 @@ def generate_piece(index: int, complexity: float, seed: int) -> Score:
     c = complexity
     genre = GENRES[index % len(GENRES)]
     time_sig = _TIME_SIGS[rng.integers(len(_TIME_SIGS))]
-    measure_len = Fraction(time_sig[0] * 4, time_sig[1])
+    measure_len = measure_length(time_sig)
     key_fifths = int(rng.integers(-3, 5))
     tonic_pc = (key_fifths * 7) % 12
     n_measures = int(rng.integers(4, 9))

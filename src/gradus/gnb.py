@@ -93,16 +93,14 @@ class GaussianNB:
         joint = np.where(np.isneginf(self.log_prior)[None, :], -np.inf, joint)
         return _scorable(joint)
 
-    def posterior(self, features: np.ndarray, calibrated: bool = True) -> np.ndarray:
+    def posterior(self, features: np.ndarray) -> np.ndarray:
         """P(level | features), rows summing to 1, shape (n, 9).
 
         Raises :class:`ModelError` for a row that :meth:`log_joint` refuses,
         or whose log-joint a temperature below 1 scales past the float range.
         """
-        joint = self.log_joint(features)
-        if calibrated:
-            with np.errstate(over="ignore"):
-                joint = _scorable(joint / self.temperature)
+        with np.errstate(over="ignore"):
+            joint = _scorable(self.log_joint(features) / self.temperature)
         joint = joint - joint.max(axis=1, keepdims=True)
         p = np.exp(joint)
         return p / p.sum(axis=1, keepdims=True)

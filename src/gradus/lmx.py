@@ -28,8 +28,11 @@ from .score import (
     NoteEvent,
     Pitch,
     Score,
+    _shared_q,
     duration_for_type,
+    measure_length,
     measure_order,
+    time_signature,
     type_for_duration,
 )
 
@@ -234,8 +237,7 @@ def _decode(tokens: Sequence[str], recover: bool) -> tuple[Score, list[str]]:
             continue
         measures.append(measure)
         start = measure.end
-    observed = max((ev.staff for m in measures for ev in m.events), default=2)
-    return Score(measures=tuple(measures), n_staves=max(2, observed)), skipped
+    return Score(measures=tuple(measures)), skipped
 
 
 def _decode_measure(tokens: Sequence[str], i: int, index: int, start: Fraction,
@@ -250,7 +252,7 @@ def _decode_measure(tokens: Sequence[str], i: int, index: int, start: Fraction,
     staff, voice = 1, _DEFAULT_VOICE[1]
     lane: list = [0, []]
     lanes = {(staff, voice): lane}
-    onsets: dict[int, Fraction] = {}   # tick -> its onset in quarters from the score start
+    onsets: dict[tuple[int, int], Fraction] = {}   # (tick, _TICKS) -> onset in quarters
     notes_seen = False
     n = len(tokens)
     while i < n and tokens[i] != "measure":
@@ -265,7 +267,10 @@ def _decode_measure(tokens: Sequence[str], i: int, index: int, start: Fraction,
             m = re.fullmatch(r"(\d+)/(\d+)", tok[5:])
             if m is None:
                 raise DecodeError(f"bad time signature {tok!r}", i)
-            m_time = (int(m.group(1)), int(m.group(2)))
+            try:   # a zero, or more digits than int() reads
+                m_time = time_signature(int(m.group(1)), int(m.group(2)))
+            except ValueError as exc:
+                raise DecodeError(f"bad time signature {tok!r}: {exc}", i) from exc
         elif tok.startswith("clef:"):
             if notes_seen:
                 raise DecodeError("attribute token after notes", i)
@@ -296,7 +301,7 @@ def _decode_measure(tokens: Sequence[str], i: int, index: int, start: Fraction,
             if not grace and not chord:
                 lane[0] += ticks
             placed.append((tick, NoteEvent(
-                onset=_onset(onsets, start, tick), duration=length, pitch=pitch,
+                onset=_shared_q(onsets, tick, _TICKS, start), duration=length, pitch=pitch,
                 voice=voice, staff=staff, tie_start=tie_start, tie_stop=tie_stop,
                 chord=chord, grace=grace)))
             notes_seen = True
@@ -309,33 +314,20 @@ def _decode_measure(tokens: Sequence[str], i: int, index: int, start: Fraction,
         time_sig = m_time
     ends = [cursor for cursor, placed in lanes.values() if placed]
     end = max(ends, default=0)
-    if ends:
-        duration = Fraction(end, _TICKS)
-    elif time_sig is not None:
-        duration = Fraction(time_sig[0] * 4, time_sig[1])
-    else:
-        duration = Fraction(4)
+    duration = Fraction(end, _TICKS) if ends else measure_length(time_sig)
     timed: list[tuple[int, NoteEvent]] = []
     for (staff, voice), (cursor, placed) in lanes.items():
         timed += placed
         if placed and cursor < end:
             timed.append((cursor, NoteEvent(
-                onset=_onset(onsets, start, cursor), duration=Fraction(end - cursor, _TICKS),
+                onset=_shared_q(onsets, cursor, _TICKS, start),
+                duration=Fraction(end - cursor, _TICKS),
                 pitch=None, voice=voice, staff=staff, hidden=True)))
     measure = Measure(
         index=index, start=start, duration=duration, events=tuple(measure_order(timed)),
         time_sig=m_time, key_fifths=key_fifths,
         clefs=(*clefs, None, None)[:2])
     return measure, time_sig, i
-
-
-def _onset(onsets: dict[int, Fraction], start: Fraction, tick: int) -> Fraction:
-    """``start`` plus ``tick`` ticks, built once per tick in ``onsets``."""
-    onset = onsets.get(tick)
-    if onset is None:
-        onset = onsets[tick] = Fraction(start.numerator * _TICKS + tick * start.denominator,
-                                        start.denominator * _TICKS)
-    return onset
 
 
 def _decode_note(tokens: Sequence[str], i: int, grace: bool,

@@ -255,8 +255,7 @@ class TinyLM:
 
     def logits(self, ids: np.ndarray, harmony: Optional[np.ndarray] = None) -> np.ndarray:
         """All-position logits, shape (B, T, vocab)."""
-        out, _ = self._forward(np.atleast_2d(ids), harmony)
-        return out
+        return self._forward(np.atleast_2d(ids), harmony)
 
     def _embed(self, ids: np.ndarray, harmony: Optional[np.ndarray],
                caches: Optional[list] = None) -> np.ndarray:
@@ -281,8 +280,8 @@ class TinyLM:
         return x
 
     def _forward(self, ids: np.ndarray, harmony: Optional[np.ndarray],
-                 caches: Optional[list] = None, kv: Optional[dict] = None):
-        """The layer stack of training, prefill and decode alike.
+                 caches: Optional[list] = None, kv: Optional[dict] = None) -> np.ndarray:
+        """The logits of the layer stack of training, prefill and decode alike.
 
         ``caches`` (a list) collects what :meth:`_backward` needs.  With a
         :meth:`start_cache` dict as ``kv``, positions start at ``kv["n"]``
@@ -333,7 +332,7 @@ class TinyLM:
         logits = xf @ p["head"]
         if caches is not None:
             caches.append(("final", xf, lnfc))
-        return logits, caches
+        return logits
 
     # -- loss and gradients ------------------------------------------------
 
@@ -362,7 +361,7 @@ class TinyLM:
             raise LMError("mask leaves nothing to score")
 
         caches: Optional[list] = [] if want_grads else None
-        logits, caches = self._forward(inputs, harmony, caches)
+        logits = self._forward(inputs, harmony, caches)
         loss, scored, e, sums = cross_entropy_terms(logits, targets, tmask)
         if not np.isfinite(loss):
             raise LMError("loss is not finite")
@@ -482,8 +481,7 @@ class TinyLM:
         end = cache["n"] + ids.shape[1]
         if end > cache["capacity"]:
             raise LMError(f"sequence length {end} exceeds cache capacity {cache['capacity']}")
-        logits, _ = self._forward(ids, harmony, kv=cache)
-        return logits
+        return self._forward(ids, harmony, kv=cache)
 
 
 # ---------------------------------------------------------------------------

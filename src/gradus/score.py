@@ -38,6 +38,8 @@ __all__ = [
     "Measure",
     "Score",
     "TimelineSegment",
+    "time_signature",
+    "measure_length",
     "parse_musicxml",
     "read_musicxml",
     "serialize_musicxml",
@@ -73,6 +75,9 @@ class ValidationError(ScoreError):
 _STEP_TO_PC = {"C": 0, "D": 2, "E": 4, "F": 5, "G": 7, "A": 9, "B": 11}
 _ALTER_TEXT = {-2: "bb", -1: "b", 0: "", 1: "#", 2: "##"}
 _TEXT_ALTER = {v: k for k, v in _ALTER_TEXT.items()}
+# the sharp spelling (step, alter) of each pitch class
+_SHARP_SPELLING = (("C", 0), ("C", 1), ("D", 0), ("D", 1), ("E", 0), ("F", 0),
+                   ("F", 1), ("G", 0), ("G", 1), ("A", 0), ("A", 1), ("B", 0))
 # a pitch name: step, up to two sharps or two flats, octave
 PITCH_NAME = re.compile(r"^([A-G])(#{1,2}|b{1,2})?(-?\d+)$")
 
@@ -180,16 +185,8 @@ class Pitch:
     @classmethod
     def from_midi(cls, midi: int) -> "Pitch":
         """Sharp-spelled pitch for a MIDI number."""
-        octave, pc = divmod(midi, 12)
-        octave -= 1
-        for step, base in _STEP_TO_PC.items():
-            if base == pc:
-                return cls(midi, pc, octave, step, 0)
-        for step, base in _STEP_TO_PC.items():
-            if (base + 1) % 12 == pc:
-                # sharp of the step below
-                return cls(midi, pc, octave, step, 1)
-        raise AssertionError("unreachable")
+        step, alter = _SHARP_SPELLING[midi % 12]
+        return cls.from_parts(step, alter, midi // 12 - 1)
 
     @property
     def name(self) -> str:
@@ -277,6 +274,19 @@ class Measure:
         return self.start + self.duration
 
 
+def time_signature(beats: int, beat_type: int) -> tuple[int, int]:
+    """``(beats, beat_type)``; ``ValueError`` unless both are positive."""
+    if beats < 1 or beat_type < 1:
+        raise ValueError(f"beats and beat type must be positive, "
+                         f"got {beats}/{beat_type}")
+    return beats, beat_type
+
+
+def measure_length(time_sig: Optional[tuple[int, int]]) -> Fraction:
+    """Quarters in a full measure of ``time_sig``; 4 without a signature."""
+    return Fraction(4) if time_sig is None else Fraction(time_sig[0] * 4, time_sig[1])
+
+
 @dataclass(frozen=True)
 class Score:
     """An in-memory two-staff piano piece."""
@@ -291,14 +301,11 @@ class Score:
         for m in self.measures:
             yield from m.events
 
-    def notes(self, include_grace: bool = False) -> Iterator[NoteEvent]:
-        """Pitched events, grace notes excluded unless requested."""
+    def notes(self) -> Iterator[NoteEvent]:
+        """Pitched events other than grace notes."""
         for ev in self.events():
-            if ev.pitch is None:
-                continue
-            if ev.grace and not include_grace:
-                continue
-            yield ev
+            if ev.pitch is not None and not ev.grace:
+                yield ev
 
     @property
     def total_duration(self) -> Fraction:
@@ -489,21 +496,21 @@ def _parse_musicxml(document: bytes | str) -> Score:
                                                  int(float((alter and alter.strip()) or 0)),
                                                  int((octave and octave.strip()) or 4))
 
+                    dur_divs = 0 if is_grace else _required_duration(dur_el, tag, m_index)
+                    if divisions is None:
+                        raise MusicXmlParseError(
+                            f"measure {m_index + 1}: missing divisions attribute")
                     if is_grace:
                         raw.append((pos, 0, divisions, NoteEvent(
-                            onset=_shared_q(onsets, pos, divisions, m_index, cursor),
+                            onset=_shared_q(onsets, pos, divisions, cursor),
                             duration=_grace_length(elem), pitch=pitch, voice=voice,
                             staff=staff, grace=True, hidden=hidden)))
                         continue
 
-                    dur_divs = _required_duration(dur_el, tag, m_index)
-                    if divisions is None:
-                        raise MusicXmlParseError(
-                            f"measure {m_index + 1}: missing divisions attribute")
                     onset_divs = last_onset if is_chord else pos
                     raw.append((onset_divs, dur_divs, divisions, NoteEvent(
-                        onset=_shared_q(onsets, onset_divs, divisions, m_index, cursor),
-                        duration=_shared_q(lengths, dur_divs, divisions, m_index),
+                        onset=_shared_q(onsets, onset_divs, divisions, cursor),
+                        duration=_shared_q(lengths, dur_divs, divisions),
                         pitch=pitch, voice=voice, staff=staff,
                         tie_start=tie_start, tie_stop=tie_stop,
                         chord=is_chord, hidden=hidden)))
@@ -524,7 +531,7 @@ def _parse_musicxml(document: bytes | str) -> Score:
                     beats = elem.find("time/beats")
                     beat_type = elem.find("time/beat-type")
                     if beats is not None and beat_type is not None:
-                        m_time = (int(beats.text), int(beat_type.text))
+                        m_time = time_signature(int(beats.text), int(beat_type.text))
                         time_sig = m_time
                     for clef in elem.findall("clef"):
                         number = int(clef.get("number", "1"))
@@ -543,12 +550,12 @@ def _parse_musicxml(document: bytes | str) -> Score:
                     maxpos = max(maxpos, pos)
                 # directions, barlines, harmony, prints, sounds: no timing content
 
-            if maxpos > 0:
-                m_duration = _q(maxpos, divisions, m_index)
-            elif time_sig is not None:
-                m_duration = Fraction(time_sig[0] * 4, time_sig[1])
+            if maxpos == 0:
+                m_duration = measure_length(time_sig)
+            elif divisions is None:   # only <forward> moved the position
+                raise MusicXmlParseError(f"measure {m_index + 1}: missing divisions attribute")
             else:
-                m_duration = Fraction(4)
+                m_duration = _q(maxpos, divisions)
 
             events = _fill_voice_gaps(raw, cursor, m_duration, m_index)
             measures.append(Measure(
@@ -556,29 +563,25 @@ def _parse_musicxml(document: bytes | str) -> Score:
                 events=tuple(events), time_sig=m_time, key_fifths=m_key,
                 clefs=(m_clefs[0], m_clefs[1])))
             cursor += m_duration
-        except (ValueError, TypeError, KeyError, ZeroDivisionError) as exc:
-            # int() of bad text, a missing <beats>, divisions 0, an unknown
-            # step, or a pitch or duration that Pitch/NoteEvent reject
+        except (ValueError, TypeError, KeyError, ArithmeticError) as exc:
+            # int() of bad text or of an infinite float(), a missing <beats>,
+            # divisions 0, an unknown step, or a value that Pitch, NoteEvent
+            # or time_signature reject
             raise MusicXmlParseError(f"measure {m_index + 1}: malformed value "
                                      f"({type(exc).__name__}: {exc})") from exc
 
-    observed = max((ev.staff for m in measures for ev in m.events), default=1)
     return Score(
         measures=tuple(measures), title=title, genre=genre, source_id=source_id,
-        n_staves=max(declared_staves, observed))
+        n_staves=declared_staves)
 
 
-def _q(divs: int, divisions: Optional[int], m_index: int,
-       start: Fraction = Fraction(0)) -> Fraction:
+def _q(divs: int, divisions: int, start: Fraction = Fraction(0)) -> Fraction:
     """``start + divs / divisions`` quarters, built as one Fraction."""
-    if divisions is None:
-        raise MusicXmlParseError(f"measure {m_index + 1}: missing divisions attribute")
     return Fraction(start.numerator * divisions + divs * start.denominator,
                     start.denominator * divisions)
 
 
-def _shared_q(shared: dict[tuple[int, int], Fraction], divs: int,
-              divisions: Optional[int], m_index: int,
+def _shared_q(shared: dict[tuple[int, int], Fraction], divs: int, divisions: int,
               start: Fraction = Fraction(0)) -> Fraction:
     """:func:`_q`, built once per ``(divs, divisions)`` in ``shared``.
 
@@ -586,7 +589,7 @@ def _shared_q(shared: dict[tuple[int, int], Fraction], divs: int,
     """
     value = shared.get((divs, divisions))
     if value is None:
-        value = shared[divs, divisions] = _q(divs, divisions, m_index, start)
+        value = shared[divs, divisions] = _q(divs, divisions, start)
     return value
 
 
@@ -667,7 +670,7 @@ def _fill_voice_gaps(raw: list[tuple[int, int, int, NoteEvent]], start: Fraction
                     f"measure {m_index + 1}: overlapping events in voice {voice}")
             if onset > cur:
                 timed.append((cur, _hidden_rest(
-                    start, cur, onset - cur, unit, voice, group[0][2].staff, m_index)))
+                    start, cur, onset - cur, unit, voice, group[0][2].staff)))
             for root in group:   # the first non-chord event, else the first
                 if not root[2].chord:
                     break
@@ -676,8 +679,7 @@ def _fill_voice_gaps(raw: list[tuple[int, int, int, NoteEvent]], start: Fraction
             cur = onset + root[1]
             staff_hint = group[-1][2].staff
         if cur < end:
-            timed.append((cur, _hidden_rest(
-                start, cur, end - cur, unit, voice, staff_hint, m_index)))
+            timed.append((cur, _hidden_rest(start, cur, end - cur, unit, voice, staff_hint)))
     return measure_order(timed)
 
 
@@ -696,8 +698,8 @@ def measure_order(timed: Sequence[tuple[int, NoteEvent]]) -> list[NoteEvent]:
 
 
 def _hidden_rest(start: Fraction, tick: int, length: int, unit: int, voice: int,
-                 staff: int, m_index: int) -> NoteEvent:
-    return NoteEvent(onset=_q(tick, unit, m_index, start), duration=Fraction(length, unit),
+                 staff: int) -> NoteEvent:
+    return NoteEvent(onset=_q(tick, unit, start), duration=Fraction(length, unit),
                      pitch=None, voice=voice, staff=staff, hidden=True)
 
 
@@ -711,9 +713,6 @@ def validate_two_staff(score: Score) -> Score:
     if score.n_staves != 2:
         raise ValidationError(
             f"corpus requires exactly two staves, found {score.n_staves}")
-    staves = {ev.staff for ev in score.events()}
-    if not staves <= {1, 2}:
-        raise ValidationError(f"events on unsupported staves {sorted(staves)}")
     return score
 
 

@@ -41,10 +41,11 @@ def build_reference_piece() -> Score:
 
 
 def semantic_signature(score: Score):
-    """Multiset of (onset, midi, duration, voice, staff) over pitched notes."""
+    """Multiset of (onset, midi, duration, voice, staff) over pitched events, grace
+    notes included."""
     return sorted(
         (ev.onset, ev.pitch.midi_number, ev.duration, ev.voice, ev.staff)
-        for ev in score.notes(include_grace=True))
+        for ev in score.events() if ev.pitch is not None)
 
 
 @pytest.fixture(scope="session")

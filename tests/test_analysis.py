@@ -5,11 +5,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import semantic_signature
 from gradus.analysis import (
     AnalysisError,
     FEATURE_NAMES,
+    SkylineNote,
     feature_vector,
     perturb_profile,
     pitch_class_profile,
@@ -140,6 +143,29 @@ def check_skyline_against_oracle_mono(orig, mono):
             assert oracle_top_midi(orig, t) == pitch.midi_number
 
 
+def line_profile_by_note_durations(notes):
+    """The reference line profile: each note's pitch class weighted by its
+    duration, rests skipped."""
+    weights = [Fraction(0)] * 12
+    for note in notes:
+        if note.pitch is not None:
+            weights[note.pitch.pitch_class] += note.duration
+    total = sum(weights)
+    if total == 0:
+        raise AnalysisError("line has no sounding pitches")
+    return np.array([float(w / total) for w in weights], dtype=np.float64)
+
+
+def tiled_line(steps):
+    """A line of ``(duration, pitch or None)`` steps, each starting where
+    the previous one ends."""
+    notes, onset = [], Fraction(0)
+    for duration, pitch in steps:
+        notes.append(SkylineNote(onset, duration, pitch))
+        onset += duration
+    return notes
+
+
 class TestProfiles:
     def oracle_profile(self, score):
         """Duration-weighted pitch-class mass, computed with Fractions."""
@@ -164,14 +190,27 @@ class TestProfiles:
     def test_skyline_variant_consistent(self, small_corpus):
         for score in small_corpus:
             notes = skyline(score)
-            got = profile_from_skyline(notes)
-            mass = [Fraction(0)] * 12
-            for sn in notes:
-                if sn.pitch is not None:
-                    mass[sn.pitch.midi_number % 12] += sn.duration
-            total = sum(mass)
-            np.testing.assert_allclose(
-                got, [float(m / total) for m in mass], atol=1e-12)
+            assert np.array_equal(profile_from_skyline(notes),
+                                  line_profile_by_note_durations(notes))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(
+        st.fractions(min_value=Fraction(1, 12), max_value=8, max_denominator=12),
+        st.none() | st.integers(0, 127).map(Pitch.from_midi)), min_size=1, max_size=12))
+    def test_matches_note_durations_on_lines_with_rests(self, steps):
+        notes = tiled_line(steps)
+        if all(note.pitch is None for note in notes):
+            with pytest.raises(AnalysisError, match="^score has no sounding pitches"):
+                profile_from_skyline(notes)
+            return
+        assert np.array_equal(profile_from_skyline(notes),
+                              line_profile_by_note_durations(notes))
+
+    def test_all_rest_line_is_refused(self):
+        line = tiled_line([(Fraction(1), None), (Fraction(3, 2), None)])
+        with pytest.raises(AnalysisError, match="^score has no sounding pitches, "
+                                                "profile is undefined$"):
+            profile_from_skyline(line)
 
 
 class TestPerturbation:

@@ -935,3 +935,39 @@ def test_manifest_inputs_are_the_paths_passed(ws, synthetic_variations, trained,
                  "--pairs", str(tmp_path / "empty.jsonl"), "--variations", variations,
                  "--out", str(failed)]) == 1
     assert not failed.with_name("o.npz.manifest.json").exists()
+
+
+ONE_NOTE_SCORE = """<score-partwise><part-list/><part id="P1"><measure number="1">
+  <attributes><divisions>1</divisions><staves>2</staves>
+    <time><beats>{beats}</beats><beat-type>{beat_type}</beat-type></time></attributes>
+  <note><pitch><step>C</step>{alter}<octave>4</octave></pitch>
+    <duration>{duration}</duration><voice>1</voice><staff>1</staff></note>
+</measure></part></score-partwise>"""
+
+
+@pytest.mark.parametrize("values, kind", [
+    ({"duration": "1e400"}, "OverflowError"),
+    ({"alter": "<alter>1e400</alter>"}, "OverflowError"),
+    ({"beat_type": "0"}, "ValueError"),
+    ({"beats": "-3"}, "ValueError"),
+], ids=["duration-1e400", "alter-1e400", "beat-type-zero", "beats-negative"])
+def test_unreadable_number_in_a_score_is_a_parse_error(tmp_path, capsys, values, kind):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    fields = {"beats": "4", "beat_type": "4", "alter": "", "duration": "4", **values}
+    (corpus / "bad.musicxml").write_text(ONE_NOTE_SCORE.format(**fields))
+    payload = failure(capsys, "features", "--corpus", str(corpus),
+                      "--out", str(tmp_path / "feat.jsonl"))
+    assert payload["error"] == "MusicXmlParseError"
+    assert payload["message"].startswith(f"measure 1: malformed value ({kind}: ")
+
+
+@pytest.mark.parametrize("time", ["time:4/0", "time:4/" + "9" * 5000],
+                         ids=["beat-type-zero", "5000-digit-beat-type"])
+def test_unreadable_time_token_is_a_located_cli_error(tmp_path, capsys, time):
+    tokens = tmp_path / "tokens.jsonl"
+    tokens.write_text(json.dumps({"piece": "p", "tokens": ["measure", time]}) + "\n")
+    payload = failure(capsys, "lmx", "decode", "--tokens", str(tokens),
+                      "--out-dir", str(tmp_path / "out"))
+    assert payload["error"] == "CliError"
+    assert payload["message"].startswith(f"{tokens}:1: token 1: bad time signature ")

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -121,7 +122,7 @@ class TestPosterior:
         X, y = make_training_set(rng, n=200)
         model = fit(X, y)
         Q = rng.normal(size=(50, 12)) * 2.0 + 2.0
-        post = model.posterior(Q, calibrated=False)
+        post = model.posterior(Q)   # fit leaves the temperature at 1
         for i in range(len(Q)):
             want = oracle_posterior(model, Q[i])
             np.testing.assert_allclose(post[i], want, atol=1e-9)
@@ -137,7 +138,7 @@ class TestPosterior:
         rng = np.random.default_rng(8)
         X, y = make_training_set(rng)
         model = fit(X, y)
-        post = model.posterior(X, calibrated=False)
+        post = model.posterior(X)
         np.testing.assert_array_equal(model.predict(X),
                                       post.argmax(axis=1) + 1)
 
@@ -193,7 +194,7 @@ class TestPosterior:
         Q[0] = 1e153
         assert np.all(np.isfinite(model.log_joint(Q)))
         assert np.all(np.isfinite(model.posterior(Q[:1])))
-        assert np.all(np.isfinite(model.posterior(Q, calibrated=False)))
+        assert np.all(np.isfinite(replace(model, temperature=1.0).posterior(Q)))
         with pytest.raises(ModelError, match="feature row 1 ") as info:
             model.posterior(Q)
         assert info.value.row == 1
@@ -204,7 +205,8 @@ class TestPosterior:
            calibrated=st.booleans())
     def test_posterior_of_finite_features_is_finite_or_refused(self, rows, calibrated):
         try:
-            post = CALIBRATED.posterior(np.array(rows), calibrated=calibrated)
+            model = CALIBRATED if calibrated else replace(CALIBRATED, temperature=1.0)
+            post = model.posterior(np.array(rows))
         except ModelError as exc:
             assert exc.row is not None and 0 <= exc.row < len(rows)
             return

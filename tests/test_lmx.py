@@ -189,6 +189,17 @@ class TestDecodeErrors:
             with pytest.raises(DecodeError, match=f"^{message}$"):
                 decode(["measure", pitch, "quarter"])
 
+    @pytest.mark.parametrize("time", ["time:4/0", "time:0/4", "time:4/" + "9" * 5000],
+                             ids=["beat-type-zero", "beats-zero", "5000-digit-beat-type"])
+    def test_unreadable_time_signature_fails_at_its_token(self, time):
+        with pytest.raises(DecodeError, match="^token 1: bad time signature ") as exc:
+            decode(["measure", time])
+        assert exc.value.position == 1
+        good = ["measure", "C4", "whole"]
+        report = decode_recoverable(good + ["measure", time, "C4", "whole"] + good)
+        assert len(report.score.measures) == 2 and len(report.skipped) == 1
+        assert report.skipped[0].startswith("token 4: bad time signature ")
+
     def test_recoverable_skips_bad_measure(self):
         good = ["measure", "time:4/4", "C4", "whole"]
         bad = ["measure", "blorp"]

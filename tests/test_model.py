@@ -221,7 +221,8 @@ class TestGradients:
         ids, mask, harmony = make_batch(rng, model, batch=3, n=10)
         mask[1, 6:] = 1
         targets = ids[:, 1:]
-        logits, caches = model._forward(ids[:, :-1], harmony, [])
+        caches = []
+        logits = model._forward(ids[:, :-1], harmony, caches)
         scored = np.nonzero(mask[:, 1:] == 0)
         n_scored = scored[0].size
         soft = _softmax_last(logits[scored])

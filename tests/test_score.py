@@ -54,6 +54,32 @@ class TestPitch:
             assert p.midi_number == midi
             assert p.pitch_class == midi % 12
 
+    def test_from_midi_matches_the_two_loop_speller(self):
+        # the reference: search the naturals, then the sharp of each step below
+        step_to_pc = {"C": 0, "D": 2, "E": 4, "F": 5, "G": 7, "A": 9, "B": 11}
+
+        def two_loop_speller(midi):
+            octave, pc = divmod(midi, 12)
+            for step, base in step_to_pc.items():
+                if base == pc:
+                    return Pitch(midi, pc, octave - 1, step, 0)
+            for step, base in step_to_pc.items():
+                if (base + 1) % 12 == pc:
+                    return Pitch(midi, pc, octave - 1, step, 1)
+
+        refused = 0
+        for midi in range(-5, 136):
+            try:
+                want = two_loop_speller(midi)
+            except ValueError as exc:
+                refused += 1
+                with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                    Pitch.from_midi(midi)
+            else:
+                got = Pitch.from_midi(midi)
+                assert dataclasses.astuple(got) == dataclasses.astuple(want)
+        assert refused == 5 + 8
+
     def test_inconsistent_fields_rejected(self):
         with pytest.raises(ValueError):
             Pitch(midi_number=60, pitch_class=1, octave=4)
@@ -441,6 +467,30 @@ class TestParsing:
             with pytest.raises(MusicXmlParseError) as exc:
                 parse_musicxml(doc)
             assert str(exc.value) == f"measure 1: malformed value {message}"
+
+    @pytest.mark.parametrize("doc, kind", [
+        (MINIMAL.format(divisions=4, body=_note("C", 4, "1e400")), "OverflowError"),
+        (MINIMAL.format(divisions=4, body=_note("C", 4, 4).replace(
+            "<octave>", "<alter>1e400</alter><octave>")), "OverflowError"),
+        (MINIMAL.format(divisions=4, body=_note("C", 4, 4)).replace(
+            "<beat-type>4</beat-type>", "<beat-type>0</beat-type>"), "ValueError"),
+        (MINIMAL.format(divisions=4, body=_note("C", 4, 4)).replace(
+            "<beats>4</beats>", "<beats>-3</beats>"), "ValueError"),
+    ], ids=["duration-1e400", "alter-1e400", "beat-type-zero", "beats-negative"])
+    def test_unreadable_number_fails_at_its_measure(self, doc, kind):
+        # the bad measure is followed by an empty one, whose length comes
+        # from the time signature
+        doc = doc.replace("</measure>", "</measure><measure number=\"2\"/>")
+        with pytest.raises(MusicXmlParseError, match=f"^measure 1: malformed value \\({kind}: "):
+            parse_musicxml(doc)
+
+    def test_time_signature_rule(self):
+        assert score_module.time_signature(6, 8) == (6, 8)
+        assert score_module.measure_length((6, 8)) == Fraction(3)
+        assert score_module.measure_length(None) == Fraction(4)
+        for beats, beat_type in ((4, 0), (0, 4), (-3, 4)):
+            with pytest.raises(ValueError, match=f"got {beats}/{beat_type}$"):
+                score_module.time_signature(beats, beat_type)
 
 
 class TestMxlContainer:

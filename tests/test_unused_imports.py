@@ -12,7 +12,8 @@ assignment; the package ``__init__`` re-exports by design.  A private
 module-level name (one leading underscore) counts as read when any module
 of the package loads it, imports it or reads it as an attribute.  A stage's
 option counts as read when the stage's function reads ``args.<dest>`` or
-the stage declares it among its ``inputs``.
+the stage declares it among its ``inputs``.  No stage function returns a
+value: ``main`` alone picks the exit code.
 """
 
 import argparse
@@ -210,3 +211,29 @@ def test_checker_sees_unread_and_read_options():
               "    dead = 'args.dead'\n"
               "    return args.read, getattr(args, 'dead'), other.dead\n")
     assert unread_options(parser, source) == ["p group two: dead", "p one: dead"]
+
+
+def valued_stage_returns(source: str) -> list[str]:
+    """Each ``return`` with a value in a module-level ``_cmd_*`` function of ``source``."""
+    return [f"{node.name} line {ret.lineno}" for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_")
+            for ret in ast.walk(node) if isinstance(ret, ast.Return) and ret.value is not None]
+
+
+def test_no_stage_returns_a_value():
+    assert valued_stage_returns((SRC / "cli.py").read_text(encoding="utf-8")) == []
+
+
+def test_checker_sees_valued_and_bare_returns():
+    source = ("def _cmd_old(args):\n"
+              "    print(args)\n"
+              "    return 0\n"
+              "def _cmd_new(args):\n"
+              "    if args.dry:\n"
+              "        return\n"
+              "    print(args)\n"
+              "def _helper(args):\n"
+              "    return 1\n"
+              "def main(argv):\n"
+              "    return 0\n")
+    assert valued_stage_returns(source) == ["_cmd_old line 3"]
