@@ -419,9 +419,7 @@ def _cmd_evaluate(args) -> None:
                            for path in (args.original_posteriors, args.variation_posteriors))
     orig_emb = style.load_embeddings(args.original_embeddings)
     var_emb = style.load_embeddings(args.variation_embeddings)
-    genres = {}
-    if args.corpus:
-        genres = dict(_map_corpus(lambda score: score.genre or "", args.corpus))
+    genres = dict(_map_corpus(lambda score: score.genre or "", args.corpus)) if args.corpus else {}
     records: list[report.OutcomeRecord] = []
     for run in args.runs:
         run_dir = Path(run)
@@ -451,8 +449,7 @@ def _cmd_evaluate(args) -> None:
         raise CliError("no evaluable records in the given runs")
     out_dir = Path(args.out_dir)
     report.save_records(str(out_dir / "records.jsonl"), records)
-    group_by = tuple(args.group_by.split(","))
-    rows = report.aggregate(records, group_by=group_by)
+    rows = report.aggregate(records)
     (out_dir / "report.csv").write_text(report.render_report(rows, "csv"),
                                         encoding="utf-8")
     (out_dir / "report.md").write_text(report.render_report(rows, "markdown"),
@@ -580,8 +577,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variation-posteriors", required=True)
     p.add_argument("--original-embeddings", required=True)
     p.add_argument("--variation-embeddings", required=True)
-    p.add_argument("--corpus", help="original corpus dir, enables genre grouping")
-    p.add_argument("--group-by", default="strategy,gap")
+    p.add_argument("--corpus", help="original corpus dir, records each piece's genre")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_evaluate,
                    inputs=("runs", "original_posteriors", "variation_posteriors",

@@ -89,8 +89,6 @@ class GaussianNB:
             log_pdf = -0.5 * (np.log(2.0 * np.pi * self.var)[None, :, :]
                               + diff * diff / self.var[None, :, :])
             joint = self.log_prior[None, :] + log_pdf.sum(axis=2)
-        # 0 * -inf from absent classes would give nan; force them back to -inf
-        joint = np.where(np.isneginf(self.log_prior)[None, :], -np.inf, joint)
         return _scorable(joint)
 
     def posterior(self, features: np.ndarray) -> np.ndarray:
@@ -121,15 +119,14 @@ def _scorable(joint: np.ndarray) -> np.ndarray:
     return joint
 
 
-def fit(features: np.ndarray, levels: Sequence[int],
-        var_floor: Optional[float] = None) -> GaussianNB:
+def fit(features: np.ndarray, levels: Sequence[int]) -> GaussianNB:
     """Fit priors, means and population variances per difficulty level.
 
     Each level present in ``levels`` needs at least two examples so its
-    variance is estimable.  ``var_floor`` overrides the default floor of
-    ``1e-6`` times the mean pooled feature variance.  A mean or variance
-    that is not finite (a non-finite feature, or one whose square
-    overflows) raises :class:`ModelError` naming the feature column.
+    variance is estimable, and is floored at :data:`VARIANCE_FLOOR_RATIO`
+    times the mean pooled variance.  A pooled variance that is not finite
+    (a non-finite feature, or one whose square overflows) raises
+    :class:`ModelError`; past that check no level's statistics can overflow.
     """
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(levels, dtype=np.int64)
@@ -143,11 +140,14 @@ def fit(features: np.ndarray, levels: Sequence[int],
     if bad:
         raise ModelError(f"levels outside 1..9: {sorted(bad)}")
 
-    if var_floor is None:
-        pooled = _finite_stat(np.var, x, "pooled variance")
-        var_floor = VARIANCE_FLOOR_RATIO * float(pooled.mean())
-        if var_floor <= 0:
-            var_floor = 1e-12
+    with np.errstate(over="ignore", invalid="ignore"):
+        pooled = x.var(axis=0)
+        var_floor = VARIANCE_FLOOR_RATIO * float(pooled.mean()) or 1e-12
+    bad_column = np.flatnonzero(~np.isfinite(pooled))
+    if bad_column.size:
+        raise ModelError(f"feature column {int(bad_column[0])}: pooled variance is not finite")
+    if not np.isfinite(var_floor):
+        raise ModelError("mean pooled variance is not finite")
 
     log_prior = np.full(len(LEVELS), -np.inf)
     mean = np.zeros((len(LEVELS), _N_FEATURES))
@@ -161,23 +161,9 @@ def fit(features: np.ndarray, levels: Sequence[int],
             raise ModelError(
                 f"level {level} has {rows.shape[0]} example(s); need at least 2")
         log_prior[k] = np.log(rows.shape[0] / n)
-        mean[k] = _finite_stat(np.mean, rows, f"mean of level {level}")
-        var[k] = np.maximum(_finite_stat(np.var, rows, f"variance of level {level}"), var_floor)
+        mean[k] = rows.mean(axis=0)
+        var[k] = np.maximum(rows.var(axis=0), var_floor)
     return GaussianNB(log_prior=log_prior, mean=mean, var=var)
-
-
-def _finite_stat(reduce, rows: np.ndarray, what: str) -> np.ndarray:
-    """``reduce`` over the rows, one value per feature column, if each is finite.
-
-    An overflow comes out as ``inf`` and raises :class:`ModelError`, not a
-    warning.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = reduce(rows, axis=0)
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        raise ModelError(f"feature column {int(bad[0])}: {what} is not finite")
-    return values
 
 
 # ---------------------------------------------------------------------------
@@ -188,13 +174,12 @@ TEMPERATURE_RANGE = (0.05, 20.0)
 TEMPERATURE_TOL = 1e-4
 
 
-def _held_out_nll(model: GaussianNB, features: np.ndarray, levels: np.ndarray,
-                  temperature: float) -> float:
-    joint = model.log_joint(features) / temperature
+def _held_out_nll(joint: np.ndarray, levels: np.ndarray, temperature: float) -> float:
+    """Mean negative log posterior of the true levels, given their log-joint."""
+    joint = joint / temperature
     joint = joint - joint.max(axis=1, keepdims=True)
     log_z = np.log(np.exp(joint).sum(axis=1))
-    idx = levels - 1
-    picked = joint[np.arange(len(levels)), idx]
+    picked = joint[np.arange(len(levels)), levels - 1]
     return float(-(picked - log_z).mean())
 
 
@@ -220,23 +205,23 @@ def fit_temperature(model: GaussianNB, features: np.ndarray,
             f"held-out rows {np.nonzero(impossible)[0].tolist()[:5]} have levels "
             "the model assigns zero prior")
 
+    joint = model.log_joint(x)
     a, b = TEMPERATURE_RANGE
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
-    fc = _held_out_nll(model, x, y, c)
-    fd = _held_out_nll(model, x, y, d)
+    fc = _held_out_nll(joint, y, c)
+    fd = _held_out_nll(joint, y, d)
     while b - a > TEMPERATURE_TOL:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
-            fc = _held_out_nll(model, x, y, c)
+            fc = _held_out_nll(joint, y, c)
         else:
             a, c, fc = c, d, fd
             d = a + _GOLDEN * (b - a)
-            fd = _held_out_nll(model, x, y, d)
-    best = (a + b) / 2.0
+            fd = _held_out_nll(joint, y, d)
     return GaussianNB(log_prior=model.log_prior, mean=model.mean, var=model.var,
-                      temperature=float(best))
+                      temperature=float((a + b) / 2.0))
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 Each generated variation yields one :class:`OutcomeRecord`: did the
 difficulty model judge it easier, similar or harder than the original
 piece, and how far is it from the original in embedding space.  Records
-aggregate into report rows per group (mining strategy and gap by default,
-optionally genre or original level), rendered as CSV or Markdown.
+aggregate into one report row per mining strategy and gap, rendered as CSV
+or Markdown.
 """
 
 from __future__ import annotations
@@ -68,8 +68,8 @@ class OutcomeRecord:
 
 @dataclass(frozen=True)
 class ReportRow:
-    group_fields: tuple[str, ...]
-    group: tuple
+    strategy: str
+    gap: int
     easier_pct: float
     similar_pct: float
     harder_pct: float
@@ -77,9 +77,8 @@ class ReportRow:
     count: int
 
 
-def aggregate(records: Sequence[OutcomeRecord],
-              group_by: Sequence[str] = ("strategy", "gap")) -> list[ReportRow]:
-    """One row per observed group, sorted by group key.
+def aggregate(records: Sequence[OutcomeRecord]) -> list[ReportRow]:
+    """One row per observed (strategy, gap), sorted on their text.
 
     Outcome percentages are allocated in tenths of a percent by largest
     remainder, so each row's three percentages sum to exactly 100.0 even
@@ -87,22 +86,16 @@ def aggregate(records: Sequence[OutcomeRecord],
     """
     if not records:
         raise ReportError("cannot aggregate zero records")
-    fields = tuple(group_by)
-    valid = set(OutcomeRecord.__dataclass_fields__)
-    unknown = [f for f in fields if f not in valid]
-    if unknown:
-        raise ReportError(f"unknown group fields {unknown}")
-    groups: dict[tuple, list[OutcomeRecord]] = {}
+    groups: dict[tuple[str, int], list[OutcomeRecord]] = {}
     for rec in records:
-        key = tuple(getattr(rec, f) for f in fields)
-        groups.setdefault(key, []).append(rec)
+        groups.setdefault((rec.strategy, rec.gap), []).append(rec)
     rows = []
-    for key in sorted(groups, key=lambda k: tuple(str(v) for v in k)):
-        recs = groups[key]
+    for strategy, gap in sorted(groups, key=lambda k: (k[0], str(k[1]))):
+        recs = groups[(strategy, gap)]
         counts = {o: sum(1 for r in recs if r.outcome == o) for o in OUTCOMES}
         pcts = _largest_remainder([counts[o] / len(recs) * 100.0 for o in OUTCOMES])
         rows.append(ReportRow(
-            group_fields=fields, group=key,
+            strategy=strategy, gap=gap,
             easier_pct=pcts[0], similar_pct=pcts[1], harder_pct=pcts[2],
             mean_distance=float(np.mean([r.distance for r in recs])),
             count=len(recs)))
@@ -123,23 +116,16 @@ def _largest_remainder(percentages: Sequence[float]) -> list[float]:
 
 
 def render_report(rows: Sequence[ReportRow], format: str = "csv") -> str:
-    """CSV or Markdown with columns: group fields, then ↓, ∼, ↑, distance."""
+    """CSV or Markdown with columns strategy, gap, ↓, ∼, ↑, distance."""
     if format not in ("csv", "markdown"):
         raise ReportError(f"unknown format {format!r}")
-    fields = rows[0].group_fields if rows else ("strategy", "gap")
-    header = list(fields) + ["↓", "∼", "↑", "distance"]
-    body = []
-    for row in rows:
-        if row.group_fields != tuple(fields):
-            raise ReportError("rows mix different groupings")
-        body.append([str(v) for v in row.group]
-                    + [f"{row.easier_pct:.1f}", f"{row.similar_pct:.1f}",
-                       f"{row.harder_pct:.1f}", f"{row.mean_distance:.3f}"])
+    header = ["strategy", "gap", "↓", "∼", "↑", "distance"]
+    body = [[row.strategy, str(row.gap), f"{row.easier_pct:.1f}", f"{row.similar_pct:.1f}",
+             f"{row.harder_pct:.1f}", f"{row.mean_distance:.3f}"] for row in rows]
     if format == "csv":
         lines = [",".join(header)] + [",".join(cells) for cells in body]
         return "\n".join(lines) + "\n"
-    widths = [max(len(header[c]), *(len(cells[c]) for cells in body)) if body
-              else len(header[c]) for c in range(len(header))]
+    widths = [max(len(cell) for cell in column) for column in zip(header, *body)]
     def fmt(cells):
         return "| " + " | ".join(c.ljust(w) for c, w in zip(cells, widths)) + " |"
     lines = [fmt(header),

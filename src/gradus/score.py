@@ -319,10 +319,12 @@ class Score:
 
 def read_musicxml(path: str) -> Score:
     """Read ``.musicxml``/``.xml`` or a compressed ``.mxl`` container."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:2] == b"PK" or str(path).endswith(".mxl"):
-        data = _unzip_mxl(data)
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise MusicXmlParseError(
+            f"{path}: cannot read ({type(exc).__name__}: {exc.strerror})") from exc
     return parse_musicxml(data)
 
 
@@ -493,7 +495,7 @@ def _parse_musicxml(document: bytes | str) -> Score:
                         alter = p_el.findtext("alter")
                         octave = p_el.findtext("octave")
                         pitch = Pitch.from_parts((step and step.strip()) or "C",
-                                                 int(float((alter and alter.strip()) or 0)),
+                                                 _whole((alter and alter.strip()) or "0", "alter"),
                                                  int((octave and octave.strip()) or 4))
 
                     dur_divs = 0 if is_grace else _required_duration(dur_el, tag, m_index)
@@ -564,7 +566,7 @@ def _parse_musicxml(document: bytes | str) -> Score:
                 clefs=(m_clefs[0], m_clefs[1])))
             cursor += m_duration
         except (ValueError, TypeError, KeyError, ArithmeticError) as exc:
-            # int() of bad text or of an infinite float(), a missing <beats>,
+            # bad number text, a fractional duration or alter, a missing <beats>,
             # divisions 0, an unknown step, or a value that Pitch, NoteEvent
             # or time_signature reject
             raise MusicXmlParseError(f"measure {m_index + 1}: malformed value "
@@ -597,10 +599,19 @@ def _required_duration(duration: Optional[ET.Element], tag: str, m_index: int) -
     text = _text(duration)
     if text is None:
         raise MusicXmlParseError(f"measure {m_index + 1}: <{tag}> without duration")
-    value = int(float(text))
+    value = _whole(text, "duration")
     if value < 0:
         raise MusicXmlParseError(f"measure {m_index + 1}: negative duration")
     return value
+
+
+def _whole(text: str, what: str) -> int:
+    """``text`` as an int if it names a whole number (``2``, ``2.0``), else ``ValueError``."""
+    value = float(text)
+    whole = int(value)
+    if whole != value:
+        raise ValueError(f"unsupported {what} {text}")
+    return whole
 
 
 def _grace_length(note: ET.Element) -> Fraction:

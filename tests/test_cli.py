@@ -604,6 +604,13 @@ class TestErrorContract:
         payload = json.loads(capsys.readouterr().err.strip())
         assert payload["error"] == "UnsupportedStructureError" and payload["message"]
 
+    def test_unreadable_corpus_entry_is_named(self, tmp_path, capsys):
+        (tmp_path / "a.musicxml").mkdir()
+        payload = failure(capsys, "features", "--corpus", str(tmp_path),
+                          "--out", str(tmp_path / "f.jsonl"))
+        assert payload["error"] == "MusicXmlParseError"
+        assert payload["message"].startswith(f"{tmp_path / 'a.musicxml'}: cannot read (")
+
     @pytest.mark.parametrize("error, argv", [
         ("VocabularyError", ("train", "--seqs", "SEQS", "--vocab", "MISSING", "--out-dir", "OUT")),
         ("MiningError", ("build-seqs", "--mode", "adaptation", "--vocab", "VOCAB",
@@ -634,19 +641,22 @@ class TestErrorContract:
         ("fit-gnb", "--features", "f", "--out-dir", "o", "--holdout-fraction", "0.5"),
         ("sample", "--checkpoint", "c", "--vocab", "v", "--skylines", "s", "--profiles", "p",
          "--out-dir", "o", "--top-k", "3"),
-    ], ids=["parse", "no-level-tokens", "max-len", "holdout-fraction", "top-k"])
+        ("evaluate", "--runs", "r", "--original-posteriors", "p", "--variation-posteriors", "p",
+         "--original-embeddings", "e", "--variation-embeddings", "e", "--out-dir", "o",
+         "--group-by", "genre"),
+    ], ids=["parse", "no-level-tokens", "max-len", "holdout-fraction", "top-k", "group-by"])
     def test_removed_options_are_refused(self, argv):
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         assert exc.value.code == 2
 
     def test_removed_options_are_gone_from_help(self, capsys):
-        for argv in ([], ["build-seqs"], ["fit-gnb"], ["sample"]):
+        for argv in ([], ["build-seqs"], ["fit-gnb"], ["sample"], ["evaluate"]):
             with pytest.raises(SystemExit):
                 main([*argv, "--help"])
         helps = capsys.readouterr().out
         for removed in ("parse", "--no-level-tokens", "--max-len", "--holdout-fraction",
-                        "--top-k"):
+                        "--top-k", "--group-by"):
             assert removed not in helps
 
     def test_version_flag(self, capsys):

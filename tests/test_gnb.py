@@ -171,21 +171,40 @@ class TestPosterior:
                 method(Q)
             assert info.value.row == 2
 
-    @pytest.mark.parametrize("var_floor", [None, 1e-3])
-    def test_fit_refuses_features_whose_square_overflows(self, var_floor):
+    def test_fit_refuses_features_whose_square_overflows(self):
         rng = np.random.default_rng(10)
         X, y = make_training_set(rng)
         X[int(np.flatnonzero(y == 4)[0]), 5] = 1e155
-        what = "pooled variance" if var_floor is None else "variance of level 4"
-        with pytest.raises(ModelError, match=f"^feature column 5: {what} is not finite$"):
-            fit(X, y, var_floor=var_floor)
+        with pytest.raises(ModelError, match="^feature column 5: pooled variance is not finite$"):
+            fit(X, y)
 
-    def test_fit_refuses_a_mean_that_overflows(self):
-        rng = np.random.default_rng(10)
-        X, y = make_training_set(rng)
-        X[np.flatnonzero(y == 2)[:2], 0] = 1.5e308
-        with pytest.raises(ModelError, match="^feature column 0: mean of level 2 is not finite$"):
-            fit(X, y, var_floor=1e-3)
+    def test_fit_refuses_a_mean_pooled_variance_that_overflows(self):
+        # each column's variance (4.2e307) is finite, their sum is not
+        X = np.tile([[6.5e153], [-6.5e153], [6.5e153], [-6.5e153]], (1, 12))
+        with pytest.raises(ModelError, match="^mean pooled variance is not finite$"):
+            fit(X, [1, 1, 2, 2])
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n_levels=st.integers(2, 4),
+           top=st.one_of(st.floats(min_value=1e150, max_value=1.4e154),
+                         st.floats(min_value=1e150, max_value=1.7e308)))
+    def test_fit_of_huge_features_is_finite_or_refused(self, data, n_levels, top):
+        # magnitudes up to ``top``; below about sqrt(float max) the pooled
+        # variance can stay finite, which is where a level statistic could overflow
+        magnitudes = st.floats(min_value=1e150, max_value=top)
+        value = st.builds(lambda m, sign: sign * m, magnitudes, st.sampled_from((-1.0, 1.0)))
+        per_level = data.draw(st.lists(st.integers(2, 4), min_size=n_levels,
+                                       max_size=n_levels))
+        y = np.repeat(np.arange(1, n_levels + 1), per_level)
+        X = np.array(data.draw(st.lists(st.lists(value, min_size=12, max_size=12),
+                                        min_size=len(y), max_size=len(y))))
+        try:
+            model = fit(X, y)
+        except ModelError as exc:
+            assert "pooled variance is not finite" in str(exc)
+            return
+        assert np.all(np.isfinite(model.mean)) and np.all(np.isfinite(model.var))
+        assert np.all(model.var > 0)
 
     def test_temperature_that_scales_past_the_float_range_raises(self):
         model = GaussianNB(log_prior=np.zeros(9), mean=np.zeros((9, 12)),
@@ -272,6 +291,12 @@ class TestTemperature:
         grid = np.linspace(0.05, 20.0, 4000)
         best = grid[np.argmin([nll(tt) for tt in grid])]
         assert nll(t) <= nll(best) + 1e-6
+
+    def test_fitted_temperature_is_pinned(self):
+        X, y = make_training_set(np.random.default_rng(14))
+        calibrated = fit_temperature(fit(X[:80], y[:80]), X[80:], y[80:])
+        # an interior optimum, pinned to the bit: model.json stores this float
+        assert calibrated.temperature == float.fromhex("0x1.74a5a83bd8d4cp+3")
 
     def test_held_out_level_absent_from_model_rejected(self):
         rng = np.random.default_rng(15)

@@ -77,7 +77,7 @@ class TestAggregate:
     def test_counts_and_percentages(self):
         rows = aggregate(self.hand_rows())
         assert len(rows) == 2
-        by_group = {r.group: r for r in rows}
+        by_group = {(r.strategy, r.gap): r for r in rows}
         f = by_group[("filtered", 1)]
         assert f.count == 4
         assert f.easier_pct == 75.0
@@ -111,21 +111,11 @@ class TestAggregate:
 
     def test_group_order_deterministic(self):
         records = [rec(5, 3, "random", 2), rec(5, 3, "filtered", 1),
-                   rec(5, 3, "random", 1), rec(5, 3, "filtered", 2)]
+                   rec(5, 3, "random", 10), rec(5, 3, "random", 1), rec(5, 3, "filtered", 2)]
         rows = aggregate(records)
-        assert [r.group for r in rows] == [
-            ("filtered", 1), ("filtered", 2), ("random", 1), ("random", 2)]
-
-    def test_custom_grouping(self):
-        records = [rec(5, 3, genre="etude"), rec(5, 3, genre="waltz"),
-                   rec(5, 5, genre="etude")]
-        rows = aggregate(records, group_by=("genre",))
-        assert [r.group for r in rows] == [("etude",), ("waltz",)]
-        assert rows[0].count == 2
-
-    def test_unknown_field_rejected(self):
-        with pytest.raises(ReportError):
-            aggregate([rec(5, 3)], group_by=("nonexistent",))
+        # sorted on the text of each field, so gap 10 comes before gap 2
+        assert [(r.strategy, r.gap) for r in rows] == [
+            ("filtered", 1), ("filtered", 2), ("random", 1), ("random", 10), ("random", 2)]
 
     def test_empty_rejected(self):
         with pytest.raises(ReportError):
@@ -160,6 +150,12 @@ class TestRender:
         assert len(lines) == 4
         assert "filtered" in lines[2]
         assert "random" in lines[3]
+
+    def test_no_rows_give_the_fixed_header(self):
+        assert render_report([], format="csv") == "strategy,gap,↓,∼,↑,distance\n"
+        lines = render_report([], format="markdown").split("\n")
+        assert lines[0] == "| strategy | gap | ↓ | ∼ | ↑ | distance |"
+        assert len(lines) == 3 and lines[2] == ""
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ReportError):

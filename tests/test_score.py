@@ -484,6 +484,28 @@ class TestParsing:
         with pytest.raises(MusicXmlParseError, match=f"^measure 1: malformed value \\({kind}: "):
             parse_musicxml(doc)
 
+    def test_fractional_duration_fails_at_its_measure(self):
+        for text in ("2", "2.0"):
+            (ev,) = [e for e in parse_musicxml(MINIMAL.format(
+                divisions=2, body=_note("C", 4, text))).events() if not e.hidden]
+            assert ev.duration == Fraction(1)
+        doc = MINIMAL.format(divisions=2, body=_note("C", 4, "2.7"))
+        with pytest.raises(MusicXmlParseError, match=r"^measure 1: malformed value "
+                           r"\(ValueError: unsupported duration 2.7\)$"):
+            parse_musicxml(doc)
+
+    def test_fractional_alter_fails_at_its_measure(self):
+        def doc(alter):
+            return MINIMAL.format(divisions=2, body=_note("C", 4, 2).replace(
+                "<octave>", f"<alter>{alter}</alter><octave>"))
+        for text, name in (("1", "C#4"), ("-1.0", "Cb4")):
+            (ev,) = [e for e in parse_musicxml(doc(text)).events() if not e.hidden]
+            assert ev.pitch.name == name
+        for text in ("0.5", "-0.5"):
+            with pytest.raises(MusicXmlParseError, match=r"^measure 1: malformed value "
+                               rf"\(ValueError: unsupported alter {text}\)$"):
+                parse_musicxml(doc(text))
+
     def test_time_signature_rule(self):
         assert score_module.time_signature(6, 8) == (6, 8)
         assert score_module.measure_length((6, 8)) == Fraction(3)
@@ -554,6 +576,21 @@ class TestMxlContainer:
                         '</rootfiles></container>')
         with pytest.raises(MusicXmlParseError, match="gone.xml"):
             read_musicxml(str(mxl))
+
+
+def test_unreadable_path_raises_parse_error_naming_it(tmp_path):
+    folder = tmp_path / "a.musicxml"
+    folder.mkdir()
+    with pytest.raises(MusicXmlParseError, match=f"^{folder}: cannot read "
+                       r"\((IsADirectoryError|PermissionError): "):
+        read_musicxml(str(folder))
+    with pytest.raises(MusicXmlParseError, match="cannot read .FileNotFoundError: "):
+        read_musicxml(str(tmp_path / "missing.musicxml"))
+    # an .mxl that is no zip is read as XML, and refused as such
+    fake = tmp_path / "fake.mxl"
+    fake.write_bytes(b"not a zip")
+    with pytest.raises(MusicXmlParseError, match="^XML syntax error"):
+        read_musicxml(str(fake))
 
 
 class TestValidation:

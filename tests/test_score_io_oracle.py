@@ -15,7 +15,7 @@ import copy
 import io
 import xml.etree.ElementTree as ET
 from fractions import Fraction
-from math import lcm
+from math import isfinite, lcm
 from typing import Optional, Sequence
 
 import pytest
@@ -531,7 +531,7 @@ def reference_parse(document: bytes | str) -> Score:
                         if pitch is None:
                             step, alter, octave = (t.strip() if t else None for t in spelling)
                             pitch = pitches[spelling] = Pitch.from_parts(
-                                step or "C", int(float(alter or 0)), int(octave or 4))
+                                step or "C", ref_whole(alter or "0", "alter"), int(octave or 4))
 
                     if is_grace:
                         raw.append((pos, 0, divisions, NoteEvent(
@@ -639,10 +639,19 @@ def ref_required_duration(duration: Optional[ET.Element], tag: str, m_index: int
     text = ref_text(duration)
     if text is None:
         raise MusicXmlParseError(f"measure {m_index + 1}: <{tag}> without duration")
-    value = int(float(text))
+    value = ref_whole(text, "duration")
     if value < 0:
         raise MusicXmlParseError(f"measure {m_index + 1}: negative duration")
     return value
+
+
+def ref_whole(text: str, what: str) -> int:
+    """A whole number's text as an int; a fraction is refused, and an
+    infinity or NaN fails in ``int``."""
+    value = float(text)
+    if isfinite(value) and not value.is_integer():
+        raise ValueError(f"unsupported {what} {text}")
+    return int(value)
 
 
 def ref_grace_length(note: ET.Element, children: dict[str, ET.Element]) -> Fraction:
