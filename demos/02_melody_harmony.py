@@ -4,6 +4,7 @@ import numpy as np
 
 from gradus.analysis import perturb_profile, pitch_class_profile, skyline
 from gradus.fixtures import generate_piece
+from gradus.score import quarter_text
 
 NAMES = ["C", "C#", "D", "D#", "E", "F", "F#", "G", "G#", "A", "A#", "B"]
 
@@ -11,10 +12,10 @@ score = generate_piece(index=2, complexity=0.6, seed=21)
 print(f"piece: {score.source_id!r}, {len(score.measures)} measures")
 
 notes = skyline(score)
-print(f"\nskyline: {len(notes)} segments, highest sounding pitch per segment")
+print(f"\nskyline: {len(notes)} segments, highest sounding pitch per segment, in quarters")
 for sn in notes[:8]:
     what = "rest" if sn.pitch is None else f"midi {sn.pitch.midi_number}"
-    print(f"  [{sn.onset} .. {sn.onset + sn.duration}) {what}")
+    print(f"  [{quarter_text(sn.onset)} .. {quarter_text(sn.end)}) {what}")
 print("  ...")
 
 profile = pitch_class_profile(score)

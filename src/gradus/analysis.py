@@ -1,7 +1,7 @@
 """Melodic skyline, pitch-class profiles and difficulty features.
 
-All three views are computed from the exact rational timeline, never from
-re-quantized times.  The skyline takes the highest sounding pitch of each
+All three views are computed from the exact integer-tick timeline, never
+from re-quantized times.  The skyline takes the highest sounding pitch of each
 timeline segment, the profile weights each pitch class by total sounding
 duration, and the feature vector summarizes per-hand texture statistics
 for the difficulty model.
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -21,8 +20,10 @@ from .score import (
     Measure,
     NoteEvent,
     Pitch,
+    TICKS_PER_QUARTER,
     Score,
     TimelineSegment,
+    quarter_text,
     timeline,
     type_for_duration,
 )
@@ -49,14 +50,14 @@ class AnalysisError(Exception):
 
 @dataclass(frozen=True)
 class SkylineNote:
-    """One monophonic melody step: the top sounding pitch, or a rest."""
+    """One monophonic melody step: the top sounding pitch, or a rest; in ticks."""
 
-    onset: Fraction
-    duration: Fraction
+    onset: int
+    duration: int
     pitch: Optional[Pitch]
 
     @property
-    def end(self) -> Fraction:
+    def end(self) -> int:
         return self.onset + self.duration
 
 
@@ -132,8 +133,8 @@ def _skyline_score_of(score: Score, notes: Sequence[SkylineNote]) -> Score:
                  source_id=score.source_id, n_staves=2)
 
 
-def _notatable_pieces(onset: Fraction, duration: Fraction) -> list[tuple[Fraction, Fraction]]:
-    pieces: list[tuple[Fraction, Fraction]] = []
+def _notatable_pieces(onset: int, duration: int) -> list[tuple[int, int]]:
+    pieces: list[tuple[int, int]] = []
     remaining = duration
     cursor = onset
     while remaining > 0:
@@ -142,14 +143,14 @@ def _notatable_pieces(onset: Fraction, duration: Fraction) -> list[tuple[Fractio
             break
         step = _largest_plain_fit(remaining)
         if step is None:
-            raise AnalysisError(f"cannot notate duration {remaining}")
+            raise AnalysisError(f"cannot notate duration {quarter_text(remaining)}")
         pieces.append((cursor, step))
         cursor += step
         remaining -= step
     return pieces
 
 
-def _largest_plain_fit(duration: Fraction) -> Optional[Fraction]:
+def _largest_plain_fit(duration: int) -> Optional[int]:
     for q in DURATION_TYPES.values():
         if q <= duration:
             return q
@@ -171,7 +172,7 @@ def pitch_class_profile(score: Score) -> np.ndarray:
 
 def _profile_of(segs: Sequence[TimelineSegment]) -> np.ndarray:
     """:func:`pitch_class_profile` of an already computed timeline."""
-    weights = [Fraction(0)] * 12
+    weights = [0] * 12
     for seg in segs:
         length = seg.end - seg.start
         for pitch in seg.pitches:
@@ -179,7 +180,7 @@ def _profile_of(segs: Sequence[TimelineSegment]) -> np.ndarray:
     total = sum(weights)
     if total == 0:
         raise AnalysisError("score has no sounding pitches, profile is undefined")
-    return np.array([float(w / total) for w in weights], dtype=np.float64)
+    return np.array([w / total for w in weights], dtype=np.float64)
 
 
 def profile_from_skyline(notes: Sequence[SkylineNote]) -> np.ndarray:
@@ -247,11 +248,11 @@ def feature_vector(score: Score) -> np.ndarray:
     (a hand-span proxy).  Hands with no notes or fewer than two onsets
     contribute zeros to the statistics that need them.
     """
-    total = float(score.total_duration)
+    total = score.total_duration / TICKS_PER_QUARTER
     if total <= 0:
         raise AnalysisError("score has no duration")
     values: list[float] = []
-    per_staff_onsets: dict[int, dict[Fraction, list[int]]] = {1: {}, 2: {}}
+    per_staff_onsets: dict[int, dict[int, list[int]]] = {1: {}, 2: {}}
     for ev in score.notes():
         per_staff_onsets[ev.staff].setdefault(ev.onset, []).append(ev.pitch.midi_number)
 
@@ -279,7 +280,7 @@ def feature_vector(score: Score) -> np.ndarray:
     max_sim = max((len(seg.pitches) for seg in segs), default=0)
     all_onsets = sorted(set(per_staff_onsets[1]) | set(per_staff_onsets[2]))
     if len(all_onsets) >= 2:
-        mean_ioi = float(np.mean(np.diff([float(t) for t in all_onsets])))
+        mean_ioi = float(np.mean(np.diff([t / TICKS_PER_QUARTER for t in all_onsets])))
     else:
         mean_ioi = 0.0
     span = 0.0

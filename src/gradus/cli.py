@@ -30,7 +30,7 @@ import numpy as np
 
 from . import (__version__, analysis, fixtures, gnb, interchange, lmx, mining, model, report,
                seqbuild, style)
-from .score import Score, read_musicxml, validate_two_staff, write_musicxml
+from .score import Score, quarter_text, read_musicxml, validate_two_staff, write_musicxml
 
 __all__ = ["main"]
 
@@ -175,7 +175,7 @@ def _cmd_lmx_decode(args) -> None:
 def _skyline_row(score: Score) -> dict:
     line = analysis.skyline(score)
     return {
-        "notes": [[str(n.onset), str(n.duration),
+        "notes": [[quarter_text(n.onset), quarter_text(n.duration),
                    None if n.pitch is None else n.pitch.midi_number]
                   for n in line],
         "tokens": lmx.encode(analysis._skyline_score_of(score, line)),

@@ -10,13 +10,13 @@ corpus survives the token codec round trip.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .score import Measure, NoteEvent, Pitch, Score, measure_length, write_musicxml
+from .score import (TICKS_PER_QUARTER, Measure, NoteEvent, Pitch, Score, measure_length,
+                    write_musicxml)
 
 __all__ = [
     "GENRES",
@@ -31,12 +31,15 @@ _TIME_SIGS = ((4, 4), (3, 4), (2, 4), (6, 8))
 _MELODY_CENTER = 72      # C5
 _BASS_CENTER = 48        # C3
 
-# rhythm palettes by growing complexity; all values are codec-notatable
+_QUARTER = TICKS_PER_QUARTER
+_EIGHTH = _QUARTER // 2
+_SIXTEENTH = _QUARTER // 4
+# rhythm palettes in ticks by growing complexity; all values are codec-notatable
 _PALETTES = (
-    (Fraction(2), Fraction(1)),
-    (Fraction(2), Fraction(1), Fraction(1, 2)),
-    (Fraction(1), Fraction(1, 2), Fraction(3, 2)),
-    (Fraction(1), Fraction(1, 2), Fraction(1, 4), Fraction(3, 4)),
+    (2 * _QUARTER, _QUARTER),
+    (2 * _QUARTER, _QUARTER, _EIGHTH),
+    (_QUARTER, _EIGHTH, 3 * _EIGHTH),
+    (_QUARTER, _EIGHTH, _SIXTEENTH, 3 * _SIXTEENTH),
 )
 
 
@@ -72,7 +75,7 @@ def generate_piece(index: int, complexity: float, seed: int) -> Score:
     melody_midi = _MELODY_CENTER + int(rng.integers(-3, 4))
     root_degrees = (0, 5, 7, 5)           # tonic, subdominant, dominant cycle
     measures: list[Measure] = []
-    start = Fraction(0)
+    start = 0
     pending_tie: Optional[int] = None     # midi carried across the barline
     for m in range(n_measures):
         events: list[NoteEvent] = []
@@ -96,12 +99,12 @@ def generate_piece(index: int, complexity: float, seed: int) -> Score:
 
 
 def _fill_melody(events: list[NoteEvent], rng: np.random.Generator,
-                 start: Fraction, measure_len: Fraction, midi: int, span: int,
-                 palette: Sequence[Fraction], c: float,
+                 start: int, measure_len: int, midi: int, span: int,
+                 palette: Sequence[int], c: float,
                  pending_tie: Optional[int], last_measure: bool,
                  ) -> tuple[int, Optional[int]]:
     """Fill staff 1 voice 1 exactly; returns (last midi, tie into next measure)."""
-    pos = Fraction(0)
+    pos = 0
     first = True
     tie_out: Optional[int] = None
     while pos < measure_len:
@@ -117,9 +120,9 @@ def _fill_melody(events: list[NoteEvent], rng: np.random.Generator,
             first = False
             continue
         first = False
-        if c > 0.55 and remaining >= 1 and rng.random() < 0.15 * c:
+        if c > 0.55 and remaining >= _QUARTER and rng.random() < 0.15 * c:
             midi = _triplet_group(events, rng, start + pos, midi, span)
-            pos += 1
+            pos += _QUARTER
             continue
         dur = _pick_duration(rng, palette, remaining)
         if rng.random() < 0.07:
@@ -131,7 +134,7 @@ def _fill_melody(events: list[NoteEvent], rng: np.random.Generator,
         if c > 0.5 and rng.random() < 0.05 * c:
             grace_midi = _clamp_midi(midi + int(rng.choice((-2, -1, 1, 2))))
             events.append(NoteEvent(
-                onset=start + pos, duration=Fraction(1, 2),
+                onset=start + pos, duration=_EIGHTH,
                 pitch=Pitch.from_midi(grace_midi), voice=1, staff=1, grace=True))
         is_last = pos + dur >= measure_len
         tie_start = False
@@ -151,17 +154,17 @@ def _fill_melody(events: list[NoteEvent], rng: np.random.Generator,
     return midi, tie_out
 
 
-def _pick_duration(rng: np.random.Generator, palette: Sequence[Fraction],
-                   remaining: Fraction) -> Fraction:
+def _pick_duration(rng: np.random.Generator, palette: Sequence[int],
+                   remaining: int) -> int:
     fits = [d for d in palette if d <= remaining]
     if not fits:
-        return remaining if remaining <= Fraction(1, 4) else Fraction(1, 4)
+        return min(remaining, _SIXTEENTH)
     return fits[int(rng.integers(len(fits)))]
 
 
 def _triplet_group(events: list[NoteEvent], rng: np.random.Generator,
-                   onset: Fraction, midi: int, span: int) -> int:
-    third = Fraction(1, 3)
+                   onset: int, midi: int, span: int) -> int:
+    third = _QUARTER // 3
     for k in range(3):
         midi = _melody_step(rng, midi, span, 1.0)
         events.append(NoteEvent(onset=onset + k * third, duration=third,
@@ -188,7 +191,7 @@ def _clamp_midi(midi: int) -> int:
 
 
 def _fill_accompaniment(events: list[NoteEvent], rng: np.random.Generator,
-                        start: Fraction, measure_len: Fraction,
+                        start: int, measure_len: int,
                         root_midi: int, c: float) -> None:
     """Fill staff 2 voice 2 exactly with one of three patterns."""
     r = rng.random()
@@ -202,22 +205,20 @@ def _fill_accompaniment(events: list[NoteEvent], rng: np.random.Generator,
     if pattern == "block":
         _bass_chord(events, start, measure_len, root_midi, chord)
     elif pattern == "split":
-        half = measure_len / 2
+        half = measure_len // 2
         _bass_chord(events, start, half, root_midi, chord)
         _bass_chord(events, start + half, half, root_midi, chord)
     else:
-        eighth = Fraction(1, 2)
         shape = (0, 7, 4, 7)
-        n_steps = int(measure_len / eighth)
-        for k in range(n_steps):
+        for k in range(measure_len // _EIGHTH):
             interval = shape[k % len(shape)]
             events.append(NoteEvent(
-                onset=start + k * eighth, duration=eighth,
+                onset=start + k * _EIGHTH, duration=_EIGHTH,
                 pitch=Pitch.from_midi(_clamp_midi(root_midi + interval)),
                 voice=2, staff=2))
 
 
-def _bass_chord(events: list[NoteEvent], onset: Fraction, duration: Fraction,
+def _bass_chord(events: list[NoteEvent], onset: int, duration: int,
                 root_midi: int, intervals: Sequence[int]) -> None:
     for k, interval in enumerate(intervals):
         events.append(NoteEvent(

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .score import (
@@ -28,10 +27,10 @@ from .score import (
     NoteEvent,
     Pitch,
     Score,
-    _shared_q,
     duration_for_type,
     measure_length,
     measure_order,
+    quarter_text,
     time_signature,
     type_for_duration,
 )
@@ -68,15 +67,10 @@ MAX_VOCAB_SIZE = 512
 _DEFAULT_VOICE = {1: 1, 2: 2}
 _TUPLET_TOKENS = {(3, 2): "triplet", (5, 4): "quintuplet"}
 _TOKEN_TUPLETS = {v: k for k, v in _TUPLET_TOKENS.items()}
-# a lane's cursor counts ticks of 1/960 quarter: every length a note's
-# tokens can spell, down to a double-dotted 64th under 5:4, is a whole number
-_TICKS = 960
-# the length of every (type, dots, tuplet) a note's tokens can spell, in
-# quarters and in ticks
-_LENGTHS = {(name, dots, tuplet): (length, int(length * _TICKS))
+# the length in ticks of every (type, dots, tuplet) a note's tokens can spell
+_LENGTHS = {(name, dots, tuplet): duration_for_type(name, dots, tuplet)
             for name in DURATION_TYPES for dots in range(3)
-            for tuplet in (None, *_TUPLET_TOKENS)
-            for length in (duration_for_type(name, dots, tuplet),)}
+            for tuplet in (None, *_TUPLET_TOKENS)}
 
 
 class EncodeError(Exception):
@@ -126,7 +120,7 @@ def encode(score: Score) -> list[str]:
 
 def _encode_measure_events(measure: Measure) -> list[str]:
     # (staff, voice) -> onset -> its grace notes, chord roots and chord members
-    lanes: dict[tuple[int, int], dict[Fraction, tuple[list, list, list]]] = {}
+    lanes: dict[tuple[int, int], dict[int, tuple[list, list, list]]] = {}
     for ev in measure.events:
         groups = lanes.setdefault((ev.staff, ev.voice), {})
         group = groups.setdefault(ev.onset, ([], [], []))
@@ -145,8 +139,8 @@ def _encode_measure_events(measure: Measure) -> list[str]:
             if onset != cursor:
                 raise EncodeError(
                     f"measure {measure.index + 1}: staff {staff} voice {voice} "
-                    f"has an event at {onset - measure.start} quarters but its previous "
-                    f"events end at {cursor - measure.start}")
+                    f"has an event at {quarter_text(onset - measure.start)} quarters but "
+                    f"its previous events end at {quarter_text(cursor - measure.start)}")
             graces, roots, members = groups[onset]
             for g in graces:
                 tokens.append("grace")
@@ -170,11 +164,11 @@ def _encode_measure_events(measure: Measure) -> list[str]:
     return tokens
 
 
-def _duration_tokens(quarters: Fraction, measure: Measure) -> list[str]:
-    decomposed = type_for_duration(quarters)
+def _duration_tokens(ticks: int, measure: Measure) -> list[str]:
+    decomposed = type_for_duration(ticks)
     if decomposed is None:
-        raise EncodeError(
-            f"measure {measure.index + 1}: duration {quarters} is not notatable")
+        raise EncodeError(f"measure {measure.index + 1}: duration "
+                          f"{quarter_text(ticks)} is not notatable")
     name, dots, tuplet = decomposed
     tokens = [name] + ["dot"] * dots
     if tuplet is not None:
@@ -212,7 +206,7 @@ def decode_recoverable(tokens: Sequence[str]) -> DecodeReport:
 def _decode(tokens: Sequence[str], recover: bool) -> tuple[Score, list[str]]:
     measures: list[Measure] = []
     skipped: list[str] = []
-    start = Fraction(0)
+    start = 0
     time_sig: Optional[tuple[int, int]] = None
     i = 0
     n = len(tokens)
@@ -240,7 +234,7 @@ def _decode(tokens: Sequence[str], recover: bool) -> tuple[Score, list[str]]:
     return Score(measures=tuple(measures)), skipped
 
 
-def _decode_measure(tokens: Sequence[str], i: int, index: int, start: Fraction,
+def _decode_measure(tokens: Sequence[str], i: int, index: int, start: int,
                     time_sig: Optional[tuple[int, int]],
                     ) -> tuple[Measure, Optional[tuple[int, int]], int]:
     assert tokens[i] == "measure"
@@ -248,11 +242,10 @@ def _decode_measure(tokens: Sequence[str], i: int, index: int, start: Fraction,
     key_fifths: Optional[int] = None
     m_time: Optional[tuple[int, int]] = None
     clefs: list[str] = []
-    # (staff, voice) -> [cursor, [(tick, event), ...]], in ticks from the measure start
+    # (staff, voice) -> [cursor, [event, ...]], the cursor in ticks from the score start
     staff, voice = 1, _DEFAULT_VOICE[1]
-    lane: list = [0, []]
+    lane: list = [start, []]
     lanes = {(staff, voice): lane}
-    onsets: dict[tuple[int, int], Fraction] = {}   # (tick, _TICKS) -> onset in quarters
     notes_seen = False
     n = len(tokens)
     while i < n and tokens[i] != "measure":
@@ -282,28 +275,28 @@ def _decode_measure(tokens: Sequence[str], i: int, index: int, start: Fraction,
             if staff not in (1, 2):
                 raise DecodeError(f"staff must be 1 or 2, got {staff}", i)
             voice = _DEFAULT_VOICE[staff]
-            lane = lanes.setdefault((staff, voice), [0, []])
+            lane = lanes.setdefault((staff, voice), [start, []])
         elif tok.startswith("voice:"):
             voice = _parse_int(tok[6:], "voice", i)
             if voice < 1:
                 raise DecodeError(f"voice must be positive, got {voice}", i)
-            lane = lanes.setdefault((staff, voice), [0, []])
+            lane = lanes.setdefault((staff, voice), [start, []])
         elif tok in ("grace", "chord", "rest") or PITCH_NAME.match(tok):
             grace, chord = tok == "grace", tok == "chord"
             placed = lane[1]
-            if chord and (not placed or placed[-1][1].grace or placed[-1][1].is_rest):
+            if chord and (not placed or placed[-1].grace or placed[-1].is_rest):
                 raise DecodeError("'chord' without a preceding note", i)
-            i, pitch, (length, ticks), tie_start, tie_stop = _decode_note(
+            i, pitch, length, tie_start, tie_stop = _decode_note(
                 tokens, i + 1 if grace or chord else i, grace)
             if chord and pitch is None:
                 raise DecodeError("'chord' followed by a rest", i - 1)
-            tick = placed[-1][0] if chord else lane[0]
+            onset = placed[-1].onset if chord else lane[0]
             if not grace and not chord:
-                lane[0] += ticks
-            placed.append((tick, NoteEvent(
-                onset=_shared_q(onsets, tick, _TICKS, start), duration=length, pitch=pitch,
+                lane[0] += length
+            placed.append(NoteEvent(
+                onset=onset, duration=length, pitch=pitch,
                 voice=voice, staff=staff, tie_start=tie_start, tie_stop=tie_stop,
-                chord=chord, grace=grace)))
+                chord=chord, grace=grace))
             notes_seen = True
             continue
         else:
@@ -313,27 +306,25 @@ def _decode_measure(tokens: Sequence[str], i: int, index: int, start: Fraction,
     if m_time is not None:
         time_sig = m_time
     ends = [cursor for cursor, placed in lanes.values() if placed]
-    end = max(ends, default=0)
-    duration = Fraction(end, _TICKS) if ends else measure_length(time_sig)
-    timed: list[tuple[int, NoteEvent]] = []
+    end = max(ends, default=start)
+    duration = end - start if ends else measure_length(time_sig)
+    events: list[NoteEvent] = []
     for (staff, voice), (cursor, placed) in lanes.items():
-        timed += placed
+        events += placed
         if placed and cursor < end:
-            timed.append((cursor, NoteEvent(
-                onset=_shared_q(onsets, cursor, _TICKS, start),
-                duration=Fraction(end - cursor, _TICKS),
-                pitch=None, voice=voice, staff=staff, hidden=True)))
+            events.append(NoteEvent(onset=cursor, duration=end - cursor, pitch=None,
+                                    voice=voice, staff=staff, hidden=True))
     measure = Measure(
-        index=index, start=start, duration=duration, events=tuple(measure_order(timed)),
+        index=index, start=start, duration=duration, events=tuple(measure_order(events)),
         time_sig=m_time, key_fifths=key_fifths,
         clefs=(*clefs, None, None)[:2])
     return measure, time_sig, i
 
 
 def _decode_note(tokens: Sequence[str], i: int, grace: bool,
-                 ) -> tuple[int, Optional[Pitch], tuple[Fraction, int], bool, bool]:
+                 ) -> tuple[int, Optional[Pitch], int, bool, bool]:
     """The note whose pitch or ``rest`` is ``tokens[i]``: the index after it,
-    its pitch, its length in quarters and in ticks, and its ties."""
+    its pitch, its length in ticks, and its ties."""
     n = len(tokens)
     if i >= n:
         raise DecodeError("stream ends where a pitch was expected", n - 1)

@@ -680,9 +680,6 @@ def load_checkpoint(path: str) -> tuple[TinyLM, int, Optional[AdamW]]:
         raise LMError(f"unrecognized checkpoint format in {path}")
     interchange.check(f"{path} meta", meta, LMError, "config", "step", "optimizer")
     stored = meta["config"]
-    # checkpoints written before dropout was removed carry "dropout": 0.0
-    if stored.pop("dropout", 0.0) != 0.0:
-        raise LMError(f"checkpoint {path} was trained with dropout, which is no longer supported")
     _check_keys(path, "config", stored, [f.name for f in fields(ModelConfig)], "ModelConfig")
     try:
         config = ModelConfig(**stored)

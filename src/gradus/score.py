@@ -1,16 +1,15 @@
 """Structured model of two-staff piano scores and MusicXML I/O.
 
 A :class:`Score` is an immutable sequence of measures holding
-:class:`NoteEvent` objects with exact rational onsets and durations
-(fractions of a quarter note).  Time is never represented as a float, so
-onset arithmetic stays exact across ``<divisions>`` changes.
+:class:`NoteEvent` objects.  Every onset and duration is a whole number of
+ticks, :data:`TICKS_PER_QUARTER` to the quarter note, so time arithmetic
+is exact integer arithmetic.  Every length the token codec can spell, down
+to a double-dotted 64th under 5:4, is a whole number of ticks.
 
 The module reads partwise MusicXML (plain ``.musicxml``/``.xml`` or
-compressed ``.mxl``), writes it back, and exposes a time-ordered
-:func:`timeline` view of which pitches sound in each segment of the piece.
-The timeline sweeps one integer tick grid per score, the lcm of the
-denominators of its note times, and turns only its cuts back into
-fractions, so it stays exact without comparing fractions.
+compressed ``.mxl``), converting ``<divisions>`` units to ticks as it
+reads them, writes it back, and exposes a time-ordered :func:`timeline`
+view of which pitches sound in each segment of the piece.
 """
 
 from __future__ import annotations
@@ -23,8 +22,7 @@ import zipfile
 import zlib
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
+from math import gcd
 from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
@@ -38,6 +36,8 @@ __all__ = [
     "Measure",
     "Score",
     "TimelineSegment",
+    "TICKS_PER_QUARTER",
+    "quarter_text",
     "time_signature",
     "measure_length",
     "parse_musicxml",
@@ -81,66 +81,76 @@ _SHARP_SPELLING = (("C", 0), ("C", 1), ("D", 0), ("D", 1), ("E", 0), ("F", 0),
 # a pitch name: step, up to two sharps or two flats, octave
 PITCH_NAME = re.compile(r"^([A-G])(#{1,2}|b{1,2})?(-?\d+)$")
 
-# Note type names (MusicXML vocabulary) and their length in quarter notes.
-DURATION_TYPES: dict[str, Fraction] = {
-    "breve": Fraction(8),
-    "whole": Fraction(4),
-    "half": Fraction(2),
-    "quarter": Fraction(1),
-    "eighth": Fraction(1, 2),
-    "16th": Fraction(1, 4),
-    "32nd": Fraction(1, 8),
-    "64th": Fraction(1, 16),
+# The one time unit: ticks per quarter note.
+TICKS_PER_QUARTER = 960
+
+# Note type names (MusicXML vocabulary) and their length in ticks.
+DURATION_TYPES: dict[str, int] = {
+    "breve": 8 * TICKS_PER_QUARTER,
+    "whole": 4 * TICKS_PER_QUARTER,
+    "half": 2 * TICKS_PER_QUARTER,
+    "quarter": TICKS_PER_QUARTER,
+    "eighth": TICKS_PER_QUARTER // 2,
+    "16th": TICKS_PER_QUARTER // 4,
+    "32nd": TICKS_PER_QUARTER // 8,
+    "64th": TICKS_PER_QUARTER // 16,
 }
 
 # Supported time-modification ratios as (actual, normal) note counts.
 TUPLET_RATIOS: tuple[tuple[int, int], ...] = ((3, 2), (5, 4))
 
-_DOT_FACTORS = (Fraction(1), Fraction(3, 2), Fraction(7, 4))
+# the length of a note with 0, 1 or 2 dots, as (numerator, denominator) of its type's
+_DOT_FACTORS = ((1, 1), (3, 2), (7, 4))
 
 
-def _notated_readings() -> dict[tuple[int, int], tuple[str, int, Optional[tuple[int, int]]]]:
-    """Every notatable duration, as ``(numerator, denominator)``, and its reading.
+def quarter_text(ticks: int) -> str:
+    """``ticks`` as quarters in lowest terms, such as ``3/2`` or ``5``."""
+    g = gcd(ticks, TICKS_PER_QUARTER)
+    num, den = ticks // g, TICKS_PER_QUARTER // g
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def _notated_readings() -> dict[int, tuple[str, int, Optional[tuple[int, int]]]]:
+    """Every notatable duration, in ticks, and its reading.
 
     Filled in search order (plain before tuplet, fewer dots first, longer
-    types first); the first reading of a duration wins.  The keys are ints
-    because hashing a Fraction computes a modular inverse.
+    types first); the first reading of a duration wins.
     """
-    table: dict[tuple[int, int], tuple[str, int, Optional[tuple[int, int]]]] = {}
+    table: dict[int, tuple[str, int, Optional[tuple[int, int]]]] = {}
     for ratio in ((1, 1),) + TUPLET_RATIOS:
-        actual, normal = ratio
-        for dots, factor in enumerate(_DOT_FACTORS):
-            for name, length in DURATION_TYPES.items():
-                quarters = length * factor * normal / actual
-                table.setdefault((quarters.numerator, quarters.denominator),
+        for dots in range(len(_DOT_FACTORS)):
+            for name in DURATION_TYPES:
+                table.setdefault(duration_for_type(name, dots, ratio),
                                  (name, dots, None if ratio == (1, 1) else ratio))
     return table
 
 
-_NOTATED = _notated_readings()
-
-
-def type_for_duration(quarters: Fraction) -> Optional[tuple[str, int, Optional[tuple[int, int]]]]:
-    """Decompose a rational duration into ``(type, dots, tuplet)``.
+def type_for_duration(ticks: int) -> Optional[tuple[str, int, Optional[tuple[int, int]]]]:
+    """Decompose a duration in ticks into ``(type, dots, tuplet)``.
 
     Returns None when the duration is not representable as a single notated
     value (plain, dotted once or twice, optionally under a supported tuplet
     ratio).  Plain values are preferred over tuplet readings.
     """
-    return _NOTATED.get((quarters.numerator, quarters.denominator))
+    return _NOTATED.get(ticks)
 
 
-def duration_for_type(name: str, dots: int = 0, tuplet: Optional[tuple[int, int]] = None) -> Fraction:
-    """Inverse of :func:`type_for_duration`."""
+def duration_for_type(name: str, dots: int = 0, tuplet: Optional[tuple[int, int]] = None) -> int:
+    """Inverse of :func:`type_for_duration`, in ticks."""
     if name not in DURATION_TYPES:
         raise ValueError(f"unknown note type {name!r}")
     if not 0 <= dots < len(_DOT_FACTORS):
         raise ValueError(f"unsupported dot count {dots}")
-    q = DURATION_TYPES[name] * _DOT_FACTORS[dots]
-    if tuplet is not None:
-        actual, normal = tuplet
-        q = q * normal / actual
-    return q
+    num, den = _DOT_FACTORS[dots]
+    actual, normal = tuplet or (1, 1)
+    ticks, rest = divmod(DURATION_TYPES[name] * num * normal, den * actual)
+    if rest:   # never for a supported ratio
+        raise ValueError(f"{name} with {dots} dots under {actual}:{normal} "
+                         f"is off the 1/{TICKS_PER_QUARTER}-quarter grid")
+    return ticks
+
+
+_NOTATED = _notated_readings()
 
 
 @dataclass(frozen=True)
@@ -213,18 +223,15 @@ _PITCHES: dict[tuple[str, int, int], Pitch] = {}
 class NoteEvent:
     """One note or rest.
 
-    Onset and duration are in quarter notes from the start of the score.
+    Onset and duration are in ticks from the start of the score.
     ``pitch`` is None for rests.  Grace notes carry the duration implied by
     their notated type but do not occupy time (they are skipped by the
     timeline and by onset accounting).  ``hidden`` marks gap-filling rests
     that were not literally present in the source.
-
-    Onset and duration are rationals (``Fraction`` or ``int``); the checks
-    read their numerators, whose sign is the value's sign.
     """
 
-    onset: Fraction
-    duration: Fraction
+    onset: int
+    duration: int
     pitch: Optional[Pitch]
     voice: int = 1
     staff: int = 1
@@ -234,13 +241,13 @@ class NoteEvent:
     grace: bool = False
     hidden: bool = False
 
-    def __init__(self, onset: Fraction, duration: Fraction, pitch: Optional[Pitch],
+    def __init__(self, onset: int, duration: int, pitch: Optional[Pitch],
                  voice: int = 1, staff: int = 1, tie_start: bool = False,
                  tie_stop: bool = False, chord: bool = False, grace: bool = False,
                  hidden: bool = False) -> None:
-        if onset.numerator < 0:
+        if onset < 0:
             raise ValueError("onset must be >= 0")
-        if duration.numerator <= 0:
+        if duration <= 0:
             raise ValueError("duration must be > 0")
         if staff != 1 and staff != 2:
             raise ValueError("staff must be 1 or 2")
@@ -255,36 +262,45 @@ class NoteEvent:
         return self.pitch is None
 
     @property
-    def end(self) -> Fraction:
+    def end(self) -> int:
         return self.onset + self.duration
 
 
 @dataclass(frozen=True)
 class Measure:
+    """One measure; ``start`` and ``duration`` in ticks."""
+
     index: int
-    start: Fraction
-    duration: Fraction
+    start: int
+    duration: int
     events: tuple[NoteEvent, ...] = ()
     time_sig: Optional[tuple[int, int]] = None
     key_fifths: Optional[int] = None
     clefs: tuple[Optional[str], Optional[str]] = (None, None)
 
     @property
-    def end(self) -> Fraction:
+    def end(self) -> int:
         return self.start + self.duration
 
 
+_WHOLE = DURATION_TYPES["whole"]
+
+
 def time_signature(beats: int, beat_type: int) -> tuple[int, int]:
-    """``(beats, beat_type)``; ``ValueError`` unless both are positive."""
+    """``(beats, beat_type)``; ``ValueError`` unless both are positive and a
+    full measure is a whole number of ticks."""
     if beats < 1 or beat_type < 1:
         raise ValueError(f"beats and beat type must be positive, "
                          f"got {beats}/{beat_type}")
+    if beats * _WHOLE % beat_type:
+        raise ValueError(f"a measure of {beats}/{beat_type} is off the "
+                         f"1/{TICKS_PER_QUARTER}-quarter grid")
     return beats, beat_type
 
 
-def measure_length(time_sig: Optional[tuple[int, int]]) -> Fraction:
-    """Quarters in a full measure of ``time_sig``; 4 without a signature."""
-    return Fraction(4) if time_sig is None else Fraction(time_sig[0] * 4, time_sig[1])
+def measure_length(time_sig: Optional[tuple[int, int]]) -> int:
+    """Ticks in a full measure of ``time_sig``; a whole note without a signature."""
+    return _WHOLE if time_sig is None else time_sig[0] * _WHOLE // time_sig[1]
 
 
 @dataclass(frozen=True)
@@ -308,9 +324,10 @@ class Score:
                 yield ev
 
     @property
-    def total_duration(self) -> Fraction:
+    def total_duration(self) -> int:
+        """Length in ticks."""
         if not self.measures:
-            return Fraction(0)
+            return 0
         return self.measures[-1].end
 
 
@@ -376,15 +393,17 @@ def _read_member(zf: zipfile.ZipFile, name: str) -> bytes:
 def parse_musicxml(document: bytes | str) -> Score:
     """Parse a partwise MusicXML document into a :class:`Score`.
 
-    Preserves pitch spelling, rational durations, voices, staves, ties and
+    Preserves pitch spelling, exact durations, voices, staves, ties and
     chord grouping.  Within each voice, gaps left by ``<forward>`` or
     ``<backup>`` are filled with hidden rests so that every voice is
     contiguous inside each measure it appears in.  Malformed input raises
     a :class:`ScoreError` subclass.
 
-    Positions inside a measure are counted in integer ticks; a
-    :class:`~fractions.Fraction` is built only for the onset and the
-    duration of each event.
+    Positions inside a measure are counted in ``<divisions>`` units, read
+    in the divisions current at each note, and each onset, duration and
+    measure length is converted to ticks once.  A value off the tick grid
+    (``<divisions>7</divisions>`` and a duration of 1) raises
+    :class:`MusicXmlParseError` at its measure.
 
     The cyclic garbage collector is paused while the parse runs.  The
     element tree is acyclic and lives until the score is built, so no
@@ -427,19 +446,14 @@ def _parse_musicxml(document: bytes | str) -> Score:
     declared_staves = 1
     time_sig: Optional[tuple[int, int]] = None
     measures: list[Measure] = []
-    cursor = Fraction(0)
-    # equal values share one object: Fraction is immutable
-    lengths: dict[tuple[int, int], Fraction] = {}   # quarters from 0
+    cursor = 0   # ticks
 
     for m_index, m_elem in enumerate(part.findall("measure")):
         try:
             m_time: Optional[tuple[int, int]] = None
             m_key: Optional[int] = None
             m_clefs: list[Optional[str]] = [None, None]
-            # (onset, length, divisions, event): onset and length in the
-            # divisions current at the note, length 0 for grace notes
-            raw: list[tuple[int, int, int, NoteEvent]] = []
-            onsets: dict[tuple[int, int], Fraction] = {}   # quarters from cursor
+            events: list[NoteEvent] = []
             pos = 0                 # divisions from measure start
             maxpos = 0
             last_onset = 0          # onset of the most recent non-chord note
@@ -503,19 +517,19 @@ def _parse_musicxml(document: bytes | str) -> Score:
                         raise MusicXmlParseError(
                             f"measure {m_index + 1}: missing divisions attribute")
                     if is_grace:
-                        raw.append((pos, 0, divisions, NoteEvent(
-                            onset=_shared_q(onsets, pos, divisions, cursor),
+                        events.append(NoteEvent(
+                            onset=cursor + _ticks(pos, divisions, m_index),
                             duration=_grace_length(elem), pitch=pitch, voice=voice,
-                            staff=staff, grace=True, hidden=hidden)))
+                            staff=staff, grace=True, hidden=hidden))
                         continue
 
                     onset_divs = last_onset if is_chord else pos
-                    raw.append((onset_divs, dur_divs, divisions, NoteEvent(
-                        onset=_shared_q(onsets, onset_divs, divisions, cursor),
-                        duration=_shared_q(lengths, dur_divs, divisions),
+                    events.append(NoteEvent(
+                        onset=cursor + _ticks(onset_divs, divisions, m_index),
+                        duration=_ticks(dur_divs, divisions, m_index),
                         pitch=pitch, voice=voice, staff=staff,
                         tie_start=tie_start, tie_stop=tie_stop,
-                        chord=is_chord, hidden=hidden)))
+                        chord=is_chord, hidden=hidden))
                     if not is_chord:
                         last_onset = pos
                         pos += dur_divs
@@ -533,7 +547,7 @@ def _parse_musicxml(document: bytes | str) -> Score:
                     beats = elem.find("time/beats")
                     beat_type = elem.find("time/beat-type")
                     if beats is not None and beat_type is not None:
-                        m_time = time_signature(int(beats.text), int(beat_type.text))
+                        m_time = time_signature(_beats(beats.text), int(beat_type.text))
                         time_sig = m_time
                     for clef in elem.findall("clef"):
                         number = int(clef.get("number", "1"))
@@ -557,18 +571,18 @@ def _parse_musicxml(document: bytes | str) -> Score:
             elif divisions is None:   # only <forward> moved the position
                 raise MusicXmlParseError(f"measure {m_index + 1}: missing divisions attribute")
             else:
-                m_duration = _q(maxpos, divisions)
+                m_duration = _ticks(maxpos, divisions, m_index)
 
-            events = _fill_voice_gaps(raw, cursor, m_duration, m_index)
             measures.append(Measure(
                 index=m_index, start=cursor, duration=m_duration,
-                events=tuple(events), time_sig=m_time, key_fifths=m_key,
+                events=tuple(_fill_voice_gaps(events, cursor, m_duration, m_index)),
+                time_sig=m_time, key_fifths=m_key,
                 clefs=(m_clefs[0], m_clefs[1])))
             cursor += m_duration
         except (ValueError, TypeError, KeyError, ArithmeticError) as exc:
             # bad number text, a fractional duration or alter, a missing <beats>,
-            # divisions 0, an unknown step, or a value that Pitch, NoteEvent
-            # or time_signature reject
+            # divisions 0, an unknown step, or a value that Pitch, NoteEvent,
+            # time_signature or duration_for_type reject
             raise MusicXmlParseError(f"measure {m_index + 1}: malformed value "
                                      f"({type(exc).__name__}: {exc})") from exc
 
@@ -577,22 +591,14 @@ def _parse_musicxml(document: bytes | str) -> Score:
         n_staves=declared_staves)
 
 
-def _q(divs: int, divisions: int, start: Fraction = Fraction(0)) -> Fraction:
-    """``start + divs / divisions`` quarters, built as one Fraction."""
-    return Fraction(start.numerator * divisions + divs * start.denominator,
-                    start.denominator * divisions)
-
-
-def _shared_q(shared: dict[tuple[int, int], Fraction], divs: int, divisions: int,
-              start: Fraction = Fraction(0)) -> Fraction:
-    """:func:`_q`, built once per ``(divs, divisions)`` in ``shared``.
-
-    ``shared`` must hold values for this ``start`` only.
-    """
-    value = shared.get((divs, divisions))
-    if value is None:
-        value = shared[divs, divisions] = _q(divs, divisions, start)
-    return value
+def _ticks(divs: int, divisions: int, m_index: int) -> int:
+    """``divs`` units of ``1/divisions`` quarter in ticks; off the grid raises."""
+    ticks, rest = divmod(divs * TICKS_PER_QUARTER, divisions)
+    if rest:
+        raise MusicXmlParseError(
+            f"measure {m_index + 1}: {divs} of {divisions} divisions is off the "
+            f"1/{TICKS_PER_QUARTER}-quarter grid")
+    return ticks
 
 
 def _required_duration(duration: Optional[ET.Element], tag: str, m_index: int) -> int:
@@ -614,7 +620,12 @@ def _whole(text: str, what: str) -> int:
     return whole
 
 
-def _grace_length(note: ET.Element) -> Fraction:
+def _beats(text: Optional[str]) -> int:
+    """A ``<beats>`` text; an additive one such as ``3+2`` reads as its sum."""
+    return sum(map(int, text.split("+"))) if text and "+" in text else int(text)
+
+
+def _grace_length(note: ET.Element) -> int:
     """A grace note's notated length, from its ``<type>`` (an eighth when
     missing or unknown), ``<dot />`` count and ``<time-modification>``, as
     :func:`serialize_musicxml` writes them.  Bad counts raise ``ValueError``
@@ -648,70 +659,48 @@ def _misc_field(root: ET.Element, name: str) -> Optional[str]:
     return None
 
 
-def _fill_voice_gaps(raw: list[tuple[int, int, int, NoteEvent]], start: Fraction,
-                     duration: Fraction, m_index: int) -> list[NoteEvent]:
+def _fill_voice_gaps(events: list[NoteEvent], start: int, duration: int,
+                     m_index: int) -> list[NoteEvent]:
     """Insert hidden rests so each voice is contiguous from measure start to end.
 
     Also rejects overlapping events within a voice (chord members excepted).
-    Events are returned in :func:`measure_order`.  All positions are
-    compared as integer ticks of ``1/unit`` quarter from the measure start,
-    where ``unit`` is a multiple of every divisions value the measure used
-    and of the denominator of its duration.
+    Events are returned in :func:`measure_order`.
     """
-    unit = lcm(duration.denominator, *{divisions for _, _, divisions, _ in raw})
-    end = duration.numerator * (unit // duration.denominator)
-    timed: list[tuple[int, NoteEvent]] = []
-    by_voice: dict[int, list[tuple[int, int, NoteEvent]]] = {}
-    for divs, length, divisions, ev in raw:
-        scale = unit // divisions
-        tick = divs * scale
-        timed.append((tick, ev))
+    filled = list(events)
+    by_voice: dict[int, dict[int, list[NoteEvent]]] = {}
+    for ev in events:
         if not ev.grace:
-            by_voice.setdefault(ev.voice, []).append((tick, length * scale, ev))
-    for voice, items in by_voice.items():
-        groups: dict[int, list[tuple[int, int, NoteEvent]]] = {}
-        for item in items:
-            groups.setdefault(item[0], []).append(item)
-        cur = 0
-        staff_hint = items[0][2].staff
+            by_voice.setdefault(ev.voice, {}).setdefault(ev.onset, []).append(ev)
+    for voice, groups in by_voice.items():
+        cur = start
         for onset in sorted(groups):
             group = groups[onset]
             if onset < cur:
                 raise MusicXmlParseError(
                     f"measure {m_index + 1}: overlapping events in voice {voice}")
             if onset > cur:
-                timed.append((cur, _hidden_rest(
-                    start, cur, onset - cur, unit, voice, group[0][2].staff)))
-            for root in group:   # the first non-chord event, else the first
-                if not root[2].chord:
-                    break
-            else:
-                root = group[0]
-            cur = onset + root[1]
-            staff_hint = group[-1][2].staff
-        if cur < end:
-            timed.append((cur, _hidden_rest(start, cur, end - cur, unit, voice, staff_hint)))
-    return measure_order(timed)
+                filled.append(NoteEvent(onset=cur, duration=onset - cur, pitch=None,
+                                        voice=voice, staff=group[0].staff, hidden=True))
+            # the first non-chord event, else the first
+            cur = onset + next((ev for ev in group if not ev.chord), group[0]).duration
+        if cur < start + duration:
+            filled.append(NoteEvent(onset=cur, duration=start + duration - cur, pitch=None,
+                                    voice=voice, staff=group[-1].staff, hidden=True))
+    return measure_order(filled)
 
 
-def measure_order(timed: Sequence[tuple[int, NoteEvent]]) -> list[NoteEvent]:
-    """The events of a measure's ``(tick, event)`` pairs, in measure order.
+def measure_order(events: Sequence[NoteEvent]) -> list[NoteEvent]:
+    """The events of one measure in measure order.
 
-    The order is by tick, then staff and voice, with grace notes ahead of
+    The order is by onset, then staff and voice, with grace notes ahead of
     their principal and chord members after their root; ties keep the
-    order of ``timed``.
+    order of ``events``.
     """
-    decorated = [(tick, ev.staff, ev.voice, not ev.grace, ev.chord, i, ev)
-                 for i, (tick, ev) in enumerate(timed)]
+    decorated = [(ev.onset, ev.staff, ev.voice, not ev.grace, ev.chord, i, ev)
+                 for i, ev in enumerate(events)]
     # the index is unique, so the events themselves are never compared
     decorated.sort()
     return [t[-1] for t in decorated]
-
-
-def _hidden_rest(start: Fraction, tick: int, length: int, unit: int, voice: int,
-                 staff: int) -> NoteEvent:
-    return NoteEvent(onset=_q(tick, unit, start), duration=Fraction(length, unit),
-                     pitch=None, voice=voice, staff=staff, hidden=True)
 
 
 # ---------------------------------------------------------------------------
@@ -805,31 +794,30 @@ def _escape(text: str) -> str:
 
 
 def _measure_divisions(measure: Measure) -> int:
-    denoms = [1]
-    for ev in measure.events:
-        if ev.grace:
-            continue
-        denoms.append(ev.duration.denominator)
-        denoms.append((ev.onset - measure.start).denominator)
-    return lcm(*denoms)
+    """The fewest divisions per quarter that count every non-grace onset and
+    duration of ``measure`` in whole units."""
+    return TICKS_PER_QUARTER // gcd(TICKS_PER_QUARTER, *(
+        ticks for ev in measure.events if not ev.grace
+        for ticks in (ev.duration, ev.onset - measure.start)))
 
 
 def _write_measure_events(out: list[str], measure: Measure, divisions: int) -> None:
     voices = sorted({ev.voice for ev in measure.events})
-    cursor = Fraction(0)  # in quarters, relative to measure start
+    cursor = 0  # in ticks, relative to measure start
     for voice in voices:
         if cursor != 0:
-            out.append(f"      <backup>\n        <duration>{int(cursor * divisions)}"
+            out.append(f"      <backup>\n        <duration>{cursor * divisions // TICKS_PER_QUARTER}"
                        "</duration>\n      </backup>")
-            cursor = Fraction(0)
+            cursor = 0
         evs = [ev for ev in measure.events if ev.voice == voice]
-        groups: dict[Fraction, list[NoteEvent]] = {}
+        groups: dict[int, list[NoteEvent]] = {}
         for ev in evs:
             groups.setdefault(ev.onset, []).append(ev)
         for onset in sorted(groups):
             rel = onset - measure.start
             if rel > cursor:
-                out.append(f"      <forward>\n        <duration>{int((rel - cursor) * divisions)}"
+                out.append(f"      <forward>\n        <duration>"
+                           f"{(rel - cursor) * divisions // TICKS_PER_QUARTER}"
                            "</duration>\n      </forward>")
                 cursor = rel
             group = sorted(groups[onset], key=lambda e: (not e.grace, e.chord))
@@ -858,16 +846,15 @@ def _write_note(out: list[str], ev: NoteEvent, divisions: int, chord: bool) -> N
     else:
         out.append(f"        <pitch>\n          <step>{pitch.step}</step>\n"
                    f"          <octave>{pitch.octave}</octave>\n        </pitch>")
-    length = (ev.duration.numerator, ev.duration.denominator)
     if not ev.grace:
-        # a duration is positive, so floor division truncates as int() does
-        out.append(f"        <duration>{length[0] * divisions // length[1]}</duration>")
+        out.append(f"        <duration>{ev.duration * divisions // TICKS_PER_QUARTER}"
+                   "</duration>")
     if ev.tie_stop:
         out.append('        <tie type="stop" />')
     if ev.tie_start:
         out.append('        <tie type="start" />')
     out.append(f"        <voice>{ev.voice}</voice>")
-    decomposed = _NOTATED.get(length)
+    decomposed = _NOTATED.get(ev.duration)
     if decomposed is not None:
         name, dots, tuplet = decomposed
         out.append(f"        <type>{name}</type>")
@@ -885,8 +872,8 @@ def _write_note(out: list[str], ev: NoteEvent, divisions: int, chord: bool) -> N
 
 @dataclass(frozen=True)
 class TimelineSegment:
-    start: Fraction
-    end: Fraction
+    start: int   # ticks
+    end: int
     pitches: tuple[Pitch, ...]  # sorted by midi number, deduplicated
 
 
@@ -894,26 +881,13 @@ _first = itemgetter(0)
 _first_three = itemgetter(0, 1, 2)
 
 
-def _sounding_ticks(score: Score) -> tuple[int, int, list[tuple[int, int, int, Pitch]]]:
-    """The score's tick unit, its length in ticks and its merged intervals.
-
-    The unit is the lcm of the denominators of ``total_duration`` and of
-    every onset and duration of a pitched, non-grace note, so each of
-    those times is a whole number of ``1/unit`` quarter ticks.  Intervals
-    are ``(start, end, midi, pitch)`` in ticks, in
-    :func:`merged_sounding_intervals` order.
-    """
-    notes = list(score.notes())
-    total = score.total_duration
-    denominators = {ev.onset.denominator for ev in notes}
-    denominators.update(ev.duration.denominator for ev in notes)
-    unit = lcm(total.denominator, *denominators)
+def _sounding_intervals(score: Score) -> list[tuple[int, int, int, Pitch]]:
+    """The merged intervals as ``(start, end, midi, pitch)``, in
+    :func:`merged_sounding_intervals` order."""
     chains: dict[tuple[int, int, int], list[tuple[int, int, NoteEvent]]] = {}
-    for ev in notes:
-        onset, duration = ev.onset, ev.duration
-        start = onset.numerator * (unit // onset.denominator)
+    for ev in score.notes():
         chains.setdefault((ev.voice, ev.staff, ev.pitch.midi_number), []).append(
-            (start, start + duration.numerator * (unit // duration.denominator), ev))
+            (ev.onset, ev.onset + ev.duration, ev))
     out: list[tuple[int, int, int, Pitch]] = []
     for (_, _, midi), links in chains.items():
         links.sort(key=_first)
@@ -926,20 +900,18 @@ def _sounding_ticks(score: Score) -> tuple[int, int, list[tuple[int, int, int, P
             end, prev = stop, ev
         out.append((start, end, midi, pitch))
     out.sort(key=_first_three)
-    return unit, total.numerator * (unit // total.denominator), out
+    return out
 
 
-def merged_sounding_intervals(score: Score) -> list[tuple[Fraction, Fraction, Pitch]]:
-    """Sounding intervals of pitched notes with tie chains merged.
+def merged_sounding_intervals(score: Score) -> list[tuple[int, int, Pitch]]:
+    """Sounding intervals of pitched notes with tie chains merged, in ticks.
 
     A chain of tied events (same voice, staff and midi number, each link
     starting where the previous one ends) counts as one interval.  Grace
     notes are excluded.  Intervals are sorted by start, end and midi
     number; equal keys keep the order of their chains' first notes.
     """
-    unit, _, intervals = _sounding_ticks(score)
-    return [(Fraction(start, unit), Fraction(end, unit), pitch)
-            for start, end, _, pitch in intervals]
+    return [(start, end, pitch) for start, end, _, pitch in _sounding_intervals(score)]
 
 
 def timeline(score: Score) -> list[TimelineSegment]:
@@ -948,20 +920,19 @@ def timeline(score: Score) -> list[TimelineSegment]:
     Each segment lists the distinct pitches sounding throughout it, sorted
     by midi number.  Returns an empty list for an empty score.
 
-    The segments come from one boundary sweep on the score's integer tick
-    grid (see :func:`_sounding_ticks`): every merged interval is filed
-    under the cut where it starts and the cut where it stops, and a walk
-    over the sorted cuts keeps the set of active intervals, so the cost is
-    O(n log n) in the number of intervals rather than one test per
-    interval and segment.  Only the cuts become fractions, one each.  An
-    interval ending past ``total_duration`` stays active to the last cut.
-    When two active intervals share a midi number but differ in spelling,
-    the segment keeps the one that comes first in
+    The segments come from one boundary sweep: every merged interval is
+    filed under the cut where it starts and the cut where it stops, and a
+    walk over the sorted cuts keeps the set of active intervals, so the
+    cost is O(n log n) in the number of intervals rather than one test per
+    interval and segment.  An interval ending past ``total_duration`` stays
+    active to the last cut.  When two active intervals share a midi number
+    but differ in spelling, the segment keeps the one that comes first in
     :func:`merged_sounding_intervals` order.
     """
     if not score.measures:
         return []
-    unit, total, intervals = _sounding_ticks(score)
+    total = score.total_duration
+    intervals = _sounding_intervals(score)
     bounds = {0, total}
     for start, end, _, _ in intervals:
         bounds.add(start)
@@ -980,7 +951,6 @@ def timeline(score: Score) -> list[TimelineSegment]:
             starting[first].append(index)
             if stop < n_segments:
                 stopping[stop].append(index)
-    times = [Fraction(cut, unit) for cut in cuts]
     # midi number -> indices of its active intervals, ascending: intervals
     # are sorted by start, so each newly started one has the largest index
     active: dict[int, list[int]] = {}
@@ -995,6 +965,6 @@ def timeline(score: Score) -> list[TimelineSegment]:
         for index in starting[i]:
             active.setdefault(intervals[index][2], []).append(index)
         segments.append(TimelineSegment(
-            start=times[i], end=times[i + 1],
+            start=cuts[i], end=cuts[i + 1],
             pitches=tuple(intervals[active[m][0]][3] for m in sorted(active))))
     return segments

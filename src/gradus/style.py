@@ -17,7 +17,7 @@ import numpy as np
 
 from . import interchange
 from .analysis import SkylineNote, _profile_of, _skyline_of
-from .score import Score, TimelineSegment, timeline
+from .score import TICKS_PER_QUARTER, Score, TimelineSegment, timeline
 
 __all__ = [
     "StyleError",
@@ -57,8 +57,9 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def style_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """``1 - cosine_similarity``; 0 means identical direction."""
-    return 1.0 - cosine_similarity(a, b)
+    """``1 - cosine_similarity``, and never below 0, where a cosine that
+    rounds above 1 would put it; 0 means identical direction."""
+    return max(0.0, 1.0 - cosine_similarity(a, b))
 
 
 def baseline_embed(score: Score) -> np.ndarray:
@@ -108,11 +109,11 @@ def _bigram_block(line: Sequence[SkylineNote]) -> np.ndarray:
 def _stat_block(score: Score, segs: Sequence[TimelineSegment],
                 line: Sequence[SkylineNote], profile: np.ndarray) -> np.ndarray:
     """Octave-invariant rhythm and texture statistics."""
-    total = float(score.total_duration)
-    durations = [float(n.duration) for n in line if n.pitch is not None]
+    total = score.total_duration / TICKS_PER_QUARTER
+    durations = [n.duration / TICKS_PER_QUARTER for n in line if n.pitch is not None]
     sizes = [len(seg.pitches) for seg in segs]
-    sounding = sum(float(seg.end - seg.start) for seg in segs if seg.pitches)
-    onsets = sorted({float(ev.onset) for ev in score.notes()})
+    sounding = sum((seg.end - seg.start) / TICKS_PER_QUARTER for seg in segs if seg.pitches)
+    onsets = sorted({ev.onset / TICKS_PER_QUARTER for ev in score.notes()})
     iois = np.diff(onsets) if len(onsets) >= 2 else np.array([0.0])
     nz = profile[profile > 0]
     entropy = float(-(nz * np.log(nz)).sum())

@@ -1,10 +1,9 @@
 """Shared fixtures: a reference two-measure piece and small corpora."""
 
-from fractions import Fraction
-
 import pytest
 
 from gradus import fixtures
+from gradus.score import TICKS_PER_QUARTER as Q
 from gradus.score import Measure, NoteEvent, Pitch, Score
 
 
@@ -15,14 +14,12 @@ def build_reference_piece() -> Score:
     whole over G3.  Small enough to reason about by hand, rich enough to
     exercise clefs, two staves and two voices.
     """
-    q = Fraction(1)
-
     def note(onset, dur, name, voice, staff):
-        return NoteEvent(onset=Fraction(onset), duration=Fraction(dur),
+        return NoteEvent(onset=onset * Q, duration=dur * Q,
                          pitch=Pitch.from_name(name), voice=voice, staff=staff)
 
     m1 = Measure(
-        index=0, start=Fraction(0), duration=4 * q,
+        index=0, start=0, duration=4 * Q,
         events=(
             note(0, 1, "C5", 1, 1),
             note(1, 1, "E5", 1, 1),
@@ -31,7 +28,7 @@ def build_reference_piece() -> Score:
         ),
         time_sig=(4, 4), key_fifths=0, clefs=("G2", "F4"))
     m2 = Measure(
-        index=1, start=4 * q, duration=4 * q,
+        index=1, start=4 * Q, duration=4 * Q,
         events=(
             note(4, 4, "D5", 1, 1),
             note(4, 4, "G3", 2, 2),

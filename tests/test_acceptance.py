@@ -8,7 +8,6 @@ import json
 import math
 import time
 from collections import Counter
-from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -69,7 +68,7 @@ def sweep_top_line(score):
     intervals = merged_sounding_intervals(score)
     starts_at = {}
     ends_at = {}
-    bounds = {Fraction(0), score.total_duration}
+    bounds = {0, score.total_duration}
     for s, e, pitch in intervals:
         starts_at.setdefault(s, []).append(pitch.midi_number)
         ends_at.setdefault(e, []).append(pitch.midi_number)
@@ -95,7 +94,7 @@ def test_03_skyline_matches_sweep_oracle():
         for score in pieces:
             notes = skyline(score)
             # tiling: consecutive, gapless, covering the whole piece
-            cursor = Fraction(0)
+            cursor = 0
             for sn in notes:
                 assert sn.onset == cursor, score.source_id
                 cursor = sn.onset + sn.duration

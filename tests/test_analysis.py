@@ -20,6 +20,7 @@ from gradus.analysis import (
     skyline,
     skyline_score,
 )
+from gradus.score import TICKS_PER_QUARTER as Q
 from gradus.score import (
     Measure,
     NoteEvent,
@@ -30,7 +31,7 @@ from gradus.score import (
 
 
 def oracle_top_midi(score, t):
-    """Highest midi sounding at rational time t, by direct interval scan.
+    """Highest midi sounding at tick time t, by direct interval scan.
 
     Tie chains are merged first so a held note spans its full length.
     """
@@ -46,12 +47,12 @@ def check_skyline_against_oracle(score):
     notes = skyline(score)
     # segment midpoints are rational, so comparisons stay exact
     for sn in notes:
-        mid = sn.onset + sn.duration / 2
+        mid = sn.onset + Fraction(sn.duration, 2)
         want = oracle_top_midi(score, mid)
         got = None if sn.pitch is None else sn.pitch.midi_number
         assert got == want, (sn.onset, got, want)
     # the sequence must tile [0, total) with no gaps
-    cursor = Fraction(0)
+    cursor = 0
     for sn in notes:
         assert sn.onset == cursor
         cursor = sn.onset + sn.duration
@@ -69,34 +70,34 @@ class TestSkyline:
 
     def test_rest_segments_kept(self):
         def note(onset, name):
-            return NoteEvent(onset=Fraction(onset), duration=Fraction(1),
+            return NoteEvent(onset=onset * Q, duration=Q,
                              pitch=Pitch.from_name(name))
 
-        m = Measure(index=0, start=Fraction(0), duration=Fraction(4),
+        m = Measure(index=0, start=0, duration=4 * Q,
                     events=(note(0, "C4"), note(3, "D4")))
         score = Score(measures=(m,), n_staves=2)
         notes = skyline(score)
         assert [(sn.onset, sn.pitch is None) for sn in notes] == [
-            (Fraction(0), False), (Fraction(1), True), (Fraction(3), False)]
+            (0, False), (Q, True), (3 * Q, False)]
 
     def test_adjacent_equal_pitches_merged(self):
         # C4 held under a higher voice that drops out: skyline stays C5
         def note(onset, dur, name, voice=1):
-            return NoteEvent(onset=Fraction(onset), duration=Fraction(dur),
+            return NoteEvent(onset=onset * Q, duration=dur * Q,
                              pitch=Pitch.from_name(name), voice=voice)
 
-        m = Measure(index=0, start=Fraction(0), duration=Fraction(4),
+        m = Measure(index=0, start=0, duration=4 * Q,
                     events=(note(0, 4, "C5", 1), note(0, 2, "E4", 2),
                             note(2, 2, "G4", 2)))
         score = Score(measures=(m,), n_staves=2)
         notes = skyline(score)
         assert len(notes) == 1
         assert notes[0].pitch.name == "C5"
-        assert notes[0].duration == 4
+        assert notes[0].duration == 4 * Q
 
     def test_all_rests_rejected(self):
-        m = Measure(index=0, start=Fraction(0), duration=Fraction(4),
-                    events=(NoteEvent(onset=Fraction(0), duration=Fraction(4),
+        m = Measure(index=0, start=0, duration=4 * Q,
+                    events=(NoteEvent(onset=0, duration=4 * Q,
                                       pitch=None),))
         with pytest.raises(AnalysisError):
             skyline(Score(measures=(m,), n_staves=2))
@@ -137,7 +138,7 @@ class TestSkylineScore:
 def check_skyline_against_oracle_mono(orig, mono):
     """The re-notated score must sound the same top line as the original."""
     for start, end, pitch in merged_sounding_intervals(mono):
-        step = (end - start) / 4
+        step = Fraction(end - start, 4)
         for k in range(4):
             t = start + step * k + step / 2
             assert oracle_top_midi(orig, t) == pitch.midi_number
@@ -146,20 +147,20 @@ def check_skyline_against_oracle_mono(orig, mono):
 def line_profile_by_note_durations(notes):
     """The reference line profile: each note's pitch class weighted by its
     duration, rests skipped."""
-    weights = [Fraction(0)] * 12
+    weights = [0] * 12
     for note in notes:
         if note.pitch is not None:
             weights[note.pitch.pitch_class] += note.duration
     total = sum(weights)
     if total == 0:
         raise AnalysisError("line has no sounding pitches")
-    return np.array([float(w / total) for w in weights], dtype=np.float64)
+    return np.array([float(Fraction(w, total)) for w in weights], dtype=np.float64)
 
 
 def tiled_line(steps):
     """A line of ``(duration, pitch or None)`` steps, each starting where
     the previous one ends."""
-    notes, onset = [], Fraction(0)
+    notes, onset = [], 0
     for duration, pitch in steps:
         notes.append(SkylineNote(onset, duration, pitch))
         onset += duration
@@ -169,11 +170,11 @@ def tiled_line(steps):
 class TestProfiles:
     def oracle_profile(self, score):
         """Duration-weighted pitch-class mass, computed with Fractions."""
-        mass = [Fraction(0)] * 12
+        mass = [0] * 12
         for start, end, pitch in merged_sounding_intervals(score):
             mass[pitch.midi_number % 12] += end - start
         total = sum(mass)
-        return [m / total for m in mass]
+        return [Fraction(m, total) for m in mass]
 
     def test_matches_exact_oracle(self, small_corpus):
         for score in small_corpus:
@@ -195,7 +196,7 @@ class TestProfiles:
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(
-        st.fractions(min_value=Fraction(1, 12), max_value=8, max_denominator=12),
+        st.integers(Q // 12, 8 * Q),
         st.none() | st.integers(0, 127).map(Pitch.from_midi)), min_size=1, max_size=12))
     def test_matches_note_durations_on_lines_with_rests(self, steps):
         notes = tiled_line(steps)
@@ -207,7 +208,7 @@ class TestProfiles:
                               line_profile_by_note_durations(notes))
 
     def test_all_rest_line_is_refused(self):
-        line = tiled_line([(Fraction(1), None), (Fraction(3, 2), None)])
+        line = tiled_line([(Q, None), (3 * Q // 2, None)])
         with pytest.raises(AnalysisError, match="^score has no sounding pitches, "
                                                 "profile is undefined$"):
             profile_from_skyline(line)
@@ -288,10 +289,10 @@ class TestFeatures:
 
     def test_chords_raise_span_and_rate(self):
         def ev(onset, name, chord=False):
-            return NoteEvent(onset=Fraction(onset), duration=Fraction(1),
+            return NoteEvent(onset=onset * Q, duration=Q,
                              pitch=Pitch.from_name(name), chord=chord)
 
-        m = Measure(index=0, start=Fraction(0), duration=Fraction(2),
+        m = Measure(index=0, start=0, duration=2 * Q,
                     events=(ev(0, "C4"), ev(0, "G4", True), ev(1, "D4")))
         v = dict(zip(FEATURE_NAMES,
                      feature_vector(Score(measures=(m,), n_staves=2))))

@@ -1,6 +1,5 @@
 """Synthetic corpus generator tests."""
 
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +7,7 @@ import pytest
 
 from gradus.fixtures import GENRES, generate_corpus, generate_piece, write_corpus
 from gradus.lmx import decode, encode
+from gradus.score import TICKS_PER_QUARTER as Q
 from gradus.score import (
     parse_musicxml,
     read_musicxml,
@@ -62,7 +62,7 @@ class TestGeneratedContent:
                 current = m.time_sig or current
                 assert current is not None
                 num, den = current
-                assert m.duration == Fraction(num * 4, den)
+                assert m.duration * den == num * 4 * Q
 
     def test_complexity_grows_along_corpus(self):
         pieces = generate_corpus(n=10, seed=33)

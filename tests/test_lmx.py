@@ -18,6 +18,7 @@ from gradus.lmx import (
     decode_recoverable,
     encode,
 )
+from gradus.score import TICKS_PER_QUARTER as Q
 from gradus.score import Measure, NoteEvent, Pitch, Score, parse_musicxml, serialize_musicxml
 
 
@@ -50,10 +51,10 @@ class TestEncode:
     def test_voice_token_only_off_default(self):
         # two voices on staff 1: second one needs an explicit voice token
         def ev(onset, name, voice):
-            return NoteEvent(onset=Fraction(onset), duration=Fraction(1),
+            return NoteEvent(onset=onset * Q, duration=Q,
                              pitch=Pitch.from_name(name), voice=voice, staff=1)
 
-        m = Measure(index=0, start=Fraction(0), duration=Fraction(1),
+        m = Measure(index=0, start=0, duration=Q,
                     events=(ev(0, "C5", 1), ev(0, "E4", 2)),
                     time_sig=(1, 4), key_fifths=0, clefs=("G2", "F4"))
         tokens = encode(Score(measures=(m,), n_staves=2))
@@ -61,32 +62,33 @@ class TestEncode:
         assert "voice:1" not in tokens
 
     def test_unrepresentable_duration_rejected(self):
-        ev = NoteEvent(onset=Fraction(0), duration=Fraction(5, 2),
+        ev = NoteEvent(onset=0, duration=5 * Q // 2,
                        pitch=Pitch.from_name("C4"))
-        m = Measure(index=0, start=Fraction(0), duration=Fraction(5, 2),
+        m = Measure(index=0, start=0, duration=5 * Q // 2,
                     events=(ev,), time_sig=(4, 4))
-        with pytest.raises(EncodeError):
+        with pytest.raises(EncodeError, match="^measure 1: duration 5/2 is not notatable$"):
             encode(Score(measures=(m,), n_staves=2))
 
     def test_voice_crossing_staves_rejected(self):
         # voice 1 plays C5 (staff 1), C3 (staff 2), E5 (staff 1): the
         # staff-1 lane has a gap at beat 2 that the token stream cannot say
         def ev(onset, duration, name, voice, staff):
-            return NoteEvent(onset=Fraction(onset), duration=Fraction(duration),
+            return NoteEvent(onset=onset * Q, duration=duration * Q,
                              pitch=Pitch.from_name(name), voice=voice, staff=staff)
 
-        m = Measure(index=0, start=Fraction(0), duration=Fraction(4),
+        m = Measure(index=0, start=0, duration=4 * Q,
                     events=(ev(0, 1, "C5", 1, 1), ev(0, 4, "C2", 2, 2),
                             ev(1, 1, "C3", 1, 2), ev(2, 2, "E5", 1, 1)),
                     time_sig=(4, 4), key_fifths=0, clefs=("G2", "F4"))
         score = parse_musicxml(serialize_musicxml(Score(measures=(m,), n_staves=2)))
-        with pytest.raises(EncodeError, match="measure 1: staff 1 voice 1"):
+        with pytest.raises(EncodeError, match="measure 1: staff 1 voice 1 has an event at 2 "
+                                              "quarters but its previous events end at 1$"):
             encode(score)
 
     def test_lane_entering_late_rejected(self):
-        ev = NoteEvent(onset=Fraction(5), duration=Fraction(1),
+        ev = NoteEvent(onset=5 * Q, duration=Q,
                        pitch=Pitch.from_name("C4"), voice=1, staff=1)
-        m = Measure(index=1, start=Fraction(4), duration=Fraction(4),
+        m = Measure(index=1, start=4 * Q, duration=4 * Q,
                     events=(ev,), time_sig=(4, 4))
         with pytest.raises(EncodeError, match="measure 2: staff 1 voice 1"):
             encode(Score(measures=(m,), n_staves=2))
@@ -118,10 +120,10 @@ class TestRoundTrip:
         back = decode(encode(ref))
         # no chords in the reference, so synthesize one
         def ev(name, chord):
-            return NoteEvent(onset=Fraction(0), duration=Fraction(1),
+            return NoteEvent(onset=0, duration=Q,
                              pitch=Pitch.from_name(name), chord=chord)
 
-        m = Measure(index=0, start=Fraction(0), duration=Fraction(1),
+        m = Measure(index=0, start=0, duration=Q,
                     events=(ev("C4", False), ev("E4", True), ev("G4", True)),
                     time_sig=(1, 4), key_fifths=0, clefs=("G2", "F4"))
         score = Score(measures=(m,), n_staves=2)
@@ -132,17 +134,18 @@ class TestRoundTrip:
 
     def test_ties_and_tuplets_survive(self):
         def ev(onset, dur, **kw):
-            return NoteEvent(onset=Fraction(onset), duration=Fraction(dur),
+            return NoteEvent(onset=onset, duration=dur,
                              pitch=Pitch.from_name("A4"), **kw)
 
-        m = Measure(index=0, start=Fraction(0), duration=Fraction(2),
-                    events=(ev(0, Fraction(1, 3)),
-                            ev(Fraction(1, 3), Fraction(1, 3)),
-                            ev(Fraction(2, 3), Fraction(1, 3)),
-                            ev(1, 1, tie_start=True)),
+        third = Q // 3
+        m = Measure(index=0, start=0, duration=2 * Q,
+                    events=(ev(0, third),
+                            ev(third, third),
+                            ev(2 * third, third),
+                            ev(Q, Q, tie_start=True)),
                     time_sig=(2, 4), key_fifths=0, clefs=("G2", "F4"))
-        m2 = Measure(index=1, start=Fraction(2), duration=Fraction(2),
-                     events=(ev(2, 2, tie_stop=True),), time_sig=(2, 4))
+        m2 = Measure(index=1, start=2 * Q, duration=2 * Q,
+                     events=(ev(2 * Q, 2 * Q, tie_stop=True),), time_sig=(2, 4))
         score = Score(measures=(m, m2), n_staves=2)
         tokens = encode(score)
         assert "triplet" in tokens
@@ -150,7 +153,7 @@ class TestRoundTrip:
         back = decode(tokens)
         assert semantic_signature(back) == semantic_signature(score)
         starts = [e for e in back.notes() if e.tie_start]
-        assert len(starts) == 1 and starts[0].onset == 1
+        assert len(starts) == 1 and starts[0].onset == Q
 
 
 class TestDecodeErrors:
@@ -233,8 +236,14 @@ def test_decoded_values_come_from_bounded_shared_tables():
     assert len({id(ev.duration) for ev in events}) == 1
     # (type, dots, tuplet) for 8 types, 0-2 dots and no, 3:2 or 5:4 tuplet
     assert len(lmx._LENGTHS) == 72
-    # each a whole number of the lane cursors' ticks
-    assert all(Fraction(ticks, lmx._TICKS) == length for length, ticks in lmx._LENGTHS.values())
+    # each a whole number of ticks: the type's quarters, times 2 - 2**-dots, times normal/actual
+    quarters = {"breve": 8, "whole": 4, "half": 2, "quarter": 1, "eighth": Fraction(1, 2),
+                "16th": Fraction(1, 4), "32nd": Fraction(1, 8), "64th": Fraction(1, 16)}
+    for (name, dots, tuplet), ticks in lmx._LENGTHS.items():
+        actual, normal = tuplet or (1, 1)
+        assert isinstance(ticks, int)
+        assert Fraction(ticks, Q) == (quarters[name] * (2 - Fraction(1, 2 ** dots))
+                                      * Fraction(normal, actual))
 
 
 class TestVocabulary:

@@ -7,7 +7,10 @@ with a ``Fraction`` cursor per lane, mutable draft objects and one scan of
 the measure per lane, lives on here as ``reference_encode`` and
 ``reference_decode``.  Both must turn every token stream, mutated ones
 included, into equal scores or the same error, and every score, mutated
-ones included, into equal tokens or the same error.
+ones included, into equal tokens or the same error.  The references work
+in quarters and convert at their boundary: ``reference_encode`` reads the
+score through ``in_quarters`` and ``reference_decode`` returns it through
+``in_ticks``.
 """
 
 import re
@@ -15,28 +18,33 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradus import analysis, lmx
 from gradus.fixtures import generate_corpus
 from gradus.lmx import DecodeError, EncodeError
+from gradus.score import TICKS_PER_QUARTER as Q
 from gradus.score import (
     DURATION_TYPES,
     Measure,
+    MusicXmlParseError,
     NoteEvent,
     Pitch,
     Score,
     duration_for_type,
+    parse_musicxml,
     serialize_musicxml,
-    type_for_duration,
 )
+from test_score_io_oracle import search_type_for_duration
+from test_timeline_oracle import in_quarters, in_ticks
 
 _PITCH_RE = re.compile(r"^([A-G])(#{1,2}|b{1,2})?(-?\d+)$")
 _DEFAULT_VOICE = {1: 1, 2: 2}
 _TUPLET_TOKENS = {(3, 2): "triplet", (5, 4): "quintuplet"}
 _TOKEN_TUPLETS = {v: k for k, v in _TUPLET_TOKENS.items()}
-_LENGTHS = {(name, dots, tuplet): duration_for_type(name, dots, tuplet)
+_LENGTHS = {(name, dots, tuplet): Fraction(duration_for_type(name, dots, tuplet), Q)
             for name in DURATION_TYPES for dots in range(3)
             for tuplet in (None, *_TUPLET_TOKENS)}
 
@@ -45,6 +53,11 @@ _LENGTHS = {(name, dots, tuplet): duration_for_type(name, dots, tuplet)
 # The reference encoder: one scan of the measure per (staff, voice) lane
 
 def reference_encode(score: Score) -> list[str]:
+    return reference_encode_quarters(in_quarters(score))
+
+
+def reference_encode_quarters(score: Score) -> list[str]:
+    """The reference encoder on a score whose times are Fractions of quarters."""
     tokens: list[str] = []
     for measure in score.measures:
         tokens.append("measure")
@@ -107,7 +120,7 @@ def reference_encode_lane(evs: Sequence[NoteEvent], measure: Measure) -> list[st
 
 
 def reference_duration_tokens(quarters: Fraction, measure: Measure) -> list[str]:
-    decomposed = type_for_duration(quarters)
+    decomposed = search_type_for_duration(quarters)
     if decomposed is None:
         raise EncodeError(
             f"measure {measure.index + 1}: duration {quarters} is not notatable")
@@ -140,6 +153,11 @@ class _MeasureDraft:
 
 
 def reference_decode(tokens: Sequence[str], recover: bool = False) -> tuple[Score, list[str]]:
+    score, skipped = reference_decode_quarters(tokens, recover)
+    return in_ticks(score), skipped
+
+
+def reference_decode_quarters(tokens: Sequence[str], recover: bool) -> tuple[Score, list[str]]:
     measures: list[Measure] = []
     skipped: list[str] = []
     start = Fraction(0)
@@ -394,9 +412,9 @@ def test_decoders_agree_on_mutated_streams(tokens):
     assert_same_decoding(tokens)
 
 
-SHIFTS = tuple(Fraction(k, 12) for k in (-12, -6, -4, -3, 3, 4, 6, 12))
-ODD_LENGTHS = (Fraction(1, 3), Fraction(5, 4), Fraction(7, 8), Fraction(1, 5),
-               Fraction(3, 10), Fraction(5, 3), Fraction(1, 7), Fraction(7, 12))
+# in ticks: k/12 quarter, and lengths one note cannot spell but for 1/3 and 1/5
+SHIFTS = tuple(k * Q // 12 for k in (-12, -6, -4, -3, 3, 4, 6, 12))
+ODD_LENGTHS = (Q // 3, 5 * Q // 4, 7 * Q // 8, Q // 5, 3 * Q // 10, 5 * Q // 3, 1, 7 * Q // 12)
 
 
 @st.composite
@@ -415,7 +433,7 @@ def mutated_scores(draw):
         kind = draw(st.sampled_from(
             ("shift", "chord", "grace", "staff", "voice", "duplicate", "shuffle")))
         if kind == "shift":
-            events[j] = replace(ev, onset=max(Fraction(0), ev.onset + draw(st.sampled_from(SHIFTS))))
+            events[j] = replace(ev, onset=max(0, ev.onset + draw(st.sampled_from(SHIFTS))))
         elif kind == "chord":
             events[j] = replace(ev, chord=not ev.chord)
         elif kind == "grace":
@@ -437,3 +455,20 @@ def mutated_scores(draw):
 @given(mutated_scores())
 def test_encoders_agree_on_mutated_scores(score):
     assert_same_encoding(score)
+
+
+def test_off_grid_length_never_reaches_the_codec():
+    # the reference encoder refuses a 1/7-quarter note, as encode did before
+    # scores held ticks; now the parser refuses the document that spells it
+    note = NoteEvent(onset=Fraction(0), duration=Fraction(1, 7), pitch=Pitch.from_name("C4"))
+    score = Score(measures=(Measure(index=0, start=Fraction(0), duration=Fraction(1, 7),
+                                    events=(note,)),))
+    with pytest.raises(EncodeError, match="^measure 1: duration 1/7 is not notatable$"):
+        reference_encode_quarters(score)
+    doc = ('<score-partwise><part-list/><part id="P1"><measure number="1">'
+           "<attributes><divisions>7</divisions></attributes>"
+           "<note><pitch><step>C</step><octave>4</octave></pitch><duration>1</duration></note>"
+           "</measure></part></score-partwise>")
+    with pytest.raises(MusicXmlParseError, match="^measure 1: 1 of 7 divisions is off "
+                                                 "the 1/960-quarter grid$"):
+        parse_musicxml(doc)

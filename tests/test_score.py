@@ -4,13 +4,13 @@ import dataclasses
 import gc
 import re
 import zipfile
-from fractions import Fraction
 
 import pytest
 
 from conftest import semantic_signature
 from gradus import lmx
 from gradus import score as score_module
+from gradus.score import TICKS_PER_QUARTER as Q
 from gradus.score import (
     Measure,
     MusicXmlParseError,
@@ -135,34 +135,33 @@ class TestPitch:
 class TestNoteEvent:
     def test_positive_duration_required(self):
         with pytest.raises(ValueError):
-            NoteEvent(onset=Fraction(0), duration=Fraction(0), pitch=None)
+            NoteEvent(onset=0, duration=0, pitch=None)
         with pytest.raises(ValueError):
-            NoteEvent(onset=Fraction(0), duration=Fraction(-1), pitch=None)
+            NoteEvent(onset=0, duration=-Q, pitch=None)
 
     def test_staff_must_be_one_or_two(self):
         with pytest.raises(ValueError):
-            NoteEvent(onset=Fraction(0), duration=Fraction(1), pitch=None, staff=3)
+            NoteEvent(onset=0, duration=Q, pitch=None, staff=3)
 
     def test_rest_detection(self):
-        rest = NoteEvent(onset=Fraction(0), duration=Fraction(1), pitch=None)
+        rest = NoteEvent(onset=0, duration=Q, pitch=None)
         assert rest.is_rest
-        note = NoteEvent(onset=Fraction(0), duration=Fraction(1),
-                         pitch=Pitch.from_name("C4"))
+        note = NoteEvent(onset=0, duration=Q, pitch=Pitch.from_name("C4"))
         assert not note.is_rest
-        assert note.end == Fraction(1)
+        assert note.end == Q
 
     @pytest.mark.parametrize("kwargs, message", [
-        ({"onset": Fraction(-1, 3)}, "onset must be >= 0"),
+        ({"onset": -Q // 3}, "onset must be >= 0"),
         ({"onset": -1}, "onset must be >= 0"),
-        ({"duration": Fraction(0)}, "duration must be > 0"),
-        ({"duration": Fraction(-1, 2)}, "duration must be > 0"),
+        ({"duration": -Q}, "duration must be > 0"),
+        ({"duration": -Q // 2}, "duration must be > 0"),
         ({"duration": 0}, "duration must be > 0"),
         ({"duration": -2}, "duration must be > 0"),
         ({"staff": 0}, "staff must be 1 or 2"),
         ({"staff": 3}, "staff must be 1 or 2"),
     ])
     def test_rejections_keep_their_messages(self, kwargs, message):
-        fields = {"onset": Fraction(1, 2), "duration": Fraction(1), "pitch": None, **kwargs}
+        fields = {"onset": Q // 2, "duration": Q, "pitch": None, **kwargs}
         with pytest.raises(ValueError, match=f"^{message}$"):
             NoteEvent(**fields)
 
@@ -171,7 +170,7 @@ class TestNoteEvent:
         assert (ev.onset, ev.duration, ev.end, ev.staff) == (0, 2, 2, 2)
 
     def test_fields_are_frozen(self):
-        ev = NoteEvent(onset=Fraction(0), duration=Fraction(1), pitch=None)
+        ev = NoteEvent(onset=0, duration=Q, pitch=None)
         with pytest.raises(dataclasses.FrozenInstanceError):
             ev.voice = 2
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -179,23 +178,23 @@ class TestNoteEvent:
         assert ev.voice == 1
 
     def test_equal_fields_give_equal_events_and_hashes(self):
-        fields = dict(onset=Fraction(3, 2), duration=Fraction(1, 3),
+        fields = dict(onset=3 * Q // 2, duration=Q // 3,
                       pitch=Pitch.from_name("F#3"), voice=2, staff=2, tie_start=True,
                       chord=True, hidden=False)
         a, b = NoteEvent(**fields), NoteEvent(**fields)
         assert a == b and hash(a) == hash(b) and a is not b
         assert a != NoteEvent(**{**fields, "tie_stop": True})
         assert repr(a) == (
-            "NoteEvent(onset=Fraction(3, 2), duration=Fraction(1, 3), pitch=Pitch("
+            "NoteEvent(onset=1440, duration=320, pitch=Pitch("
             "midi_number=54, pitch_class=6, octave=3, step='F', alter=1), voice=2, "
             "staff=2, tie_start=True, tie_stop=False, chord=True, grace=False, hidden=False)")
 
     def test_positional_construction_and_replace(self):
         c4 = Pitch.from_name("C4")
-        ev = NoteEvent(Fraction(1), Fraction(2), c4, 2, 2, True, False, True, False, True)
-        assert ev == NoteEvent(onset=Fraction(1), duration=Fraction(2), pitch=c4, voice=2,
+        ev = NoteEvent(1, 2, c4, 2, 2, True, False, True, False, True)
+        assert ev == NoteEvent(onset=1, duration=2, pitch=c4, voice=2,
                                staff=2, tie_start=True, chord=True, hidden=True)
-        moved = dataclasses.replace(ev, onset=Fraction(5), staff=1)
+        moved = dataclasses.replace(ev, onset=5, staff=1)
         assert (moved.onset, moved.staff, moved.voice, moved.tie_start) == (5, 1, 2, True)
         assert ev.onset == 1
         with pytest.raises(ValueError, match="staff must be 1 or 2"):
@@ -204,23 +203,23 @@ class TestNoteEvent:
 
 class TestDurationTypes:
     def test_plain_values(self):
-        assert type_for_duration(Fraction(1)) == ("quarter", 0, None)
-        assert type_for_duration(Fraction(4)) == ("whole", 0, None)
-        assert type_for_duration(Fraction(1, 4)) == ("16th", 0, None)
+        assert type_for_duration(Q) == ("quarter", 0, None)
+        assert type_for_duration(4 * Q) == ("whole", 0, None)
+        assert type_for_duration(Q // 4) == ("16th", 0, None)
 
     def test_dotted_values(self):
-        assert type_for_duration(Fraction(3, 2)) == ("quarter", 1, None)
-        assert type_for_duration(Fraction(7, 4)) == ("quarter", 2, None)
-        assert type_for_duration(Fraction(3)) == ("half", 1, None)
+        assert type_for_duration(3 * Q // 2) == ("quarter", 1, None)
+        assert type_for_duration(7 * Q // 4) == ("quarter", 2, None)
+        assert type_for_duration(3 * Q) == ("half", 1, None)
 
     def test_tuplet_values(self):
-        assert type_for_duration(Fraction(1, 3)) == ("eighth", 0, (3, 2))
-        assert type_for_duration(Fraction(1, 5)) == ("16th", 0, (5, 4))
+        assert type_for_duration(Q // 3) == ("eighth", 0, (3, 2))
+        assert type_for_duration(Q // 5) == ("16th", 0, (5, 4))
 
     def test_unrepresentable(self):
-        assert type_for_duration(Fraction(5, 2)) is None
-        assert type_for_duration(Fraction(0)) is None
-        assert type_for_duration(Fraction(1, 48)) is None
+        assert type_for_duration(5 * Q // 2) is None
+        assert type_for_duration(0) is None
+        assert type_for_duration(Q // 48) is None
 
     def test_inverse_everywhere(self):
         for name in ("breve", "whole", "half", "quarter", "eighth", "16th",
@@ -263,7 +262,7 @@ class TestParsing:
                                  body=_note("C", 4, divisions))
             score = parse_musicxml(doc)
             (ev,) = [e for e in score.events() if not e.hidden]
-            assert ev.duration == Fraction(1)
+            assert ev.duration == Q
 
     def test_chord_shares_onset(self):
         body = _note("C", 4, 4) + "".join(
@@ -272,7 +271,7 @@ class TestParsing:
         score = parse_musicxml(MINIMAL.format(divisions=4, body=body))
         notes = [e for e in score.events() if e.pitch]
         assert len(notes) == 3
-        assert {n.onset for n in notes} == {Fraction(0)}
+        assert {n.onset for n in notes} == {0}
         assert [n.chord for n in notes] == [False, True, True]
 
     def test_backup_creates_second_voice(self):
@@ -291,10 +290,10 @@ class TestParsing:
         score = parse_musicxml(MINIMAL.format(divisions=4, body=body))
         rests = [e for e in score.events() if e.is_rest and e.hidden]
         assert len(rests) == 1
-        assert rests[0].onset == Fraction(1)
-        assert rests[0].duration == Fraction(2)
+        assert rests[0].onset == Q
+        assert rests[0].duration == 2 * Q
         notes = [e for e in score.events() if e.pitch]
-        assert notes[1].onset == Fraction(3)
+        assert notes[1].onset == 3 * Q
 
     def test_leading_and_trailing_gaps_filled(self):
         # voice 2 sounds only in the middle of the measure
@@ -305,8 +304,8 @@ class TestParsing:
         v2 = sorted((e for e in score.events() if e.voice == 2),
                     key=lambda e: e.onset)
         assert [e.is_rest for e in v2] == [True, False, True]
-        assert v2[0].onset == 0 and v2[0].duration == Fraction(1)
-        assert v2[2].onset == Fraction(2) and v2[2].duration == Fraction(2)
+        assert v2[0].onset == 0 and v2[0].duration == Q
+        assert v2[2].onset == 2 * Q and v2[2].duration == 2 * Q
 
     def test_ties_preserved(self):
         body = (_note("C", 5, 8, extra='<tie type="start"/>')
@@ -324,18 +323,18 @@ class TestParsing:
         grace = [e for e in score.events() if e.grace]
         main = [e for e in score.events() if e.pitch and not e.grace]
         assert len(grace) == 1 and grace[0].onset == 0
-        assert main[0].onset == 0 and main[0].duration == 4
+        assert main[0].onset == 0 and main[0].duration == 4 * Q
 
     @pytest.mark.parametrize("marks, length", [
-        ("<type>eighth</type><dot/>", Fraction(3, 4)),
-        ("<type>16th</type><dot/>", Fraction(3, 8)),
+        ("<type>eighth</type><dot/>", 3 * Q // 4),
+        ("<type>16th</type><dot/>", 3 * Q // 8),
         ("<type>eighth</type><time-modification><actual-notes>3</actual-notes>"
-         "<normal-notes>2</normal-notes></time-modification>", Fraction(1, 3)),
+         "<normal-notes>2</normal-notes></time-modification>", Q // 3),
         ("<type>eighth</type><time-modification><actual-notes>5</actual-notes>"
-         "<normal-notes>4</normal-notes></time-modification>", Fraction(2, 5)),
-        ("<type>16th</type><dot/><dot/>", Fraction(7, 16)),
-        ("", Fraction(1, 2)),
-        ("<type>maxima</type>", Fraction(1, 2)),
+         "<normal-notes>4</normal-notes></time-modification>", 2 * Q // 5),
+        ("<type>16th</type><dot/><dot/>", 7 * Q // 16),
+        ("", Q // 2),
+        ("<type>maxima</type>", Q // 2),
     ], ids=["eighth-dot", "16th-dot", "eighth-triplet", "eighth-quintuplet",
             "16th-two-dots", "no-type", "unknown-type"])
     def test_grace_length_keeps_dots_and_tuplets(self, marks, length):
@@ -362,12 +361,12 @@ class TestParsing:
 
     def test_empty_measure_gets_nominal_duration(self):
         score = parse_musicxml(MINIMAL.format(divisions=4, body=""))
-        assert score.measures[0].duration == Fraction(4)
+        assert score.measures[0].duration == 4 * Q
 
     def test_overfull_measure_extends_duration(self):
         body = _note("C", 4, 20)
         score = parse_musicxml(MINIMAL.format(divisions=4, body=body))
-        assert score.measures[0].duration == Fraction(5)
+        assert score.measures[0].duration == 5 * Q
 
     def test_metadata_fields(self):
         doc = """<?xml version="1.0"?>
@@ -488,7 +487,7 @@ class TestParsing:
         for text in ("2", "2.0"):
             (ev,) = [e for e in parse_musicxml(MINIMAL.format(
                 divisions=2, body=_note("C", 4, text))).events() if not e.hidden]
-            assert ev.duration == Fraction(1)
+            assert ev.duration == Q
         doc = MINIMAL.format(divisions=2, body=_note("C", 4, "2.7"))
         with pytest.raises(MusicXmlParseError, match=r"^measure 1: malformed value "
                            r"\(ValueError: unsupported duration 2.7\)$"):
@@ -508,11 +507,65 @@ class TestParsing:
 
     def test_time_signature_rule(self):
         assert score_module.time_signature(6, 8) == (6, 8)
-        assert score_module.measure_length((6, 8)) == Fraction(3)
-        assert score_module.measure_length(None) == Fraction(4)
+        assert score_module.measure_length((6, 8)) == 3 * Q
+        assert score_module.measure_length(None) == 4 * Q
         for beats, beat_type in ((4, 0), (0, 4), (-3, 4)):
             with pytest.raises(ValueError, match=f"got {beats}/{beat_type}$"):
                 score_module.time_signature(beats, beat_type)
+
+    def test_time_signature_off_the_tick_grid_is_refused(self):
+        assert score_module.measure_length((5, 3)) == 5 * 4 * Q // 3
+        with pytest.raises(ValueError, match="^a measure of 4/7 is off the 1/960-quarter grid$"):
+            score_module.time_signature(4, 7)
+        doc = MINIMAL.format(divisions=4, body="").replace(
+            "<beat-type>4</beat-type>", "<beat-type>7</beat-type>")
+        with pytest.raises(MusicXmlParseError, match=r"^measure 1: malformed value "
+                           r"\(ValueError: a measure of 4/7 is off"):
+            parse_musicxml(doc)
+
+    def test_additive_time_signature_reads_as_its_sum(self):
+        doc = MINIMAL.format(divisions=2, body=_note("C", 4, 3) + _note("D", 4, 2)).replace(
+            "<beats>4</beats><beat-type>4</beat-type>", "<beats>3+2</beats><beat-type>8</beat-type>")
+        score = parse_musicxml(doc)
+        assert score.measures[0].time_sig == (5, 8)
+        assert "time:5/8" in lmx.encode(score)
+        written = serialize_musicxml(score).decode()
+        assert "<beats>5</beats>" in written and "+" not in written
+
+    @pytest.mark.parametrize("beats", ["3+x", "3+", "3+2.5"])
+    def test_additive_time_signature_with_a_bad_part_fails_at_its_measure(self, beats):
+        doc = MINIMAL.format(divisions=2, body=_note("C", 4, 2)).replace(
+            "<beats>4</beats>", f"<beats>{beats}</beats>")
+        doc = doc.replace("</measure>", "</measure><measure number=\"2\"/>")
+        with pytest.raises(MusicXmlParseError, match=r"^measure 1: malformed value "
+                           r"\(ValueError: invalid literal for int\(\)"):
+            parse_musicxml(doc)
+
+    @pytest.mark.parametrize("body", [
+        _note("C", 4, 1),
+        _note("C", 4, 7) + "<forward><duration>1</duration></forward>",
+        "<forward><duration>1</duration></forward>" + _note("C", 4, 7),
+        "<note><grace/><pitch><step>D</step><octave>5</octave></pitch><voice>1</voice></note>"
+        "<forward><duration>1</duration></forward>",
+    ], ids=["duration", "measure-length", "onset", "grace-onset"])
+    def test_position_off_the_tick_grid_fails_at_its_measure(self, body):
+        # 1/7 quarter is no whole number of 1/960-quarter ticks
+        doc = MINIMAL.format(divisions=7, body=body)
+        with pytest.raises(MusicXmlParseError, match=r"^measure 1: \d+ of 7 divisions is off "
+                           r"the 1/960-quarter grid$"):
+            parse_musicxml(doc)
+
+    def test_position_on_the_tick_grid_parses_at_any_divisions(self):
+        # 1920 divisions per quarter: an even count is a whole number of ticks
+        (ev,) = [e for e in parse_musicxml(MINIMAL.format(
+            divisions=1920, body=_note("C", 4, 1922))).events() if not e.hidden]
+        assert ev.duration == Q + 1
+        with pytest.raises(MusicXmlParseError, match="^measure 1: 1921 of 1920 divisions"):
+            parse_musicxml(MINIMAL.format(divisions=1920, body=_note("C", 4, 1921)))
+
+    def test_quarter_text_is_in_lowest_terms(self):
+        assert [score_module.quarter_text(t) for t in (0, Q, 3 * Q // 2, 5 * Q, Q // 3, 1, -Q // 2)] \
+            == ["0", "1", "3/2", "5", "1/3", "1/960", "-1/2"]
 
 
 class TestMxlContainer:
@@ -637,16 +690,16 @@ class TestSerialization:
                    for dots in range(3) for tuplet in (None,) + TUPLET_RATIOS]
         events = []
         for i, length in enumerate(lengths):
-            events.append(NoteEvent(onset=Fraction(i), duration=length,
+            events.append(NoteEvent(onset=i * Q, duration=length,
                                     pitch=Pitch.from_name("D5"), voice=1, staff=1, grace=True))
-            events.append(NoteEvent(onset=Fraction(i), duration=Fraction(1),
+            events.append(NoteEvent(onset=i * Q, duration=Q,
                                     pitch=Pitch.from_name("C5"), voice=1, staff=1))
-        score = Score(measures=(Measure(index=0, start=Fraction(0),
-                                        duration=Fraction(len(lengths)),
+        score = Score(measures=(Measure(index=0, start=0,
+                                        duration=len(lengths) * Q,
                                         events=tuple(events)),))
         back = parse_musicxml(serialize_musicxml(score))
         assert [(e.onset, e.duration) for e in back.events() if e.grace] == \
-            [(Fraction(i), length) for i, length in enumerate(lengths)]
+            [(i * Q, length) for i, length in enumerate(lengths)]
         assert back == score
 
     def test_ties_survive_round_trip(self, small_corpus):
@@ -663,7 +716,7 @@ class TestTimeline:
     def test_reference_segments(self, reference_piece):
         segs = timeline(reference_piece)
         bounds = [(s.start, s.end) for s in segs]
-        assert bounds == [(0, 1), (1, 2), (2, 4), (4, 8)]
+        assert bounds == [(0, Q), (Q, 2 * Q), (2 * Q, 4 * Q), (4 * Q, 8 * Q)]
         tops = [[p.name for p in s.pitches] for s in segs]
         assert tops == [["C3", "C5"], ["C3", "E5"], ["C3", "G5"], ["G3", "D5"]]
 
@@ -685,26 +738,26 @@ class TestTimeline:
 
     def test_tie_chain_merges_into_one_interval(self):
         def note(onset, dur, **kw):
-            return NoteEvent(onset=Fraction(onset), duration=Fraction(dur),
+            return NoteEvent(onset=onset * Q, duration=dur * Q,
                              pitch=Pitch.from_name("C4"), **kw)
 
-        m1 = Measure(index=0, start=Fraction(0), duration=Fraction(4),
+        m1 = Measure(index=0, start=0, duration=4 * Q,
                      events=(note(0, 4, tie_start=True),))
-        m2 = Measure(index=1, start=Fraction(4), duration=Fraction(4),
+        m2 = Measure(index=1, start=4 * Q, duration=4 * Q,
                      events=(note(4, 4, tie_stop=True),))
         score = Score(measures=(m1, m2), n_staves=2)
         intervals = merged_sounding_intervals(score)
         assert len(intervals) == 1
-        assert intervals[0][:2] == (Fraction(0), Fraction(8))
+        assert intervals[0][:2] == (0, 8 * Q)
         segs = timeline(score)
         assert len(segs) == 1
 
     def test_repeated_notes_without_ties_stay_separate(self):
         def note(onset):
-            return NoteEvent(onset=Fraction(onset), duration=Fraction(1),
+            return NoteEvent(onset=onset * Q, duration=Q,
                              pitch=Pitch.from_name("C4"))
 
-        m = Measure(index=0, start=Fraction(0), duration=Fraction(2),
+        m = Measure(index=0, start=0, duration=2 * Q,
                     events=(note(0), note(1)))
         score = Score(measures=(m,), n_staves=2)
         assert len(merged_sounding_intervals(score)) == 2

@@ -9,6 +9,12 @@ hidden rests and errors included.  ``parse_musicxml`` reads each note's
 children in one pass; the parser that built a dict of them per note lives
 on here as ``reference_parse``, and both must read every document, mutated
 ones included, to equal scores or to the same error.
+
+The oracles count time in Fractions of a quarter and convert at their
+boundary: the tree writer reads the score through ``in_quarters``, and the
+reference parser's score is compared through ``in_ticks``.  The reference
+parser refuses a value off the 1/960-quarter tick grid where it turns
+divisions into quarters, with the parser's message.
 """
 
 import copy
@@ -25,6 +31,7 @@ from hypothesis import strategies as st
 from conftest import semantic_signature
 from gradus import analysis, lmx
 from gradus.fixtures import generate_corpus
+from gradus.score import TICKS_PER_QUARTER as Q
 from gradus.score import (
     DURATION_TYPES,
     TUPLET_RATIOS,
@@ -39,9 +46,9 @@ from gradus.score import (
     serialize_musicxml,
     type_for_duration,
 )
-from test_timeline_oracle import NAMES
+from test_timeline_oracle import NAMES, in_quarters, in_ticks, ticks
 
-GRID = Fraction(1, 6)   # the step of the strategies' non-grace onsets and lengths
+GRID = Q // 6   # the step in ticks of the strategies' non-grace onsets and lengths
 _DOT_FACTORS = (Fraction(1), Fraction(3, 2), Fraction(7, 4))
 
 
@@ -55,7 +62,7 @@ def search_type_for_duration(quarters):
         for dots, factor in enumerate(_DOT_FACTORS):
             base = notated / factor
             for name, length in DURATION_TYPES.items():
-                if base == length:
+                if base == Fraction(length, Q):
                     tuplet = None if ratio == (1, 1) else ratio
                     return name, dots, tuplet
     return None
@@ -63,6 +70,7 @@ def search_type_for_duration(quarters):
 
 def tree_serialize(score):
     """Build the ElementTree, indent it and let ElementTree write the bytes."""
+    score = in_quarters(score)
     root = ET.Element("score-partwise", version="4.0")
     if score.title:
         ET.SubElement(root, "movement-title").text = score.title
@@ -193,12 +201,12 @@ def tree_write_note(m_el, ev, divisions, chord):
 def test_table_matches_the_search_on_a_fine_grid():
     for k in range(1, 2001):
         quarters = Fraction(k, 240)
-        assert type_for_duration(quarters) == search_type_for_duration(quarters), quarters
+        assert type_for_duration(ticks(quarters)) == search_type_for_duration(quarters), quarters
 
 
 @pytest.mark.parametrize("quarters", [Fraction(0), Fraction(-1), Fraction(-1, 3), -4])
 def test_table_has_no_reading_for_zero_or_negative(quarters):
-    assert type_for_duration(quarters) is None
+    assert type_for_duration(ticks(quarters)) is None
     assert search_type_for_duration(quarters) is None
 
 
@@ -254,8 +262,8 @@ def loose_events(draw, start, length):
     events = []
     for _ in range(draw(st.integers(0, 4))):
         grace = draw(st.integers(0, 3)) == 0
-        # a grace note may sit off the grid the other notes set
-        onset = (start + Fraction(draw(st.integers(0, 7 * length)), 7 * 6) if grace
+        # a grace note may sit off the grid the other notes set, on a 1/30 grid
+        onset = (start + draw(st.integers(0, 5 * length)) * (Q // 30) if grace
                  else start + draw(st.integers(0, length - 1)) * GRID)
         events.append(NoteEvent(
             onset=onset, duration=draw(st.integers(1, 18)) * GRID,
@@ -274,7 +282,7 @@ def scores(draw, loose=False):
     the byte comparison can take.
     """
     measures = []
-    start = Fraction(0)
+    start = 0
     time_sig = None
     for index in range(draw(st.integers(1, 4))):
         m_time = draw(st.sampled_from(TIME_SIGS))
@@ -290,9 +298,9 @@ def scores(draw, loose=False):
         if end > start:
             duration = end - start
         elif time_sig is not None:
-            duration = Fraction(time_sig[0] * 4, time_sig[1])
+            duration = time_sig[0] * 4 * Q // time_sig[1]
         else:
-            duration = Fraction(4)
+            duration = 4 * Q
         measures.append(Measure(
             index=index, start=start, duration=duration, events=tuple(events),
             time_sig=m_time, key_fifths=draw(st.one_of(st.none(), st.integers(-7, 7))),
@@ -404,7 +412,8 @@ DIVISIONS = HEAD.format(measures="".join([
 
 
 def summary(score):
-    """Per measure: start, duration and each event as strings and flags."""
+    """Per measure: start, duration and each event as strings in quarters, and flags."""
+    score = in_quarters(score)
     flags = (("c", "chord"), ("g", "grace"), ("h", "hidden"), ("s", "tie_start"),
              ("t", "tie_stop"))
     return [(str(m.start), str(m.duration), [
@@ -461,7 +470,8 @@ def test_first_child_of_a_tag_is_the_one_read():
 def reference_parse(document: bytes | str) -> Score:
     """``parse_musicxml`` as it was before one pass per note: a dict of each
     note's children, ``findall("tie")`` and a pitch cache per document keyed
-    by the raw texts.  Plain documents only."""
+    by the raw texts.  Plain documents only.  Times are Fractions of a
+    quarter."""
     if isinstance(document, str):
         document = document.encode("utf-8")
     try:
@@ -615,9 +625,14 @@ def reference_parse(document: bytes | str) -> Score:
 
 def ref_q(divs: int, divisions: Optional[int], m_index: int,
           start: Fraction = Fraction(0)) -> Fraction:
-    """``start + divs / divisions`` quarters, built as one Fraction."""
+    """``start + divs / divisions`` quarters, built as one Fraction; refused
+    off the tick grid, as the parser refuses it."""
     if divisions is None:
         raise MusicXmlParseError(f"measure {m_index + 1}: missing divisions attribute")
+    # divmod fails on divisions 0 as the parser's does
+    if divmod(divs * Q, divisions)[1]:
+        raise MusicXmlParseError(f"measure {m_index + 1}: {divs} of {divisions} divisions "
+                                 f"is off the 1/{Q}-quarter grid")
     return Fraction(start.numerator * divisions + divs * start.denominator,
                     start.denominator * divisions)
 
@@ -665,7 +680,7 @@ def ref_grace_length(note: ET.Element, children: dict[str, ET.Element]) -> Fract
     mod = children.get("time-modification")
     tuplet = None if mod is None else (int(ref_text(mod.find("actual-notes"))),
                                        int(ref_text(mod.find("normal-notes"))))
-    return duration_for_type(name, len(note.findall("dot")), tuplet)
+    return Fraction(duration_for_type(name, len(note.findall("dot")), tuplet), Q)
 
 
 def ref_text(elem: Optional[ET.Element]) -> Optional[str]:
@@ -751,7 +766,8 @@ def outcome(parse, document):
 
 
 def assert_same_reading(document):
-    ours, theirs = outcome(parse_musicxml, document), outcome(reference_parse, document)
+    ours = outcome(parse_musicxml, document)
+    theirs = outcome(lambda doc: in_ticks(reference_parse(doc)), document)
     assert ours == theirs
 
 
@@ -765,7 +781,8 @@ def test_parser_matches_the_reference_on_the_fixture_corpus():
     for piece in generate_corpus(12, seed=9090):
         for score in (piece, analysis.skyline_score(piece), lmx.decode(lmx.encode(piece))):
             document = serialize_musicxml(score)
-            assert parse_musicxml(document) == reference_parse(document), piece.source_id
+            assert parse_musicxml(document) == in_ticks(reference_parse(document)), \
+                piece.source_id
 
 
 TEXTS = ("", " ", "x", "-1", "0", "1.5")
@@ -783,7 +800,8 @@ def mutated_documents(draw):
         if kind == "divisions":
             divisions = root.findall("part/measure/attributes/divisions")
             if divisions:
-                draw(st.sampled_from(divisions)).text = str(draw(st.integers(-4, 0)))
+                # 0 or below, or 7, off the tick grid
+                draw(st.sampled_from(divisions)).text = str(draw(st.sampled_from((-4, -3, -2, -1, 0, 7))))
             continue
         if kind == "first chord":
             firsts = [m.find("note") for m in root.iter("measure") if m.find("note") is not None]
@@ -832,3 +850,21 @@ def test_parser_matches_the_reference_on_every_text_of_a_note(text):
 @given(mutated_documents())
 def test_parser_matches_the_reference_on_mutated_documents(document):
     assert_same_reading(document)
+
+
+@pytest.mark.parametrize("body", [
+    note("C", 4, 1),
+    note("C", 4, 7) + move("forward", 1),
+    move("forward", 1) + note("C", 4, 6),
+    note("D", 5, pre="<grace/>") + move("forward", 1),
+], ids=["duration", "measure-length", "onset", "grace-onset"])
+def test_off_grid_document_is_refused_alike(body):
+    # 1/7 quarter is no whole number of ticks; both parsers refuse it at measure 2
+    doc = HEAD.format(measures="".join([
+        '<measure number="1"><attributes><divisions>7</divisions></attributes>',
+        note("C", 4, 7), "</measure>",
+        f'<measure number="2">{body}</measure>']))
+    assert_same_reading(doc)
+    with pytest.raises(MusicXmlParseError, match=r"^measure 2: \d+ of 7 divisions is off "
+                                                 "the 1/960-quarter grid$"):
+        parse_musicxml(doc)

@@ -1,7 +1,6 @@
 """Style embedding and similarity tests."""
 
 import math
-from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -10,6 +9,7 @@ import pytest
 from gradus import analysis, style
 from gradus.analysis import feature_vector, pitch_class_profile
 from gradus.cli import main
+from gradus.fixtures import generate_corpus
 from gradus.score import Measure, NoteEvent, Pitch, Score, timeline, write_musicxml
 from gradus.style import (
     EMBEDDING_DIM,
@@ -65,6 +65,15 @@ class TestCosine:
         v = np.random.default_rng(1).normal(size=EMBEDDING_DIM)
         assert cosine_similarity(v, v) == pytest.approx(1.0)
         assert style_distance(v, v) == pytest.approx(0.0, abs=1e-12)
+
+    def test_distance_is_never_negative(self):
+        # the cosine of [1, 1, 1] with itself rounds to 1 + 2**-52
+        v = np.ones(3)
+        assert cosine_similarity(v, v) == 1.0 + 2.0 ** -52
+        assert style_distance(v, v) == 0.0
+        for piece in generate_corpus(40, seed=7):
+            e = baseline_embed(piece)
+            assert style_distance(e, e) >= 0.0, piece.source_id
 
     def test_opposite_vectors(self):
         v = np.array([1.0, 0.0, 2.0])

@@ -2,7 +2,9 @@
 
 ``reference_merged_sounding_intervals`` and ``reference_timeline`` are the
 Fraction implementation the tick sweep replaced, kept here as the oracle;
-``naive_timeline`` is the all-pairs definition built on the former.
+``naive_timeline`` is the all-pairs definition built on the former.  The
+references read the score in quarters (:func:`in_quarters`), and the
+timeline's tick output is converted to quarters to compare.
 """
 
 from bisect import bisect_right
@@ -16,15 +18,53 @@ from hypothesis import strategies as st
 
 from gradus import analysis, style
 from gradus.fixtures import generate_corpus
+from gradus.score import TICKS_PER_QUARTER as Q
 from gradus.score import (
     Measure,
+    MusicXmlParseError,
     NoteEvent,
     Pitch,
     Score,
     TimelineSegment,
     merged_sounding_intervals,
+    parse_musicxml,
     timeline,
 )
+
+
+def in_quarters(score):
+    """``score`` with every time a Fraction of quarters, as the references read it."""
+    return replace(score, measures=tuple(
+        replace(m, start=Fraction(m.start, Q), duration=Fraction(m.duration, Q),
+                events=tuple(replace(ev, onset=Fraction(ev.onset, Q),
+                                     duration=Fraction(ev.duration, Q)) for ev in m.events))
+        for m in score.measures))
+
+
+def ticks(quarters):
+    """A time in quarters as whole ticks; off the tick grid raises."""
+    value = quarters * Q
+    if value != int(value):
+        raise ValueError(f"{quarters} quarters is off the tick grid")
+    return int(value)
+
+
+def in_ticks(score):
+    """The inverse of :func:`in_quarters`; a time off the tick grid raises."""
+    return replace(score, measures=tuple(
+        replace(m, start=ticks(m.start), duration=ticks(m.duration),
+                events=tuple(replace(ev, onset=ticks(ev.onset), duration=ticks(ev.duration))
+                             for ev in m.events))
+        for m in score.measures))
+
+
+def segments_in_quarters(segments):
+    return [replace(seg, start=Fraction(seg.start, Q), end=Fraction(seg.end, Q))
+            for seg in segments]
+
+
+def segments_in_ticks(segments):
+    return [replace(seg, start=ticks(seg.start), end=ticks(seg.end)) for seg in segments]
 
 
 def reference_merged_sounding_intervals(score):
@@ -112,10 +152,13 @@ def naive_timeline(score):
 
 
 def assert_matches_references(score):
-    assert merged_sounding_intervals(score) == reference_merged_sounding_intervals(score)
-    got = timeline(score)
-    assert got == reference_timeline(score)
-    assert got == naive_timeline(score)
+    quarters = in_quarters(score)
+    assert ([(Fraction(start, Q), Fraction(end, Q), pitch)
+             for start, end, pitch in merged_sounding_intervals(score)]
+            == reference_merged_sounding_intervals(quarters))
+    got = segments_in_quarters(timeline(score))
+    assert got == reference_timeline(quarters)
+    assert got == naive_timeline(quarters)
 
 
 def repeat_measures(score, times):
@@ -132,17 +175,19 @@ def repeat_measures(score, times):
 
 
 def spelled(segments):
-    return [(s.start, s.end, [p.name for p in s.pitches]) for s in segments]
+    """Each segment's bounds in quarters and its spelled pitches."""
+    return [(Fraction(s.start, Q), Fraction(s.end, Q), [p.name for p in s.pitches])
+            for s in segments]
 
 
 def note(onset, dur, name, voice=1, staff=1, **kw):
-    return NoteEvent(onset=Fraction(onset), duration=Fraction(dur),
+    """A note whose onset and duration are given in quarters."""
+    return NoteEvent(onset=ticks(onset), duration=ticks(dur),
                      pitch=Pitch.from_name(name), voice=voice, staff=staff, **kw)
 
 
 def one_measure(duration, *events):
-    return Score(measures=(Measure(index=0, start=Fraction(0),
-                                   duration=Fraction(duration),
+    return Score(measures=(Measure(index=0, start=0, duration=ticks(duration),
                                    events=tuple(events)),), n_staves=2)
 
 
@@ -182,7 +227,7 @@ class TestHandMade:
             (0, 1, ["C4"]), (1, 2, ["E4"])]
 
     def test_tick_unit_spans_triplets_quintuplets_and_sixteenths(self):
-        # unit lcm(3, 5, 16) = 240: cuts at 1/3, 2/5, 3/4 and 16/15
+        # cuts at 1/3, 2/5, 3/4 and 16/15 quarter, each a whole number of ticks
         score = one_measure(
             Fraction(5, 4),
             note(Fraction(1, 3), Fraction(11, 15), "E4"),
@@ -200,11 +245,11 @@ class TestHandMade:
         tied = note(Fraction(3, 2), Fraction(1, 2), "G4", tie_start=True)
         held = note(Fraction(2), Fraction(1, 3), "G4", tie_stop=True)
         score = Score(measures=(
-            Measure(index=0, start=Fraction(0), duration=Fraction(2), events=(tied,)),
-            Measure(index=1, start=Fraction(2), duration=Fraction(5, 3),
+            Measure(index=0, start=0, duration=2 * Q, events=(tied,)),
+            Measure(index=1, start=2 * Q, duration=5 * Q // 3,
                     events=(held,))), n_staves=2)
         assert merged_sounding_intervals(score) == [
-            (Fraction(3, 2), Fraction(7, 3), Pitch.from_name("G4"))]
+            (3 * Q // 2, 7 * Q // 3, Pitch.from_name("G4"))]
         assert_matches_references(score)
 
 
@@ -237,6 +282,7 @@ def scores(draw):
     where its later links start past the end.  Events are filed under the
     measure holding their onset (the last one past the end) in a drawn
     order, which sets the chains' order and so the spelling tie-break.
+    Times are drawn in quarters and stored in ticks.
     """
     lengths = draw(st.lists(st.sampled_from(MEASURE_LENGTHS), min_size=1, max_size=4))
     starts = [sum(lengths[:i], Fraction(0)) for i in range(len(lengths))]
@@ -251,7 +297,8 @@ def scores(draw):
         for j in range(n_links):
             duration = draw(grid_lengths())
             events.append(NoteEvent(
-                onset=onset, duration=duration, pitch=pitch, voice=voice, staff=staff,
+                onset=ticks(onset), duration=ticks(duration), pitch=pitch,
+                voice=voice, staff=staff,
                 tie_start=ties[j] if j < n_links - 1 else draw(st.booleans()),
                 tie_stop=ties[j - 1] if j else draw(st.booleans()),
                 grace=draw(st.integers(0, 5)) == 0))
@@ -259,9 +306,9 @@ def scores(draw):
     by_measure = [[] for _ in lengths]
     for ev in draw(st.permutations(events)):
         by_measure[max(i for i, start in enumerate(starts)
-                       if start <= ev.onset or i == 0)].append(ev)
+                       if ticks(start) <= ev.onset or i == 0)].append(ev)
     return Score(measures=tuple(
-        Measure(index=i, start=start, duration=length, events=tuple(evs))
+        Measure(index=i, start=ticks(start), duration=ticks(length), events=tuple(evs))
         for i, (start, length, evs) in enumerate(zip(starts, lengths, by_measure))),
         n_staves=2)
 
@@ -290,8 +337,12 @@ class TestAnalysisOutputs:
         pieces = [repeat_measures(piece, times)
                   for piece in generate_corpus(6 if times == 1 else 2, seed=2718)]
         produced = [self.outputs(score) for score in pieces]
-        monkeypatch.setattr(analysis, "timeline", reference_timeline)
-        monkeypatch.setattr(style, "timeline", reference_timeline)
+
+        def reference_tick_timeline(score):
+            return segments_in_ticks(reference_timeline(in_quarters(score)))
+
+        monkeypatch.setattr(analysis, "timeline", reference_tick_timeline)
+        monkeypatch.setattr(style, "timeline", reference_tick_timeline)
         for score, got in zip(pieces, produced):
             want = self.outputs(score)
             for name in ("skyline", "skyline_score"):
@@ -299,3 +350,23 @@ class TestAnalysisOutputs:
             for name in ("profile", "features", "embedding"):
                 assert got[name].dtype == want[name].dtype
                 assert got[name].tobytes() == want[name].tobytes(), (score.source_id, name)
+
+
+def test_off_grid_time_stops_at_the_parser():
+    # the reference sweeps a cut at 1/7 quarter, which no whole number of ticks holds
+    late = NoteEvent(onset=Fraction(1, 7), duration=Fraction(6, 7), pitch=Pitch.from_name("C4"))
+    score = Score(measures=(Measure(index=0, start=Fraction(0), duration=Fraction(1),
+                                    events=(late,)),), n_staves=2)
+    segments = reference_timeline(score)
+    assert [(s.start, s.end) for s in segments] == [(0, Fraction(1, 7)), (Fraction(1, 7), 1)]
+    with pytest.raises(ValueError, match="^1/7 quarters is off the tick grid$"):
+        segments_in_ticks(segments)
+    # so the document that spells it is refused before any timeline is built
+    doc = ('<score-partwise><part-list/><part id="P1"><measure number="1">'
+           "<attributes><divisions>7</divisions></attributes>"
+           "<forward><duration>1</duration></forward>"
+           "<note><pitch><step>C</step><octave>4</octave></pitch><duration>6</duration></note>"
+           "</measure></part></score-partwise>")
+    with pytest.raises(MusicXmlParseError, match="^measure 1: 1 of 7 divisions is off "
+                                                 "the 1/960-quarter grid$"):
+        parse_musicxml(doc)

@@ -1,7 +1,8 @@
 """Every name a ``gradus`` module imports is used by that module, every
 name a module lists in ``__all__`` is its own, every private name a module
 defines is read by some module, and every option a CLI stage defines is
-read by that stage.
+read by that stage.  Score time is integer ticks, so no module imports
+``fractions`` but the one that holds the quarter-text helper.
 
 No linter ships with the project, so this walks each module's syntax tree
 with the standard ``ast`` module.  An imported name counts as used when the
@@ -164,6 +165,39 @@ def test_checker_sees_unread_and_read_private_names():
                         "print(a._ATTR)\n")}
     assert unread_private_names(sources) == ["a.py line 1: _UNREAD", "a.py line 5: _helper",
                                              "a.py line 7: _Gone"]
+
+
+def imported_modules(tree: ast.Module) -> set[str]:
+    """The top-level name of every absolute import in ``tree``."""
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.add(node.module.split(".")[0])
+    return modules
+
+
+def fraction_importers(sources: dict[str, str]) -> list[str]:
+    """Each module that imports ``fractions``, other than the one that
+    defines ``quarter_text``, the helper that prints ticks as quarters."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    return [name for name, tree in trees.items()
+            if "fractions" in imported_modules(tree) and "quarter_text" not in defined_names(tree)]
+
+
+def test_no_module_imports_fractions():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert fraction_importers(sources) == []
+
+
+def test_checker_sees_fractions_imports():
+    sources = {"a.py": "from fractions import Fraction\n",
+               "b.py": "import math, fractions as f\n",
+               "c.py": "def g():\n    import fractions\n",
+               "d.py": "import math\nfrom .score import Fraction\n",
+               "score.py": "from fractions import Fraction\ndef quarter_text(t):\n    pass\n"}
+    assert fraction_importers(sources) == ["a.py", "b.py", "c.py"]
 
 
 def stage_parsers(parser: argparse.ArgumentParser) -> list[argparse.ArgumentParser]:
