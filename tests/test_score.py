@@ -352,7 +352,10 @@ class TestParsing:
         "</time-modification>",
         "<type>eighth</type><time-modification><actual-notes>0</actual-notes>"
         "<normal-notes>2</normal-notes></time-modification>",
-    ], ids=["three-dots", "actual-text", "actual-missing", "actual-zero"])
+        # 3/14 quarter, no whole number of ticks
+        "<type>eighth</type><time-modification><actual-notes>7</actual-notes>"
+        "<normal-notes>3</normal-notes></time-modification>",
+    ], ids=["three-dots", "actual-text", "actual-missing", "actual-zero", "off-grid-tuplet"])
     def test_malformed_grace_marks_raise_parse_error(self, marks):
         body = ("<note><grace/><pitch><step>D</step><octave>5</octave></pitch>"
                 f"<voice>1</voice>{marks}</note>" + _note("C", 5, 16))
