@@ -29,8 +29,7 @@ print(f"{len(samples)} conditioned sequences, padded batch {ids.shape}; "
       f"loss positions per row: {(mask == 0).sum(axis=1).tolist()}")
 
 cfg = ModelConfig(vocab_size=len(vocab.tokens), d_model=48, n_heads=4,
-                  n_layers=1, d_ff=128, max_len=ids.shape[1] + 64,
-                  harmony_token_id=vocab.id("[HARM]"))
+                  n_layers=1, d_ff=128, max_len=ids.shape[1] + 64)
 model = TinyLM.create(cfg, seed=0)
 print(f"\nmodel: {sum(p.size for p in model.params.values())} parameters")
 

@@ -30,7 +30,8 @@ import numpy as np
 
 from . import (__version__, analysis, fixtures, gnb, interchange, lmx, mining, model, report,
                seqbuild, style)
-from .score import Score, quarter_text, read_musicxml, validate_two_staff, write_musicxml
+from .score import (Score, ScoreError, quarter_text, read_musicxml, validate_two_staff,
+                    write_musicxml)
 
 __all__ = ["main"]
 
@@ -54,7 +55,8 @@ def _input_digests(args: argparse.Namespace) -> dict[str, str]:
     """Digests of the paths held by the arguments ``args.inputs`` names.
 
     An unset optional input is skipped and each of a list's paths counts;
-    a directory gets ``dir:`` and a digest over its files.
+    a directory gets ``dir:`` and a digest over its files other than
+    manifests, which hold the paths of the run that wrote them.
     """
     out: dict[str, str] = {}
     for name in args.inputs:
@@ -62,7 +64,8 @@ def _input_digests(args: argparse.Namespace) -> dict[str, str]:
         for path in map(Path, value if isinstance(value, list) else [value]):
             if path.is_dir():
                 agg = hashlib.sha256()
-                for child in sorted(p for p in path.iterdir() if p.is_file()):
+                for child in sorted(p for p in path.iterdir() if p.is_file() and not (
+                        p.name == "manifest.json" or p.name.endswith(".manifest.json"))):
                     agg.update(child.name.encode())
                     agg.update(bytes.fromhex(_sha256(child)))
                 out[str(path)] = "dir:" + agg.hexdigest()
@@ -105,8 +108,19 @@ def _corpus_paths(corpus: Path) -> list[Path]:
 
 
 def _per_piece(fn, path: Path) -> tuple[str, object]:
-    """``(stem, fn(score))`` for one file; module level so it pickles for --jobs."""
-    return path.stem, fn(validate_two_staff(read_musicxml(str(path))))
+    """``(stem, fn(score))`` for one file; module level so it pickles for --jobs.
+
+    A :class:`ScoreError` is raised again as its own class with the file's
+    path in front, unless its message already starts with it (a file that
+    cannot be read).
+    """
+    try:
+        score = validate_two_staff(read_musicxml(str(path)))
+    except ScoreError as exc:
+        if str(exc).startswith(f"{path}: "):
+            raise
+        raise type(exc)(f"{path}: {exc}") from exc
+    return path.stem, fn(score)
 
 
 def _map_corpus(fn, corpus: str, jobs: int = 1) -> list[tuple[str, object]]:
@@ -353,8 +367,7 @@ def _cmd_train(args) -> None:
     config = model.ModelConfig(
         vocab_size=len(vocab), d_model=args.d_model, n_heads=args.n_heads,
         n_layers=args.n_layers, d_ff=args.d_ff,
-        max_len=max(int(lengths.max()), args.context),
-        harmony_token_id=vocab.id(lmx.HARMONY))
+        max_len=max(int(lengths.max()), args.context))
     lm = model.TinyLM.create(config, seed=args.seed)
     b, starts = args.batch_size, range(0, n, args.batch_size)
     batches = [(ids[lo:lo + b, :w], mask[lo:lo + b, :w], harmony[lo:lo + b])

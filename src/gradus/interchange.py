@@ -65,10 +65,9 @@ FIELDS = {
     # a checkpoint's meta, its model config and its optimizer
     "config": ("an object", lambda v: isinstance(v, dict)),
     "optimizer": ("an object or null", lambda v: v is None or isinstance(v, dict)),
-    **dict.fromkeys(("step", "step_count", "harmony_token_id"), _INT),
+    **dict.fromkeys(("step", "step_count"), _INT),
     **dict.fromkeys(("vocab_size", "d_model", "n_heads", "n_layers", "d_ff", "max_len"), _POSITIVE),
     "lr": _NUMBER,
-    "rope_base": _POSITIVE_NUMBER,
 }
 
 # a difficulty model's file, whose "var" holds class variances, not a variation's id

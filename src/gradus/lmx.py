@@ -305,9 +305,9 @@ def _decode_measure(tokens: Sequence[str], i: int, index: int, start: int,
 
     if m_time is not None:
         time_sig = m_time
-    ends = [cursor for cursor, placed in lanes.values() if placed]
-    end = max(ends, default=start)
-    duration = end - start if ends else measure_length(time_sig)
+    # a measure with no timed event is a full measure, as the parser reads it
+    end = max(cursor for cursor, _ in lanes.values())
+    duration = end - start or measure_length(time_sig)
     events: list[NoteEvent] = []
     for (staff, voice), (cursor, placed) in lanes.items():
         events += placed

@@ -26,6 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import interchange
+from .lmx import HARMONY, SPECIAL_TOKENS
 from .seqbuild import cross_entropy_terms
 
 __all__ = [
@@ -54,8 +55,6 @@ class ModelConfig:
     n_layers: int = 2
     d_ff: int = 256
     max_len: int = 8192
-    rope_base: float = 10000.0
-    harmony_token_id: int = -1   # -1 disables harmony injection
 
     def __post_init__(self) -> None:
         if self.vocab_size < 1:
@@ -67,16 +66,18 @@ class ModelConfig:
 
 
 _LN_EPS = 1e-5
+_ROPE_BASE = 10000.0
+# the id of [HARM] in every vocabulary, whose position takes the harmony vector
+_HARMONY_ID = SPECIAL_TOKENS.index(HARMONY)
 _GELU_C = float(np.sqrt(2.0 / np.pi))
 _GELU_A = 0.044715
 
 
-def rope_rotate(x: np.ndarray, positions: np.ndarray, base: float = 10000.0,
-                inverse: bool = False) -> np.ndarray:
+def rope_rotate(x: np.ndarray, positions: np.ndarray, inverse: bool = False) -> np.ndarray:
     """Rotate query/key vectors by position-dependent angles.
 
     ``x`` has shape (..., T, hd) with hd even; ``positions`` has shape (T,).
-    Adjacent dimension pairs (2j, 2j+1) are rotated by ``pos * base**(-2j/hd)``.
+    Adjacent dimension pairs (2j, 2j+1) are rotated by ``pos * 10000**(-2j/hd)``.
     The map is orthogonal, so ``inverse=True`` (rotation by the negated
     angle) is also the transpose, which the backward pass relies on.
     """
@@ -84,7 +85,7 @@ def rope_rotate(x: np.ndarray, positions: np.ndarray, base: float = 10000.0,
     if hd % 2 != 0:
         raise LMError("rotary dimension must be even")
     half = hd // 2
-    freqs = base ** (-np.arange(half, dtype=np.float64) * 2.0 / hd)
+    freqs = _ROPE_BASE ** (-np.arange(half, dtype=np.float64) * 2.0 / hd)
     angles = positions.astype(np.float64)[:, None] * freqs[None, :]   # (T, half)
     cos = np.cos(angles)
     sin = np.sin(angles)
@@ -262,7 +263,7 @@ class TinyLM:
         p = self.params
         x = p["tok_emb"][ids]
         h = sel = None
-        if harmony is not None and self.config.harmony_token_id >= 0:
+        if harmony is not None:
             h = np.atleast_2d(np.asarray(harmony, dtype=np.float64))
             if h.shape != (ids.shape[0], 12):
                 raise LMError(f"harmony must be ({ids.shape[0]}, 12), got {h.shape}")
@@ -273,7 +274,7 @@ class TinyLM:
                 inj = (np.repeat(h, 2, axis=0) @ p["harm_w"])[:1] + p["harm_b"]
             else:
                 inj = h @ p["harm_w"] + p["harm_b"]
-            sel = (ids == self.config.harmony_token_id).astype(np.float64)
+            sel = (ids == _HARMONY_ID).astype(np.float64)
             x = x + sel[:, :, None] * inj[:, None, :]
         if caches is not None:    # _backward reuses the harmony rows and [HARM] selection
             caches.append(("embed", ids, h, sel))
@@ -307,8 +308,8 @@ class TinyLM:
             qh = (a @ p[f"l{i}.wq"]).reshape(b, s, h, hd).transpose(0, 2, 1, 3)
             kh = (a @ p[f"l{i}.wk"]).reshape(b, s, h, hd).transpose(0, 2, 1, 3)
             vh = (a @ p[f"l{i}.wv"]).reshape(b, s, h, hd).transpose(0, 2, 1, 3)
-            qr = rope_rotate(qh, pos, cfg.rope_base)
-            kr = rope_rotate(kh, pos, cfg.rope_base)
+            qr = rope_rotate(qh, pos)
+            kr = rope_rotate(kh, pos)
             if kv is None:
                 keys, values = kr, vh
             else:
@@ -414,8 +415,8 @@ class TinyLM:
             dmerged = dx @ p[f"l{i}.wo"].T
             dctx = dmerged.reshape(b, t, h, hd).transpose(0, 2, 1, 3)
             dqr, dkr, dvh = _attend_bwd(dctx, qr, kr, vh, probs)
-            dqh = rope_rotate(dqr, pos, cfg.rope_base, inverse=True)
-            dkh = rope_rotate(dkr, pos, cfg.rope_base, inverse=True)
+            dqh = rope_rotate(dqr, pos, inverse=True)
+            dkh = rope_rotate(dkr, pos, inverse=True)
             dq = dqh.transpose(0, 2, 1, 3).reshape(b, t, cfg.d_model)
             dk = dkh.transpose(0, 2, 1, 3).reshape(b, t, cfg.d_model)
             dv = dvh.transpose(0, 2, 1, 3).reshape(b, t, cfg.d_model)

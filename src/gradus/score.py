@@ -399,10 +399,10 @@ def parse_musicxml(document: bytes | str) -> Score:
     contiguous inside each measure it appears in.  Malformed input raises
     a :class:`ScoreError` subclass.
 
-    Positions inside a measure are counted in ``<divisions>`` units, read
-    in the divisions current at each note, and each onset, duration and
-    measure length is converted to ticks once.  A value off the tick grid
-    (``<divisions>7</divisions>`` and a duration of 1) raises
+    Positions inside a measure are counted in ticks: each note, ``<backup>``
+    and ``<forward>`` duration is converted from the ``<divisions>`` current
+    at it as it is read.  A ``<divisions>`` below 1, or a duration off the
+    tick grid (``<divisions>7</divisions>`` and a duration of 1), raises
     :class:`MusicXmlParseError` at its measure.
 
     The cyclic garbage collector is paused while the parse runs.  The
@@ -454,7 +454,7 @@ def _parse_musicxml(document: bytes | str) -> Score:
             m_key: Optional[int] = None
             m_clefs: list[Optional[str]] = [None, None]
             events: list[NoteEvent] = []
-            pos = 0                 # divisions from measure start
+            pos = 0                 # ticks from measure start
             maxpos = 0
             last_onset = 0          # onset of the most recent non-chord note
 
@@ -512,32 +512,28 @@ def _parse_musicxml(document: bytes | str) -> Score:
                                                  _whole((alter and alter.strip()) or "0", "alter"),
                                                  int((octave and octave.strip()) or 4))
 
-                    dur_divs = 0 if is_grace else _required_duration(dur_el, tag, m_index)
-                    if divisions is None:
-                        raise MusicXmlParseError(
-                            f"measure {m_index + 1}: missing divisions attribute")
                     if is_grace:
                         events.append(NoteEvent(
-                            onset=cursor + _ticks(pos, divisions, m_index),
-                            duration=_grace_length(elem), pitch=pitch, voice=voice,
-                            staff=staff, grace=True, hidden=hidden))
+                            onset=cursor + pos, duration=_grace_length(elem), pitch=pitch,
+                            voice=voice, staff=staff, grace=True, hidden=hidden))
                         continue
 
-                    onset_divs = last_onset if is_chord else pos
+                    duration = _required_duration(dur_el, tag, m_index, divisions)
                     events.append(NoteEvent(
-                        onset=cursor + _ticks(onset_divs, divisions, m_index),
-                        duration=_ticks(dur_divs, divisions, m_index),
+                        onset=cursor + (last_onset if is_chord else pos), duration=duration,
                         pitch=pitch, voice=voice, staff=staff,
                         tie_start=tie_start, tie_stop=tie_stop,
                         chord=is_chord, hidden=hidden))
                     if not is_chord:
                         last_onset = pos
-                        pos += dur_divs
+                        pos += duration
                         maxpos = max(maxpos, pos)
                 elif tag == "attributes":
                     div_el = elem.find("divisions")
                     if div_el is not None and div_el.text:
                         divisions = int(div_el.text)
+                        if divisions < 1:
+                            raise ValueError(f"divisions must be positive, got {divisions}")
                     staves_el = elem.find("staves")
                     if staves_el is not None and staves_el.text:
                         declared_staves = max(declared_staves, int(staves_el.text))
@@ -557,22 +553,16 @@ def _parse_musicxml(document: bytes | str) -> Score:
                             m_clefs[number - 1] = f"{sign}{line}"
                         declared_staves = max(declared_staves, number)
                 elif tag == "backup":
-                    pos -= _required_duration(elem.find("duration"), tag, m_index)
+                    pos -= _required_duration(elem.find("duration"), tag, m_index, divisions)
                     if pos < 0:
                         raise MusicXmlParseError(
                             f"measure {m_index + 1}: backup before measure start")
                 elif tag == "forward":
-                    pos += _required_duration(elem.find("duration"), tag, m_index)
+                    pos += _required_duration(elem.find("duration"), tag, m_index, divisions)
                     maxpos = max(maxpos, pos)
                 # directions, barlines, harmony, prints, sounds: no timing content
 
-            if maxpos == 0:
-                m_duration = measure_length(time_sig)
-            elif divisions is None:   # only <forward> moved the position
-                raise MusicXmlParseError(f"measure {m_index + 1}: missing divisions attribute")
-            else:
-                m_duration = _ticks(maxpos, divisions, m_index)
-
+            m_duration = maxpos or measure_length(time_sig)
             measures.append(Measure(
                 index=m_index, start=cursor, duration=m_duration,
                 events=tuple(_fill_voice_gaps(events, cursor, m_duration, m_index)),
@@ -581,8 +571,8 @@ def _parse_musicxml(document: bytes | str) -> Score:
             cursor += m_duration
         except (ValueError, TypeError, KeyError, ArithmeticError) as exc:
             # bad number text, a fractional duration or alter, a missing <beats>,
-            # divisions 0, an unknown step, or a value that Pitch, NoteEvent,
-            # time_signature or duration_for_type reject
+            # an overflowing number, an unknown step, or a value that Pitch,
+            # NoteEvent, time_signature or duration_for_type reject
             raise MusicXmlParseError(f"measure {m_index + 1}: malformed value "
                                      f"({type(exc).__name__}: {exc})") from exc
 
@@ -591,24 +581,23 @@ def _parse_musicxml(document: bytes | str) -> Score:
         n_staves=declared_staves)
 
 
-def _ticks(divs: int, divisions: int, m_index: int) -> int:
-    """``divs`` units of ``1/divisions`` quarter in ticks; off the grid raises."""
-    ticks, rest = divmod(divs * TICKS_PER_QUARTER, divisions)
-    if rest:
-        raise MusicXmlParseError(
-            f"measure {m_index + 1}: {divs} of {divisions} divisions is off the "
-            f"1/{TICKS_PER_QUARTER}-quarter grid")
-    return ticks
-
-
-def _required_duration(duration: Optional[ET.Element], tag: str, m_index: int) -> int:
+def _required_duration(duration: Optional[ET.Element], tag: str, m_index: int,
+                       divisions: Optional[int]) -> int:
+    """A ``<duration>`` of ``1/divisions`` quarter units, in ticks; off the grid raises."""
     text = _text(duration)
     if text is None:
         raise MusicXmlParseError(f"measure {m_index + 1}: <{tag}> without duration")
     value = _whole(text, "duration")
     if value < 0:
         raise MusicXmlParseError(f"measure {m_index + 1}: negative duration")
-    return value
+    if divisions is None:
+        raise MusicXmlParseError(f"measure {m_index + 1}: missing divisions attribute")
+    ticks, rest = divmod(value * TICKS_PER_QUARTER, divisions)
+    if rest:
+        raise MusicXmlParseError(
+            f"measure {m_index + 1}: {value} of {divisions} divisions is off the "
+            f"1/{TICKS_PER_QUARTER}-quarter grid")
+    return ticks
 
 
 def _whole(text: str, what: str) -> int:
@@ -726,7 +715,8 @@ def serialize_musicxml(score: Score) -> bytes:
     then one element per line indented by two spaces a level, ``<tag />``
     for an element without content, and ``&``, ``<`` and ``>`` escaped in
     text.  These are the bytes ElementTree writes for the same tree after
-    ``ET.indent``.
+    ``ET.indent``.  Durations are written in ticks: the first measure sets
+    ``<divisions>`` to :data:`TICKS_PER_QUARTER`, and no later one changes it.
     """
     out = ["<?xml version='1.0' encoding='UTF-8'?>", '<score-partwise version="4.0">']
     if score.title:
@@ -744,10 +734,9 @@ def serialize_musicxml(score: Score) -> bytes:
         out.append('  <part id="P1" />')
     else:
         out.append('  <part id="P1">')
-        prev_divisions = None
+        first = score.measures[0]
         for measure in score.measures:
-            divisions = _measure_divisions(measure)
-            attrs_needed = (divisions != prev_divisions or measure.key_fifths is not None
+            attrs_needed = (measure is first or measure.key_fifths is not None
                             or measure.time_sig is not None or any(measure.clefs)
                             or measure.index == 0)
             if not attrs_needed and not measure.events:
@@ -756,9 +745,8 @@ def serialize_musicxml(score: Score) -> bytes:
             out.append(f'    <measure number="{measure.index + 1}">')
             if attrs_needed:
                 out.append("      <attributes>")
-                if divisions != prev_divisions:
-                    out.append(f"        <divisions>{divisions}</divisions>")
-                    prev_divisions = divisions
+                if measure is first:
+                    out.append(f"        <divisions>{TICKS_PER_QUARTER}</divisions>")
                 if measure.key_fifths is not None:
                     out.append(f"        <key>\n          <fifths>{measure.key_fifths}</fifths>"
                                "\n        </key>")
@@ -776,7 +764,7 @@ def serialize_musicxml(score: Score) -> bytes:
                             out.append(f"          <line>{_escape(clef[1:])}</line>")
                         out.append("        </clef>")
                 out.append("      </attributes>")
-            _write_measure_events(out, measure, divisions)
+            _write_measure_events(out, measure)
             out.append("    </measure>")
         out.append("  </part>")
     out.append("</score-partwise>")
@@ -793,21 +781,12 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _measure_divisions(measure: Measure) -> int:
-    """The fewest divisions per quarter that count every non-grace onset and
-    duration of ``measure`` in whole units."""
-    return TICKS_PER_QUARTER // gcd(TICKS_PER_QUARTER, *(
-        ticks for ev in measure.events if not ev.grace
-        for ticks in (ev.duration, ev.onset - measure.start)))
-
-
-def _write_measure_events(out: list[str], measure: Measure, divisions: int) -> None:
+def _write_measure_events(out: list[str], measure: Measure) -> None:
     voices = sorted({ev.voice for ev in measure.events})
     cursor = 0  # in ticks, relative to measure start
     for voice in voices:
         if cursor != 0:
-            out.append(f"      <backup>\n        <duration>{cursor * divisions // TICKS_PER_QUARTER}"
-                       "</duration>\n      </backup>")
+            out.append(f"      <backup>\n        <duration>{cursor}</duration>\n      </backup>")
             cursor = 0
         evs = [ev for ev in measure.events if ev.voice == voice]
         groups: dict[int, list[NoteEvent]] = {}
@@ -816,21 +795,20 @@ def _write_measure_events(out: list[str], measure: Measure, divisions: int) -> N
         for onset in sorted(groups):
             rel = onset - measure.start
             if rel > cursor:
-                out.append(f"      <forward>\n        <duration>"
-                           f"{(rel - cursor) * divisions // TICKS_PER_QUARTER}"
-                           "</duration>\n      </forward>")
+                out.append(f"      <forward>\n        <duration>{rel - cursor}</duration>\n"
+                           "      </forward>")
                 cursor = rel
             group = sorted(groups[onset], key=lambda e: (not e.grace, e.chord))
             first_sounding = True
             for ev in group:
-                _write_note(out, ev, divisions, chord=not ev.grace and not first_sounding)
+                _write_note(out, ev, chord=not ev.grace and not first_sounding)
                 if not ev.grace:
                     if first_sounding:
                         cursor = rel + ev.duration
                     first_sounding = False
 
 
-def _write_note(out: list[str], ev: NoteEvent, divisions: int, chord: bool) -> None:
+def _write_note(out: list[str], ev: NoteEvent, chord: bool) -> None:
     out.append('      <note print-object="no">' if ev.hidden else "      <note>")
     if ev.grace:
         out.append("        <grace />")
@@ -847,8 +825,7 @@ def _write_note(out: list[str], ev: NoteEvent, divisions: int, chord: bool) -> N
         out.append(f"        <pitch>\n          <step>{pitch.step}</step>\n"
                    f"          <octave>{pitch.octave}</octave>\n        </pitch>")
     if not ev.grace:
-        out.append(f"        <duration>{ev.duration * divisions // TICKS_PER_QUARTER}"
-                   "</duration>")
+        out.append(f"        <duration>{ev.duration}</duration>")
     if ev.tie_stop:
         out.append('        <tie type="stop" />')
     if ev.tie_start:

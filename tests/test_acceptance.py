@@ -20,7 +20,7 @@ from gradus.analysis import perturb_profile, pitch_class_profile, skyline
 from gradus.cli import main as cli_main
 from gradus.fixtures import generate_corpus
 from gradus.lmx import Vocabulary, decode, encode
-from gradus.model import AdamW, ModelConfig, TinyLM, rope_rotate
+from gradus.model import _HARMONY_ID, AdamW, ModelConfig, TinyLM, rope_rotate
 from gradus.score import merged_sounding_intervals, serialize_musicxml
 
 
@@ -278,11 +278,11 @@ def test_07_mask_correctness(small_corpus):
 def test_08_gradient_check():
     with Budget(120.0):
         cfg = ModelConfig(vocab_size=19, d_model=8, n_heads=2, n_layers=1,
-                          d_ff=16, max_len=32, harmony_token_id=4)
+                          d_ff=16, max_len=32)
         model = TinyLM.create(cfg, seed=800)
         rng = np.random.default_rng(801)
         ids = rng.integers(1, 19, size=(2, 9)).astype(np.int64)
-        ids[:, 1] = cfg.harmony_token_id
+        ids[:, 1] = _HARMONY_ID
         mask = np.zeros((2, 9), dtype=np.int8)
         mask[:, :2] = 1
         harmony = rng.uniform(size=(2, 12))
@@ -352,8 +352,7 @@ def test_10_overfit_sanity(small_corpus):
         ids, mask, harmony = seqbuild.collate(samples, vocab)
         cfg = ModelConfig(vocab_size=len(vocab.tokens), d_model=64,
                           n_heads=4, n_layers=2, d_ff=256,
-                          max_len=ids.shape[1],
-                          harmony_token_id=vocab.id("[HARM]"))
+                          max_len=ids.shape[1])
         model = TinyLM.create(cfg, seed=1001)
         opt = AdamW(model.params, lr=6e-4)
         reached = None

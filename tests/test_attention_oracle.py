@@ -13,10 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradus import model as model_module
-from gradus.model import ModelConfig, TinyLM, _query_blocks, _softmax_last
+from gradus.model import _HARMONY_ID, ModelConfig, TinyLM, _query_blocks, _softmax_last
 
 CFG = ModelConfig(vocab_size=19, d_model=8, n_heads=2, n_layers=2,
-                  d_ff=16, max_len=64, harmony_token_id=4)
+                  d_ff=16, max_len=64)
 
 
 def dense_attend(qr, keys, values, start, probs=None):
@@ -62,7 +62,7 @@ def budget(monkeypatch):
 def batch(seed, b=2, t=11):
     rng = np.random.default_rng(seed)
     ids = rng.integers(1, CFG.vocab_size, size=(b, t)).astype(np.int64)
-    ids[:, 1] = CFG.harmony_token_id
+    ids[:, 1] = _HARMONY_ID
     mask = np.zeros((b, t), dtype=np.int8)
     mask[:, :2] = 1
     return ids, mask, rng.uniform(size=(b, 12))
@@ -157,11 +157,11 @@ def test_finite_differences_over_blocks(budget, elems):
     # shaped like acceptance test 08, split into 1-row and ragged blocks
     budget(elems)
     cfg = ModelConfig(vocab_size=19, d_model=8, n_heads=2, n_layers=1,
-                      d_ff=16, max_len=32, harmony_token_id=4)
+                      d_ff=16, max_len=32)
     model = TinyLM.create(cfg, seed=800)
     rng = np.random.default_rng(801)
     ids = rng.integers(1, 19, size=(2, 9)).astype(np.int64)
-    ids[:, 1] = cfg.harmony_token_id
+    ids[:, 1] = _HARMONY_ID
     mask = np.zeros((2, 9), dtype=np.int8)
     mask[:, :2] = 1
     harmony = rng.uniform(size=(2, 12))

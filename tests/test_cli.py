@@ -947,6 +947,18 @@ def test_manifest_inputs_are_the_paths_passed(ws, synthetic_variations, trained,
     assert not failed.with_name("o.npz.manifest.json").exists()
 
 
+def test_directory_digest_is_the_same_in_two_workspaces(tmp_path):
+    # the corpus manifest records each workspace's own --out path
+    digests = []
+    for name in ("one", "two"):
+        corpus, sky = tmp_path / name / "corpus", tmp_path / name / "sky.jsonl"
+        run("gen-fixtures", "--out", str(corpus), "--pieces", "2")
+        run("skyline", "--corpus", str(corpus), "--out", str(sky))
+        manifest = json.loads(sky.with_name("sky.jsonl.manifest.json").read_text())
+        digests.append(manifest["inputs"][str(corpus)])
+    assert digests[0].startswith("dir:") and digests[0] == digests[1]
+
+
 ONE_NOTE_SCORE = """<score-partwise><part-list/><part id="P1"><measure number="1">
   <attributes><divisions>1</divisions><staves>2</staves>
     <time><beats>{beats}</beats><beat-type>{beat_type}</beat-type></time></attributes>
@@ -969,7 +981,21 @@ def test_unreadable_number_in_a_score_is_a_parse_error(tmp_path, capsys, values,
     payload = failure(capsys, "features", "--corpus", str(corpus),
                       "--out", str(tmp_path / "feat.jsonl"))
     assert payload["error"] == "MusicXmlParseError"
-    assert payload["message"].startswith(f"measure 1: malformed value ({kind}: ")
+    assert payload["message"].startswith(
+        f"{corpus / 'bad.musicxml'}: measure 1: malformed value ({kind}: ")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_parse_error_names_its_corpus_file(tmp_path, capsys, jobs):
+    corpus = tmp_path / "corpus"
+    run("gen-fixtures", "--out", str(corpus), "--pieces", "2")
+    bad = corpus / "off-grid.musicxml"
+    bad.write_text(ONE_NOTE_SCORE.replace("<divisions>1<", "<divisions>7<").format(
+        beats="4", beat_type="4", alter="", duration="1"))
+    payload = failure(capsys, "features", "--corpus", str(corpus), "--jobs", jobs,
+                      "--out", str(tmp_path / "feat.jsonl"))
+    assert payload == {"error": "MusicXmlParseError", "message": (
+        f"{bad}: measure 1: 1 of 7 divisions is off the 1/960-quarter grid")}
 
 
 @pytest.mark.parametrize("time", ["time:4/0", "time:4/" + "9" * 5000],

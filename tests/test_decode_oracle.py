@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from gradus.model import (
     _GELU_A,
     _GELU_C,
+    _HARMONY_ID,
     LMError,
     ModelConfig,
     SampleResult,
@@ -22,7 +23,7 @@ from gradus.model import (
 )
 
 CFG = ModelConfig(vocab_size=17, d_model=8, n_heads=2, n_layers=2,
-                  d_ff=16, max_len=64, harmony_token_id=4)
+                  d_ff=16, max_len=64)
 PREFIX = [1, 4, 5]      # holds the harmony token, so harmony reaches the logits
 
 
@@ -43,8 +44,8 @@ def reference_extend(model, cache, ids, harmony=None):
         q = (a @ p[f"l{i}.wq"]).reshape(b, s, h, hd).transpose(0, 2, 1, 3)
         k = (a @ p[f"l{i}.wk"]).reshape(b, s, h, hd).transpose(0, 2, 1, 3)
         v = (a @ p[f"l{i}.wv"]).reshape(b, s, h, hd).transpose(0, 2, 1, 3)
-        qr = rope_rotate(q, pos, cfg.rope_base)
-        kr = rope_rotate(k, pos, cfg.rope_base)
+        qr = rope_rotate(q, pos)
+        kr = rope_rotate(k, pos)
         kfull = kr if cache["k"][i] is None else np.concatenate([cache["k"][i], kr], axis=2)
         vfull = v if cache["v"][i] is None else np.concatenate([cache["v"][i], v], axis=2)
         cache["k"][i] = kfull
@@ -210,7 +211,7 @@ def test_shared_prefill_is_the_tiled_prefill_bit_for_bit(model):
     # prefix gives each row, and returns that one row's logits
     rng = np.random.default_rng(12)
     prefix = rng.integers(1, 17, size=9).astype(np.int64)
-    prefix[2] = CFG.harmony_token_id
+    prefix[2] = _HARMONY_ID
     harmony = rng.uniform(size=12)
     one = model.start_cache(5, capacity=12)
     tiled = model.start_cache(5, capacity=12)
@@ -233,7 +234,7 @@ def test_sample_matches_reference_as_rows_end(model, n_sequences, max_new, tempe
     prefix = data.draw(st.lists(st.integers(0, CFG.vocab_size - 1), min_size=1, max_size=10),
                        label="prefix")
     if with_harmony:
-        prefix[0] = CFG.harmony_token_id
+        prefix[0] = _HARMONY_ID
     kwargs = dict(n_sequences=n_sequences, max_new_tokens=max_new, temperature=temperature,
                   seed=data.draw(st.integers(0, 2 ** 16), label="seed"),
                   harmony=harmony_of(with_harmony))

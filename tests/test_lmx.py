@@ -155,6 +155,13 @@ class TestRoundTrip:
         starts = [e for e in back.notes() if e.tie_start]
         assert len(starts) == 1 and starts[0].onset == Q
 
+    def test_measure_of_grace_notes_only_is_a_full_measure(self):
+        # the parser reads a measure with no timed event as a full measure
+        # of its time signature, and the decoder agrees
+        score = decode("measure time:4/4 grace C4 eighth measure C4 whole".split())
+        assert [(m.start, m.duration) for m in score.measures] == [(0, 4 * Q), (4 * Q, 4 * Q)]
+        assert parse_musicxml(serialize_musicxml(score)) == score
+
 
 class TestDecodeErrors:
     def test_empty_stream(self):

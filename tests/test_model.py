@@ -12,6 +12,7 @@ from gradus.model import (
     ADAMW_BETAS,
     ADAMW_EPS,
     ADAMW_WEIGHT_DECAY,
+    _HARMONY_ID,
     AdamW,
     LMError,
     ModelConfig,
@@ -27,7 +28,7 @@ from gradus.model import (
 from gradus.seqbuild import masked_cross_entropy
 
 TINY = ModelConfig(vocab_size=17, d_model=8, n_heads=2, n_layers=1,
-                   d_ff=16, max_len=64, harmony_token_id=4)
+                   d_ff=16, max_len=64)
 
 
 def make_batch(rng, model, batch=2, n=8, with_harmony=True):
@@ -35,7 +36,7 @@ def make_batch(rng, model, batch=2, n=8, with_harmony=True):
     ids = rng.integers(1, V, size=(batch, n)).astype(np.int64)
     if with_harmony:
         # put the harmony token early so its embedding path is exercised
-        ids[:, 1] = model.config.harmony_token_id
+        ids[:, 1] = _HARMONY_ID
     mask = np.zeros((batch, n), dtype=np.int8)
     mask[:, :2] = 1
     harmony = rng.uniform(size=(batch, 12)) if with_harmony else None
@@ -115,7 +116,7 @@ class TestForward:
 
     def test_harmony_changes_logits_only_when_token_present(self):
         cfg = ModelConfig(vocab_size=17, d_model=8, n_heads=2, n_layers=1,
-                          d_ff=16, max_len=64, harmony_token_id=4)
+                          d_ff=16, max_len=64)
         model = TinyLM.create(cfg, seed=2)
         rng = np.random.default_rng(5)
         h1 = rng.uniform(size=(1, 12))
@@ -320,7 +321,7 @@ class TestKVCache:
         split = data.draw(st.integers(1, length), label="split")
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
         cfg = ModelConfig(vocab_size=17, d_model=8, n_heads=2, n_layers=2,
-                          d_ff=16, max_len=16, harmony_token_id=4)
+                          d_ff=16, max_len=16)
         model = TinyLM.create(cfg, seed=16)
         ids, _, harmony = make_batch(rng, model, batch=batch, n=length,
                                      with_harmony=with_harmony)
@@ -592,6 +593,14 @@ class TestCheckpointErrors:
     def test_extra_config_key(self, saved):
         message = self.load_edited(saved, lambda meta, _: meta["config"].update(width=3))
         assert "unexpected ['width']" in message
+
+    def test_config_keys_of_older_checkpoints(self, saved):
+        # the rotary base and the [HARM] id are constants now; a checkpoint
+        # that still holds either is refused as holding any unknown key
+        message = self.load_edited(saved, lambda meta, _: meta["config"].update(
+            rope_base=10000.0, harmony_token_id=4))
+        assert message == (f"checkpoint {saved.parent / 'bad.npz'} config keys differ from "
+                           "ModelConfig's: unexpected ['harmony_token_id', 'rope_base']")
 
     def test_missing_parameter(self, saved):
         message = self.load_edited(saved, lambda _, arrays: arrays.pop("p/tok_emb"))

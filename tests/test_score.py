@@ -486,6 +486,15 @@ class TestParsing:
         with pytest.raises(MusicXmlParseError, match=f"^measure 1: malformed value \\({kind}: "):
             parse_musicxml(doc)
 
+    @pytest.mark.parametrize("divisions", [0, -4])
+    def test_divisions_below_one_fail_at_their_measure(self, divisions):
+        # a <forward> under negative divisions would move back, and a measure
+        # holding only that <forward> has no note to fail at
+        doc = MINIMAL.format(divisions=divisions, body="<forward><duration>8</duration></forward>")
+        with pytest.raises(MusicXmlParseError, match=r"^measure 1: malformed value \(ValueError: "
+                           f"divisions must be positive, got {divisions}\\)$"):
+            parse_musicxml(doc)
+
     def test_fractional_duration_fails_at_its_measure(self):
         for text in ("2", "2.0"):
             (ev,) = [e for e in parse_musicxml(MINIMAL.format(

@@ -2,7 +2,7 @@
 name a module lists in ``__all__`` is its own, every private name a module
 defines is read by some module, and every option a CLI stage defines is
 read by that stage.  Score time is integer ticks, so no module imports
-``fractions`` but the one that holds the quarter-text helper.
+``fractions``.
 
 No linter ships with the project, so this walks each module's syntax tree
 with the standard ``ast`` module.  An imported name counts as used when the
@@ -179,11 +179,9 @@ def imported_modules(tree: ast.Module) -> set[str]:
 
 
 def fraction_importers(sources: dict[str, str]) -> list[str]:
-    """Each module that imports ``fractions``, other than the one that
-    defines ``quarter_text``, the helper that prints ticks as quarters."""
-    trees = {name: ast.parse(source) for name, source in sources.items()}
-    return [name for name, tree in trees.items()
-            if "fractions" in imported_modules(tree) and "quarter_text" not in defined_names(tree)]
+    """Each module that imports ``fractions``."""
+    return [name for name, source in sources.items()
+            if "fractions" in imported_modules(ast.parse(source))]
 
 
 def test_no_module_imports_fractions():
@@ -197,7 +195,7 @@ def test_checker_sees_fractions_imports():
                "c.py": "def g():\n    import fractions\n",
                "d.py": "import math\nfrom .score import Fraction\n",
                "score.py": "from fractions import Fraction\ndef quarter_text(t):\n    pass\n"}
-    assert fraction_importers(sources) == ["a.py", "b.py", "c.py"]
+    assert fraction_importers(sources) == ["a.py", "b.py", "c.py", "score.py"]
 
 
 def stage_parsers(parser: argparse.ArgumentParser) -> list[argparse.ArgumentParser]:
