@@ -293,8 +293,13 @@ def _cmd_mine_pairs(args) -> None:
     posteriors = _keyed(args.posteriors, "piece", "level", "confidence")
     embeddings = style.load_embeddings(args.embeddings)
     pool = []
-    for _, row in variations:
-        if not row.get("valid", True):
+    seen: set[tuple[str, str]] = set()
+    for where, row in variations:
+        if "same_as" in row and (row["piece"], row["same_as"]) not in seen:
+            raise CliError(f"{where}: same_as {row['same_as']!r} names no earlier "
+                           f"variation of piece {row['piece']!r}")
+        seen.add((row["piece"], row["var"]))
+        if "same_as" in row or not row.get("valid", True):
             continue
         var_id = row["var"]
         if var_id not in posteriors:
@@ -399,7 +404,7 @@ def _cmd_sample(args) -> None:
     if max_new < 1:
         raise CliError("model context leaves no room to generate")
     rows = []
-    n_valid = 0
+    n_distinct = 0
     seed_rng = np.random.default_rng(args.seed)
     piece_seeds = seed_rng.integers(0, 2 ** 31, size=len(skyline_rows))
     for (_, row), piece_seed in zip(skyline_rows, piece_seeds):
@@ -412,19 +417,26 @@ def _cmd_sample(args) -> None:
             lm, prefix, n_sequences=args.n, max_new_tokens=max_new,
             end_id=end_id, temperature=args.temperature,
             seed=piece_seed, harmony=harmony)
+        first: dict[tuple[int, ...], dict] = {}
         for k, seq in enumerate(result.sequences):
             var_id = f"{row['piece']}.v{k:03d}"
-            tokens = vocab.decode_ids(seq)
-            decoded = lmx.decode_recoverable(tokens)
-            has_notes = any(True for _ in decoded.score.notes())
-            valid = bool(decoded.score.measures) and has_notes
-            rows.append({"piece": row["piece"], "var": var_id,
-                         "tokens": tokens, "valid": valid})
-            if valid:
-                n_valid += 1
-                write_musicxml(decoded.score, str(scores_dir / f"{var_id}.musicxml"))
+            var = {"piece": row["piece"], "var": var_id, "tokens": vocab.decode_ids(seq)}
+            earlier = first.setdefault(tuple(seq), var)
+            if earlier is not var:
+                # a repeat is graded and mined as the draw it repeats
+                var.update(valid=earlier["valid"], same_as=earlier["var"])
+            else:
+                decoded = lmx.decode_recoverable(var["tokens"])
+                var["valid"] = bool(decoded.score.measures) and any(
+                    True for _ in decoded.score.notes())
+                if var["valid"]:
+                    write_musicxml(decoded.score, str(scores_dir / f"{var_id}.musicxml"))
+            rows.append(var)
+        n_distinct += len(first)
     interchange.write_jsonl(out_dir / "variations.jsonl", rows)
-    print(f"sampled {len(rows)} variations ({n_valid} valid) -> {out_dir}")
+    n_valid = sum(r["valid"] for r in rows)
+    print(f"sampled {len(rows)} variations ({n_valid} valid, {n_distinct} distinct) "
+          f"-> {out_dir}")
 
 
 def _cmd_evaluate(args) -> None:

@@ -50,7 +50,7 @@ _POSITIVE_MATRIX = ("a list of equal-length lists of positive finite numbers",
 
 # field -> (what it must be, the test of a value); checked in every record that holds it
 FIELDS = {
-    **dict.fromkeys(("piece", "var", "hard", "easy", "id", "strategy"), _STRING),
+    **dict.fromkeys(("piece", "var", "same_as", "hard", "easy", "id", "strategy"), _STRING),
     **dict.fromkeys(("level", "hard_level", "easy_level", "gap", "dim", "min_gap"), _INT),
     **dict.fromkeys(("confidence", "sim"), _NUMBER),
     "valid": _BOOL,

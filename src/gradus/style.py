@@ -58,7 +58,10 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
 
 def style_distance(a: np.ndarray, b: np.ndarray) -> float:
     """``1 - cosine_similarity``, and never below 0, where a cosine that
-    rounds above 1 would put it; 0 means identical direction."""
+    rounds above 1 would put it; 0 means identical direction, and equal
+    embeddings, whose cosine may round below 1, are exactly 0 apart."""
+    if np.array_equal(a, b) and np.any(a):
+        return 0.0
     return max(0.0, 1.0 - cosine_similarity(a, b))
 
 

@@ -385,6 +385,28 @@ def trained(ws, tmp_path_factory):
     return root
 
 
+@pytest.fixture(scope="module")
+def fluent(ws, trained, tmp_path_factory):
+    """The checkpoint of a model trained until its draws decode to scores."""
+    out = tmp_path_factory.mktemp("fluent")
+    run("train", "--seqs", str(trained / "cond.npz"),
+        "--vocab", str(ws / "enc" / "vocab.txt"),
+        "--out-dir", str(out), "--steps", "120",
+        "--d-model", "32", "--n-layers", "1", "--n-heads", "2",
+        "--d-ff", "64", "--lr", "3e-3", "--seed", "1")
+    return out / "checkpoint.npz"
+
+
+def sampled(ws, checkpoint, out, *options):
+    """The rows of ``variations.jsonl`` that ``sample`` writes to ``out``."""
+    run("sample", "--checkpoint", str(checkpoint),
+        "--vocab", str(ws / "enc" / "vocab.txt"),
+        "--skylines", str(ws / "sky.jsonl"),
+        "--profiles", str(ws / "prof.jsonl"),
+        "--out-dir", str(out), "--max-new", "120", "--seed", "9", *options)
+    return read_jsonl(out / "variations.jsonl")
+
+
 class TestTrainSample:
     def test_train_artifacts(self, trained):
         assert (trained / "ck" / "checkpoint.npz").exists()
@@ -395,20 +417,77 @@ class TestTrainSample:
         assert int(step) == 3
         assert float(loss) > 0
 
-    def test_sample_artifacts(self, ws, trained):
-        out = trained / "samples"
-        run("sample", "--checkpoint", str(trained / "ck" / "checkpoint.npz"),
-            "--vocab", str(ws / "enc" / "vocab.txt"),
-            "--skylines", str(ws / "sky.jsonl"),
-            "--profiles", str(ws / "prof.jsonl"),
-            "--out-dir", str(out), "--n", "2", "--max-new", "30",
-            "--seed", "9")
-        rows = read_jsonl(out / "variations.jsonl")
-        assert len(rows) == 12    # 6 pieces x 2 draws
+    def test_sample_artifacts(self, ws, fluent, tmp_path):
+        out = tmp_path / "samples"
+        rows = sampled(ws, fluent, out, "--n", "4", "--temperature", "0.6")
+        assert len(rows) == 24    # 6 pieces x 4 draws
+        by_var = {row["var"]: row for row in rows}
+        distinct = {}
         for row in rows:
             assert row["var"].startswith(row["piece"] + ".v")
-            if row["valid"]:
-                assert (out / "scores" / f"{row['var']}.musicxml").exists()
+            score = out / "scores" / f"{row['var']}.musicxml"
+            if "same_as" in row:
+                first = by_var[row["same_as"]]
+                assert first["piece"] == row["piece"] and "same_as" not in first
+                assert first["var"] < row["var"]
+                assert (row["tokens"], row["valid"]) == (first["tokens"], first["valid"])
+                assert not score.exists()
+            else:
+                assert score.exists() == row["valid"]
+                distinct.setdefault(row["piece"], []).append(tuple(row["tokens"]))
+        # both kinds of row occur, and no two distinct draws of a piece are equal
+        assert any(row["valid"] and "same_as" not in row for row in rows)
+        assert any("same_as" in row for row in rows)
+        assert all(len(set(streams)) == len(streams) for streams in distinct.values())
+
+    def test_greedy_draws_are_one_variation(self, ws, fluent, tmp_path, capsys):
+        out = tmp_path / "greedy"
+        rows = sampled(ws, fluent, out, "--n", "4", "--temperature", "0")
+        assert capsys.readouterr().out == f"sampled 24 variations (24 valid, 6 distinct) -> {out}\n"
+        pieces = sorted({row["piece"] for row in rows})
+        assert sorted(p.name for p in (out / "scores").iterdir()) == \
+            [f"{piece}.v000.musicxml" for piece in pieces]
+        for row in rows:
+            if row["var"].endswith(".v000"):
+                assert "same_as" not in row
+            else:
+                assert row["same_as"] == f"{row['piece']}.v000"
+
+    def test_mining_distinct_draws_keeps_every_distinct_pair(self, ws, fluent, tmp_path):
+        # a level, confidence and embedding that depend only on the tokens, as
+        # grading a variation's score would give; draws are told apart within a
+        # piece, so a pair is its piece and its two token streams
+        rows = sampled(ws, fluent, tmp_path / "samples", "--n", "6", "--temperature", "0.6")
+        assert any("same_as" in row for row in rows)
+
+        def graded(tokens):
+            rng = np.random.default_rng(list(json.dumps(tokens).encode()))
+            return int(rng.integers(1, 10)), float(rng.uniform(0.3, 1.0)), rng.normal(size=8)
+
+        def mined(name, var_rows):
+            out = tmp_path / name
+            out.mkdir()
+            grades = {row["var"]: graded(row["tokens"]) for row in var_rows
+                      if row["valid"] and "same_as" not in row}
+            (out / "variations.jsonl").write_text(
+                "".join(json.dumps(row) + "\n" for row in var_rows))
+            (out / "post.jsonl").write_text("".join(
+                json.dumps({"piece": var, "level": level, "confidence": confidence}) + "\n"
+                for var, (level, confidence, _) in grades.items()))
+            style.save_embeddings(str(out / "emb.jsonl"),
+                                  {var: emb for var, (_, _, emb) in grades.items()})
+            run("mine-pairs", "--variations", str(out / "variations.jsonl"),
+                "--posteriors", str(out / "post.jsonl"), "--embeddings", str(out / "emb.jsonl"),
+                "--strategy", "random", "--min-gap", "1", "--out-dir", str(out))
+            tokens = {row["var"]: tuple(row["tokens"]) for row in var_rows}
+            return [(p["piece"], tokens[p["hard"]], tokens[p["easy"]])
+                    for p in read_jsonl(out / "pairs.jsonl")]
+
+        every_row = mined("every", [{k: v for k, v in row.items() if k != "same_as"}
+                                    for row in rows])
+        distinct = mined("distinct", rows)
+        assert len(distinct) < len(every_row)
+        assert sorted(distinct) == sorted(set(every_row))
 
 
 def failure(capsys, *argv):
@@ -731,6 +810,7 @@ MISTYPED_ROW_ERRORS = {
     "mine-pairs valid": (MINE_VARIATIONS, "vars/variations.jsonl", "valid", "no",
                          "true or false"),
     "mine-pairs var": (MINE_VARIATIONS, "vars/variations.jsonl", "var", ["p.v0"], "a string"),
+    "mine-pairs same_as": (MINE_VARIATIONS, "vars/variations.jsonl", "same_as", 0, "a string"),
     "fit-gnb piece": (LOCATED_ROW_ERRORS["fit-gnb"][0], "feat.jsonl", "piece", 3, "a string"),
 }
 
@@ -771,6 +851,20 @@ def test_row_with_a_mistyped_field_is_a_located_cli_error(ws, synthetic_variatio
     message, where = _fail_on_last_row(ws, trained, tmp_path, monkeypatch, capsys, argv,
                                        source, lambda row: row.update({field: value}))
     assert message == f"{where}: field {field!r} must be {kind}"
+
+
+@pytest.mark.parametrize("name", ["itself", "another piece's", "a later"])
+def test_same_as_naming_no_earlier_variation_of_its_piece_is_refused(
+        ws, synthetic_variations, trained, tmp_path, monkeypatch, capsys, name):
+    rows = read_jsonl(synthetic_variations / "variations.jsonl")
+    last = rows[-1]
+    target = {"itself": last["var"], "another piece's": rows[0]["var"],
+              "a later": last["piece"] + ".v999"}[name]
+    message, where = _fail_on_last_row(ws, trained, tmp_path, monkeypatch, capsys,
+                                       MINE_VARIATIONS, "vars/variations.jsonl",
+                                       lambda row: row.update(same_as=target))
+    assert message == (f"{where}: same_as {target!r} names no earlier variation of "
+                       f"piece {last['piece']!r}")
 
 
 # stage -> (argv as above, the keyed file whose last row takes the first row's

@@ -5,6 +5,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradus import analysis, style
 from gradus.analysis import feature_vector, pitch_class_profile
@@ -74,6 +76,23 @@ class TestCosine:
         for piece in generate_corpus(40, seed=7):
             e = baseline_embed(piece)
             assert style_distance(e, e) >= 0.0, piece.source_id
+
+    def test_equal_embeddings_are_zero_apart(self):
+        # the cosine of [0.1, 0.1, 0.1] with itself rounds to 1 - 2**-53
+        v = [0.1, 0.1, 0.1]
+        assert cosine_similarity(v, v) == 1.0 - 2.0 ** -53
+        assert style_distance(v, v) == 0.0
+        assert style_distance(np.array(v), np.array(v)) == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                    max_size=70).filter(any))
+    def test_equal_nonzero_embeddings_are_zero_apart(self, v):
+        assert style_distance(v, list(v)) == 0.0
+
+    def test_equal_zero_embeddings_rejected(self):
+        with pytest.raises(StyleError):
+            style_distance(np.zeros(4), np.zeros(4))
 
     def test_opposite_vectors(self):
         v = np.array([1.0, 0.0, 2.0])
