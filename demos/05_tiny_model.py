@@ -23,7 +23,7 @@ for score, st in zip(corpus, streams):
     melody = encode(skyline_score(score))
     harmony = pitch_class_profile(score)
     samples.append(seqbuild.conditioned_sample(
-        vocab, melody, harmony, piece=score.source_id, max_len=512))
+        vocab, melody, harmony, piece=score.source_id))
 ids, mask, harmony = seqbuild.collate(samples, vocab)
 print(f"{len(samples)} conditioned sequences, padded batch {ids.shape}; "
       f"loss positions per row: {(mask == 0).sum(axis=1).tolist()}")
@@ -36,7 +36,7 @@ print(f"\nmodel: {sum(p.size for p in model.params.values())} parameters")
 losses = train(model, [(ids, mask, harmony)], steps=250, lr=3e-3, seed=0)
 print(f"loss {losses[0]:.3f} at step 1 -> {losses[-1]:.3f} at step {len(losses)}")
 
-prefix = [vocab.id("[BOS]"), vocab.id("[HARM]")]
+prefix = vocab.encode_ids(seqbuild.CONDITIONING_PREFIX)
 out = sample(model, prefix, n_sequences=4, max_new_tokens=200,
              end_id=vocab.id("[EOS]"), temperature=0.9, seed=3,
              harmony=harmony[0])

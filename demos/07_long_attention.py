@@ -1,6 +1,6 @@
 """Attention at adaptation lengths: one training step and one long prefill.
 
-Adaptation sequences run up to ``seqbuild.MAX_ADAPTATION_LEN`` = 8000
+Adaptation sequences run up to ``seqbuild.MAX_SEQUENCE_LEN`` = 8000
 tokens.  The model scores keys one block of query rows at a time, so its
 memory grows with the kept attention probabilities, not with several dense
 (B, H, T, T) arrays at once.  This script runs, each in a fresh

@@ -263,6 +263,9 @@ def _cmd_fit_gnb(args) -> None:
     msg = f"fitted on {len(trainrows)} pieces, temperature {fitted.temperature:.3f}"
     if uncalibrated:
         msg += f" (not calibrated: {uncalibrated})"
+    for end, bound in zip(("lower", "upper"), gnb.TEMPERATURE_RANGE):
+        if abs(fitted.temperature - bound) <= gnb.TEMPERATURE_TOL:
+            msg += f" (on the {end} bound of the search range)"
     print(msg)
 
 
@@ -331,8 +334,7 @@ def _cmd_build_seqs(args) -> None:
                 raise CliError(f"no profile for piece {row['piece']}")
             harmony = np.array(prof.get("perturbed", prof["profile"]))
             samples.append(seqbuild.conditioned_sample(
-                vocab, row["tokens"], harmony, piece=row["piece"],
-                max_len=seqbuild.MAX_ADAPTATION_LEN))
+                vocab, row["tokens"], harmony, piece=row["piece"]))
     else:
         pairs = mining.load_pairs(args.pairs)
         tokens_by_id = {var: r["tokens"]
@@ -398,7 +400,7 @@ def _cmd_sample(args) -> None:
     out_dir = Path(args.out_dir)
     scores_dir = out_dir / "scores"
     scores_dir.mkdir(exist_ok=True)
-    prefix = [vocab.id(lmx.BOS), vocab.id(lmx.HARMONY)]
+    prefix = vocab.encode_ids(seqbuild.CONDITIONING_PREFIX)
     end_id = vocab.id(lmx.EOS)
     max_new = min(args.max_new, lm.config.max_len - len(prefix))
     if max_new < 1:

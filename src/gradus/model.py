@@ -12,10 +12,10 @@ causal attention runs one block of query rows at a time (:func:`_attend`),
 so scores never take more than a fixed budget per block, whatever the
 sequence length.
 
-Training minimizes masked next-token cross entropy, the same
-:func:`gradus.seqbuild.masked_cross_entropy` that scores sequences
-elsewhere: positions whose mask is 1 are conditioning and contribute
-nothing to loss or gradients.
+Training minimizes masked next-token cross entropy:
+:func:`gradus.seqbuild.masked_cross_entropy` gives the loss and its
+gradient at the logits.  Positions whose mask is 1 are conditioning and
+contribute nothing to loss or gradients.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import interchange
 from .lmx import HARMONY, SPECIAL_TOKENS
-from .seqbuild import cross_entropy_terms
+from .seqbuild import masked_cross_entropy
 
 __all__ = [
     "LMError",
@@ -337,45 +337,24 @@ class TinyLM:
 
     # -- loss and gradients ------------------------------------------------
 
-    def loss(self, ids: np.ndarray, mask: np.ndarray,
-             harmony: Optional[np.ndarray] = None) -> float:
-        """Masked next-token loss without gradients."""
-        value, _ = self._loss_impl(ids, mask, harmony, want_grads=False)
-        return value
-
     def loss_and_grads(self, ids: np.ndarray, mask: np.ndarray,
                        harmony: Optional[np.ndarray] = None) -> tuple[float, dict[str, np.ndarray]]:
-        return self._loss_impl(ids, mask, harmony, want_grads=True)
-
-    def _loss_impl(self, ids: np.ndarray, mask: np.ndarray,
-                   harmony: Optional[np.ndarray], want_grads: bool):
+        """Masked next-token loss and the gradient of every parameter."""
         ids = np.atleast_2d(np.asarray(ids, dtype=np.int64))
         mask = np.atleast_2d(np.asarray(mask))
         if mask.shape != ids.shape:
             raise LMError("ids and mask must have the same shape")
         if ids.shape[1] < 2:
             raise LMError("need at least two tokens for next-token training")
-        inputs = ids[:, :-1]
-        targets = ids[:, 1:]
         tmask = mask[:, 1:]
         if not (tmask == 0).any():
             raise LMError("mask leaves nothing to score")
-
-        caches: Optional[list] = [] if want_grads else None
-        logits = self._forward(inputs, harmony, caches)
-        loss, scored, e, sums = cross_entropy_terms(logits, targets, tmask)
+        caches: list = []
+        logits = self._forward(ids[:, :-1], harmony, caches)
+        loss, dlogits = masked_cross_entropy(logits, ids[:, 1:], tmask)
         if not np.isfinite(loss):
             raise LMError("loss is not finite")
-        if not want_grads:
-            return loss, None
-
-        n_scored = scored[0].size
-        dlogits = np.zeros_like(logits)
-        soft = e / sums[:, None]
-        soft[np.arange(n_scored), targets[scored]] -= 1.0
-        dlogits[scored] = soft / n_scored
-        grads = self._backward(dlogits, caches)
-        return loss, grads
+        return loss, self._backward(dlogits, caches)
 
     def _backward(self, dlogits: np.ndarray, caches: list) -> dict[str, np.ndarray]:
         cfg = self.config

@@ -24,14 +24,14 @@ __all__ = [
     "SequenceError",
     "OversizedPairError",
     "TruncationWarning",
-    "MAX_ADAPTATION_LEN",
+    "MAX_SEQUENCE_LEN",
+    "CONDITIONING_PREFIX",
     "Sample",
     "prefix_mask",
     "conditioned_sample",
     "adaptation_sample",
     "adaptation_samples",
     "masked_cross_entropy",
-    "cross_entropy_terms",
     "collate",
 ]
 
@@ -48,8 +48,10 @@ class TruncationWarning(UserWarning):
     pass
 
 
-# the token budget build-seqs gives every sequence, in both layouts
-MAX_ADAPTATION_LEN = 8000
+# the token budget of every sequence, in both layouts; read at each call
+MAX_SEQUENCE_LEN = 8000
+# the conditioning that opens a conditioned sample, and that sampling continues
+CONDITIONING_PREFIX = (BOS, HARMONY)
 
 
 @dataclass(frozen=True)
@@ -88,14 +90,13 @@ def prefix_mask(prefix_len: int, total_len: int) -> np.ndarray:
 
 
 def conditioned_sample(vocab: Vocabulary, melody_tokens: Sequence[str],
-                       harmony: np.ndarray, piece: str = "",
-                       max_len: Optional[int] = None) -> Sample:
+                       harmony: np.ndarray, piece: str = "") -> Sample:
     """Melody generation conditioned on a harmony vector.
 
-    Layout ``[BOS] [HARM] <melody...> [EOS]``; the two-token prefix is the
-    conditioning.  If a length budget is given, whole trailing measures of
-    the melody are dropped to fit (with a warning); a melody whose first
-    measure alone blows the budget is rejected.
+    Layout ``[BOS] [HARM] <melody...> [EOS]``; :data:`CONDITIONING_PREFIX`
+    is the conditioning.  Over :data:`MAX_SEQUENCE_LEN`, whole trailing
+    measures of the melody are dropped to fit (with a warning); a melody
+    whose first measure alone blows the budget is rejected.
     """
     h = np.asarray(harmony, dtype=np.float64)
     if h.shape != (12,):
@@ -103,27 +104,29 @@ def conditioned_sample(vocab: Vocabulary, melody_tokens: Sequence[str],
     melody = list(melody_tokens)
     if not melody:
         raise SequenceError("conditioned sample needs a nonempty melody")
-    overhead = 3  # [BOS] [HARM] ... [EOS]
-    if max_len is not None and len(melody) + overhead > max_len:
-        melody = _drop_trailing_measures(melody, max_len - overhead)
+    overhead = len(CONDITIONING_PREFIX) + 1  # the prefix and [EOS]
+    if len(melody) + overhead > MAX_SEQUENCE_LEN:
+        melody = _drop_trailing_measures(melody, MAX_SEQUENCE_LEN - overhead)
         if melody is None:
-            raise SequenceError(
-                f"piece {piece!r}: even one measure exceeds max_len {max_len}")
-        warnings.warn(f"piece {piece!r}: melody truncated to fit {max_len} tokens",
+            raise SequenceError(f"piece {piece!r}: even one measure exceeds "
+                                f"the {MAX_SEQUENCE_LEN}-token budget")
+        warnings.warn(f"piece {piece!r}: melody truncated to fit {MAX_SEQUENCE_LEN} tokens",
                       TruncationWarning, stacklevel=2)
-    tokens = [BOS, HARMONY] + melody + [EOS]
+    tokens = [*CONDITIONING_PREFIX, *melody, EOS]
     ids = np.asarray(vocab.encode_ids(tokens), dtype=np.int64)
-    return Sample(ids=ids, mask=prefix_mask(2, len(tokens)), harmony=h, piece=piece)
+    return Sample(ids=ids, mask=prefix_mask(len(CONDITIONING_PREFIX), len(tokens)),
+                  harmony=h, piece=piece)
 
 
 def adaptation_sample(vocab: Vocabulary, hard_tokens: Sequence[str],
                       easy_tokens: Sequence[str], hard_level: int, easy_level: int,
-                      piece: str = "", max_len: int = MAX_ADAPTATION_LEN) -> Sample:
+                      piece: str = "") -> Sample:
     """Hard-to-easy rewriting sample, scored on the easy half.
 
-    Over-budget sequences lose whole trailing measures of the hard half
-    only; the easy half is the training signal and is never cut.  If the
-    budget still cannot be met, :class:`OversizedPairError` is raised.
+    Sequences over :data:`MAX_SEQUENCE_LEN` lose whole trailing measures of
+    the hard half only; the easy half is the training signal and is never
+    cut.  If the budget still cannot be met, :class:`OversizedPairError` is
+    raised.
     """
     if not 1 <= hard_level <= 9 or not 1 <= easy_level <= 9:
         raise SequenceError("levels must lie in 1..9")
@@ -132,15 +135,15 @@ def adaptation_sample(vocab: Vocabulary, hard_tokens: Sequence[str],
     if not hard or not easy:
         raise SequenceError("adaptation sample needs nonempty halves")
     overhead = 4  # level/[SEP]/level/[EOS]
-    budget = max_len - overhead - len(easy)
+    budget = MAX_SEQUENCE_LEN - overhead - len(easy)
     if len(hard) > budget:
         truncated = _drop_trailing_measures(hard, budget)
         if truncated is None:
             raise OversizedPairError(
                 f"piece {piece!r}: easy half plus one hard measure exceeds "
-                f"max_len {max_len}")
+                f"the {MAX_SEQUENCE_LEN}-token budget")
         hard = truncated
-        warnings.warn(f"piece {piece!r}: hard half truncated to fit {max_len} tokens",
+        warnings.warn(f"piece {piece!r}: hard half truncated to fit {MAX_SEQUENCE_LEN} tokens",
                       TruncationWarning, stacklevel=2)
     tokens = ([LEVEL_TOKENS[hard_level - 1]] + hard + [SEP]
               + [LEVEL_TOKENS[easy_level - 1]] + easy + [EOS])
@@ -170,8 +173,8 @@ def _drop_trailing_measures(tokens: list[str], budget: int) -> Optional[list[str
     return None
 
 
-def adaptation_samples(vocab: Vocabulary, pairs: Sequence, tokens_by_id: dict[str, Sequence[str]],
-                       max_len: int = MAX_ADAPTATION_LEN) -> tuple[list[Sample], list[str]]:
+def adaptation_samples(vocab: Vocabulary, pairs: Sequence, tokens_by_id: dict[str, Sequence[str]]
+                       ) -> tuple[list[Sample], list[str]]:
     """Build samples for mined pairs; unbuildable pairs are skipped, not fatal.
 
     Returns the samples plus one reason line per skipped pair.
@@ -186,34 +189,24 @@ def adaptation_samples(vocab: Vocabulary, pairs: Sequence, tokens_by_id: dict[st
             skipped.append(f"{pair.piece}: missing token stream for {exc}")
             continue
         try:
-            samples.append(adaptation_sample(
-                vocab, hard, easy, pair.hard_level, pair.easy_level,
-                piece=pair.piece, max_len=max_len))
+            samples.append(adaptation_sample(vocab, hard, easy, pair.hard_level,
+                                             pair.easy_level, piece=pair.piece))
         except OversizedPairError as exc:
             skipped.append(str(exc))
     return samples, skipped
 
 
 def masked_cross_entropy(logits: np.ndarray, targets: np.ndarray,
-                         mask: np.ndarray) -> float:
-    """Mean negative log likelihood over positions with mask 0.
+                         mask: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean negative log likelihood over positions with mask 0, and its gradient.
 
     ``logits`` has shape (..., V), and ``targets`` and ``mask`` its leading
     shape: (T,) for one sequence, (B, T) for a batch.  This is the loss the
-    token model trains on.  Only unmasked positions are ever read from
-    ``targets``, so altering a masked target cannot change the result even
-    at the last bit.
-    """
-    return cross_entropy_terms(logits, targets, mask)[0]
-
-
-def cross_entropy_terms(logits: np.ndarray, targets: np.ndarray, mask: np.ndarray,
-                        ) -> tuple[float, tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
-    """:func:`masked_cross_entropy` with the terms its gradient reuses.
-
-    Returns ``(loss, scored, e, sums)``: the loss, the ``np.nonzero`` index
-    of the scored positions, ``exp(rows - max)`` of their logit rows, and
-    the row sums of ``e``, so ``e / sums[:, None]`` is their softmax.
+    token model trains on.  Returns ``(loss, dlogits)``: ``dlogits`` is the
+    gradient of the loss with respect to ``logits``, of its shape, and zero
+    at masked positions.  Only unmasked positions are ever read from
+    ``targets``, so altering a masked target cannot change either result
+    even at the last bit.
     """
     z = np.asarray(logits, dtype=np.float64)
     t = np.asarray(targets)
@@ -221,15 +214,20 @@ def cross_entropy_terms(logits: np.ndarray, targets: np.ndarray, mask: np.ndarra
     if z.ndim < 2 or t.shape != z.shape[:-1] or m.shape != t.shape:
         raise SequenceError("logits (..., V), targets (...) and mask (...) must align")
     scored = np.nonzero(m == 0)
-    if scored[0].size == 0:
+    n = scored[0].size
+    if n == 0:
         raise SequenceError("mask leaves no position to score")
     rows = z[scored]
+    picks = (np.arange(n), t[scored])
     mx = rows.max(axis=1)
-    picked = rows[np.arange(rows.shape[0]), t[scored]]
     e = np.exp(rows - mx[:, None])
     sums = e.sum(axis=1)
-    log_z = np.log(sums) + mx
-    return float(np.mean(log_z - picked)), scored, e, sums
+    loss = float(np.mean((np.log(sums) + mx) - rows[picks]))
+    soft = e / sums[:, None]
+    soft[picks] -= 1.0
+    dlogits = np.zeros_like(z)
+    dlogits[scored] = soft / n
+    return loss, dlogits
 
 
 def collate(samples: Sequence[Sample], vocab: Vocabulary,

@@ -266,13 +266,14 @@ def test_07_mask_correctness(small_corpus):
         targets = s.ids[1:]
         mask = s.mask[1:]
         logits = rng.normal(size=(targets.shape[0], V))
-        base = seqbuild.masked_cross_entropy(logits, targets, mask)
+        base, dbase = seqbuild.masked_cross_entropy(logits, targets, mask)
         masked_idx = np.nonzero(mask == 1)[0]
         for _ in range(3):
             scrambled = targets.copy()
             scrambled[masked_idx] = rng.integers(0, V, size=masked_idx.size)
-            pert = seqbuild.masked_cross_entropy(logits, scrambled, mask)
+            pert, dpert = seqbuild.masked_cross_entropy(logits, scrambled, mask)
             assert pert == base, kind     # exactly zero change
+            assert np.array_equal(dpert, dbase), kind
 
 
 def test_08_gradient_check():
@@ -295,9 +296,9 @@ def test_08_gradient_check():
             for idx in rng.choice(flat.size, size=take, replace=False):
                 keep = flat[idx]
                 flat[idx] = keep + h
-                up = model.loss(ids, mask, harmony)
+                up, _ = model.loss_and_grads(ids, mask, harmony)
                 flat[idx] = keep - h
-                down = model.loss(ids, mask, harmony)
+                down, _ = model.loss_and_grads(ids, mask, harmony)
                 flat[idx] = keep
                 numeric = (up - down) / (2 * h)
                 analytic = grads[name].reshape(-1)[idx]

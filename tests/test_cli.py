@@ -226,6 +226,33 @@ class TestFitGnbReport:
         assert out.startswith("fitted on 9 pieces, temperature ")
         assert "not calibrated" not in out
 
+    def bound_split(self, held_out_x):
+        """16 rows whose column 0 alone tells level 1 (near 0) from level 2
+        (near 2); the four held-out rows sit at ``held_out_x``."""
+        order = np.random.default_rng(self.SEED).permutation(16)
+        levels, x = [0] * 16, np.zeros((16, 12))
+        for k, level, value in zip(order, [1, 2] * 8, [*held_out_x, *([-1, 1, 0, 2, 1, 3] * 2)]):
+            levels[int(k)], x[int(k), 0] = level, value
+        return levels, x
+
+    @pytest.mark.parametrize("held_out_x, end, bound, past", [
+        ((0.8, 1.2) * 2, "lower", 0.05, 0.025),
+        ((1.2, 0.8) * 2, "upper", 20.0, 40.0),
+    ], ids=["lower", "upper"])
+    def test_temperature_on_a_bound_is_reported(self, tmp_path, capsys, held_out_x, end,
+                                                bound, past):
+        # held-out rows just on their own level's side of the midpoint (lower) or just on
+        # the other's (upper): the held-out NLL keeps falling past that end of the range
+        levels, x = self.bound_split(held_out_x)
+        out = self.fit(tmp_path, capsys, levels, x)
+        assert out == (f"fitted on 12 pieces, temperature {bound:.3f} "
+                       f"(on the {end} bound of the search range)")
+        fitted = gnb.load_model(str(tmp_path / "gnb" / "model.json"))
+        assert abs(fitted.temperature - bound) <= gnb.TEMPERATURE_TOL
+        held = np.random.default_rng(self.SEED).permutation(16)[:4]
+        y, joint = np.array(levels)[held], fitted.log_joint(x[held])
+        assert gnb._held_out_nll(joint, y, past) < gnb._held_out_nll(joint, y, bound)
+
     def test_corpus_too_small(self, tmp_path, capsys):
         out = self.fit(tmp_path, capsys, [1, 1, 1, 2, 2])
         assert out == ("fitted on 5 pieces, temperature 1.000 "
@@ -708,7 +735,9 @@ class TestErrorContract:
                  "VOCAB": ws / "enc" / "vocab.txt", "FEAT": ws / "feat.jsonl",
                  "VARS": synthetic_variations / "variations.jsonl", "POST": ws / "post.jsonl",
                  "EMB": ws / "emb.jsonl"}
-        payload = failure(capsys, *(str(names.get(a, a)) for a in argv))
+        # a placeholder may also open a path, as OUT does in OUT/o.npz
+        parts = (a.partition("/") for a in argv)
+        payload = failure(capsys, *(str(names.get(h, h)) + sep + rest for h, sep, rest in parts))
         assert payload == {"error": error, "message": (
             f"{missing}: cannot read (FileNotFoundError: No such file or directory)")}
 

@@ -154,9 +154,9 @@ def gradcheck(model, ids, mask, harmony, coords_per_tensor=6, h=1e-5,
         for idx in rng.choice(flat.size, size=n_take, replace=False):
             keep = flat[idx]
             flat[idx] = keep + h
-            up = model.loss(ids, mask, harmony)
+            up, _ = model.loss_and_grads(ids, mask, harmony)
             flat[idx] = keep - h
-            down = model.loss(ids, mask, harmony)
+            down, _ = model.loss_and_grads(ids, mask, harmony)
             flat[idx] = keep
             numeric = (up - down) / (2 * h)
             analytic = grads[name].reshape(-1)[idx]
@@ -209,9 +209,8 @@ class TestGradients:
         for row, length in ((1, 7), (2, 5)):      # right padding, never scored
             ids[row, length:] = 0
             mask[row, length:] = 1
-        want = masked_cross_entropy(model.logits(ids[:, :-1], harmony),
-                                    ids[:, 1:], mask[:, 1:])
-        assert model.loss(ids, mask, harmony) == want
+        want, _ = masked_cross_entropy(model.logits(ids[:, :-1], harmony),
+                                       ids[:, 1:], mask[:, 1:])
         assert model.loss_and_grads(ids, mask, harmony)[0] == want
 
     def test_loss_head_gradient_is_the_softmax_of_the_scored_rows(self):
@@ -232,15 +231,15 @@ class TestGradients:
         dlogits[scored] = soft / n_scored
         want = model._backward(dlogits, caches)
         loss, grads = model.loss_and_grads(ids, mask, harmony)
-        assert loss == masked_cross_entropy(logits, targets, mask[:, 1:])
+        assert loss == masked_cross_entropy(logits, targets, mask[:, 1:])[0]
         for name in want:
             assert np.array_equal(grads[name], want[name]), name
 
     def test_single_token_sequence_rejected(self):
         model = TinyLM.create(TINY, seed=7)
         with pytest.raises(LMError):
-            model.loss(np.array([[3]], dtype=np.int64),
-                       np.array([[0]], dtype=np.int8))
+            model.loss_and_grads(np.array([[3]], dtype=np.int64),
+                                 np.array([[0]], dtype=np.int8))
 
 
 class TestKVCache:
@@ -413,7 +412,7 @@ class TestTraining:
         model = TinyLM.create(TINY, seed=13)
         rng = np.random.default_rng(14)
         batches = self.make_overfit_batches(model, rng)
-        first = model.loss(*batches[0])
+        first, _ = model.loss_and_grads(*batches[0])
         losses = train(model, batches, steps=150, lr=3e-3, seed=0)
         assert len(losses) == 150
         assert losses[-1] < first * 0.5

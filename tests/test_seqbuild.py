@@ -4,7 +4,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gradus import seqbuild
 from gradus.lmx import Vocabulary, encode
 from gradus.mining import Pair
 from gradus.seqbuild import (
@@ -16,7 +19,6 @@ from gradus.seqbuild import (
     adaptation_samples,
     collate,
     conditioned_sample,
-    cross_entropy_terms,
     masked_cross_entropy,
     prefix_mask,
 )
@@ -75,24 +77,24 @@ class TestConditioned:
         inner = vocab.decode_ids(list(s.ids[2:-1]))
         assert inner == streams[1]
 
-    def test_truncation_drops_whole_measures(self, vocab, streams):
+    def test_truncation_drops_whole_measures(self, vocab, streams, monkeypatch):
         stream = streams[0]
         n_measures = stream.count("measure")
         assert n_measures >= 2
-        budget = len(stream) + 3 - 1    # one token short of fitting
+        # one token short of fitting
+        monkeypatch.setattr(seqbuild, "MAX_SEQUENCE_LEN", len(stream) + 3 - 1)
         with pytest.warns(TruncationWarning):
-            s = conditioned_sample(vocab, stream, HARMONY_FLAT, piece="p0",
-                                   max_len=budget)
+            s = conditioned_sample(vocab, stream, HARMONY_FLAT, piece="p0")
         inner = vocab.decode_ids(list(s.ids[2:-1]))
         assert inner == stream[:len(inner)]
         assert inner.count("measure") < n_measures
         # the cut lands exactly on a measure boundary
         assert stream[len(inner)] == "measure"
 
-    def test_first_measure_too_big_rejected(self, vocab, streams):
+    def test_first_measure_too_big_rejected(self, vocab, streams, monkeypatch):
+        monkeypatch.setattr(seqbuild, "MAX_SEQUENCE_LEN", 5)
         with pytest.raises(SequenceError):
-            conditioned_sample(vocab, streams[0], HARMONY_FLAT, piece="p0",
-                               max_len=5)
+            conditioned_sample(vocab, streams[0], HARMONY_FLAT, piece="p0")
 
     def test_harmony_shape_checked(self, vocab, streams):
         with pytest.raises(SequenceError):
@@ -125,12 +127,11 @@ class TestAdaptation:
         assert s.mask[:prefix_len].tolist() == [1] * prefix_len
         assert s.mask[prefix_len:].tolist() == [0] * (len(easy) + 1)
 
-    def test_easy_side_never_truncated(self, vocab, streams):
+    def test_easy_side_never_truncated(self, vocab, streams, monkeypatch):
         hard, easy = streams[0], streams[1]
-        budget = 4 + len(easy) + len(hard) - 2
+        monkeypatch.setattr(seqbuild, "MAX_SEQUENCE_LEN", 4 + len(easy) + len(hard) - 2)
         with pytest.warns(TruncationWarning):
-            s = adaptation_sample(vocab, hard, easy, hard_level=8,
-                                  easy_level=1, max_len=budget)
+            s = adaptation_sample(vocab, hard, easy, hard_level=8, easy_level=1)
         ids = list(s.ids)
         sep = ids.index(vocab.id("[SEP]"))
         assert vocab.decode_ids(ids[sep + 2:-1]) == easy
@@ -139,12 +140,12 @@ class TestAdaptation:
         assert got_hard == hard[:len(got_hard)]
         assert hard[len(got_hard)] == "measure"
 
-    def test_oversized_pair_rejected(self, vocab, streams):
+    def test_oversized_pair_rejected(self, vocab, streams, monkeypatch):
         hard, easy = streams[0], streams[1]
         # budget leaves no room for even one hard measure
+        monkeypatch.setattr(seqbuild, "MAX_SEQUENCE_LEN", 4 + len(easy))
         with pytest.raises(OversizedPairError):
-            adaptation_sample(vocab, hard, easy, hard_level=8, easy_level=1,
-                              max_len=4 + len(easy))
+            adaptation_sample(vocab, hard, easy, hard_level=8, easy_level=1)
 
     def test_level_bounds_checked(self, vocab, streams):
         with pytest.raises(SequenceError):
@@ -170,12 +171,12 @@ class TestAdaptation:
         assert len(skipped) == 1
         assert "c" in skipped[0]
 
-    def test_batch_skips_oversized(self, vocab, streams):
+    def test_batch_skips_oversized(self, vocab, streams, monkeypatch):
         tokens_by_id = {"a.v0": streams[0], "a.v1": streams[1]}
         pairs = [Pair(piece="a", hard="a.v0", easy="a.v1", hard_level=7,
                       easy_level=2, gap=5, sim=0.9)]
-        samples, skipped = adaptation_samples(vocab, pairs, tokens_by_id,
-                                              max_len=4 + len(streams[1]))
+        monkeypatch.setattr(seqbuild, "MAX_SEQUENCE_LEN", 4 + len(streams[1]))
+        samples, skipped = adaptation_samples(vocab, pairs, tokens_by_id)
         assert samples == []
         assert len(skipped) == 1
 
@@ -187,7 +188,7 @@ class TestMaskedLoss:
         targets = np.array([20, 21, 22, 2], dtype=np.int64)
         mask = np.array([1, 0, 0, 0], dtype=np.int8)
         logits = rng.normal(size=(4, V))
-        loss = masked_cross_entropy(logits, targets, mask)
+        loss, _ = masked_cross_entropy(logits, targets, mask)
         want = 0.0
         for pos in (1, 2, 3):
             row = logits[pos]
@@ -202,18 +203,21 @@ class TestMaskedLoss:
         mask = np.zeros(n, dtype=np.int8)
         mask[:12] = 1
         logits = rng.normal(size=(n, V))
-        base = masked_cross_entropy(logits, targets, mask)
+        base, dbase = masked_cross_entropy(logits, targets, mask)
         for _ in range(20):
             scrambled = targets.copy()
             scrambled[:12] = rng.integers(0, V, size=12)
-            assert masked_cross_entropy(logits, scrambled, mask) == base
+            loss, dlogits = masked_cross_entropy(logits, scrambled, mask)
+            assert loss == base
+            assert np.array_equal(dlogits, dbase)
 
     def test_large_logits_stay_finite(self):
         logits = np.array([[1e4, -1e4, 0.0], [5e3, 5e3, -5e3]])
         targets = np.array([0, 1], dtype=np.int64)
         mask = np.zeros(2, dtype=np.int8)
-        loss = masked_cross_entropy(logits, targets, mask)
+        loss, dlogits = masked_cross_entropy(logits, targets, mask)
         assert np.isfinite(loss)
+        assert np.isfinite(dlogits).all()
 
     def test_fully_masked_rejected(self):
         with pytest.raises(SequenceError):
@@ -229,25 +233,57 @@ class TestMaskedLoss:
         mask = np.zeros((B, T), dtype=np.int8)
         mask[:, :2] = 1
         mask[2, 4:] = 1                        # a padded row
-        flat = masked_cross_entropy(logits.reshape(-1, V), targets.ravel(), mask.ravel())
-        assert masked_cross_entropy(logits, targets, mask) == flat
+        flat, dflat = masked_cross_entropy(logits.reshape(-1, V), targets.ravel(), mask.ravel())
+        loss, dlogits = masked_cross_entropy(logits, targets, mask)
+        assert loss == flat
+        assert np.array_equal(dlogits, dflat.reshape(B, T, V))
         want = np.mean([np.log(np.exp(logits[b, t]).sum()) - logits[b, t, targets[b, t]]
                         for b in range(B) for t in range(T) if mask[b, t] == 0])
         assert flat == pytest.approx(want, rel=1e-12)
 
-    def test_terms_hold_the_scored_rows_softmax(self):
+    def test_gradient_is_the_scored_rows_softmax_less_their_targets(self):
         rng = np.random.default_rng(3)
         B, T, V = 2, 5, 9
         logits = rng.normal(size=(B, T, V)) * 30.0
         targets = rng.integers(0, V, size=(B, T))
         mask = np.zeros((B, T), dtype=np.int8)
         mask[0, :3] = 1
-        loss, scored, e, sums = cross_entropy_terms(logits, targets, mask)
-        assert loss == masked_cross_entropy(logits, targets, mask)
-        assert [a.tolist() for a in scored] == [a.tolist() for a in np.nonzero(mask == 0)]
+        _, dlogits = masked_cross_entropy(logits, targets, mask)
+        scored = np.nonzero(mask == 0)
         rows = logits[scored]
-        np.testing.assert_array_equal(e, np.exp(rows - rows.max(axis=1, keepdims=True)))
-        np.testing.assert_array_equal(sums, e.sum(axis=1))
+        e = np.exp(rows - rows.max(axis=1, keepdims=True))
+        soft = e / e.sum(axis=1)[:, None]
+        soft[np.arange(len(rows)), targets[scored]] -= 1.0
+        want = np.zeros_like(logits)
+        want[scored] = soft / len(rows)
+        assert np.array_equal(dlogits, want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(shape=st.lists(st.integers(1, 4), min_size=1, max_size=2),
+           vocab=st.integers(2, 6), scale=st.sampled_from([0.1, 1.0, 10.0]),
+           seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    def test_gradient_matches_central_differences(self, shape, vocab, scale, seed, data):
+        rng = np.random.default_rng(seed)
+        logits = rng.normal(size=(*shape, vocab)) * scale
+        targets = rng.integers(0, vocab, size=shape)
+        mask = np.array(data.draw(st.lists(st.integers(0, 1), min_size=int(np.prod(shape)),
+                                           max_size=int(np.prod(shape)))
+                                  .filter(lambda m: 0 in m)), dtype=np.int8).reshape(shape)
+        _, dlogits = masked_cross_entropy(logits, targets, mask)
+        h = 1e-6
+        numeric = np.empty_like(logits)
+        for idx in np.ndindex(logits.shape):
+            keep = logits[idx]
+            logits[idx] = keep + h
+            up, _ = masked_cross_entropy(logits, targets, mask)
+            logits[idx] = keep - h
+            down, _ = masked_cross_entropy(logits, targets, mask)
+            logits[idx] = keep
+            numeric[idx] = (up - down) / (2 * h)
+        np.testing.assert_allclose(dlogits, numeric, rtol=0, atol=1e-6)
+        assert (dlogits[mask == 1] == 0.0).all()
+        np.testing.assert_allclose(dlogits[mask == 0].sum(axis=-1), 0.0, rtol=0,
+                                   atol=vocab * np.finfo(float).eps)
 
     @pytest.mark.parametrize("shapes", [
         ((5,), (5,), (5,)),
