@@ -274,8 +274,9 @@ def _cmd_classify(args) -> None:
     fitted = gnb.load_model(args.model)
     x = np.array([r["features"] for _, r in located], dtype=np.float64)
     with _located_rows([where for where, _ in located]):
-        posterior = fitted.posterior(x)
-    levels = fitted.predict(x)
+        joint = fitted.log_joint(x)
+        posterior = fitted.posterior(x, joint=joint)
+    levels = fitted.predict(x, joint=joint)
     out_rows = []
     for (_, r), level, post in zip(located, levels, posterior):
         out_rows.append({"piece": r["piece"], "level": int(level),

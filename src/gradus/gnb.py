@@ -91,21 +91,32 @@ class GaussianNB:
             joint = self.log_prior[None, :] + log_pdf.sum(axis=2)
         return _scorable(joint)
 
-    def posterior(self, features: np.ndarray) -> np.ndarray:
+    def posterior(self, features: np.ndarray, *,
+                  joint: Optional[np.ndarray] = None) -> np.ndarray:
         """P(level | features), rows summing to 1, shape (n, 9).
 
+        ``joint``, if given, is ``log_joint(features)`` already computed.
         Raises :class:`ModelError` for a row that :meth:`log_joint` refuses,
         or whose log-joint a temperature below 1 scales past the float range.
         """
+        if joint is None:
+            joint = self.log_joint(features)
         with np.errstate(over="ignore"):
-            joint = _scorable(self.log_joint(features) / self.temperature)
+            joint = _scorable(joint / self.temperature)
         joint = joint - joint.max(axis=1, keepdims=True)
         p = np.exp(joint)
         return p / p.sum(axis=1, keepdims=True)
 
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        """Most probable level per row (ties go to the lower level)."""
-        joint = self.log_joint(features)
+    def predict(self, features: np.ndarray, *,
+                joint: Optional[np.ndarray] = None) -> np.ndarray:
+        """Most probable level per row (ties go to the lower level).
+
+        The level is the argmax of the log-joint, not of the posterior:
+        dividing by the temperature can round two log-joints to a tie.
+        ``joint``, if given, is ``log_joint(features)`` already computed.
+        """
+        if joint is None:
+            joint = self.log_joint(features)
         return np.asarray(LEVELS)[np.argmax(joint, axis=1)]
 
 

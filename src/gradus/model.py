@@ -12,6 +12,12 @@ causal attention runs one block of query rows at a time (:func:`_attend`),
 so scores never take more than a fixed budget per block, whatever the
 sequence length.
 
+Every step of :func:`train` writes into one :class:`Workspace`, made for
+the run: its activations, each layer's kept attention probabilities (views
+of one flat array), its gradients and AdamW's temporaries are buffers that
+the next step reuses.  The step keeps the float order of one that
+allocates every array anew, so its bits, and a checkpoint's, are unchanged.
+
 Training minimizes masked next-token cross entropy:
 :func:`gradus.seqbuild.masked_cross_entropy` gives the loss and its
 gradient at the logits.  Positions whose mask is 1 are conditioning and
@@ -20,6 +26,7 @@ contribute nothing to loss or gradients.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields
 from typing import Optional, Sequence
 
@@ -35,6 +42,7 @@ __all__ = [
     "TinyLM",
     "rope_rotate",
     "AdamW",
+    "Workspace",
     "train",
     "SampleResult",
     "sample",
@@ -73,6 +81,13 @@ _GELU_C = float(np.sqrt(2.0 / np.pi))
 _GELU_A = 0.044715
 
 
+def _rope_tables(positions: np.ndarray, hd: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of each position's angles, each (T, hd / 2)."""
+    freqs = _ROPE_BASE ** (-np.arange(hd // 2, dtype=np.float64) * 2.0 / hd)
+    angles = positions.astype(np.float64)[:, None] * freqs[None, :]   # (T, half)
+    return np.cos(angles), np.sin(angles)
+
+
 def rope_rotate(x: np.ndarray, positions: np.ndarray, inverse: bool = False) -> np.ndarray:
     """Rotate query/key vectors by position-dependent angles.
 
@@ -84,52 +99,106 @@ def rope_rotate(x: np.ndarray, positions: np.ndarray, inverse: bool = False) -> 
     hd = x.shape[-1]
     if hd % 2 != 0:
         raise LMError("rotary dimension must be even")
-    half = hd // 2
-    freqs = _ROPE_BASE ** (-np.arange(half, dtype=np.float64) * 2.0 / hd)
-    angles = positions.astype(np.float64)[:, None] * freqs[None, :]   # (T, half)
-    cos = np.cos(angles)
-    sin = np.sin(angles)
-    if inverse:
-        sin = -sin
-    x_even = x[..., 0::2]
-    x_odd = x[..., 1::2]
-    out = np.empty_like(x)
-    out[..., 0::2] = x_even * cos - x_odd * sin
-    out[..., 1::2] = x_even * sin + x_odd * cos
+    cos, sin = _rope_tables(positions, hd)
+    return _rotate(x, cos, sin, inverse, np.empty_like(x), Workspace())
+
+
+def _rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray, inverse: bool,
+            out: np.ndarray, ws: "Workspace") -> np.ndarray:
+    """:func:`rope_rotate` by the angles of the tables ``cos`` and ``sin``, into ``out``.
+
+    The inverse rotation negates every product with ``sin``: ``a - (-b)``
+    and ``(-b) + a`` round as ``a + b`` and ``a - b`` do, so no negated
+    table is made.
+    """
+    x_even, x_odd = x[..., 0::2], x[..., 1::2]
+    out_even, out_odd = out[..., 0::2], out[..., 1::2]
+    tmp = ws.take("scratch", x_even.shape)
+    # x_even * cos - x_odd * sin and x_even * sin + x_odd * cos
+    to_even, to_odd = (np.add, np.subtract) if inverse else (np.subtract, np.add)
+    to_even(np.multiply(x_even, cos, out=out_even), np.multiply(x_odd, sin, out=tmp), out=out_even)
+    to_odd(np.multiply(x_odd, cos, out=out_odd), np.multiply(x_even, sin, out=tmp), out=out_odd)
     return out
 
 
-def _layernorm_fwd(x: np.ndarray, g: np.ndarray, b: np.ndarray):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
+def _layernorm_fwd(x: np.ndarray, g: np.ndarray, b: np.ndarray,
+                   out: Optional[np.ndarray] = None, xhat: Optional[np.ndarray] = None):
+    """Layer norm over the last axis, into ``out``, keeping ``xhat`` for the backward.
+
+    ``x`` is centred once.  The statistics round as numpy's ``mean`` and
+    ``var`` do: the sum over n, then the sum of the squared deviations over n.
+    """
+    n = x.shape[-1]
+    mu = x.sum(axis=-1, keepdims=True)
+    mu /= n
+    xc = np.subtract(x, mu, out=xhat)
+    y = np.multiply(xc, xc, out=out)
+    var = y.sum(axis=-1, keepdims=True)
+    var /= n
     inv = 1.0 / np.sqrt(var + _LN_EPS)
-    xhat = (x - mu) * inv
-    return xhat * g + b, (xhat, inv, g)
+    xc *= inv
+    np.multiply(xc, g, out=y)
+    y += b
+    return y, (xc, inv, g)
 
 
-def _layernorm_bwd(dy: np.ndarray, cache) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _layernorm_bwd(dy: np.ndarray, cache, dg: np.ndarray, db: np.ndarray,
+                   out: np.ndarray, ws: "Workspace") -> np.ndarray:
+    """The input gradient of :func:`_layernorm_fwd`, into ``out``; the gain
+    and bias gradients are written to ``dg`` and ``db``."""
     xhat, inv, g = cache
     n = xhat.shape[-1]
-    dg = (dy * xhat).sum(axis=tuple(range(dy.ndim - 1)))
-    db = dy.sum(axis=tuple(range(dy.ndim - 1)))
-    dxhat = dy * g
-    dx = (inv / n) * (n * dxhat
-                      - dxhat.sum(axis=-1, keepdims=True)
-                      - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True))
-    return dx, dg, db
+    lead = tuple(range(dy.ndim - 1))
+    dxhat = ws.take("scratch", dy.shape)
+    np.multiply(dy, xhat, out=dxhat).sum(axis=lead, out=dg)
+    dy.sum(axis=lead, out=db)
+    np.multiply(dy, g, out=dxhat)
+    total = dxhat.sum(axis=-1, keepdims=True)
+    along = np.multiply(dxhat, xhat, out=out).sum(axis=-1, keepdims=True)
+    # (inv / n) * (n * dxhat - total - xhat * along), in that order
+    np.multiply(dxhat, n, out=out)
+    out -= total
+    out -= np.multiply(xhat, along, out=dxhat)
+    out *= inv / n
+    return out
 
 
-def _gelu_fwd(x: np.ndarray):
+def _gelu_fwd(x: np.ndarray, out: Optional[np.ndarray] = None,
+              t: Optional[np.ndarray] = None, ws: Optional["Workspace"] = None):
+    """Tanh-approximate GELU into ``out``, keeping the tanh in ``t``."""
     # x * x * x, not x ** 3: np.power is some fifty times slower here
-    u = _GELU_C * (x + _GELU_A * (x * x * x))
-    t = np.tanh(u)
-    return 0.5 * x * (1.0 + t), (x, t)
+    u = np.multiply(x, x, out=t)
+    u *= x
+    u *= _GELU_A
+    u += x
+    u *= _GELU_C
+    t = np.tanh(u, out=u)
+    # 0.5 * x * (1.0 + t)
+    y = np.multiply(x, 0.5, out=out)
+    y *= np.add(t, 1.0, out=(ws or Workspace()).take("scratch", x.shape))
+    return y, (x, t)
 
 
-def _gelu_bwd(dy: np.ndarray, cache) -> np.ndarray:
+def _gelu_bwd(dy: np.ndarray, cache, ws: "Workspace") -> np.ndarray:
+    """The input gradient of :func:`_gelu_fwd`, written over ``dy``.
+
+    The cache's ``x`` is overwritten too: the backward reads it only here.
+    """
     x, t = cache
-    du = _GELU_C * (1.0 + 3.0 * _GELU_A * x ** 2)
-    return dy * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * du)
+    # du = C * (1 + 3 A x^2); dy * (0.5 * (1 + t) + 0.5 * x * (1 - t^2) * du)
+    du = np.multiply(x, x, out=ws.take("scratch", x.shape))
+    du *= 3.0 * _GELU_A
+    du += 1.0
+    du *= _GELU_C
+    slope = np.multiply(x, 0.5, out=x)
+    square = np.multiply(t, t, out=ws.take("scratch2", x.shape))
+    slope *= np.subtract(1.0, square, out=square)
+    slope *= du
+    level = np.add(t, 1.0, out=du)
+    level *= 0.5
+    level += slope
+    dy *= level
+    return dy
 
 
 def _softmax_last(x: np.ndarray) -> np.ndarray:
@@ -159,56 +228,133 @@ def _query_blocks(b: int, h: int, start: int, s: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + rows, s)) for lo in range(0, s, rows)]
 
 
+class Workspace:
+    """The buffers that the steps of one training run reuse.
+
+    :func:`train` makes one per run and passes it to every
+    :meth:`TinyLM.loss_and_grads` and :meth:`AdamW.update`; a KV cache
+    holds one for its prefill and decode steps.  A call given none makes a
+    fresh one, so the arrays it returns are its caller's.
+
+    Each buffer is one flat float64 array under a name, grown to the
+    largest size asked for and viewed in the shape asked for, so steps of
+    other widths reuse it.  ``l{i}.attn`` holds layer ``i``'s attention
+    probabilities, one consecutive view per query block; other names hold
+    the layer's activations, one block's scratch of :func:`_attend_bwd`,
+    and the other temporaries of a step.  The rotary tables and the causal
+    mask are built on first use and grown when a longer sequence needs
+    them; ``grads`` holds the gradient of every parameter.  A workspace
+    serves one model.
+    """
+
+    def __init__(self) -> None:
+        self.grads: dict[str, np.ndarray] = {}
+        self._flat: dict[str, np.ndarray] = {}
+        self._rope = (np.empty((0, 0)), np.empty((0, 0)))
+        self._future = np.empty((0, 0))
+
+    def take(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        """An uninitialised view of ``shape`` at the start of buffer ``name``."""
+        size = math.prod(shape)
+        flat = self._flat.get(name)
+        if flat is None or flat.size < size:
+            flat = self._flat[name] = np.empty(size)
+        return flat[:size].reshape(shape)
+
+    def rope(self, start: int, end: int, hd: int) -> tuple[np.ndarray, np.ndarray]:
+        """The rotary cos and sin tables of positions ``[start, end)``.
+
+        The tables double when they grow, so decoding one token at a time
+        rebuilds them only every so often.
+        """
+        cos, sin = self._rope
+        if cos.shape[0] < end:
+            size = max(end, 2 * cos.shape[0])
+            cos, sin = self._rope = _rope_tables(np.arange(size), hd)
+        return cos[start:end], sin[start:end]
+
+    def future(self, width: int) -> np.ndarray:
+        """The (width, width) mask that adds -inf to every future key."""
+        if self._future.shape[0] < width:
+            self._future = np.triu(np.full((width, width), -np.inf), k=1)
+        return self._future[:width, :width]
+
+    def gradients(self, params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+        """``grads``, made on first use with one array per parameter."""
+        if not self.grads:
+            self.grads = {name: np.empty_like(arr) for name, arr in params.items()}
+        return self.grads
+
+
+def _heads(x: np.ndarray, h: int) -> np.ndarray:
+    """A (b, s, d) array viewed as (b, h, s, d / h) heads, without a copy."""
+    b, s, d = x.shape
+    return x.reshape(b, s, h, d // h).transpose(0, 2, 1, 3)
+
+
 def _attend(qr: np.ndarray, keys: np.ndarray, values: np.ndarray, start: int,
-            probs: Optional[list] = None) -> np.ndarray:
+            probs: Optional[list], ws: Workspace, layer: int) -> np.ndarray:
     """Causal attention of queries at positions ``start..`` one block at a time.
 
     ``qr`` is (b, h, s, hd); ``keys`` and ``values`` hold positions
     ``0..start+s``.  Block rows ``[lo, hi)`` score only keys
     ``[:start+hi]``, so no future key is ever scored, and every row gets
-    the exact max-subtracted softmax.  Returns the (b, h, s, hd) context;
-    a ``probs`` list collects each block's probabilities for
-    :func:`_attend_bwd`.
+    the exact max-subtracted softmax.  Returns the (b, h, s, hd) context,
+    laid out as ``qr``.  Scores are written into ``ws`` buffer
+    ``l{layer}.attn``: with a ``probs`` list, each block into a view of its
+    own, which the list collects for :func:`_attend_bwd`; without, every
+    block into the same view.
     """
     b, h, s, hd = qr.shape
     blocks = _query_blocks(b, h, start, s)
+    sizes = [b * h * (hi - lo) * (start + hi) for lo, hi in blocks]
+    arena = ws.take(f"l{layer}.attn", (max(sizes) if probs is None else sum(sizes),))
     # future keys of a block are its last columns: mask that square
-    width = blocks[0][1]
-    future = np.triu(np.full((width, width), -np.inf), k=1) if width > 1 else None
-    ctx = np.empty_like(qr)
-    for lo, hi in blocks:
+    future = ws.future(blocks[0][1])
+    ctx = ws.take(f"l{layer}.ctx", (b, s, h, hd)).transpose(0, 2, 1, 3)
+    at = 0
+    for (lo, hi), size in zip(blocks, sizes):
         end = start + hi
-        scores = qr[:, :, lo:hi] @ keys[:, :, :end].swapaxes(-1, -2)
+        scores = arena[at:at + size].reshape(b, h, hi - lo, end)
+        np.matmul(qr[:, :, lo:hi], keys[:, :, :end].swapaxes(-1, -2), out=scores)
         scores /= np.sqrt(hd)
         if hi - lo > 1:
             scores[..., start + lo:] += future[:hi - lo, :hi - lo]
         p = _softmax_last(scores)
         if probs is not None:
             probs.append(p)
-        ctx[:, :, lo:hi] = p @ values[:, :, :end]
+            at += size
+        np.matmul(p, values[:, :, :end], out=ctx[:, :, lo:hi])
     return ctx
 
 
 def _attend_bwd(dctx: np.ndarray, qr: np.ndarray, kr: np.ndarray, vh: np.ndarray,
-                probs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                probs: list[np.ndarray], ws: Workspace,
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of :func:`_attend` at ``start=0`` w.r.t. queries, keys and
     values, from its kept probabilities: a (b, h, rows, hi) block holds
-    query rows ``[hi - rows, hi)``."""
-    hd = qr.shape[-1]
-    dqr, dkr, dvh = np.empty_like(qr), np.zeros_like(kr), np.zeros_like(vh)
+    query rows ``[hi - rows, hi)``.  They are views of ``ws`` buffers laid
+    out as (b, s, h, hd), as :func:`_heads` views them."""
+    b, h, t, hd = qr.shape
+    dqr, dkr, dvh = (ws.take(name, (b, t, h, hd)).transpose(0, 2, 1, 3)
+                     for name in ("dqr", "dkr", "dvh"))
+    dkr.fill(0.0)
+    dvh.fill(0.0)
     for p in probs:
         hi = p.shape[-1]
         lo = hi - p.shape[-2]
         d = dctx[:, :, lo:hi]
-        # dprobs becomes dscores in place; only the product for the row sums
-        # is a second block-sized array
-        dscores = d @ vh[:, :, :hi].swapaxes(-1, -2)
-        dscores -= (dscores * p).sum(axis=-1, keepdims=True)
+        # dprobs becomes dscores in place; the block's second buffer holds
+        # the product for the row sums, then each product for keys and values
+        dscores = np.matmul(d, vh[:, :, :hi].swapaxes(-1, -2), out=ws.take("dscores", p.shape))
+        dscores -= np.multiply(dscores, p, out=ws.take("dprod", p.shape)).sum(axis=-1,
+                                                                              keepdims=True)
         dscores *= p
         dscores /= np.sqrt(hd)
-        dqr[:, :, lo:hi] = dscores @ kr[:, :, :hi]
-        dkr[:, :, :hi] += dscores.swapaxes(-1, -2) @ qr[:, :, lo:hi]
-        dvh[:, :, :hi] += p.swapaxes(-1, -2) @ d
+        np.matmul(dscores, kr[:, :, :hi], out=dqr[:, :, lo:hi])
+        part = ws.take("dprod", (b, h, hi, hd))
+        dkr[:, :, :hi] += np.matmul(dscores.swapaxes(-1, -2), qr[:, :, lo:hi], out=part)
+        dvh[:, :, :hi] += np.matmul(p.swapaxes(-1, -2), d, out=part)
     return dqr, dkr, dvh
 
 
@@ -259,9 +405,13 @@ class TinyLM:
         return self._forward(np.atleast_2d(ids), harmony)
 
     def _embed(self, ids: np.ndarray, harmony: Optional[np.ndarray],
-               caches: Optional[list] = None) -> np.ndarray:
+               caches: Optional[list] = None, ws: Optional[Workspace] = None) -> np.ndarray:
         p = self.params
-        x = p["tok_emb"][ids]
+        ws = Workspace() if ws is None else ws
+        x = ws.take("x", ids.shape + (self.config.d_model,))
+        # ids are checked to be in the vocabulary, so "clip" never clips; it
+        # spares the copy that np.take's default mode makes of ``out``
+        np.take(p["tok_emb"], ids, axis=0, out=x, mode="clip")
         h = sel = None
         if harmony is not None:
             h = np.atleast_2d(np.asarray(harmony, dtype=np.float64))
@@ -275,20 +425,23 @@ class TinyLM:
             else:
                 inj = h @ p["harm_w"] + p["harm_b"]
             sel = (ids == _HARMONY_ID).astype(np.float64)
-            x = x + sel[:, :, None] * inj[:, None, :]
+            x += np.multiply(sel[:, :, None], inj[:, None, :], out=ws.take("proj", x.shape))
         if caches is not None:    # _backward reuses the harmony rows and [HARM] selection
             caches.append(("embed", ids, h, sel))
         return x
 
     def _forward(self, ids: np.ndarray, harmony: Optional[np.ndarray],
-                 caches: Optional[list] = None, kv: Optional[dict] = None) -> np.ndarray:
+                 caches: Optional[list] = None, kv: Optional[dict] = None,
+                 ws: Optional[Workspace] = None) -> np.ndarray:
         """The logits of the layer stack of training, prefill and decode alike.
 
         ``caches`` (a list) collects what :meth:`_backward` needs.  With a
         :meth:`start_cache` dict as ``kv``, positions start at ``kv["n"]``
         and attention runs over the cache, which the new keys fill in place.
         One row of ``ids`` on a cache of more rows runs once, and its keys
-        and values are broadcast into every cache row.
+        and values are broadcast into every cache row.  Activations are
+        written into buffers of ``ws`` (by default the cache's, or a fresh
+        one); the logits are ``ws``'s own when ``caches`` is given, else new.
         """
         cfg = self.config
         p = self.params
@@ -299,17 +452,21 @@ class TinyLM:
             raise LMError(f"sequence length {end} exceeds max_len {cfg.max_len}")
         if s == 0 or ids.dtype.kind not in "iu" or ids.min() < 0 or ids.max() >= cfg.vocab_size:
             raise LMError("token ids must be a nonempty integer array within the vocabulary")
-        h = cfg.n_heads
-        hd = cfg.d_model // h
-        pos = np.arange(start, end)
-        x = self._embed(ids, harmony, caches)
+        if ws is None:
+            ws = Workspace() if kv is None else kv["ws"]
+        d, h, ff = cfg.d_model, cfg.n_heads, cfg.d_ff
+        cos, sin = ws.rope(start, end, d // h)
+        x = self._embed(ids, harmony, caches, ws)
+        bsd, bsf = (b, s, d), (b, s, ff)
+        proj = ws.take("proj", bsd)
         for i in range(cfg.n_layers):
-            a, ln1c = _layernorm_fwd(x, p[f"l{i}.ln1_g"], p[f"l{i}.ln1_b"])
-            qh = (a @ p[f"l{i}.wq"]).reshape(b, s, h, hd).transpose(0, 2, 1, 3)
-            kh = (a @ p[f"l{i}.wk"]).reshape(b, s, h, hd).transpose(0, 2, 1, 3)
-            vh = (a @ p[f"l{i}.wv"]).reshape(b, s, h, hd).transpose(0, 2, 1, 3)
-            qr = rope_rotate(qh, pos)
-            kr = rope_rotate(kh, pos)
+            a, ln1c = _layernorm_fwd(x, p[f"l{i}.ln1_g"], p[f"l{i}.ln1_b"],
+                                     ws.take(f"l{i}.a", bsd), ws.take(f"l{i}.xhat1", bsd))
+            qr = _rotate(_heads(np.matmul(a, p[f"l{i}.wq"], out=proj), h), cos, sin, False,
+                         _heads(ws.take(f"l{i}.qr", bsd), h), ws)
+            kr = _rotate(_heads(np.matmul(a, p[f"l{i}.wk"], out=proj), h), cos, sin, False,
+                         _heads(ws.take(f"l{i}.kr", bsd), h), ws)
+            vh = _heads(np.matmul(a, p[f"l{i}.wv"], out=ws.take(f"l{i}.v", bsd)), h)
             if kv is None:
                 keys, values = kr, vh
             else:
@@ -317,20 +474,25 @@ class TinyLM:
                 kv["v"][i][:, :, start:end] = vh
                 keys, values = kv["k"][i][:b, :, :end], kv["v"][i][:b, :, :end]
             probs = None if caches is None else []
-            ctx = _attend(qr, keys, values, start, probs)
-            merged = ctx.transpose(0, 2, 1, 3).reshape(b, s, cfg.d_model)
-            x = x + merged @ p[f"l{i}.wo"]
-            a2, ln2c = _layernorm_fwd(x, p[f"l{i}.ln2_g"], p[f"l{i}.ln2_b"])
-            h1 = a2 @ p[f"l{i}.w1"] + p[f"l{i}.b1"]
-            h2, geluc = _gelu_fwd(h1)
-            x = x + h2 @ p[f"l{i}.w2"] + p[f"l{i}.b2"]
+            ctx = _attend(qr, keys, values, start, probs, ws, i)
+            merged = ctx.transpose(0, 2, 1, 3).reshape(bsd)
+            x += np.matmul(merged, p[f"l{i}.wo"], out=proj)
+            a2, ln2c = _layernorm_fwd(x, p[f"l{i}.ln2_g"], p[f"l{i}.ln2_b"],
+                                      ws.take(f"l{i}.a2", bsd), ws.take(f"l{i}.xhat2", bsd))
+            h1 = np.matmul(a2, p[f"l{i}.w1"], out=ws.take(f"l{i}.h1", bsf))
+            h1 += p[f"l{i}.b1"]
+            h2, geluc = _gelu_fwd(h1, ws.take(f"l{i}.h2", bsf), ws.take(f"l{i}.t", bsf), ws)
+            x += np.matmul(h2, p[f"l{i}.w2"], out=proj)
+            x += p[f"l{i}.b2"]
             if caches is not None:
                 caches.append(("layer", i, a, ln1c, qr, kr, vh, probs, merged,
                                a2, ln2c, geluc, h2))
         if kv is not None:
             kv["n"] = end
-        xf, lnfc = _layernorm_fwd(x, p["lnf_g"], p["lnf_b"])
-        logits = xf @ p["head"]
+        xf, lnfc = _layernorm_fwd(x, p["lnf_g"], p["lnf_b"],
+                                  ws.take("xf", bsd), ws.take("xhatf", bsd))
+        logits = np.matmul(xf, p["head"], out=None if caches is None else
+                           ws.take("logits", (b, s, cfg.vocab_size)))
         if caches is not None:
             caches.append(("final", xf, lnfc))
         return logits
@@ -338,8 +500,14 @@ class TinyLM:
     # -- loss and gradients ------------------------------------------------
 
     def loss_and_grads(self, ids: np.ndarray, mask: np.ndarray,
-                       harmony: Optional[np.ndarray] = None) -> tuple[float, dict[str, np.ndarray]]:
-        """Masked next-token loss and the gradient of every parameter."""
+                       harmony: Optional[np.ndarray] = None,
+                       workspace: Optional[Workspace] = None,
+                       ) -> tuple[float, dict[str, np.ndarray]]:
+        """Masked next-token loss and the gradient of every parameter.
+
+        The gradients are ``workspace.grads``, which the next call with the
+        same workspace overwrites; without a workspace they are new arrays.
+        """
         ids = np.atleast_2d(np.asarray(ids, dtype=np.int64))
         mask = np.atleast_2d(np.asarray(mask))
         if mask.shape != ids.shape:
@@ -349,71 +517,79 @@ class TinyLM:
         tmask = mask[:, 1:]
         if not (tmask == 0).any():
             raise LMError("mask leaves nothing to score")
+        ws = Workspace() if workspace is None else workspace
         caches: list = []
-        logits = self._forward(ids[:, :-1], harmony, caches)
+        logits = self._forward(ids[:, :-1], harmony, caches, ws=ws)
         loss, dlogits = masked_cross_entropy(logits, ids[:, 1:], tmask)
         if not np.isfinite(loss):
             raise LMError("loss is not finite")
-        return loss, self._backward(dlogits, caches)
+        return loss, self._backward(dlogits, caches, ws)
 
-    def _backward(self, dlogits: np.ndarray, caches: list) -> dict[str, np.ndarray]:
+    def _backward(self, dlogits: np.ndarray, caches: list,
+                  ws: Optional[Workspace] = None) -> dict[str, np.ndarray]:
+        """Every parameter's gradient, assigned into ``ws.grads``.
+
+        The token embedding and harmony gradients are zero-filled and
+        accumulate; every other gradient is written once.
+        """
         cfg = self.config
         p = self.params
-        grads = {name: np.zeros_like(arr) for name, arr in p.items()}
+        ws = Workspace() if ws is None else ws
+        grads = ws.gradients(p)
         b, t, _ = dlogits.shape
-        h = cfg.n_heads
-        hd = cfg.d_model // h
-        pos = np.arange(t)
+        d, h, ff = cfg.d_model, cfg.n_heads, cfg.d_ff
+        cos, sin = ws.rope(0, t, d // h)
+
+        # the forward's residual and projection buffers, "x" and "proj", are
+        # free by now: they hold the residual's gradient and each product
+        def buf(name: str, width: int = d) -> np.ndarray:
+            return ws.take(name, (b, t, width))
 
         tag, xf, lnfc = caches.pop()
         assert tag == "final"
-        grads["head"] += xf.reshape(-1, cfg.d_model).T @ dlogits.reshape(-1, cfg.vocab_size)
-        dxf = dlogits @ p["head"].T
-        dx, dg, db = _layernorm_bwd(dxf, lnfc)
-        grads["lnf_g"] += dg
-        grads["lnf_b"] += db
+        np.matmul(xf.reshape(-1, d).T, dlogits.reshape(-1, cfg.vocab_size), out=grads["head"])
+        dxf = np.matmul(dlogits, p["head"].T, out=buf("proj"))
+        dx = _layernorm_bwd(dxf, lnfc, grads["lnf_g"], grads["lnf_b"], buf("x"), ws)
 
         for _ in range(cfg.n_layers):
             (tag, i, a, ln1c, qr, kr, vh, probs, merged,
              a2, ln2c, geluc, h2) = caches.pop()
             assert tag == "layer"
             # mlp half
-            grads[f"l{i}.b2"] += dx.sum(axis=(0, 1))
-            grads[f"l{i}.w2"] += h2.reshape(-1, cfg.d_ff).T @ dx.reshape(-1, cfg.d_model)
-            dh2 = dx @ p[f"l{i}.w2"].T
-            dh1 = _gelu_bwd(dh2, geluc)
-            grads[f"l{i}.b1"] += dh1.sum(axis=(0, 1))
-            grads[f"l{i}.w1"] += a2.reshape(-1, cfg.d_model).T @ dh1.reshape(-1, cfg.d_ff)
-            da2 = dh1 @ p[f"l{i}.w1"].T
-            dx2, dg, db = _layernorm_bwd(da2, ln2c)
-            grads[f"l{i}.ln2_g"] += dg
-            grads[f"l{i}.ln2_b"] += db
-            dx = dx + dx2
+            dx.sum(axis=(0, 1), out=grads[f"l{i}.b2"])
+            np.matmul(h2.reshape(-1, ff).T, dx.reshape(-1, d), out=grads[f"l{i}.w2"])
+            # h2 is read for w2's gradient only, so its buffer takes dh2
+            dh1 = _gelu_bwd(np.matmul(dx, p[f"l{i}.w2"].T, out=h2), geluc, ws)
+            dh1.sum(axis=(0, 1), out=grads[f"l{i}.b1"])
+            np.matmul(a2.reshape(-1, d).T, dh1.reshape(-1, ff), out=grads[f"l{i}.w1"])
+            da2 = np.matmul(dh1, p[f"l{i}.w1"].T, out=buf("proj"))
+            dx += _layernorm_bwd(da2, ln2c, grads[f"l{i}.ln2_g"], grads[f"l{i}.ln2_b"],
+                                 buf("dsub"), ws)
             # attention half
-            grads[f"l{i}.wo"] += merged.reshape(-1, cfg.d_model).T @ dx.reshape(-1, cfg.d_model)
-            dmerged = dx @ p[f"l{i}.wo"].T
-            dctx = dmerged.reshape(b, t, h, hd).transpose(0, 2, 1, 3)
-            dqr, dkr, dvh = _attend_bwd(dctx, qr, kr, vh, probs)
-            dqh = rope_rotate(dqr, pos, inverse=True)
-            dkh = rope_rotate(dkr, pos, inverse=True)
-            dq = dqh.transpose(0, 2, 1, 3).reshape(b, t, cfg.d_model)
-            dk = dkh.transpose(0, 2, 1, 3).reshape(b, t, cfg.d_model)
-            dv = dvh.transpose(0, 2, 1, 3).reshape(b, t, cfg.d_model)
-            flat_a = a.reshape(-1, cfg.d_model)
-            grads[f"l{i}.wq"] += flat_a.T @ dq.reshape(-1, cfg.d_model)
-            grads[f"l{i}.wk"] += flat_a.T @ dk.reshape(-1, cfg.d_model)
-            grads[f"l{i}.wv"] += flat_a.T @ dv.reshape(-1, cfg.d_model)
-            da = dq @ p[f"l{i}.wq"].T + dk @ p[f"l{i}.wk"].T + dv @ p[f"l{i}.wv"].T
-            dx1, dg, db = _layernorm_bwd(da, ln1c)
-            grads[f"l{i}.ln1_g"] += dg
-            grads[f"l{i}.ln1_b"] += db
-            dx = dx + dx1
+            np.matmul(merged.reshape(-1, d).T, dx.reshape(-1, d), out=grads[f"l{i}.wo"])
+            dmerged = np.matmul(dx, p[f"l{i}.wo"].T, out=buf("proj"))
+            dqr, dkr, dvh = _attend_bwd(_heads(dmerged, h), qr, kr, vh, probs, ws)
+            dq, dk = buf("dq"), buf("dk")
+            _rotate(dqr, cos, sin, True, _heads(dq, h), ws)
+            _rotate(dkr, cos, sin, True, _heads(dk, h), ws)
+            dv = dvh.transpose(0, 2, 1, 3).reshape(b, t, d)
+            flat_a = a.reshape(-1, d)
+            np.matmul(flat_a.T, dq.reshape(-1, d), out=grads[f"l{i}.wq"])
+            np.matmul(flat_a.T, dk.reshape(-1, d), out=grads[f"l{i}.wk"])
+            np.matmul(flat_a.T, dv.reshape(-1, d), out=grads[f"l{i}.wv"])
+            da = np.matmul(dq, p[f"l{i}.wq"].T, out=buf("proj"))
+            da += np.matmul(dk, p[f"l{i}.wk"].T, out=buf("dsub"))
+            da += np.matmul(dv, p[f"l{i}.wv"].T, out=buf("dsub"))
+            dx += _layernorm_bwd(da, ln1c, grads[f"l{i}.ln1_g"], grads[f"l{i}.ln1_b"],
+                                 buf("dsub"), ws)
 
         tag, ids, hmat, sel = caches.pop()
         assert tag == "embed"
+        for name in ("tok_emb", "harm_w", "harm_b"):
+            grads[name].fill(0.0)
         np.add.at(grads["tok_emb"], ids, dx)
         if hmat is not None:
-            dinj = (sel[:, :, None] * dx).sum(axis=1)       # (B, d)
+            dinj = np.multiply(sel[:, :, None], dx, out=buf("dsub")).sum(axis=1)   # (B, d)
             grads["harm_w"] += hmat.T @ dinj
             grads["harm_b"] += dinj.sum(axis=0)
         return grads
@@ -433,7 +609,8 @@ class TinyLM:
         shape = (batch, cfg.n_heads, capacity, cfg.d_model // cfg.n_heads)
         return {"n": 0, "batch": batch, "capacity": capacity,
                 "k": [np.empty(shape) for _ in range(cfg.n_layers)],
-                "v": [np.empty(shape) for _ in range(cfg.n_layers)]}
+                "v": [np.empty(shape) for _ in range(cfg.n_layers)],
+                "ws": Workspace()}
 
     def extend(self, cache: dict, ids: np.ndarray,
                harmony: Optional[np.ndarray] = None) -> np.ndarray:
@@ -482,18 +659,35 @@ class AdamW:
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
 
-    def update(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+    def update(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
+               workspace: Optional[Workspace] = None) -> None:
+        """One step: the moments and ``params`` are updated in place.
+
+        Each line rounds as ``m = b1 * m + (1 - b1) * g``,
+        ``v = b2 * v + (1 - b2) * g * g`` and ``params -= lr * (m / bc1) /
+        (sqrt(v / bc2) + eps)`` (plus decay) do; the temporaries are
+        ``workspace`` buffers.
+        """
+        ws = Workspace() if workspace is None else workspace
         self.step_count += 1
         b1, b2 = ADAMW_BETAS
         bc1 = 1.0 - b1 ** self.step_count
         bc2 = 1.0 - b2 ** self.step_count
         for name, g in grads.items():
-            m = self.m[name] = b1 * self.m[name] + (1.0 - b1) * g
-            v = self.v[name] = b2 * self.v[name] + (1.0 - b2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + ADAMW_EPS)
+            m, v = self.m[name], self.v[name]
+            step, tmp = ws.take("adamw.step", g.shape), ws.take("adamw.tmp", g.shape)
+            m *= b1
+            m += np.multiply(g, 1.0 - b1, out=tmp)
+            v *= b2
+            np.multiply(g, 1.0 - b2, out=tmp)
+            v += np.multiply(tmp, g, out=tmp)
+            np.divide(m, bc1, out=step)
+            np.divide(v, bc2, out=tmp)
+            step /= np.add(np.sqrt(tmp, out=tmp), ADAMW_EPS, out=tmp)
             if params[name].ndim == 2 and name != "tok_emb":
-                update = update + ADAMW_WEIGHT_DECAY * params[name]
-            params[name] -= self.lr * update
+                step += np.multiply(params[name], ADAMW_WEIGHT_DECAY, out=tmp)
+            step *= self.lr
+            params[name] -= step
 
 
 # ---------------------------------------------------------------------------
@@ -504,6 +698,7 @@ def train(model: TinyLM, batches: Sequence[tuple[np.ndarray, np.ndarray, Optiona
     """Cycle through ``(ids, mask, harmony)`` batches for a fixed step count.
 
     Batches are visited in a seeded random order, reshuffled each epoch.
+    Every step writes into one :class:`Workspace`, made for this run.
     Returns the loss of every step, in order.
     """
     if not batches:
@@ -511,6 +706,7 @@ def train(model: TinyLM, batches: Sequence[tuple[np.ndarray, np.ndarray, Optiona
     if steps < 1:
         raise LMError("steps must be positive")
     opt = AdamW(model.params, lr=lr)
+    ws = Workspace()
     rng = np.random.default_rng(seed)
     order: list[int] = []
     losses: list[float] = []
@@ -518,8 +714,8 @@ def train(model: TinyLM, batches: Sequence[tuple[np.ndarray, np.ndarray, Optiona
         if not order:
             order = rng.permutation(len(batches)).tolist()
         ids, mask, harmony = batches[order.pop()]
-        loss, grads = model.loss_and_grads(ids, mask, harmony)
-        opt.update(model.params, grads)
+        loss, grads = model.loss_and_grads(ids, mask, harmony, workspace=ws)
+        opt.update(model.params, grads, workspace=ws)
         losses.append(loss)
     return losses
 

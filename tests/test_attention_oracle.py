@@ -19,8 +19,9 @@ CFG = ModelConfig(vocab_size=19, d_model=8, n_heads=2, n_layers=2,
                   d_ff=16, max_len=64)
 
 
-def dense_attend(qr, keys, values, start, probs=None):
-    """Every query against every key, future keys masked to -inf."""
+def dense_attend(qr, keys, values, start, probs=None, ws=None, layer=None):
+    """Every query against every key, future keys masked to -inf; the
+    model's workspace and layer index are ignored."""
     s, hd = qr.shape[2], qr.shape[3]
     scores = qr @ keys.swapaxes(-1, -2) / np.sqrt(hd)
     if s > 1:
@@ -31,7 +32,7 @@ def dense_attend(qr, keys, values, start, probs=None):
     return p @ values
 
 
-def dense_attend_bwd(dctx, qr, kr, vh, probs):
+def dense_attend_bwd(dctx, qr, kr, vh, probs, ws=None):
     (p,) = probs
     hd = qr.shape[3]
     dprobs = dctx @ vh.swapaxes(-1, -2)

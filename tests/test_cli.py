@@ -185,6 +185,40 @@ class TestModelCommands:
             assert row["posterior"].index(max(row["posterior"])) + 1 == \
                 row["level"]
 
+    def test_classify_computes_one_log_joint(self, ws, tmp_path, monkeypatch):
+        calls = []
+        log_joint = gnb.GaussianNB.log_joint
+
+        def counted(self, features):
+            calls.append(len(features))
+            return log_joint(self, features)
+
+        monkeypatch.setattr(gnb.GaussianNB, "log_joint", counted)
+        run("classify", "--model", str(ws / "gnb" / "model.json"),
+            "--features", str(ws / "feat.jsonl"), "--out", str(tmp_path / "post.jsonl"))
+        assert calls == [6]
+        assert (tmp_path / "post.jsonl").read_bytes() == (ws / "post.jsonl").read_bytes()
+
+    def test_classify_level_is_the_argmax_of_the_unscaled_log_joint(self, tmp_path):
+        # at every level's mean, with variance 1 / (2 pi), a row's log-joint
+        # is its level's log prior exactly; levels 1 and 2 differ by one ulp,
+        # and divided by the temperature 3 they round to one value
+        low, high = -1.0, float(np.nextafter(-1.0, 0.0))
+        assert low < high and low / 3.0 == high / 3.0
+        row = [0.5] * 12
+        fitted = gnb.GaussianNB(np.array([low, high] + [-np.inf] * 7), np.tile(row, (9, 1)),
+                                np.full((9, 12), 1.0 / (2.0 * np.pi)), temperature=3.0)
+        assert fitted.log_joint(np.array([row]))[0, :2].tolist() == [low, high]
+        gnb.save_model(fitted, str(tmp_path / "model.json"))
+        (tmp_path / "feat.jsonl").write_text(json.dumps({"piece": "p", "features": row}) + "\n",
+                                            encoding="utf-8")
+        run("classify", "--model", str(tmp_path / "model.json"),
+            "--features", str(tmp_path / "feat.jsonl"), "--out", str(tmp_path / "post.jsonl"))
+        (got,) = read_jsonl(tmp_path / "post.jsonl")
+        assert got["level"] == 2
+        assert got["posterior"] == [0.5, 0.5] + [0.0] * 7
+        assert got["confidence"] == 0.5
+
     def test_embed_artifact(self, ws):
         table = style.load_embeddings(str(ws / "emb.jsonl"))
         assert len(table) == 6

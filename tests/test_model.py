@@ -17,6 +17,7 @@ from gradus.model import (
     LMError,
     ModelConfig,
     TinyLM,
+    Workspace,
     _pick,
     _softmax_last,
     load_checkpoint,
@@ -232,6 +233,31 @@ class TestGradients:
         want = model._backward(dlogits, caches)
         loss, grads = model.loss_and_grads(ids, mask, harmony)
         assert loss == masked_cross_entropy(logits, targets, mask[:, 1:])[0]
+        for name in want:
+            assert np.array_equal(grads[name], want[name]), name
+
+    def test_gradients_without_a_workspace_are_the_callers(self):
+        # a second call, of another shape, leaves the first call's arrays alone
+        model = TinyLM.create(TINY, seed=31)
+        rng = np.random.default_rng(32)
+        first = make_batch(rng, model, batch=2, n=9)
+        _, grads = model.loss_and_grads(*first)
+        kept = {name: arr.copy() for name, arr in grads.items()}
+        model.loss_and_grads(*make_batch(rng, model, batch=3, n=12))
+        model.loss_and_grads(*first)
+        for name, arr in grads.items():
+            assert np.array_equal(arr, kept[name]), name
+
+    def test_a_workspace_lends_its_gradients_to_every_call(self):
+        model = TinyLM.create(TINY, seed=33)
+        rng = np.random.default_rng(34)
+        ws = Workspace()
+        first, second = make_batch(rng, model, n=9), make_batch(rng, model, batch=3, n=6)
+        _, grads = model.loss_and_grads(*first, workspace=ws)
+        assert grads is ws.grads
+        _, again = model.loss_and_grads(*second, workspace=ws)
+        assert again is grads
+        _, want = model.loss_and_grads(*second)
         for name in want:
             assert np.array_equal(grads[name], want[name]), name
 
