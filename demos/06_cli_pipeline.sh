@@ -4,7 +4,14 @@
 # its parsed arguments next to its artifacts (DIR/manifest.json for an
 # output directory, F.manifest.json beside an output file F), so a run can
 # be reproduced from the directory alone.
+#
+# BLAS runs on one thread, as in perfbench/run.py. At two threads OpenBLAS
+# splits the model's products otherwise, and all 18 arrays of the trained
+# checkpoint differ, by up to 2.6e-8. One thread is also faster at these
+# shapes: `train` took 2.85-3.55 s against 3.28-4.26 s at two threads on a
+# 2-vCPU guest. A bare `gradus train` still depends on the thread count.
 set -euo pipefail
+export OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1
 command -v gradus >/dev/null || gradus() { python3 -m gradus.cli "$@"; }
 
 WS="$(mktemp -d)"

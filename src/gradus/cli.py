@@ -159,6 +159,8 @@ def _located_rows(wheres: Sequence[str]):
 # Subcommands
 
 def _cmd_gen_fixtures(args) -> None:
+    if args.pieces < 1:
+        raise CliError("--pieces must be positive")
     scores = fixtures.generate_corpus(args.pieces, seed=args.seed)
     fixtures.write_corpus(args.out, scores)
     print(f"wrote {len(scores)} pieces to {args.out}")
@@ -359,6 +361,8 @@ _SEQ_ARRAYS = {"ids": ("iu", 2), "mask": ("iu", 2), "harmony": ("f", 2), "length
 
 
 def _cmd_train(args) -> None:
+    if args.batch_size < 1:
+        raise CliError("--batch-size must be positive")
     vocab = lmx.Vocabulary.load(args.vocab)
     seqs = interchange.read_npz(args.seqs, CliError, "sequence file", _SEQ_ARRAYS)
     ids, mask, harmony, lengths = (seqs[name] for name in _SEQ_ARRAYS)

@@ -13,8 +13,8 @@ so scores never take more than a fixed budget per block, whatever the
 sequence length.
 
 Every step of :func:`train` writes into one :class:`Workspace`, made for
-the run: its activations, each layer's kept attention probabilities (views
-of one flat array), its gradients and AdamW's temporaries are buffers that
+the run: the layer stack's activations, each layer's kept attention
+probabilities (views of one flat array) and the gradients are buffers that
 the next step reuses.  The step keeps the float order of one that
 allocates every array anew, so its bits, and a checkpoint's, are unchanged.
 
@@ -65,8 +65,9 @@ class ModelConfig:
     max_len: int = 8192
 
     def __post_init__(self) -> None:
-        if self.vocab_size < 1:
-            raise LMError("vocab_size must be positive")
+        for f in fields(self):
+            if getattr(self, f.name) < 1:
+                raise LMError(f"{f.name} must be positive")
         if self.d_model % self.n_heads != 0:
             raise LMError("d_model must be divisible by n_heads")
         if (self.d_model // self.n_heads) % 2 != 0:
@@ -100,24 +101,17 @@ def rope_rotate(x: np.ndarray, positions: np.ndarray, inverse: bool = False) -> 
     if hd % 2 != 0:
         raise LMError("rotary dimension must be even")
     cos, sin = _rope_tables(positions, hd)
-    return _rotate(x, cos, sin, inverse, np.empty_like(x), Workspace())
+    return _rotate(x, cos, sin, inverse, np.empty_like(x))
 
 
 def _rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray, inverse: bool,
-            out: np.ndarray, ws: "Workspace") -> np.ndarray:
-    """:func:`rope_rotate` by the angles of the tables ``cos`` and ``sin``, into ``out``.
-
-    The inverse rotation negates every product with ``sin``: ``a - (-b)``
-    and ``(-b) + a`` round as ``a + b`` and ``a - b`` do, so no negated
-    table is made.
-    """
+            out: np.ndarray) -> np.ndarray:
+    """:func:`rope_rotate` by the angles of the tables ``cos`` and ``sin``, into ``out``."""
+    if inverse:
+        sin = -sin
     x_even, x_odd = x[..., 0::2], x[..., 1::2]
-    out_even, out_odd = out[..., 0::2], out[..., 1::2]
-    tmp = ws.take("scratch", x_even.shape)
-    # x_even * cos - x_odd * sin and x_even * sin + x_odd * cos
-    to_even, to_odd = (np.add, np.subtract) if inverse else (np.subtract, np.add)
-    to_even(np.multiply(x_even, cos, out=out_even), np.multiply(x_odd, sin, out=tmp), out=out_even)
-    to_odd(np.multiply(x_odd, cos, out=out_odd), np.multiply(x_even, sin, out=tmp), out=out_odd)
+    out[..., 0::2] = x_even * cos - x_odd * sin
+    out[..., 1::2] = x_even * sin + x_odd * cos
     return out
 
 
@@ -232,26 +226,22 @@ class Workspace:
     """The buffers that the steps of one training run reuse.
 
     :func:`train` makes one per run and passes it to every
-    :meth:`TinyLM.loss_and_grads` and :meth:`AdamW.update`; a KV cache
-    holds one for its prefill and decode steps.  A call given none makes a
-    fresh one, so the arrays it returns are its caller's.
+    :meth:`TinyLM.loss_and_grads`; a KV cache holds one for its prefill
+    and decode steps.  A call given none makes a fresh one, so the arrays
+    it returns are its caller's.
 
     Each buffer is one flat float64 array under a name, grown to the
     largest size asked for and viewed in the shape asked for, so steps of
     other widths reuse it.  ``l{i}.attn`` holds layer ``i``'s attention
     probabilities, one consecutive view per query block; other names hold
     the layer's activations, one block's scratch of :func:`_attend_bwd`,
-    and the other temporaries of a step.  The rotary tables and the causal
-    mask are built on first use and grown when a longer sequence needs
-    them; ``grads`` holds the gradient of every parameter.  A workspace
-    serves one model.
+    and the layer norm and GELU temporaries.  ``grads`` holds the gradient
+    of every parameter.  A workspace serves one model.
     """
 
     def __init__(self) -> None:
         self.grads: dict[str, np.ndarray] = {}
         self._flat: dict[str, np.ndarray] = {}
-        self._rope = (np.empty((0, 0)), np.empty((0, 0)))
-        self._future = np.empty((0, 0))
 
     def take(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
         """An uninitialised view of ``shape`` at the start of buffer ``name``."""
@@ -260,24 +250,6 @@ class Workspace:
         if flat is None or flat.size < size:
             flat = self._flat[name] = np.empty(size)
         return flat[:size].reshape(shape)
-
-    def rope(self, start: int, end: int, hd: int) -> tuple[np.ndarray, np.ndarray]:
-        """The rotary cos and sin tables of positions ``[start, end)``.
-
-        The tables double when they grow, so decoding one token at a time
-        rebuilds them only every so often.
-        """
-        cos, sin = self._rope
-        if cos.shape[0] < end:
-            size = max(end, 2 * cos.shape[0])
-            cos, sin = self._rope = _rope_tables(np.arange(size), hd)
-        return cos[start:end], sin[start:end]
-
-    def future(self, width: int) -> np.ndarray:
-        """The (width, width) mask that adds -inf to every future key."""
-        if self._future.shape[0] < width:
-            self._future = np.triu(np.full((width, width), -np.inf), k=1)
-        return self._future[:width, :width]
 
     def gradients(self, params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
         """``grads``, made on first use with one array per parameter."""
@@ -310,7 +282,8 @@ def _attend(qr: np.ndarray, keys: np.ndarray, values: np.ndarray, start: int,
     sizes = [b * h * (hi - lo) * (start + hi) for lo, hi in blocks]
     arena = ws.take(f"l{layer}.attn", (max(sizes) if probs is None else sum(sizes),))
     # future keys of a block are its last columns: mask that square
-    future = ws.future(blocks[0][1])
+    width = blocks[0][1]
+    future = np.triu(np.full((width, width), -np.inf), k=1) if width > 1 else None
     ctx = ws.take(f"l{layer}.ctx", (b, s, h, hd)).transpose(0, 2, 1, 3)
     at = 0
     for (lo, hi), size in zip(blocks, sizes):
@@ -455,7 +428,7 @@ class TinyLM:
         if ws is None:
             ws = Workspace() if kv is None else kv["ws"]
         d, h, ff = cfg.d_model, cfg.n_heads, cfg.d_ff
-        cos, sin = ws.rope(start, end, d // h)
+        cos, sin = _rope_tables(np.arange(start, end), d // h)
         x = self._embed(ids, harmony, caches, ws)
         bsd, bsf = (b, s, d), (b, s, ff)
         proj = ws.take("proj", bsd)
@@ -463,9 +436,9 @@ class TinyLM:
             a, ln1c = _layernorm_fwd(x, p[f"l{i}.ln1_g"], p[f"l{i}.ln1_b"],
                                      ws.take(f"l{i}.a", bsd), ws.take(f"l{i}.xhat1", bsd))
             qr = _rotate(_heads(np.matmul(a, p[f"l{i}.wq"], out=proj), h), cos, sin, False,
-                         _heads(ws.take(f"l{i}.qr", bsd), h), ws)
+                         _heads(ws.take(f"l{i}.qr", bsd), h))
             kr = _rotate(_heads(np.matmul(a, p[f"l{i}.wk"], out=proj), h), cos, sin, False,
-                         _heads(ws.take(f"l{i}.kr", bsd), h), ws)
+                         _heads(ws.take(f"l{i}.kr", bsd), h))
             vh = _heads(np.matmul(a, p[f"l{i}.wv"], out=ws.take(f"l{i}.v", bsd)), h)
             if kv is None:
                 keys, values = kr, vh
@@ -538,7 +511,7 @@ class TinyLM:
         grads = ws.gradients(p)
         b, t, _ = dlogits.shape
         d, h, ff = cfg.d_model, cfg.n_heads, cfg.d_ff
-        cos, sin = ws.rope(0, t, d // h)
+        cos, sin = _rope_tables(np.arange(t), d // h)
 
         # the forward's residual and projection buffers, "x" and "proj", are
         # free by now: they hold the residual's gradient and each product
@@ -570,8 +543,8 @@ class TinyLM:
             dmerged = np.matmul(dx, p[f"l{i}.wo"].T, out=buf("proj"))
             dqr, dkr, dvh = _attend_bwd(_heads(dmerged, h), qr, kr, vh, probs, ws)
             dq, dk = buf("dq"), buf("dk")
-            _rotate(dqr, cos, sin, True, _heads(dq, h), ws)
-            _rotate(dkr, cos, sin, True, _heads(dk, h), ws)
+            _rotate(dqr, cos, sin, True, _heads(dq, h))
+            _rotate(dkr, cos, sin, True, _heads(dk, h))
             dv = dvh.transpose(0, 2, 1, 3).reshape(b, t, d)
             flat_a = a.reshape(-1, d)
             np.matmul(flat_a.T, dq.reshape(-1, d), out=grads[f"l{i}.wq"])
@@ -659,35 +632,19 @@ class AdamW:
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
 
-    def update(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-               workspace: Optional[Workspace] = None) -> None:
-        """One step: the moments and ``params`` are updated in place.
-
-        Each line rounds as ``m = b1 * m + (1 - b1) * g``,
-        ``v = b2 * v + (1 - b2) * g * g`` and ``params -= lr * (m / bc1) /
-        (sqrt(v / bc2) + eps)`` (plus decay) do; the temporaries are
-        ``workspace`` buffers.
-        """
-        ws = Workspace() if workspace is None else workspace
+    def update(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+        """One step: new moment arrays, and ``params`` updated in place."""
         self.step_count += 1
         b1, b2 = ADAMW_BETAS
         bc1 = 1.0 - b1 ** self.step_count
         bc2 = 1.0 - b2 ** self.step_count
         for name, g in grads.items():
-            m, v = self.m[name], self.v[name]
-            step, tmp = ws.take("adamw.step", g.shape), ws.take("adamw.tmp", g.shape)
-            m *= b1
-            m += np.multiply(g, 1.0 - b1, out=tmp)
-            v *= b2
-            np.multiply(g, 1.0 - b2, out=tmp)
-            v += np.multiply(tmp, g, out=tmp)
-            np.divide(m, bc1, out=step)
-            np.divide(v, bc2, out=tmp)
-            step /= np.add(np.sqrt(tmp, out=tmp), ADAMW_EPS, out=tmp)
+            m = self.m[name] = b1 * self.m[name] + (1.0 - b1) * g
+            v = self.v[name] = b2 * self.v[name] + (1.0 - b2) * g * g
+            update = (m / bc1) / (np.sqrt(v / bc2) + ADAMW_EPS)
             if params[name].ndim == 2 and name != "tok_emb":
-                step += np.multiply(params[name], ADAMW_WEIGHT_DECAY, out=tmp)
-            step *= self.lr
-            params[name] -= step
+                update = update + ADAMW_WEIGHT_DECAY * params[name]
+            params[name] -= self.lr * update
 
 
 # ---------------------------------------------------------------------------
@@ -715,7 +672,7 @@ def train(model: TinyLM, batches: Sequence[tuple[np.ndarray, np.ndarray, Optiona
             order = rng.permutation(len(batches)).tolist()
         ids, mask, harmony = batches[order.pop()]
         loss, grads = model.loss_and_grads(ids, mask, harmony, workspace=ws)
-        opt.update(model.params, grads, workspace=ws)
+        opt.update(model.params, grads)
         losses.append(loss)
     return losses
 

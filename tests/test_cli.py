@@ -775,6 +775,28 @@ class TestErrorContract:
         assert payload == {"error": error, "message": (
             f"{missing}: cannot read (FileNotFoundError: No such file or directory)")}
 
+    @pytest.mark.parametrize("option, error, message", [
+        ("--n-layers", "LMError", "n_layers must be positive"),
+        ("--n-heads", "LMError", "n_heads must be positive"),
+        ("--d-model", "LMError", "d_model must be positive"),
+        ("--d-ff", "LMError", "d_ff must be positive"),
+        ("--batch-size", "CliError", "--batch-size must be positive"),
+    ], ids=["n-layers", "n-heads", "d-model", "d-ff", "batch-size"])
+    def test_train_sizes_of_zero_are_refused(self, ws, trained, tmp_path, capsys,
+                                             option, error, message):
+        out = tmp_path / "ck"
+        payload = failure(capsys, "train", "--seqs", str(trained / "cond.npz"),
+                          "--vocab", str(ws / "enc" / "vocab.txt"), "--out-dir", str(out),
+                          "--steps", "1", "--d-model", "16", "--n-layers", "1",
+                          "--n-heads", "2", "--d-ff", "32", option, "0")
+        assert payload == {"error": error, "message": message}
+        assert not (out / "checkpoint.npz").exists()
+
+    def test_zero_fixture_pieces_are_refused(self, tmp_path, capsys):
+        payload = failure(capsys, "gen-fixtures", "--out", str(tmp_path / "corpus"),
+                          "--pieces", "0")
+        assert payload == {"error": "CliError", "message": "--pieces must be positive"}
+
     @pytest.mark.parametrize("argv", [
         ("parse", "x.musicxml"),
         ("build-seqs", "--mode", "conditioned", "--vocab", "v", "--out", "o",

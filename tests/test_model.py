@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradus import model as model_module
 from gradus.model import (
     ADAMW_BETAS,
     ADAMW_EPS,
@@ -56,6 +57,11 @@ class TestConfig:
     def test_vocab_positive(self):
         with pytest.raises(LMError):
             ModelConfig(vocab_size=0)
+
+    @pytest.mark.parametrize("field", ["d_model", "n_heads", "n_layers", "d_ff", "max_len"])
+    def test_sizes_positive(self, field):
+        with pytest.raises(LMError, match=f"^{field} must be positive$"):
+            ModelConfig(vocab_size=10, **{field: 0})
 
 
 class TestRope:
@@ -460,6 +466,36 @@ class TestTraining:
         model = TinyLM.create(TINY, seed=18)
         with pytest.raises(LMError):
             train(model, [], steps=10)
+
+
+def test_train_and_sample_make_one_workspace_each(monkeypatch):
+    # a call that falls back to a fresh workspace on every step would add one a step
+    made = []
+
+    class Counted(Workspace):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    caches = []
+    start_cache = TinyLM.start_cache
+
+    def spy(self, *args, **kwargs):
+        caches.append(start_cache(self, *args, **kwargs))
+        return caches[-1]
+
+    monkeypatch.setattr(model_module, "Workspace", Counted)
+    monkeypatch.setattr(TinyLM, "start_cache", spy)
+    model = TinyLM.create(TINY, seed=35)
+    rng = np.random.default_rng(36)
+    batches = [make_batch(rng, model, batch=2, n=9),
+               make_batch(rng, model, batch=3, n=6, with_harmony=False)]
+    train(model, batches, steps=5, lr=1e-3, seed=0)
+    assert len(made) == 1
+    made.clear()
+    sample(model, prefix=[1, _HARMONY_ID, 5], n_sequences=3, max_new_tokens=8, end_id=2,
+           seed=0, harmony=rng.uniform(size=12))
+    assert made == [caches[0]["ws"]]
 
 
 class TestSampling:
